@@ -37,6 +37,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/rstp"
 	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/timed"
 	"repro/internal/wire"
 )
@@ -92,41 +93,19 @@ func run(args []string, out io.Writer) error {
 	}
 
 	p := rstp.Params{C1: *c1, C2: *c2, D: *d}
-	var (
-		s   rstp.Solution
-		err error
-	)
-	switch *proto {
-	case "alpha":
-		s, err = rstp.Alpha(p)
-	case "beta":
-		s, err = rstp.Beta(p, *k)
-	case "gamma":
-		s, err = rstp.Gamma(p, *k)
-	default:
-		return fmt.Errorf("unknown protocol %q (alpha, beta, gamma)", *proto)
-	}
+	st, err := stack.Build(p, stack.Spec{Proto: *proto, K: *k, Harden: !*unhardened, Stabilize: *stabilize})
 	if err != nil {
 		return err
 	}
-
-	var clauses []faults.Fault
-	if *loss > 0 || *dup > 0 || *corrupt > 0 || *excess > 0 {
-		from, to, err := parseWindow(*fwindow)
-		if err != nil {
-			return fmt.Errorf("-fwindow: %w", err)
-		}
-		clauses = append(clauses, faults.Fault{
-			From: from, To: to,
-			Drop: *loss, Dup: *dup, Corrupt: *corrupt, ExtraDelay: *excess,
-		})
+	sol, ok := st.Builder.(interface {
+		Run(x []wire.Bit, opt rstp.RunOptions) (*sim.Run, error)
+	})
+	if !ok {
+		return fmt.Errorf("%s does not run in the simulator (alpha, beta, gamma)", st.Builder)
 	}
-	if *blackout != "" {
-		from, to, err := parseWindow(*blackout)
-		if err != nil {
-			return fmt.Errorf("-blackout: %w", err)
-		}
-		clauses = append(clauses, faults.Fault{From: from, To: to, Blackout: true})
+	clauses, err := faults.Clauses(*loss, *dup, *corrupt, *excess, *fwindow, *blackout)
+	if err != nil {
+		return err
 	}
 	plan := faults.NewPlan(*seed, chanmodel.MaxDelay{D: p.D}, clauses...)
 
@@ -139,38 +118,18 @@ func run(args []string, out io.Writer) error {
 		procPlan = faults.NewProcPlan(*seed, pcs...)
 	}
 
-	x := patternBits(*n * s.BlockBits)
+	x := patternBits(*n * st.BlockBits)
 	opt := rstp.RunOptions{Delay: plan, MaxTicks: *maxTicks}
 	if procPlan != nil {
 		opt.ProcFaults = procPlan
 	}
 
-	name := s.String()
-	hs := rstp.Harden(s, rstp.HardenOptions{})
-	var (
-		r      *sim.Run
-		runErr error
-	)
-	switch {
-	case *stabilize && *unhardened:
-		ss := rstp.Stabilize(s, rstp.StabilizeOptions{})
-		name = ss.String()
-		r, runErr = ss.Run(x, opt)
-	case *stabilize:
-		ss := rstp.StabilizeHardened(hs, rstp.StabilizeOptions{})
-		name = ss.String()
-		r, runErr = ss.Run(x, opt)
-	case *unhardened:
-		r, runErr = s.Run(x, opt)
-	default:
-		name = hs.String()
-		r, runErr = hs.Run(x, opt)
-	}
+	r, runErr := sol.Run(x, opt)
 	if r == nil {
 		return runErr
 	}
 
-	fmt.Fprintf(out, "protocol:  %s\n", name)
+	fmt.Fprintf(out, "protocol:  %s\n", st.Builder)
 	fmt.Fprintf(out, "params:    c1=%d c2=%d d=%d, |X|=%d bits\n", p.C1, p.C2, p.D, len(x))
 	fmt.Fprintf(out, "plan:      %s\n", plan.Name())
 	affected, dropped, duplicated, corrupted, delayed := plan.Stats()
@@ -265,24 +224,6 @@ func parseProcFaults(spec string) ([]faults.ProcFault, error) {
 		out = append(out, f)
 	}
 	return out, nil
-}
-
-// parseWindow parses "from:to".
-func parseWindow(s string) (from, to int64, err error) {
-	parts := strings.SplitN(s, ":", 2)
-	if len(parts) != 2 {
-		return 0, 0, fmt.Errorf("want from:to, got %q", s)
-	}
-	if from, err = strconv.ParseInt(parts[0], 10, 64); err != nil {
-		return 0, 0, err
-	}
-	if to, err = strconv.ParseInt(parts[1], 10, 64); err != nil {
-		return 0, 0, err
-	}
-	if to <= from {
-		return 0, 0, fmt.Errorf("empty window %q", s)
-	}
-	return from, to, nil
 }
 
 // patternBits builds a fixed non-trivial bit pattern.

@@ -61,7 +61,9 @@ func TestRunBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-proto", "delta"},
 		{"-fwindow", "nope", "-loss", "0.5"},
+		{"-fwindow", "5:5", "-loss", "0.5"}, // empty window
 		{"-blackout", "9:3"},
+		{"-proto", "rateless"}, // bare or wrapped, the coded pair has no simulator run
 	} {
 		if err := run(args, &strings.Builder{}); err == nil {
 			t.Errorf("args %v: expected an error", args)

@@ -10,8 +10,7 @@
 //	rstpserve -sessions 128 -loss 0.2 -fwindow 0:2000 -harden
 //	rstpserve -transport udp -chaos -loss 0.12 -dup 0.05 -corrupt 0.03 -harden
 //	rstpserve -shed evict-oldest-idle -watchdog 4 # overload + wedge defense
-//	rstpserve -adaptive -resilient -sessions 128  # closed-loop overload control
-//	rstpserve -bench -sessions 200                # emit BENCH_serve.json
+//	rstpserve -adaptive -sessions 128             # closed-loop overload control
 //	rstpserve -store-dir /tmp/rstp -sessions 64   # durable crash-restart serving
 //
 // Every session's output tape is verified against its input: Y must be a
@@ -27,12 +26,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -43,9 +39,9 @@ import (
 	"repro/internal/faults"
 	"repro/internal/journal"
 	"repro/internal/obs"
-	"repro/internal/rateless"
 	"repro/internal/rstp"
 	"repro/internal/session"
+	"repro/internal/stack"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -62,9 +58,8 @@ func main() {
 	}
 }
 
-// summary is the machine-readable report printed after a run (and, in
-// -bench mode, written to the BENCH_*.json file). See EXPERIMENTS.md for
-// the schema note.
+// summary is the machine-readable report printed after a run. See
+// EXPERIMENTS.md for the schema note.
 type summary struct {
 	Schema string `json:"schema"`
 	// Meta stamps the artifact with provenance (commit, Go version,
@@ -94,12 +89,11 @@ type summary struct {
 	Overflow       int              `json:"overflow"`
 	Stray          int              `json:"stray"`
 	Faults         string           `json:"faults,omitempty"`
-	// Resilience-layer counters (PR 4; see EXPERIMENTS.md E20).
+	// Overload and watchdog counters plus UDP loss (see EXPERIMENTS.md
+	// E20).
 	Wedged       int   `json:"wedged"`
 	Shed         int   `json:"shed"`
 	Resyncs      int   `json:"resyncs"`
-	BreakerOpens int64 `json:"breaker_opens"`
-	Retransmits  int64 `json:"retransmits"`
 	UDPMalformed int64 `json:"udp_malformed"`
 	UDPDropped   int64 `json:"udp_dropped"`
 	// Chaos middleware injection counters, when -chaos is set.
@@ -125,30 +119,29 @@ type summary struct {
 	// with -adaptive: the controller's final ladder level, intervention
 	// counters, the per-k admission histogram and the per-level dwell
 	// times in ticks.
-	ControlLevel       string           `json:"control_level,omitempty"`
-	ControlPaced       int64            `json:"control_paced,omitempty"`
-	ControlPaceTicks   int64            `json:"control_pace_ticks,omitempty"`
-	ControlGated       int64            `json:"control_gated,omitempty"`
-	ControlRefused     int64            `json:"control_refused,omitempty"`
-	ControlRTOChanges  int64            `json:"control_rto_changes,omitempty"`
-	ControlEvictions   int64            `json:"control_evictions,omitempty"`
-	ControlRetires     int64            `json:"control_retires,omitempty"`
-	ControlKHist       map[string]int64 `json:"control_k_histogram,omitempty"`
-	ControlDwell       map[string]int64 `json:"control_level_dwell_ticks,omitempty"`
+	ControlLevel     string           `json:"control_level,omitempty"`
+	ControlPaced     int64            `json:"control_paced,omitempty"`
+	ControlPaceTicks int64            `json:"control_pace_ticks,omitempty"`
+	ControlGated     int64            `json:"control_gated,omitempty"`
+	ControlRefused   int64            `json:"control_refused,omitempty"`
+	ControlEvictions int64            `json:"control_evictions,omitempty"`
+	ControlRetires   int64            `json:"control_retires,omitempty"`
+	ControlKHist     map[string]int64 `json:"control_k_histogram,omitempty"`
+	ControlDwell     map[string]int64 `json:"control_level_dwell_ticks,omitempty"`
 	// Cross-family selection (this PR): the candidate the controller is
 	// currently admitting under ("" = the native family) and how many
 	// times it crossed a family boundary.
 	ControlSelected    string `json:"control_selected,omitempty"`
 	ControlFamSwitches int64  `json:"control_family_switches,omitempty"`
-	StoreDir           string           `json:"store_dir,omitempty"`
-	Resumed            int64            `json:"resumed,omitempty"`
-	JournalSaves       int64            `json:"journal_saves,omitempty"`
-	JournalSaveErrors  int64            `json:"journal_save_errors,omitempty"`
-	JournalReplayed    int64            `json:"journal_replayed,omitempty"`
-	JournalTruncations int64            `json:"journal_truncations,omitempty"`
-	JournalCompactions int64            `json:"journal_compactions,omitempty"`
-	JournalSizeBytes   int64            `json:"journal_size_bytes,omitempty"`
-	JournalKeys        int64            `json:"journal_keys,omitempty"`
+	StoreDir           string `json:"store_dir,omitempty"`
+	Resumed            int64  `json:"resumed,omitempty"`
+	JournalSaves       int64  `json:"journal_saves,omitempty"`
+	JournalSaveErrors  int64  `json:"journal_save_errors,omitempty"`
+	JournalReplayed    int64  `json:"journal_replayed,omitempty"`
+	JournalTruncations int64  `json:"journal_truncations,omitempty"`
+	JournalCompactions int64  `json:"journal_compactions,omitempty"`
+	JournalSizeBytes   int64  `json:"journal_size_bytes,omitempty"`
+	JournalKeys        int64  `json:"journal_keys,omitempty"`
 }
 
 func run(args []string, out io.Writer) error {
@@ -177,12 +170,9 @@ func run(args []string, out io.Writer) error {
 		blackout    = fs.String("blackout", "", "blackout window from:to (empty = none)")
 		excess      = fs.Int64("excess", 0, "extra delay beyond d inside -fwindow")
 		chaos       = fs.Bool("chaos", false, "inject the fault flags through the transport.Chaos middleware (works over any transport, including udp)")
-		resilient   = fs.Bool("resilient", false, "wrap the transport in the transport.Resilient retransmission/breaker layer")
 		shed        = fs.String("shed", "refuse", "overload policy at the -conc cap: refuse or evict-oldest-idle")
-		adaptive    = fs.Bool("adaptive", false, "run the closed-loop control plane: occupancy-gated/paced admission, per-session k-selection from the paper's bound tables (beta/gamma; with -store-dir the chosen k is journaled and restarts resume under it), RTO adaptation (needs -resilient) and the shed-escalation ladder")
+		adaptive    = fs.Bool("adaptive", false, "run the closed-loop control plane: occupancy-gated/paced admission, per-session k-selection from the paper's bound tables (beta/gamma; with -store-dir the chosen k is journaled and restarts resume under it) and the shed-escalation ladder")
 		watchdog    = fs.Int("watchdog", 0, "progress watchdog multiplier k: wedge a session after k*delta1*c2 ticks without output growth (0 = off)")
-		bench       = fs.Bool("bench", false, "benchmark mode: also write the summary to -benchout")
-		benchout    = fs.String("benchout", "BENCH_serve.json", "bench output file for -bench")
 		verbose     = fs.Bool("v", false, "print one line per session")
 		timeout     = fs.Duration("timeout", 2*time.Minute, "overall run deadline")
 		metricsAddr = fs.String("metrics-addr", "", "serve /metrics (Prometheus text), /metrics.json (snapshot with live session table) and /debug/pprof on this address (empty = off)")
@@ -219,12 +209,16 @@ func run(args []string, out io.Writer) error {
 		}
 		defer store.Close()
 	}
-	sol, blockBits, bound, lower, err := buildSolution(*proto, p, *k, *harden, *stabilize, storeOrNil(store), rstp.ObsObserver(reg), *seed, reg)
+	spec := stack.Spec{
+		Proto: *proto, K: *k, Harden: *harden, Stabilize: *stabilize,
+		Store: storeOrNil(store), Observer: rstp.ObsObserver(reg), Seed: *seed, Registry: reg,
+	}
+	st, err := stack.Build(p, spec)
 	if err != nil {
 		return err
 	}
 
-	clauses, err := faultClauses(*loss, *dup, *corrupt, *excess, *fwindow, *blackout)
+	clauses, err := faults.Clauses(*loss, *dup, *corrupt, *excess, *fwindow, *blackout)
 	if err != nil {
 		return err
 	}
@@ -242,7 +236,6 @@ func run(args []string, out io.Writer) error {
 		trans      transport.Transport
 		udpT       *transport.UDP
 		chaosT     *transport.Chaos
-		resT       *transport.Resilient
 		faultsDesc string
 	)
 	switch *transName {
@@ -279,12 +272,8 @@ func run(args []string, out io.Writer) error {
 		chaosT = transport.NewChaos(trans, clock, plan)
 		trans = chaosT
 	}
-	if *resilient {
-		resT = transport.NewResilient(trans, clock, transport.ResilientOptions{D: p.D, C1: p.C1, Seed: *seed})
-		trans = resT
-	}
-	// Instrument the assembled stack outside-in: every layer (resilient,
-	// chaos, mem/udp) registers its counters, and Mem starts feeding the
+	// Instrument the assembled stack outside-in: every layer (chaos,
+	// mem/udp) registers its counters, and Mem starts feeding the
 	// delivery-latency histogram.
 	transport.Instrument(reg, trans)
 
@@ -296,21 +285,20 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	// The adaptive control plane: built before the mux (it is the mux's
-	// Admission hook), bound to its actuators after (the Server and the
-	// resilient transport provide them).
+	// Admission hook), bound to its actuators after (the Server provides
+	// them).
 	var ctrl *control.Controller
-	kBlock := blockBits
+	kBlock := st.BlockBits
 	if *adaptive {
 		if *proto == "rateless" {
 			trans.Close()
 			return fmt.Errorf("-adaptive needs a retransmission family as the native protocol (alpha, beta, gamma); rateless rides in its candidate set instead")
 		}
-		builders, block := adaptiveBuilders(*proto, p, *k, *harden, *stabilize, storeOrNil(store), rstp.ObsObserver(reg), sol, blockBits, *seed, reg)
-		cands, block2 := adaptiveCandidates(*proto, p, *k, *harden, *stabilize, storeOrNil(store), rstp.ObsObserver(reg), *seed, reg)
-		kBlock = lcmInt(block, block2)
+		var cands []control.Candidate
+		cands, kBlock = adaptiveCandidates(p, spec, st)
 		ctrl, err = control.New(control.Config{
 			Registry: reg, Clock: clock, Params: p, Proto: *proto,
-			Builders: builders, DefaultK: *k,
+			DefaultK:       *k,
 			Candidates:     cands,
 			Store:          storeOrNil(store),
 			Seed:           *seed,
@@ -323,7 +311,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	pipeCfg := session.Config{
-		Solution:         sol,
+		Solution:         st.Builder,
 		Params:           p,
 		Transport:        trans,
 		Clock:            clock,
@@ -333,7 +321,7 @@ func run(args []string, out io.Writer) error {
 		WatchdogK:        *watchdog,
 		WatchdogResync:   *stabilize,
 		Obs:              reg,
-		EffortLowerBound: lower,
+		EffortLowerBound: st.Lower,
 		Store:            storeOrNil(store),
 	}
 	if ctrl != nil {
@@ -347,15 +335,11 @@ func run(args []string, out io.Writer) error {
 	defer pipe.Close()
 
 	if ctrl != nil {
-		acts := control.Actuators{
+		ctrl.Bind(control.Actuators{
 			Active:        func() int64 { return int64(pipe.Server.ActiveCount()) },
 			EvictOldest:   pipe.Server.ShedOldest,
 			RetireStalled: pipe.Server.RetireStalled,
-		}
-		if resT != nil {
-			acts.SetRTO = resT.SetRTO
-		}
-		ctrl.Bind(acts)
+		})
 		ctrl.Start()
 		defer ctrl.Stop()
 	}
@@ -439,13 +423,13 @@ func run(args []string, out io.Writer) error {
 	sum := summary{
 		Schema:         "rstp-bench-serve/v1",
 		Meta:           benchmatrix.NewMeta("rstp-bench-serve/v1", time.Now().UTC().Format(time.RFC3339)),
-		Proto:          sol.String(),
+		Proto:          st.Builder.String(),
 		Transport:      trans.Name(),
 		Sessions:       *sessions,
 		BitsPerSession: bits,
 		TickMicros:     float64(clock.Tick()) / float64(time.Microsecond),
 		WallMS:         float64(wall) / float64(time.Millisecond),
-		EffortBound:    bound,
+		EffortBound:    st.Upper,
 		Faults:         faultsDesc,
 	}
 	for i, o := range results {
@@ -506,10 +490,6 @@ func run(args []string, out io.Writer) error {
 		sum.ChaosCorrupted = corrupted
 		sum.ChaosDelayed = delayed
 	}
-	if resT != nil {
-		sum.BreakerOpens = resT.BreakerOpens()
-		sum.Retransmits = resT.Retransmits()
-	}
 	if ctrl != nil {
 		cs := ctrl.State()
 		sum.ControlLevel = cs.Level
@@ -517,7 +497,6 @@ func run(args []string, out io.Writer) error {
 		sum.ControlPaceTicks = cs.PaceTicks
 		sum.ControlGated = cs.Gated
 		sum.ControlRefused = cs.DialRefused + cs.ServerRefused
-		sum.ControlRTOChanges = cs.RTOChanges
 		sum.ControlEvictions = cs.Evictions
 		sum.ControlRetires = cs.Retires
 		sum.ControlKHist = cs.KHistogram
@@ -525,7 +504,7 @@ func run(args []string, out io.Writer) error {
 		sum.ControlSelected = cs.Selected
 		sum.ControlFamSwitches = cs.FamilySwitches
 	}
-	sum.EffortLowerBound = lower
+	sum.EffortLowerBound = st.Lower
 	sum.Interrupted = interrupted
 	sum.MetricsAddr = boundAddr
 	snap := reg.Snapshot()
@@ -556,22 +535,6 @@ func run(args []string, out io.Writer) error {
 	if err := enc.Encode(sum); err != nil {
 		return err
 	}
-	if *bench {
-		f, err := os.Create(*benchout)
-		if err != nil {
-			return err
-		}
-		benc := json.NewEncoder(f)
-		benc.SetIndent("", "  ")
-		err = benc.Encode(sum)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", *benchout)
-	}
 	if sum.Violations > 0 {
 		return fmt.Errorf("%d of %d sessions violated the prefix invariant", sum.Violations, *sessions)
 	}
@@ -601,12 +564,11 @@ func flushLoop(ctx context.Context, stop <-chan struct{}, reg *obs.Registry, out
 			return
 		case <-t.C:
 			s := reg.Snapshot()
-			fmt.Fprintf(out, "obs: active=%d writes=%d sends=%d deliveries=%d retransmits=%d shed=%d wedged=%d\n",
+			fmt.Fprintf(out, "obs: active=%d writes=%d sends=%d deliveries=%d shed=%d wedged=%d\n",
 				s.Gauges["rstp_server_sessions_active"],
 				s.Counters["rstp_session_writes_total"],
 				s.Counters["rstp_session_sends_total"],
 				s.Counters["rstp_session_deliveries_total"],
-				s.Counters["rstp_resilient_retransmits_total"],
 				s.Counters["rstp_sessions_shed_total"],
 				s.Counters["rstp_sessions_wedged_total"])
 		}
@@ -623,138 +585,47 @@ func storeOrNil(s *journal.Store) rstp.StateStore {
 	return s
 }
 
-// buildSolution assembles the protocol stack and reports its block size,
-// the paper's effort upper bound for the bare protocol, and the matching
-// effort lower bound (Theorem 5.3 for the r-passive alpha/beta, Theorem
-// 5.6 for the active gamma and the rateless pair) that the live
-// effort-gap metric is measured against. lo is shared by every session
-// endpoint the wrappers build; store, when non-nil, makes the stabilized
-// layer checkpoint into it and recover from it on construction. seed and
-// reg only matter to the rateless family: the seed pins its per-block
-// coded streams, the registry receives its rstp_rateless_* instruments.
-func buildSolution(proto string, p rstp.Params, k int, harden, stabilize bool, store rstp.StateStore, lo rstp.LayerObserver, seed int64, reg *obs.Registry) (session.PairBuilder, int, float64, float64, error) {
-	if proto == "rateless" {
-		// The rateless pair is its own loss tolerance: the hardened and
-		// stabilized wrappers speak the retransmission families' burst
-		// framing and have nothing to add to a fountain-coded stream.
-		if harden || stabilize {
-			return nil, 0, 0, 0, fmt.Errorf("-proto rateless does not compose with -harden/-stabilize/-store-dir: loss tolerance is native to the code")
+// adaptiveCandidates assembles the -adaptive selection table from the
+// served stack st and its spec. Native rows are the configured k and its
+// doubling (effort falls with log k, so one doubling is the meaningful
+// escape hatch under slowdown); alpha has none, since a binary alphabet
+// has no k to select. Cross-family rows are the families whose effort
+// upper bound the native one cannot reach under slowdown: serving beta,
+// the active gamma (a full round trip per burst but a tighter bound)
+// and the rateless pair (no inter-burst wait at all); serving gamma,
+// only rateless. Every row is wrapped exactly like the served stack —
+// except rateless, which is always bare — and a row that fails to build
+// is simply absent: the controller then holds what it has, which is the
+// safe default. Durable runs keep the full set because the controller
+// records each session's chosen row in the store ("s<id>/k") and resumes
+// under it after a restart. The second result is the lcm of every
+// row's block size, which the input length must be a multiple of.
+func adaptiveCandidates(p rstp.Params, spec stack.Spec, st stack.Stack) ([]control.Candidate, int) {
+	if spec.Proto == "alpha" {
+		return nil, st.BlockBits
+	}
+	cands := []control.Candidate{{Proto: spec.Proto, K: spec.K, Builder: st.Builder, Lower: st.Lower, Upper: st.Upper}}
+	block := st.BlockBits
+	add := func(proto string, k int) {
+		s := spec
+		s.Proto, s.K = proto, k
+		if proto == "rateless" {
+			s.Harden, s.Stabilize = false, false // natively loss-tolerant; restarts recover through the cumulative ack
 		}
-		b, err := rateless.NewBuilder(rateless.Options{Params: p, K: k, Seed: seed, Obs: reg})
+		row, err := stack.Build(p, s)
 		if err != nil {
-			return nil, 0, 0, 0, err
-		}
-		lower := rateless.LowerBound(p, k)
-		if math.IsInf(lower, 1) || math.IsNaN(lower) {
-			lower = 0
-		}
-		return b, b.BlockBits(), rateless.UpperBound(p, k), lower, nil
-	}
-	var (
-		s     rstp.Solution
-		bound float64
-		lower float64
-		err   error
-	)
-	switch proto {
-	case "alpha":
-		s, err = rstp.Alpha(p)
-		if err == nil {
-			bound = rstp.AlphaEffort(p)
-			// Alpha's transmitter alphabet is binary: one bit per packet.
-			lower = rstp.PassiveLowerBound(p, 2)
-		}
-	case "beta":
-		s, err = rstp.Beta(p, k)
-		if err == nil {
-			bound = rstp.BetaUpperBound(p, k)
-			lower = rstp.PassiveLowerBound(p, k)
-		}
-	case "gamma":
-		s, err = rstp.Gamma(p, k)
-		if err == nil {
-			bound = rstp.GammaUpperBound(p, k)
-			lower = rstp.ActiveLowerBound(p, k)
-		}
-	default:
-		return nil, 0, 0, 0, fmt.Errorf("unknown protocol %q (alpha, beta, gamma, rateless)", proto)
-	}
-	if err != nil {
-		return nil, 0, 0, 0, err
-	}
-	if math.IsInf(lower, 1) || math.IsNaN(lower) {
-		lower = 0 // degenerate alphabet: disable the gap metric
-	}
-	sopts := rstp.StabilizeOptions{Observer: lo}
-	if store != nil {
-		sopts.Store = store
-		sopts.Recover = true
-	}
-	var sol session.PairBuilder = s
-	if harden && stabilize {
-		sol = rstp.StabilizeHardened(rstp.Harden(s, rstp.HardenOptions{Observer: lo}), sopts)
-	} else if harden {
-		sol = rstp.Harden(s, rstp.HardenOptions{Observer: lo})
-	} else if stabilize {
-		sol = rstp.Stabilize(s, sopts)
-	}
-	return sol, s.BlockBits, bound, lower, nil
-}
-
-// adaptiveBuilders assembles the k-selection candidate set for
-// -adaptive: the configured k plus its doubling (effort falls with
-// log k, so one doubling is the meaningful escape hatch under
-// slowdown), each wrapped exactly like the base solution. It also
-// reports the lcm of the candidates' block sizes, which the input
-// length must be a multiple of. Selection is off — the map stays
-// single-entry — only for alpha (a binary alphabet has no k to
-// select); durable runs keep the full set because the controller
-// records each session's chosen k in the store ("s<id>/k") and resumes
-// under it after a restart.
-func adaptiveBuilders(proto string, p rstp.Params, baseK int, harden, stabilize bool, store rstp.StateStore, lo rstp.LayerObserver, baseSol session.PairBuilder, baseBlock int, seed int64, reg *obs.Registry) (map[int]session.PairBuilder, int) {
-	builders := map[int]session.PairBuilder{baseK: baseSol}
-	if proto == "alpha" {
-		return builders, baseBlock
-	}
-	block := baseBlock
-	if sol, bb, _, _, err := buildSolution(proto, p, 2*baseK, harden, stabilize, store, lo, seed, reg); err == nil {
-		builders[2*baseK] = sol
-		block = lcmInt(block, bb)
-	}
-	return builders, block
-}
-
-// adaptiveCandidates assembles the cross-family escape hatches for
-// -adaptive: families whose effort upper bound the native one cannot
-// reach under slowdown. Serving beta, the active gamma (a full round
-// trip per burst but a tighter bound) and the rateless pair (no
-// inter-burst wait at all) both ride along; serving gamma, only
-// rateless is left above it. Each candidate is wrapped exactly like the
-// base solution — except rateless, which is always bare. A candidate
-// whose construction fails is simply absent: the controller then holds
-// the native family, which is the safe default. The second result is
-// the lcm of the candidates' block sizes (1 when there are none).
-func adaptiveCandidates(proto string, p rstp.Params, baseK int, harden, stabilize bool, store rstp.StateStore, lo rstp.LayerObserver, seed int64, reg *obs.Registry) ([]control.Candidate, int) {
-	var cands []control.Candidate
-	block := 1
-	add := func(family string) {
-		h, st := harden, stabilize
-		if family == "rateless" {
-			h, st = false, false // natively loss-tolerant; restarts recover through the cumulative ack
-		}
-		sol, bb, upper, lower, err := buildSolution(family, p, baseK, h, st, store, lo, seed, reg)
-		if err != nil || math.IsInf(upper, 1) || math.IsNaN(upper) {
 			return
 		}
-		cands = append(cands, control.Candidate{Proto: family, K: baseK, Builder: sol, Lower: lower, Upper: upper})
-		block = lcmInt(block, bb)
+		cands = append(cands, control.Candidate{Proto: proto, K: k, Builder: row.Builder, Lower: row.Lower, Upper: row.Upper})
+		block = lcmInt(block, row.BlockBits)
 	}
-	switch proto {
+	add(spec.Proto, 2*spec.K)
+	switch spec.Proto {
 	case "beta":
-		add("gamma")
-		add("rateless")
+		add("gamma", spec.K)
+		add("rateless", spec.K)
 	case "gamma":
-		add("rateless")
+		add("rateless", spec.K)
 	}
 	return cands, block
 }
@@ -767,30 +638,6 @@ func lcmInt(a, b int) int {
 	return a / g * b
 }
 
-// faultClauses assembles the -loss/-dup/-corrupt/-excess/-blackout flags
-// into fault plan clauses, rstpchaos-style.
-func faultClauses(loss, dup, corrupt float64, excess int64, fwindow, blackout string) ([]faults.Fault, error) {
-	var clauses []faults.Fault
-	if loss > 0 || dup > 0 || corrupt > 0 || excess > 0 {
-		from, to, err := parseWindow(fwindow)
-		if err != nil {
-			return nil, fmt.Errorf("-fwindow: %w", err)
-		}
-		clauses = append(clauses, faults.Fault{
-			From: from, To: to,
-			Drop: loss, Dup: dup, Corrupt: corrupt, ExtraDelay: excess,
-		})
-	}
-	if blackout != "" {
-		from, to, err := parseWindow(blackout)
-		if err != nil {
-			return nil, fmt.Errorf("-blackout: %w", err)
-		}
-		clauses = append(clauses, faults.Fault{From: from, To: to, Blackout: true})
-	}
-	return clauses, nil
-}
-
 // parseShed maps the -shed flag onto a session.ShedPolicy.
 func parseShed(s string) (session.ShedPolicy, error) {
 	switch s {
@@ -801,23 +648,4 @@ func parseShed(s string) (session.ShedPolicy, error) {
 	default:
 		return 0, fmt.Errorf("unknown -shed policy %q (refuse, evict-oldest-idle)", s)
 	}
-}
-
-func parseWindow(s string) (int64, int64, error) {
-	parts := strings.SplitN(s, ":", 2)
-	if len(parts) != 2 {
-		return 0, 0, fmt.Errorf("window %q not in from:to form", s)
-	}
-	from, err := strconv.ParseInt(parts[0], 10, 64)
-	if err != nil {
-		return 0, 0, err
-	}
-	to, err := strconv.ParseInt(parts[1], 10, 64)
-	if err != nil {
-		return 0, 0, err
-	}
-	if to < from {
-		return 0, 0, fmt.Errorf("window %q ends before it starts", s)
-	}
-	return from, to, nil
 }

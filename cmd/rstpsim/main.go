@@ -56,20 +56,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	p := rstp.Params{C1: *c1, C2: *c2, D: *d}
-	var (
-		s   rstp.Solution
-		err error
-	)
-	switch *proto {
-	case "alpha":
-		s, err = rstp.Alpha(p)
-	case "beta":
-		s, err = rstp.Beta(p, *k)
-	case "gamma":
-		s, err = rstp.Gamma(p, *k)
-	default:
-		return fmt.Errorf("unknown protocol %q", *proto)
-	}
+	s, err := rstp.New(p, *proto, *k)
 	if err != nil {
 		return err
 	}

@@ -109,6 +109,7 @@ func TestRunGenBetaWindow(t *testing.T) {
 func TestRunRejectsBadArgs(t *testing.T) {
 	cases := [][]string{
 		{"-proto", "nope"},
+		{"-proto", "rateless"}, // a serving family, not a paper solution
 		{"-sched", "nope"},
 		{"-delay", "nope"},
 		{"-input", "10x"},

@@ -43,30 +43,29 @@ func run(sessions int) error {
 	// input its builder rejects.
 	reg := repro.NewMetrics()
 	lo := repro.NewLayerObserver(reg)
-	builders := make(map[int]repro.PairBuilder)
+	var cands []repro.ControlCandidate
 	blockBits := 1
 	for _, k := range []int{4, 8} {
 		s, err := repro.Beta(p, k)
 		if err != nil {
 			return err
 		}
-		builders[k] = repro.Harden(s, repro.HardenOptions{Observer: lo})
+		cands = append(cands, repro.ControlCandidate{Proto: "beta", K: k, Builder: repro.Harden(s, repro.HardenOptions{Observer: lo})})
 		blockBits = lcm(blockBits, s.BlockBits)
 	}
 
 	clock := repro.NewClock(50 * time.Microsecond)
 	rnd := rand.New(rand.NewSource(7))
 	mem := repro.NewMemTransport(clock, repro.MemOptions{D: p.D, Delay: repro.RandomDelay(p.D, rnd), Buffer: 1 << 14})
-	res := repro.NewResilientTransport(mem, clock, repro.ResilientOptions{D: p.D, C1: p.C1, Seed: 7})
-	defer res.Close()
-	repro.InstrumentTransport(reg, res)
+	defer mem.Close()
+	repro.InstrumentTransport(reg, mem)
 
 	// The controller is built first (it is the mux's admission hook),
 	// wired as Admission on the shared ServeConfig, then bound to its
 	// actuators once the pipe exists and started.
 	ctrl, err := repro.NewController(repro.ControlConfig{
 		Registry: reg, Clock: clock, Params: p, Proto: "beta",
-		Builders: builders, DefaultK: 4,
+		Candidates: cands, DefaultK: 4,
 		Seed:           7,
 		TargetSessions: slots,
 	})
@@ -75,9 +74,9 @@ func run(sessions int) error {
 	}
 
 	pipe, err := repro.NewPipe(repro.ServeConfig{
-		Solution:    builders[4],
+		Solution:    cands[0].Builder,
 		Params:      p,
-		Transport:   res,
+		Transport:   mem,
 		Clock:       clock,
 		MaxSessions: slots,
 		IdleTicks:   -1, // slots are reclaimed per transfer; the controller owns eviction
@@ -91,7 +90,6 @@ func run(sessions int) error {
 
 	ctrl.Bind(repro.ControlActuators{
 		Active:        func() int64 { return int64(pipe.Server.ActiveCount()) },
-		SetRTO:        res.SetRTO,
 		EvictOldest:   pipe.Server.ShedOldest,
 		RetireStalled: pipe.Server.RetireStalled,
 	})
@@ -133,8 +131,8 @@ func run(sessions int) error {
 	fmt.Printf("flood: %d sessions over %d receiver slots\n", sessions, slots)
 	fmt.Printf("goodput: %d completed, %d failed, %d refused\n",
 		completed.Load(), failed.Load(), refused.Load())
-	fmt.Printf("controller: level=%s gated=%d paced=%d rto_changes=%d k_histogram=%v\n",
-		st.Level, st.Gated, st.Paced, st.RTOChanges, st.KHistogram)
+	fmt.Printf("controller: level=%s gated=%d paced=%d k_histogram=%v\n",
+		st.Level, st.Gated, st.Paced, st.KHistogram)
 	fmt.Printf("dwell ticks per level: %v\n", st.LevelDwellTicks)
 	if completed.Load() == 0 {
 		return fmt.Errorf("no session completed under control")

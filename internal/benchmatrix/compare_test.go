@@ -157,7 +157,7 @@ func TestLoadRejectsBadBaselines(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "rstp-bench-matrix/v1") || !strings.Contains(err.Error(), "regenerate") {
 		t.Errorf("old-schema baseline error = %v, want a schema mismatch naming the expected tag and the regenerate command", err)
 	}
-	// A different emitter's artifact (BENCH_serve.json shape) has no
+	// A different emitter's artifact (rstpserve's summary shape) has no
 	// meta.schema at all — same rejection path.
 	if _, err := Load(write("serve.json", `{"schema":"rstp-bench-serve/v1","sessions":200}`)); err == nil {
 		t.Error("foreign artifact accepted")

@@ -28,9 +28,9 @@ import (
 // Meta stamps a benchmark artifact with enough provenance to compare it
 // against any other run: which commit produced it, on what Go toolchain,
 // at what parallelism, and when. It is shared by every BENCH_*.json
-// emitter in the repo (rstpserve -bench, the obs/journal/control bench
-// guards, and the matrix itself), so all committed snapshots are
-// attributable to a commit.
+// emitter in the repo (the obs/journal/control bench guards and the
+// matrix itself) and by rstpserve's JSON summary, so all committed
+// snapshots are attributable to a commit.
 type Meta struct {
 	// Schema tags the artifact's layout; each emitter sets its own
 	// (e.g. "rstp-bench-matrix/v1").

@@ -12,9 +12,9 @@ import (
 	"repro/internal/chanmodel"
 	"repro/internal/faults"
 	"repro/internal/obs"
-	"repro/internal/rateless"
 	"repro/internal/rstp"
 	"repro/internal/session"
+	"repro/internal/stack"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -32,8 +32,8 @@ type RunConfig struct {
 	// Params are the timing constants (default c1=2 c2=3 d=12).
 	Params rstp.Params
 	// MinBits is the minimum input length per session, rounded up to a
-	// whole number of protocol blocks (default 24, the committed
-	// BENCH_serve.json workload).
+	// whole number of protocol blocks (default 24, rstpserve's default
+	// β(4) workload: four 6-bit blocks).
 	MinBits int
 	// MaxConc caps concurrently open sessions per cell (default
 	// min(sessions, 512), rstpserve's rule).
@@ -152,62 +152,6 @@ func Run(ctx context.Context, cells []Cell, cfg RunConfig) (*File, error) {
 	return f, nil
 }
 
-// buildStack assembles a cell's protocol pair builder: the bare family
-// for fault-free in-memory cells, the hardened wrapper for chaos cells
-// and for every UDP cell (the matrix measures what the serving stack
-// ships under faults; a bare protocol under loss simply never
-// completes, and a real socket drops datagrams under 64-session load —
-// the paper's no-loss channel axiom does not survive a kernel buffer).
-// The rateless family is never hardened: loss tolerance is the code's
-// own property, and its cells exist to measure exactly that against the
-// hardened retransmission rows. It returns the builder, the family's
-// block size in bits, and the paper's per-message effort lower bound
-// (Thm 5.3 for the r-passive alpha/beta, Thm 5.6 for the active gamma
-// and the ack-bearing rateless pair) the cell's effort-gap histogram is
-// anchored to. seed pins the rateless per-block symbol streams to the
-// cell; reg receives the rateless rstp_rateless_* instruments.
-func buildStack(cell Cell, p rstp.Params, seed int64, reg *obs.Registry) (session.PairBuilder, int, float64, error) {
-	clampLower := func(lower float64) float64 {
-		if math.IsInf(lower, 1) || math.IsNaN(lower) {
-			return 0
-		}
-		return lower
-	}
-	if cell.Proto == "rateless" {
-		b, err := rateless.NewBuilder(rateless.Options{Params: p, K: cell.K, Seed: seed, Obs: reg})
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		return b, b.BlockBits(), clampLower(rateless.LowerBound(p, cell.K)), nil
-	}
-	var (
-		s     rstp.Solution
-		lower float64
-		err   error
-	)
-	switch cell.Proto {
-	case "alpha":
-		s, err = rstp.Alpha(p)
-		lower = rstp.PassiveLowerBound(p, 2)
-	case "beta":
-		s, err = rstp.Beta(p, cell.K)
-		lower = rstp.PassiveLowerBound(p, cell.K)
-	case "gamma":
-		s, err = rstp.Gamma(p, cell.K)
-		lower = rstp.ActiveLowerBound(p, cell.K)
-	default:
-		return nil, 0, 0, fmt.Errorf("unknown protocol %q", cell.Proto)
-	}
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	var sol session.PairBuilder = s
-	if cell.Chaos != "none" || cell.Transport == "udp" {
-		sol = rstp.Harden(s, rstp.HardenOptions{})
-	}
-	return sol, s.BlockBits, clampLower(lower), nil
-}
-
 // chaosClauses renders a chaos plan name into fault clauses. Windows
 // are in ticks from cell start. "loss" is sustained 15% random loss for
 // the whole run; "burst" is a dense loss+duplication window early in
@@ -244,7 +188,23 @@ func RunCell(ctx context.Context, cell Cell, cfg RunConfig) (Record, error) {
 	// its histograms and counters cover exactly this cell's traffic.
 	reg := obs.NewRegistry()
 
-	sol, blockBits, lower, err := buildStack(cell, p, seed, reg)
+	// The stack: the bare family for fault-free in-memory cells, the
+	// hardened wrapper for chaos cells and for every UDP cell (the matrix
+	// measures what the serving stack ships under faults; a bare protocol
+	// under loss simply never completes, and a real socket drops
+	// datagrams under 64-session load — the paper's no-loss channel axiom
+	// does not survive a kernel buffer). The rateless family is never
+	// hardened: loss tolerance is the code's own property, and its cells
+	// exist to measure exactly that against the hardened retransmission
+	// rows. The seed pins the rateless per-block symbol streams to the
+	// cell.
+	st, err := stack.Build(p, stack.Spec{
+		Proto:    cell.Proto,
+		K:        cell.K,
+		Harden:   cell.Proto != "rateless" && (cell.Chaos != "none" || cell.Transport == "udp"),
+		Seed:     seed,
+		Registry: reg,
+	})
 	if err != nil {
 		return rec, err
 	}
@@ -287,14 +247,14 @@ func RunCell(ctx context.Context, cell Cell, cfg RunConfig) (Record, error) {
 		}
 	}
 	pipe, err := session.NewPipe(session.Config{
-		Solution:         sol,
+		Solution:         st.Builder,
 		Params:           p,
 		Transport:        trans,
 		Clock:            clock,
 		MaxSessions:      maxConc,
 		IdleTicks:        -1, // the harness evicts each session explicitly
 		Obs:              reg,
-		EffortLowerBound: lower,
+		EffortLowerBound: st.Lower,
 	})
 	if err != nil {
 		trans.Close()
@@ -304,8 +264,8 @@ func RunCell(ctx context.Context, cell Cell, cfg RunConfig) (Record, error) {
 
 	// Seeded inputs, rounded up to whole blocks; the hash pins the
 	// workload identity for the determinism test and for Compare.
-	blocks := (cfg.MinBits + blockBits - 1) / blockBits
-	bits := blocks * blockBits
+	blocks := (cfg.MinBits + st.BlockBits - 1) / st.BlockBits
+	bits := blocks * st.BlockBits
 	rng := rand.New(rand.NewSource(seed))
 	inputs := make([][]wire.Bit, cell.Sessions)
 	hash := uint64(14695981039346656037)
@@ -318,8 +278,8 @@ func RunCell(ctx context.Context, cell Cell, cfg RunConfig) (Record, error) {
 	}
 	rec.BitsPerSession = bits
 	rec.InputHash = fmt.Sprintf("%016x", hash)
-	rec.Stack = sol.String()
-	rec.EffortLowerBound = lower
+	rec.Stack = st.Builder.String()
+	rec.EffortLowerBound = st.Lower
 
 	// Larger cells get proportionally more wall time: the budget is per
 	// concurrency wave, not per cell.

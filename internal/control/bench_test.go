@@ -9,13 +9,12 @@ import (
 	"repro/internal/benchmatrix"
 	"repro/internal/obs"
 	"repro/internal/rstp"
-	"repro/internal/session"
 	"repro/internal/transport"
 )
 
 // BenchmarkControlTick measures one full control-loop iteration — sensor
-// snapshots, windowed pressure, the ladder step, k retune and the RTO
-// push — against a registry with live margin data. This is the
+// snapshots, windowed pressure, the ladder step and the k retune —
+// against a registry with live margin data. This is the
 // controller's entire steady-state overhead: it runs once per Interval
 // (default 8·d ticks), so per-tick cost here is the whole price of
 // adaptive mode.
@@ -28,15 +27,12 @@ func BenchmarkControlTick(b *testing.B) {
 	}
 	c, err := New(Config{
 		Registry: reg, Clock: transport.NewClock(time.Nanosecond), Params: p,
-		Builders: map[int]session.PairBuilder{4: s4}, DefaultK: 4,
+		Candidates: []Candidate{{Proto: "beta", K: 4, Builder: s4}}, DefaultK: 4,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	c.Bind(Actuators{
-		Active: func() int64 { return 4 },
-		SetRTO: func(t int64) int64 { return t },
-	})
+	c.Bind(Actuators{Active: func() int64 { return 4 }})
 	// Seed the sensors so every tick windows a realistic distribution.
 	for i := int64(-20); i < 40; i++ {
 		c.marginHist.Observe(i)
@@ -54,7 +50,7 @@ func BenchmarkControlTick(b *testing.B) {
 // when BENCH_CONTROL_OUT names a file — measures controlled-vs-baseline
 // goodput at 1×, 1.5× and 2× of the soak's nominal admission rate,
 // writing the BENCH_control.json artifact CI archives alongside
-// BENCH_serve.json and BENCH_obs.json.
+// BENCH_obs.json.
 func TestControlBenchGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark guard runs in the full suite and the dedicated CI step")

@@ -18,9 +18,9 @@ func candCtl(t *testing.T, mut func(*Config)) (*Controller, session.PairBuilder,
 	bGamma := fakeBuilder{"gamma4"}
 	bRl := fakeBuilder{"rateless4"}
 	c := newCtl(t, func(cfg *Config) {
-		cfg.Builders = map[int]session.PairBuilder{4: bBeta}
 		cfg.DefaultK = 4
 		cfg.Candidates = []Candidate{
+			{Proto: "beta", K: 4, Builder: bBeta},
 			{Proto: "rateless", K: 4, Builder: bRl, Lower: 1, Upper: 5},
 			{Proto: "gamma", K: 4, Builder: bGamma, Lower: 1, Upper: 8},
 		}
@@ -44,9 +44,9 @@ func TestCandidateValidation(t *testing.T) {
 		t.Error("accepted a candidate without a builder")
 	}
 	cfg = base()
-	cfg.Candidates = []Candidate{{Proto: "beta", K: 4, Builder: fakeBuilder{"b"}, Upper: 8}}
+	cfg.Candidates = []Candidate{{K: 4, Builder: fakeBuilder{"b"}, Upper: 8}}
 	if _, err := New(cfg); err == nil {
-		t.Error("accepted a same-family candidate (belongs in Builders)")
+		t.Error("accepted a candidate naming no family")
 	}
 	cfg = base()
 	cfg.Candidates = []Candidate{{Proto: "gamma", K: 1, Builder: fakeBuilder{"b"}, Upper: 8}}
@@ -203,6 +203,13 @@ func TestDurableCandidateSelection(t *testing.T) {
 	}
 	if got := c2.BuilderFor(6); got != bBeta {
 		t.Errorf("legacy record resumed %v, want the native k=4 builder", got)
+	}
+	st.Save(kKey(7), []byte("rateless:4"))
+	if err := c2.Admit(ctx, 7); err != nil {
+		t.Fatal(err)
+	}
+	if got := c2.BuilderFor(7); got.String() != "rateless4" {
+		t.Errorf("rateless:4 record resumed %v, want the rateless candidate", got)
 	}
 
 	// Garbage forms read as "no record".

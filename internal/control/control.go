@@ -4,7 +4,7 @@
 // the deadline-margin histogram's miss tail, output-write stalls, the
 // server's refusal rate — folds them into one pressure scalar, runs it
 // through a hysteresis escalation ladder (pace → refuse → evict →
-// retire), and drives four actuators:
+// retire), and drives three actuators:
 //
 //   - admission pacing and refusal in the session mux, via the
 //     session.AdmissionController hooks — including an occupancy gate
@@ -15,9 +15,6 @@
 //     paper's effort bound tables (Thm 5.3/5.6 lower, Lemma 6.1/§6.2
 //     upper): the smallest k whose predicted per-message effort —
 //     scaled by the measured slowdown — still fits the δ1·c2 deadline;
-//   - RTO adaptation in transport.Resilient, shrinking the retry budget
-//     as the ladder climbs (retransmission amplifies overload), always
-//     clamped to the paper's [c1, d] arithmetic by SetRTO itself;
 //   - forced eviction/retirement of the least-productive sessions at
 //     the ladder's top rungs.
 //
@@ -52,27 +49,25 @@ type Config struct {
 	Registry *obs.Registry
 	// Clock is the tick source shared with the transports and sessions.
 	Clock *transport.Clock
-	// Params are the timing constants; the deadline δ1·c2 and the RTO
-	// clamp [c1, d] derive from them.
+	// Params are the timing constants; the deadline δ1·c2 derives from
+	// them.
 	Params rstp.Params
-	// Proto selects the bound formulas for the k table: "alpha", "beta"
-	// or "gamma" (default "beta").
+	// Proto names the native family: "alpha", "beta" or "gamma" (default
+	// "beta").
 	Proto string
-	// Builders maps candidate alphabet sizes k to the builder realising
-	// them; k-selection picks among exactly these. Empty disables
-	// k-selection (every admission uses the mux's Config.Solution).
-	Builders map[int]session.PairBuilder
 	// DefaultK is the k the mux's default Solution uses — the selection
 	// starting point and the k reported before the first retune.
 	DefaultK int
-	// Candidates extends the selection table across protocol families:
-	// each entry names a builder from another family (gamma, rateless)
-	// together with its effort bounds, which the Builders map — bound by
-	// Proto's own formulas — cannot express. The controller leaves the
-	// native family only when no native k meets the deadline and a
-	// candidate does, and family switches are dwell-limited (see
-	// retuneK), so a candidate whose bound sits near a native row cannot
-	// flap the selection.
+	// Candidates is the selection table. A candidate whose Proto equals
+	// Proto is a native row: its bounds come from rstp.EffortTable, and
+	// k-selection picks among exactly these rows. Every other candidate
+	// is a cross-family escape hatch (gamma, rateless) carrying its own
+	// effort bounds. The controller leaves the native family only when
+	// no native k meets the deadline and a foreign candidate does, and
+	// family switches are dwell-limited (see retuneK), so a candidate
+	// whose bound sits near a native row cannot flap the selection. An
+	// empty list disables selection (every admission uses the mux's
+	// Config.Solution).
 	Candidates []Candidate
 	// Store, when non-nil, persists each admitted session's chosen k
 	// under "s<id>/k" — alongside the stabilized layer's own "s<id>/"
@@ -113,20 +108,19 @@ type Config struct {
 	RefuseScale float64
 }
 
-// Candidate is one cross-family protocol choice the controller may
-// select instead of a native-family k: a builder plus the effort bounds
-// its own family's formulas predict for it (rstp.GammaUpperBound /
-// rateless.UpperBound and the matching lower bounds).
+// Candidate is one protocol choice the controller may select: a builder
+// plus the effort bounds its family's formulas predict for it (as
+// stack.Build reports them).
 type Candidate struct {
-	// Proto names the family, e.g. "gamma" or "rateless". It must differ
-	// from Config.Proto — same-family candidates belong in Builders.
+	// Proto names the family, e.g. "beta", "gamma" or "rateless".
 	Proto string
 	// K is the candidate's packet alphabet size.
 	K int
 	// Builder realises the candidate.
 	Builder session.PairBuilder
 	// Lower and Upper are the candidate's effort bounds in ticks per
-	// message, the same units as the native rstp.EffortTable rows.
+	// message, the same units as the native rstp.EffortTable rows. A
+	// native row's bounds are read from the table instead.
 	Lower, Upper float64
 }
 
@@ -142,17 +136,14 @@ type CandidateRow struct {
 	Upper float64 `json:"upper"`
 }
 
-// Actuators are the mux- and transport-side hooks the controller
-// drives. They are bound after construction (Bind) because the Server
-// and Resilient that provide them are themselves built with the
-// controller already in hand. Any nil hook disables that actuation.
+// Actuators are the mux-side hooks the controller drives. They are
+// bound after construction (Bind) because the Server that provides them
+// is itself built with the controller already in hand. Any nil hook
+// disables that actuation.
 type Actuators struct {
 	// Active reports live receiver-session occupancy (Server.ActiveCount);
 	// nil disables stall detection, which needs to know work is pending.
 	Active func() int64
-	// SetRTO retunes the resilience layer's per-Send retry budget and
-	// returns the applied (clamped) value (transport.Resilient.SetRTO).
-	SetRTO func(ticks int64) int64
 	// EvictOldest force-retires the longest-idle receiver session
 	// (Server.ShedOldest); called once per tick at LevelEvict and above.
 	EvictOldest func() bool
@@ -226,12 +217,13 @@ type Controller struct {
 	ladder   Ladder
 	pressure float64
 	curK     int
-	rtoNow   int64
 
-	// Cross-family selection: cands is the Config.Candidates list sorted
+	// native maps each native row's k to its builder. Cross-family
+	// selection: cands is the foreign part of Config.Candidates sorted
 	// by Upper descending (most expensive first, mirroring "smallest
 	// fitting k" in the native table); sel points into it while a
 	// foreign family is selected, nil while the native family is.
+	native     map[int]session.PairBuilder
 	cands      []Candidate
 	sel        *Candidate
 	lastSwitch int64
@@ -249,11 +241,11 @@ type Controller struct {
 	lastEvict   int64
 	lastRetire  int64
 
-	ticks, paced, paceTicks     int64
-	gated, gateTicks            int64
-	dialRefused, serverRefused  int64
-	rtoChanges, evicts, retires int64
-	levelTicks                  [numLevels]int64
+	ticks, paced, paceTicks    int64
+	gated, gateTicks           int64
+	dialRefused, serverRefused int64
+	evicts, retires            int64
+	levelTicks                 [numLevels]int64
 }
 
 // New validates the config, builds the bound table and registers the
@@ -298,8 +290,26 @@ func New(cfg Config) (*Controller, error) {
 		}
 	}
 
-	ks := make([]int, 0, len(cfg.Builders))
-	for k := range cfg.Builders {
+	native := make(map[int]session.PairBuilder)
+	cands := make([]Candidate, 0, len(cfg.Candidates))
+	for i, cd := range cfg.Candidates {
+		if cd.Builder == nil {
+			return nil, fmt.Errorf("control: candidate %d (%s) has no builder", i, cd.label())
+		}
+		if cd.Proto == "" {
+			return nil, fmt.Errorf("control: candidate %d names no family", i)
+		}
+		if cd.Proto == cfg.Proto {
+			native[cd.K] = cd.Builder
+			continue
+		}
+		if cd.K < 2 || cd.Upper <= 0 {
+			return nil, fmt.Errorf("control: candidate %d (%s) needs k >= 2 and a positive upper bound", i, cd.label())
+		}
+		cands = append(cands, cd)
+	}
+	ks := make([]int, 0, len(native))
+	for k := range native {
 		ks = append(ks, k)
 	}
 	table := rstp.EffortTable(cfg.Params, cfg.Proto, ks)
@@ -307,25 +317,11 @@ func New(cfg Config) (*Controller, error) {
 	// a prediction the controller cannot act on.
 	kept := table[:0]
 	for _, row := range table {
-		if _, ok := cfg.Builders[row.K]; ok {
+		if _, ok := native[row.K]; ok {
 			kept = append(kept, row)
 		}
 	}
 	table = kept
-
-	cands := make([]Candidate, 0, len(cfg.Candidates))
-	for i, cd := range cfg.Candidates {
-		if cd.Builder == nil {
-			return nil, fmt.Errorf("control: candidate %d (%s) has no builder", i, cd.label())
-		}
-		if cd.Proto == "" || cd.Proto == cfg.Proto {
-			return nil, fmt.Errorf("control: candidate %d must name a family other than %q (same-family candidates go in Builders)", i, cfg.Proto)
-		}
-		if cd.K < 2 || cd.Upper <= 0 {
-			return nil, fmt.Errorf("control: candidate %d (%s) needs k >= 2 and a positive upper bound", i, cd.label())
-		}
-		cands = append(cands, cd)
-	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].Upper != cands[j].Upper {
 			return cands[i].Upper > cands[j].Upper
@@ -337,12 +333,12 @@ func New(cfg Config) (*Controller, error) {
 		cfg:        cfg,
 		deadline:   int64(cfg.Params.Delta1()) * cfg.Params.C2,
 		table:      table,
+		native:     native,
 		cands:      cands,
 		lastSwitch: -cfg.Dwell, // the first needed family switch is never dwell-blocked
 		done:       make(chan struct{}),
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		curK:       cfg.DefaultK,
-		rtoNow:     cfg.Params.D,
 		missBase:   -1,
 		perSession: make(map[uint32]session.PairBuilder),
 		tombstones: make(map[uint32]struct{}),
@@ -419,11 +415,18 @@ func (c *Controller) tick() {
 	writes := c.writes.Value()
 	refused := c.refused.Value()
 
+	// Active is read outside c.mu, as in Admit: Server.ActiveCount takes
+	// the server's lock, and the server calls AdmitServer (which takes
+	// c.mu) while holding it.
 	c.mu.Lock()
+	act := c.acts.Active
+	c.mu.Unlock()
 	var active int64
-	if c.acts.Active != nil {
-		active = c.acts.Active()
+	if act != nil {
+		active = act()
 	}
+
+	c.mu.Lock()
 	win := obs.DeltaSnapshot(c.prevMargin, margin)
 	dWrites := writes - c.prevWrites
 	dRefused := refused - c.prevRefused
@@ -494,12 +497,6 @@ func (c *Controller) tick() {
 	c.levelTicks[level] += c.cfg.Interval
 	c.retuneK(win)
 
-	// RTO descends with the ladder: a full d of cumulative retry at
-	// LevelNormal, a bare c1 (one attempt, effectively) at LevelRetire.
-	// SetRTO clamps to [c1, d] regardless, so the paper's delay bound
-	// arithmetic survives any target.
-	rtoTarget := c.rtoForLevel(level)
-	setRTO := c.acts.SetRTO
 	// The destructive actuators are rate-limited to one victim per dwell
 	// window: eviction exists to relieve pressure, and the ladder cannot
 	// even observe relief faster than its own dwell — killing a session
@@ -515,10 +512,6 @@ func (c *Controller) tick() {
 	}
 	c.mu.Unlock()
 
-	var applied int64 = -1
-	if setRTO != nil {
-		applied = setRTO(rtoTarget)
-	}
 	evicted, retired := false, false
 	if evict != nil {
 		evicted = evict()
@@ -528,10 +521,6 @@ func (c *Controller) tick() {
 	}
 
 	c.mu.Lock()
-	if applied >= 0 && applied != c.rtoNow {
-		c.rtoNow = applied
-		c.rtoChanges++
-	}
 	if evicted {
 		c.evicts++
 	}
@@ -539,21 +528,6 @@ func (c *Controller) tick() {
 		c.retires++
 	}
 	c.mu.Unlock()
-}
-
-// rtoForLevel maps a ladder rung to a retry-budget target in ticks.
-func (c *Controller) rtoForLevel(l Level) int64 {
-	d := c.cfg.Params.D
-	switch l {
-	case LevelNormal, LevelPace:
-		return d
-	case LevelRefuse:
-		return 3 * d / 4
-	case LevelEvict:
-		return d / 2
-	default:
-		return c.cfg.Params.C1
-	}
 }
 
 // retuneK re-selects the admission-time alphabet size, holding c.mu.
@@ -745,7 +719,7 @@ func (c *Controller) Admit(ctx context.Context, id uint32) error {
 		if c.cfg.Store != nil {
 			if proto, rk, ok := storedSel(c.cfg.Store, id); ok {
 				if proto == "" {
-					if bk, has := c.cfg.Builders[rk]; has {
+					if bk, has := c.native[rk]; has {
 						b, label = bk, strconv.Itoa(rk)
 					}
 				} else if cd := c.candidate(proto, rk); cd != nil {
@@ -756,7 +730,7 @@ func (c *Controller) Admit(ctx context.Context, id uint32) error {
 		if b == nil {
 			if c.sel != nil {
 				b, label = c.sel.Builder, c.sel.label()
-			} else if bk, ok := c.cfg.Builders[c.curK]; ok {
+			} else if bk, ok := c.native[c.curK]; ok {
 				b, label = bk, strconv.Itoa(c.curK)
 			}
 		}
@@ -883,7 +857,6 @@ type State struct {
 	Level           string           `json:"level"`
 	Pressure        float64          `json:"pressure"`
 	K               int              `json:"k"`
-	RTOTicks        int64            `json:"rto_ticks"`
 	Ticks           int64            `json:"ticks"`
 	Paced           int64            `json:"paced"`
 	PaceTicks       int64            `json:"pace_ticks"`
@@ -891,7 +864,6 @@ type State struct {
 	GateTicks       int64            `json:"gate_ticks"`
 	DialRefused     int64            `json:"dial_refused"`
 	ServerRefused   int64            `json:"server_refused"`
-	RTOChanges      int64            `json:"rto_changes"`
 	Evictions       int64            `json:"evictions"`
 	Retires         int64            `json:"retires"`
 	KHistogram      map[string]int64 `json:"k_histogram,omitempty"`
@@ -912,7 +884,6 @@ func (c *Controller) State() State {
 		Level:           c.ladder.Current().String(),
 		Pressure:        c.pressure,
 		K:               c.curK,
-		RTOTicks:        c.rtoNow,
 		Ticks:           c.ticks,
 		Paced:           c.paced,
 		PaceTicks:       c.paceTicks,
@@ -920,7 +891,6 @@ func (c *Controller) State() State {
 		GateTicks:       c.gateTicks,
 		DialRefused:     c.dialRefused,
 		ServerRefused:   c.serverRefused,
-		RTOChanges:      c.rtoChanges,
 		Evictions:       c.evicts,
 		Retires:         c.retires,
 		LevelDwellTicks: make(map[string]int64, numLevels),
@@ -977,9 +947,6 @@ func (c *Controller) instrument(reg *obs.Registry) {
 	reg.CounterFunc("rstp_control_family_switches_total",
 		"cross-family selection switches (native <-> candidate)",
 		locked(func() int64 { return c.famSwaps }))
-	reg.GaugeFunc("rstp_control_rto_ticks",
-		"retry-budget target most recently applied to the transport",
-		locked(func() int64 { return c.rtoNow }))
 	reg.CounterFunc("rstp_control_ticks_total",
 		"control loop iterations", locked(func() int64 { return c.ticks }))
 	reg.CounterFunc("rstp_control_paced_total",
@@ -994,9 +961,6 @@ func (c *Controller) instrument(reg *obs.Registry) {
 		"dialer admissions refused by the ladder", locked(func() int64 { return c.dialRefused }))
 	reg.CounterFunc("rstp_control_server_refused_total",
 		"unknown server sessions refused by the ladder", locked(func() int64 { return c.serverRefused }))
-	reg.CounterFunc("rstp_control_rto_changes_total",
-		"control ticks whose RTO target differed from the applied value",
-		locked(func() int64 { return c.rtoChanges }))
 	reg.CounterFunc("rstp_control_evictions_total",
 		"forced evictions of the longest-idle session", locked(func() int64 { return c.evicts }))
 	reg.CounterFunc("rstp_control_retires_total",

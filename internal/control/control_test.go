@@ -3,6 +3,7 @@ package control
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -150,7 +151,7 @@ func margins(med int64, n int64) obs.HistogramSnapshot {
 func TestKSelection(t *testing.T) {
 	b2, b4, b8 := fakeBuilder{"k2"}, fakeBuilder{"k4"}, fakeBuilder{"k8"}
 	c := newCtl(t, func(cfg *Config) {
-		cfg.Builders = map[int]session.PairBuilder{2: b2, 4: b4, 8: b8}
+		cfg.Candidates = []Candidate{{Proto: "beta", K: 2, Builder: b2}, {Proto: "beta", K: 4, Builder: b4}, {Proto: "beta", K: 8, Builder: b8}}
 		cfg.DefaultK = 4
 	})
 	// Deadline δ1·c2 = 6·3 = 18. Synthetic predictions: k=2 never fits,
@@ -190,18 +191,6 @@ func TestKSelection(t *testing.T) {
 	}
 }
 
-func TestRTOForLevel(t *testing.T) {
-	c := newCtl(t, nil)
-	want := map[Level]int64{
-		LevelNormal: 12, LevelPace: 12, LevelRefuse: 9, LevelEvict: 6, LevelRetire: 2,
-	}
-	for lvl, ticks := range want {
-		if got := c.rtoForLevel(lvl); got != ticks {
-			t.Errorf("rtoForLevel(%v) = %d, want %d", lvl, got, ticks)
-		}
-	}
-}
-
 // TestTickStallEscalation runs real ticks against an idle registry with
 // one live session: consecutive zero-write windows compound the stall
 // pressure and climb the ladder; resumed writes reset it and the ladder
@@ -211,10 +200,8 @@ func TestTickStallEscalation(t *testing.T) {
 		cfg.Interval = 1
 		cfg.Dwell = 1
 	})
-	var rtoSeen []int64
 	c.Bind(Actuators{
 		Active: func() int64 { return 1 },
-		SetRTO: func(ticks int64) int64 { rtoSeen = append(rtoSeen, ticks); return ticks },
 	})
 	for i := 0; i < 6; i++ {
 		time.Sleep(time.Microsecond) // the 1ns-tick clock advances past any dwell
@@ -230,12 +217,6 @@ func TestTickStallEscalation(t *testing.T) {
 	if st.Pressure < 3 {
 		t.Errorf("stall pressure %v after 6 silent windows, want compounding >= 3", st.Pressure)
 	}
-	if len(rtoSeen) != 6 {
-		t.Fatalf("SetRTO called %d times, want once per tick", len(rtoSeen))
-	}
-	if st.RTOChanges == 0 {
-		t.Error("escalation changed no RTO target")
-	}
 
 	// Output resumes: stall pressure resets and the ladder walks back.
 	for i := 0; i < 8; i++ {
@@ -245,6 +226,43 @@ func TestTickStallEscalation(t *testing.T) {
 	}
 	if got := c.State(); got.Pressure != 0 || got.Level != LevelNormal.String() {
 		t.Errorf("after recovery: level %s pressure %v, want normal/0", got.Level, got.Pressure)
+	}
+}
+
+// TestTickActiveLockOrder is the lock-order regression test for the
+// controller↔server pair: the server holds its own lock while it calls
+// AdmitServer, and Server.ActiveCount takes that lock. A tick that
+// called Active while holding c.mu deadlocked against such a caller.
+func TestTickActiveLockOrder(t *testing.T) {
+	c := newCtl(t, nil)
+	var srvMu sync.Mutex // stands in for the server's lock
+	inActive := make(chan struct{}, 1)
+	c.Bind(Actuators{Active: func() int64 {
+		inActive <- struct{}{}
+		srvMu.Lock()
+		defer srvMu.Unlock()
+		return 1
+	}})
+
+	srvMu.Lock() // the server is routing a frame
+	ticked := make(chan struct{})
+	go func() {
+		c.tick()
+		close(ticked)
+	}()
+	<-inActive // the tick is waiting for the server's lock
+	admitted := make(chan struct{})
+	go func() {
+		c.AdmitServer(1) // still under the server's lock
+		srvMu.Unlock()
+		close(admitted)
+	}()
+	for _, ch := range []chan struct{}{admitted, ticked} {
+		select {
+		case <-ch:
+		case <-time.After(5 * time.Second):
+			t.Fatal("tick and AdmitServer deadlocked: Active was called under the controller's lock")
+		}
 	}
 }
 
@@ -268,11 +286,11 @@ func TestStateAndMetricsExposed(t *testing.T) {
 	}
 	for _, name := range []string{
 		"rstp_control_level", "rstp_control_pressure", "rstp_control_k",
-		"rstp_control_rto_ticks", "rstp_control_ticks_total",
+		"rstp_control_ticks_total",
 		"rstp_control_paced_total", "rstp_control_pace_ticks_total",
 		"rstp_control_gated_total", "rstp_control_gate_ticks_total",
 		"rstp_control_dial_refused_total", "rstp_control_server_refused_total",
-		"rstp_control_rto_changes_total", "rstp_control_evictions_total",
+		"rstp_control_evictions_total",
 		"rstp_control_retires_total", "rstp_control_dwell_normal_ticks_total",
 		"rstp_control_dwell_retire_ticks_total",
 	} {

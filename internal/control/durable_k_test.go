@@ -25,7 +25,7 @@ func TestDurableKSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	c1 := newCtl(t, func(cfg *Config) {
-		cfg.Builders = map[int]session.PairBuilder{8: b8}
+		cfg.Candidates = []Candidate{{Proto: "beta", K: 8, Builder: b8}}
 		cfg.DefaultK = 8
 		cfg.Store = s1
 	})
@@ -48,7 +48,7 @@ func TestDurableKSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	c2 := newCtl(t, func(cfg *Config) {
-		cfg.Builders = map[int]session.PairBuilder{4: b4, 8: b8}
+		cfg.Candidates = []Candidate{{Proto: "beta", K: 4, Builder: b4}, {Proto: "beta", K: 8, Builder: b8}}
 		cfg.DefaultK = 4
 		cfg.Store = s2
 	})
@@ -79,7 +79,7 @@ func TestDurableKSurvivesRestart(t *testing.T) {
 	}
 	defer s3.Close()
 	c3 := newCtl(t, func(cfg *Config) {
-		cfg.Builders = map[int]session.PairBuilder{4: b4}
+		cfg.Candidates = []Candidate{{Proto: "beta", K: 4, Builder: b4}}
 		cfg.DefaultK = 4
 		cfg.Store = s3
 	})

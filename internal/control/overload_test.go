@@ -61,7 +61,7 @@ type soakResult struct {
 // capped at soakServerSlots receiver slots — for dur, with adaptive
 // control on or off, and reports goodput plus the controller's final
 // state. Everything seeded; the stack mirrors cmd/rstpserve -adaptive:
-// resilient transport over mem, hardened beta sessions, shared registry.
+// mem transport, hardened beta sessions, shared registry.
 func runOverloadSoak(t testing.TB, adaptive bool, workers int, dur, perSession time.Duration, seed int64) (*soakResult, State) {
 	t.Helper()
 	const soakServerSlots = 8
@@ -73,29 +73,28 @@ func runOverloadSoak(t testing.TB, adaptive bool, workers int, dur, perSession t
 	// delivery delay leaves the per-session deadline behind entirely.
 	link := &bottleneck{cap: 1}
 	mem := transport.NewMem(clock, transport.MemOptions{D: p.D, Delay: link, Buffer: 1 << 12})
-	res := transport.NewResilient(mem, clock, transport.ResilientOptions{D: p.D, C1: p.C1, Seed: seed})
-	defer res.Close()
+	defer mem.Close()
 	reg := obs.NewRegistry()
-	transport.Instrument(reg, res)
+	transport.Instrument(reg, mem)
 
 	// Candidate alphabets for k-selection. The input length must be a
 	// block multiple for every candidate, or a mid-run retune would hand
 	// a session an input its builder rejects.
-	builders := make(map[int]session.PairBuilder)
+	var cands []Candidate
 	xBits := 1
 	for _, k := range []int{4, 8} {
 		s, err := rstp.Beta(p, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		builders[k] = rstp.Harden(s, rstp.HardenOptions{})
+		cands = append(cands, Candidate{Proto: "beta", K: k, Builder: rstp.Harden(s, rstp.HardenOptions{})})
 		xBits = lcm(xBits, s.BlockBits)
 	}
 
 	base := session.Config{
-		Solution:   builders[4],
+		Solution:   cands[0].Builder,
 		Params:     p,
-		Transport:  res,
+		Transport:  mem,
 		Clock:      clock,
 		Obs:        reg,
 		Buffer:     32,
@@ -110,7 +109,7 @@ func runOverloadSoak(t testing.TB, adaptive bool, workers int, dur, perSession t
 		var err error
 		ctrl, err = New(Config{
 			Registry: reg, Clock: clock, Params: p, Proto: "beta",
-			Builders: builders, DefaultK: 4,
+			Candidates: cands, DefaultK: 4,
 			Interval: 2 * p.D, Dwell: 8 * p.D, PaceTicks: 16 * p.D,
 			Seed:           seed,
 			RefuseScale:    8,
@@ -137,7 +136,6 @@ func runOverloadSoak(t testing.TB, adaptive bool, workers int, dur, perSession t
 	if ctrl != nil {
 		ctrl.Bind(Actuators{
 			Active:        func() int64 { return int64(srv.ActiveCount()) },
-			SetRTO:        res.SetRTO,
 			EvictOldest:   srv.ShedOldest,
 			RetireStalled: srv.RetireStalled,
 		})
@@ -249,10 +247,10 @@ func TestOverloadRampAdaptiveVsBaseline(t *testing.T) {
 	}
 	t.Logf("baseline: %d completed / %d attempted (%d incomplete)",
 		baseline.completed, baseline.attempted, baseline.incomplete)
-	t.Logf("adaptive: %d completed / %d attempted (%d incomplete, %d dial-refused); controller: level=%s ticks=%d paced=%d gated=%d evict=%d retire=%d rto_changes=%d dwell=%v",
+	t.Logf("adaptive: %d completed / %d attempted (%d incomplete, %d dial-refused); controller: level=%s ticks=%d paced=%d gated=%d evict=%d retire=%d dwell=%v",
 		adaptive.completed, adaptive.attempted, adaptive.incomplete,
 		adaptive.dialRefused, st.Level, st.Ticks, st.Paced, st.Gated,
-		st.Evictions, st.Retires, st.RTOChanges, st.LevelDwellTicks)
+		st.Evictions, st.Retires, st.LevelDwellTicks)
 
 	if adaptive.completed == 0 {
 		t.Fatal("adaptive run completed no sessions under 2× load")
@@ -260,7 +258,7 @@ func TestOverloadRampAdaptiveVsBaseline(t *testing.T) {
 	if st.Ticks == 0 {
 		t.Fatal("controller never ticked")
 	}
-	engaged := st.Paced+st.Gated+st.DialRefused+st.ServerRefused+st.RTOChanges+st.Evictions+st.Retires > 0 ||
+	engaged := st.Paced+st.Gated+st.DialRefused+st.ServerRefused+st.Evictions+st.Retires > 0 ||
 		st.LevelDwellTicks["normal"] < st.Ticks*2*ctlParams().D
 	if !engaged {
 		t.Errorf("controller never engaged under 2× load: %+v", st)

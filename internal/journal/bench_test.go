@@ -68,8 +68,7 @@ func BenchmarkJournalReplay(b *testing.B) {
 
 // TestJournalBenchGuard runs the journal benchmarks programmatically
 // and — when BENCH_JOURNAL_OUT names a file — writes the
-// BENCH_journal.json artifact CI archives alongside BENCH_serve.json
-// and BENCH_obs.json.
+// BENCH_journal.json artifact CI archives alongside BENCH_obs.json.
 func TestJournalBenchGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark guard runs in the full suite and the dedicated CI step")

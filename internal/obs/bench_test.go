@@ -58,7 +58,7 @@ func TestObsHotPathNoAlloc(t *testing.T) {
 
 // TestObsBenchGuard runs the hot-path benchmark programmatically, fails
 // on any allocation, and — when BENCH_OBS_OUT names a file — writes the
-// BENCH_obs.json artifact CI archives alongside BENCH_serve.json.
+// BENCH_obs.json artifact CI archives alongside BENCH_journal.json.
 func TestObsBenchGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark guard runs in the full suite and the dedicated CI step")

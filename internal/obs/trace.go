@@ -8,8 +8,8 @@ import (
 
 // EventKind names one protocol transition in the trace ring. The set
 // covers the serving stack's lifecycle: frame movement (send/recv/write),
-// the resilience layer's defenses (retransmit, breaker transitions), and
-// the mux's session verdicts (evict/shed/wedge/resync/refuse/late).
+// the reliability layers' recovery (retransmit, resync), and the mux's
+// session verdicts (evict/shed/wedge/refuse/late).
 type EventKind uint8
 
 const (
@@ -34,28 +34,19 @@ const (
 	// EvLate is an in-flight frame of a finished session dropped at the
 	// tombstone.
 	EvLate
-	// EvBreakerOpen, EvBreakerHalfOpen and EvBreakerClose are circuit
-	// breaker transitions of the resilient transport (session 0: the
-	// breaker is per-transport, not per-session).
-	EvBreakerOpen
-	EvBreakerHalfOpen
-	EvBreakerClose
 )
 
 var eventKindNames = [...]string{
-	EvSend:            "send",
-	EvRecv:            "recv",
-	EvWrite:           "write",
-	EvRetransmit:      "retransmit",
-	EvResync:          "resync",
-	EvEvict:           "evict",
-	EvShed:            "shed",
-	EvWedge:           "wedge",
-	EvRefuse:          "refuse",
-	EvLate:            "late",
-	EvBreakerOpen:     "breaker-open",
-	EvBreakerHalfOpen: "breaker-half-open",
-	EvBreakerClose:    "breaker-close",
+	EvSend:       "send",
+	EvRecv:       "recv",
+	EvWrite:      "write",
+	EvRetransmit: "retransmit",
+	EvResync:     "resync",
+	EvEvict:      "evict",
+	EvShed:       "shed",
+	EvWedge:      "wedge",
+	EvRefuse:     "refuse",
+	EvLate:       "late",
 }
 
 // String names the kind for exports.

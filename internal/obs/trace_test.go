@@ -52,7 +52,7 @@ func TestTracerSessionCap(t *testing.T) {
 func TestEventKindNames(t *testing.T) {
 	kinds := []EventKind{
 		EvSend, EvRecv, EvWrite, EvRetransmit, EvResync, EvEvict, EvShed,
-		EvWedge, EvRefuse, EvLate, EvBreakerOpen, EvBreakerHalfOpen, EvBreakerClose,
+		EvWedge, EvRefuse, EvLate,
 	}
 	seen := map[string]bool{}
 	for _, k := range kinds {

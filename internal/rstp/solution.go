@@ -117,6 +117,21 @@ func Gamma(p Params, k int) (Solution, error) {
 	}, nil
 }
 
+// New returns the solution named proto: "alpha", "beta" or "gamma",
+// with packet alphabet size k (alpha ignores k: its alphabet is binary).
+// The matching effort bounds are the EffortTable row for the same name.
+func New(p Params, proto string, k int) (Solution, error) {
+	switch Kind(proto) {
+	case KindAlpha:
+		return Alpha(p)
+	case KindBeta:
+		return Beta(p, k)
+	case KindGamma:
+		return Gamma(p, k)
+	}
+	return Solution{}, fmt.Errorf("unknown protocol %q (alpha, beta, gamma)", proto)
+}
+
 // String renders the solution name, e.g. "beta(k=4)".
 func (s Solution) String() string {
 	if s.Kind == KindAlpha {

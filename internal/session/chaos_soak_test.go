@@ -12,7 +12,7 @@ import (
 	"repro/internal/wire"
 )
 
-// TestSoakChaosOverUDP is the resilience-layer soak: hardened sessions
+// TestSoakChaosOverUDP is the bad-network soak: hardened sessions
 // over Chaos(UDP) with ≥10% injected loss plus duplication and
 // corruption must all complete with zero prefix violations — the chaos
 // matrix running over a real kernel socket path for the first time.

@@ -242,6 +242,49 @@ func TestConcurrentSessionsSharedJournal(t *testing.T) {
 	}
 }
 
+// slowStore delays every save by a fixed wall-clock time, standing in for
+// a synchronous fsync that outlasts many ticks.
+type slowStore struct {
+	*rstp.MemStore
+	delay time.Duration
+}
+
+func (s slowStore) Save(key string, data []byte) {
+	time.Sleep(s.delay)
+	s.MemStore.Save(key, data)
+}
+
+// TestSlowTapeSaveLosesNoFrames pins the loop's behaviour while a durable
+// tape save is in flight: arrivals keep being applied, so a save that
+// lasts far longer than a tiny inbox can absorb drops no frames, and the
+// bare β receiver, which cannot recover a lost packet, still decodes Y = X.
+func TestSlowTapeSaveLosesNoFrames(t *testing.T) {
+	beta := mustBeta(t, 4)
+	clock := transport.NewClock(50 * time.Microsecond)
+	mem := transport.NewMem(clock, transport.MemOptions{D: testParams().D, Buffer: 1 << 14})
+	cfg := testConfig(t, beta, mem, clock)
+	cfg.Store = slowStore{rstp.NewMemStore(), 5 * time.Millisecond}
+	cfg.Buffer = 4
+	cfg.IdleTicks = -1 // the receiver's writes outlast the last arrival by far
+	pipe, err := NewPipe(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pipe.Close()
+
+	x := inputFor(t, beta, 4, 21)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	res, err := pipe.Transfer(ctx, x)
+	if err != nil {
+		t.Fatalf("transfer: %v", err)
+	}
+	if res.RX.Overflow != 0 || res.Violation != "" || !res.Completed {
+		t.Fatalf("slow saves cost frames: overflow=%d writes=%d of %d violation=%q",
+			res.RX.Overflow, res.RX.Writes, len(x), res.Violation)
+	}
+}
+
 // TestStartIDCollisionAndAllocator covers the explicit-ID path: reusing
 // an open ID fails, and the automatic allocator never collides with
 // explicitly started sessions.

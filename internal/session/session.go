@@ -684,8 +684,23 @@ func (e *endpoint) step() bool {
 			// Durable before observable: the tape reaches stable storage
 			// before the write is announced through notify/metrics, so a
 			// crash can lose an unannounced write but never expose one it
-			// might roll back — write(m) stays irrevocable.
-			e.cfg.Store.Save(e.tapeKey, tape)
+			// might roll back — write(m) stays irrevocable. A durable save
+			// can outlast many ticks, so the loop keeps applying arrivals
+			// while it runs: a full inbox would drop frames, and the bare
+			// protocols have no way to recover a lost packet.
+			saved := make(chan struct{})
+			go func() {
+				e.cfg.Store.Save(e.tapeKey, tape)
+				close(saved)
+			}()
+			for waiting := true; waiting; {
+				select {
+				case <-saved:
+					waiting = false
+				case f := <-e.in:
+					e.onFrame(f)
+				}
+			}
 		}
 		e.cfg.metrics.onWrite(now, e.id, prevWrite, e.start)
 		select {

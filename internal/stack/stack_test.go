@@ -1,0 +1,102 @@
+package stack
+
+import (
+	"testing"
+
+	"repro/internal/rstp"
+)
+
+func params() rstp.Params { return rstp.Params{C1: 2, C2: 3, D: 12} }
+
+// TestBuildTable pins every legal stack over {alpha, beta, gamma,
+// rateless} × k ∈ {2,4,8} × harden × stabilize to the name, block size
+// and effort bounds the serving commands assembled before Build existed,
+// and checks that every wrapped rateless stack is refused.
+func TestBuildTable(t *testing.T) {
+	bare := []struct {
+		proto        string
+		k            int
+		name         string
+		block        int
+		lower, upper float64
+	}{
+		{"alpha", 2, "alpha", 1, 3.7855785214287447, 18},
+		{"alpha", 4, "alpha", 1, 3.7855785214287447, 18},
+		{"alpha", 8, "alpha", 1, 3.7855785214287447, 18},
+		{"beta", 2, "beta(k=2)", 2, 3.7855785214287447, 18},
+		{"beta", 4, "beta(k=4)", 6, 2.335430293507063, 6},
+		{"beta", 8, "beta(k=8)", 10, 1.558211096778047, 3.6},
+		{"gamma", 2, "gamma(k=2)", 2, 3.1517944204463224, 19.5},
+		{"gamma", 4, "gamma(k=4)", 5, 1.9644678653425878, 7.8},
+		{"gamma", 8, "gamma(k=8)", 8, 1.3410267694025901, 4.875},
+		{"rateless", 2, "rateless(k=2)", 2, 3.1517944204463224, 9},
+		{"rateless", 4, "rateless(k=4)", 6, 1.9644678653425878, 3},
+		{"rateless", 8, "rateless(k=8)", 10, 1.3410267694025901, 1.8},
+	}
+	for _, row := range bare {
+		for _, harden := range []bool{false, true} {
+			for _, stabilize := range []bool{false, true} {
+				st, err := Build(params(), Spec{Proto: row.proto, K: row.k, Harden: harden, Stabilize: stabilize, Seed: 1})
+				if row.proto == "rateless" && (harden || stabilize) {
+					if err == nil {
+						t.Errorf("%s harden=%v stabilize=%v: built %s, want a composition error", row.name, harden, stabilize, st.Builder)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s harden=%v stabilize=%v: %v", row.name, harden, stabilize, err)
+				}
+				name := row.name
+				if harden {
+					name = "hardened(" + name + ")"
+				}
+				if stabilize {
+					name = "stabilized(" + name + ")"
+				}
+				if got := st.Builder.String(); got != name {
+					t.Errorf("String() = %q, want %q", got, name)
+				}
+				if st.BlockBits != row.block || st.Lower != row.lower || st.Upper != row.upper {
+					t.Errorf("%s: block/lower/upper = %d/%v/%v, want %d/%v/%v",
+						name, st.BlockBits, st.Lower, st.Upper, row.block, row.lower, row.upper)
+				}
+			}
+		}
+	}
+}
+
+// TestBuildRefusesIllegal covers the refusals Build owns beyond the
+// rateless compositions: unknown families and degenerate alphabets.
+func TestBuildRefusesIllegal(t *testing.T) {
+	for _, s := range []Spec{
+		{Proto: "delta", K: 4},
+		{Proto: "", K: 4},
+		{Proto: "beta", K: 1},
+		{Proto: "gamma", K: 1, Harden: true},
+		{Proto: "rateless", K: 1},
+		{Proto: "rateless", K: 4, Harden: true},
+		{Proto: "rateless", K: 4, Stabilize: true},
+	} {
+		if st, err := Build(params(), s); err == nil {
+			t.Errorf("Build(%+v) = %s, want an error", s, st.Builder)
+		}
+	}
+}
+
+// TestBuildBoundsMatchEffortTable: the bounds of a native-family stack
+// are exactly the rstp.EffortTable row the controller selects against.
+func TestBuildBoundsMatchEffortTable(t *testing.T) {
+	p := params()
+	for _, proto := range []string{"alpha", "beta", "gamma"} {
+		for _, k := range []int{2, 4, 8} {
+			st, err := Build(p, Spec{Proto: proto, K: k, Harden: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := rstp.EffortTable(p, proto, []int{k})
+			if len(rows) != 1 || rows[0].Lower != st.Lower || rows[0].Upper != st.Upper {
+				t.Errorf("%s: bounds %v/%v, EffortTable %+v", st.Builder, st.Lower, st.Upper, rows)
+			}
+		}
+	}
+}

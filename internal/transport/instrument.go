@@ -2,9 +2,9 @@ package transport
 
 import "repro/internal/obs"
 
-// Instrument registers t's metrics onto reg, unwrapping the resilience
-// and chaos middleware so one call instruments the whole transport stack
-// the serving commands assemble (resilient → chaos → mem/udp). Transports
+// Instrument registers t's metrics onto reg, unwrapping the chaos
+// middleware so one call instruments the whole transport stack the
+// serving commands assemble (chaos → mem/udp). Transports
 // the walker does not recognise are skipped silently — a custom Transport
 // can expose its own Instrument and call it directly.
 //
@@ -16,11 +16,6 @@ import "repro/internal/obs"
 func Instrument(reg *obs.Registry, t Transport) {
 	for t != nil {
 		switch x := t.(type) {
-		case *Resilient:
-			x.Instrument(reg)
-			x.mu.Lock()
-			t = x.inner
-			x.mu.Unlock()
 		case *Chaos:
 			x.Instrument(reg)
 			t = x.inner
@@ -34,28 +29,6 @@ func Instrument(reg *obs.Registry, t Transport) {
 			t = nil
 		}
 	}
-}
-
-// Instrument registers the resilience wrapper's counters and the live
-// breaker state. Safe to call again after a reconnect: func metrics
-// replace on re-registration.
-func (r *Resilient) Instrument(reg *obs.Registry) {
-	reg.CounterFunc("rstp_resilient_retransmits_total",
-		"Send retries beyond each frame's first attempt", r.retransmits.Load)
-	reg.CounterFunc("rstp_resilient_breaker_opens_total",
-		"circuit breaker transitions into the open state", r.breakerOpens.Load)
-	reg.CounterFunc("rstp_resilient_fast_fails_total",
-		"frames shed fast by an open circuit breaker", r.fastFails.Load)
-	reg.CounterFunc("rstp_resilient_reconnects_total",
-		"successful redials of the inner transport", r.reconnects.Load)
-	reg.GaugeFunc("rstp_resilient_breaker_state",
-		"circuit breaker state (0 closed, 1 open, 2 half-open)",
-		func() int64 { return int64(r.State()) })
-	reg.GaugeFunc("rstp_resilient_rto_ticks",
-		"live per-Send cumulative retry budget in ticks (clamped to [c1, d])",
-		r.RTOTicks)
-	reg.CounterFunc("rstp_resilient_rto_changes_total",
-		"SetRTO calls that moved the retry budget", r.RTOChanges)
 }
 
 // Instrument registers the fault-injection middleware's stats.

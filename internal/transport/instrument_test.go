@@ -2,7 +2,6 @@ package transport
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -11,133 +10,28 @@ import (
 	"repro/internal/wire"
 )
 
-// TestBreakerTransitionsOrderedUnderConcurrency is the metrics-hook
-// contract test: with many goroutines hammering Send through a full
-// breaker cycle (open on failures, half-open probe, close on recovery),
-// the OnBreaker hook must observe a serialised chain of transitions —
-// every `from` equal to the previous `to`, never a no-op — because the
-// hook fires under the wrapper's mutex in commit order. Run under -race
-// in CI, this also proves the hook adds no unsynchronised state.
-func TestBreakerTransitionsOrderedUnderConcurrency(t *testing.T) {
-	inner := newFlaky(-1, false) // fail until healed
-	clock := testClock()
-	type transition struct{ from, to BreakerState }
-	var (
-		mu  sync.Mutex
-		seq []transition
-	)
-	r := NewResilient(inner, clock, ResilientOptions{
-		D: 2, C1: 2, BreakerThreshold: 3, ProbeTicks: 5,
-		OnBreaker: func(from, to BreakerState) {
-			mu.Lock()
-			seq = append(seq, transition{from, to})
-			mu.Unlock()
-		},
-	})
-	defer r.Close()
-
-	// Drain the wrapper's delivery channels for the test's lifetime:
-	// once healed, the senders outpace the 1024-frame buffers, the pump
-	// stalls, and flaky.Send would block holding its mutex — wedging
-	// every sender on Send and wg.Wait forever. The drains exit when the
-	// deferred Close closes r's channels.
-	for _, dir := range []wire.Dir{wire.TtoR, wire.RtoT} {
-		ch := r.Deliveries(dir)
-		go func() {
-			for range ch {
-			}
-		}()
-	}
-
-	const senders = 8
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < senders; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int64(1); ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				_ = r.Send(testFrame(i))
-			}
-		}()
-	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for r.BreakerOpens() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("breaker never opened under concurrent failing sends")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	inner.heal()
-	for r.State() != BreakerClosed {
-		if time.Now().After(deadline) {
-			t.Fatalf("breaker never closed after heal; state=%v", r.State())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(stop)
-	wg.Wait()
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seq) < 3 {
-		t.Fatalf("observed %d transitions, want at least closed→open→half-open→closed", len(seq))
-	}
-	prev := BreakerClosed
-	saw := map[transition]bool{}
-	for i, e := range seq {
-		if e.from == e.to {
-			t.Fatalf("transition[%d] is a no-op: %v→%v", i, e.from, e.to)
-		}
-		if e.from != prev {
-			t.Fatalf("transition[%d] %v→%v does not chain from previous state %v: hook order broken", i, e.from, e.to, prev)
-		}
-		prev = e.to
-		saw[e] = true
-	}
-	if prev != BreakerClosed {
-		t.Fatalf("final observed state %v, want closed (State() said closed)", prev)
-	}
-	for _, want := range []transition{
-		{BreakerClosed, BreakerOpen},
-		{BreakerOpen, BreakerHalfOpen},
-		{BreakerHalfOpen, BreakerClosed},
-	} {
-		if !saw[want] {
-			t.Errorf("full cycle missing transition %v→%v in %v", want.from, want.to, seq)
-		}
-	}
-}
-
 // TestInstrumentWalksWrappedStack pins the walker: one Instrument call on
 // the outermost wrapper registers metrics for every layer underneath
-// (resilient → chaos → mem), and the mem latency histogram starts
-// observing real deliveries.
+// (chaos → mem), and the mem latency histogram starts observing real
+// deliveries.
 func TestInstrumentWalksWrappedStack(t *testing.T) {
 	clock := testClock()
 	mem := NewMem(clock, MemOptions{D: 2, Buffer: 4096})
 	chaos := NewChaos(mem, clock, chaosPlan(3, faults.Fault{From: 0, To: 1 << 50, Drop: 0.2}))
-	r := NewResilient(chaos, clock, ResilientOptions{D: 8, C1: 2})
-	defer r.Close()
+	defer chaos.Close()
 
 	reg := obs.NewRegistry()
-	Instrument(reg, r)
+	Instrument(reg, chaos)
 
 	const n = 50
 	for i := 0; i < n; i++ {
-		if err := r.Send(testFrame(int64(i + 1))); err != nil {
+		if err := chaos.Send(testFrame(int64(i + 1))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Drain what survived the drop clause so latencies get observed.
 	_, dropped, _, _, _ := chaos.Stats()
-	collect(t, r.Deliveries(wire.TtoR), n-dropped, 5*time.Second)
+	collect(t, chaos.Deliveries(wire.TtoR), n-dropped, 5*time.Second)
 
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
@@ -145,8 +39,6 @@ func TestInstrumentWalksWrappedStack(t *testing.T) {
 	}
 	out := sb.String()
 	for _, want := range []string{
-		"rstp_resilient_breaker_state 0",
-		"rstp_resilient_retransmits_total 0",
 		"rstp_chaos_affected_total 50",
 		"rstp_mem_sends_total",
 		"rstp_transport_delivery_ticks_bucket",

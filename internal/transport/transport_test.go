@@ -13,6 +13,10 @@ import (
 
 func testClock() *Clock { return NewClock(50 * time.Microsecond) }
 
+func testFrame(seq int64) wire.Frame {
+	return wire.Frame{Session: 1, Dir: wire.TtoR, Seq: seq, P: wire.DataPacket(1)}
+}
+
 func TestClockMonotone(t *testing.T) {
 	c := NewClock(time.Millisecond)
 	a := c.Now()

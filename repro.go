@@ -385,20 +385,15 @@ type (
 	ServeAggregate = session.Aggregate
 )
 
-// Resilience layer for the serving stack (PR 4): fault-injecting chaos
-// middleware, deadline-aware retransmission with a circuit breaker, and
+// Surviving a bad network: fault-injecting chaos middleware and
 // the server-side overload/watchdog knobs on ServeConfig (Shed,
-// WatchdogK, WatchdogResync). See DESIGN.md ("Surviving a bad network").
+// WatchdogK, WatchdogResync). Loss recovery itself belongs to the
+// protocol stack (the hardened layer's retransmission, the rateless
+// code). See DESIGN.md ("Surviving a bad network").
 type (
 	// ChaosTransport applies a seeded fault plan to any inner Transport —
 	// the chaos matrix over a real network path.
 	ChaosTransport = transport.Chaos
-	// ResilientTransport adds bounded retransmission, a circuit breaker
-	// and jittered reconnect on top of any inner Transport.
-	ResilientTransport = transport.Resilient
-	// ResilientOptions tune the resilient wrapper (zero values take
-	// deadline-derived defaults).
-	ResilientOptions = transport.ResilientOptions
 	// ShedPolicy selects the server's overload behavior at the
 	// MaxSessions high-water mark.
 	ShedPolicy = session.ShedPolicy
@@ -413,23 +408,12 @@ const (
 	ShedEvictOldestIdle = session.ShedEvictOldestIdle
 )
 
-// ErrBreakerOpen is returned by a ResilientTransport's Send while its
-// circuit breaker is open (a transient shed, not a closed transport).
-var ErrBreakerOpen = transport.ErrBreakerOpen
-
 // NewChaosTransport wraps inner with a seeded fault plan applied at the
 // transport layer: drop, duplication, corruption, excess delay and
 // blackouts hit every frame before inner sees it. The plan's delays are
 // *extra* — they ride on top of the inner transport's own latency.
 func NewChaosTransport(inner Transport, clock *Clock, seed int64, fs ...Fault) *ChaosTransport {
 	return transport.NewChaos(inner, clock, faults.NewPlan(seed, chanmodel.Zero{}, fs...))
-}
-
-// NewResilientTransport wraps inner with bounded retransmission (budget
-// δ1 = ⌊d/c1⌋, backoff capped at d ticks), a circuit breaker and
-// jittered reconnect.
-func NewResilientTransport(inner Transport, clock *Clock, opts ResilientOptions) *ResilientTransport {
-	return transport.NewResilient(inner, clock, opts)
 }
 
 // NewClock starts a real-time clock with the given tick length (use
@@ -477,9 +461,8 @@ type (
 func NewMetrics() *Metrics { return obs.NewRegistry() }
 
 // InstrumentTransport walks a (possibly wrapped) transport stack and
-// registers every layer's metrics — resilient breaker and retransmission
-// counters, chaos injection counters, mem/udp delivery counters and the
-// delivery-latency histogram.
+// registers every layer's metrics — chaos injection counters, mem/udp
+// delivery counters and the delivery-latency histogram.
 func InstrumentTransport(reg *Metrics, t Transport) { transport.Instrument(reg, t) }
 
 // NewLayerObserver returns a LayerObserver that counts hardened- and
@@ -501,7 +484,7 @@ func NewPipe(cfg ServeConfig) (*Pipe, error) { return session.NewPipe(cfg) }
 // Adaptive control plane (PR 7): a seeded, deterministic control loop
 // that senses the shared metrics registry and drives admission
 // pacing/refusal, per-session k-selection from the paper's bound
-// tables, RTO adaptation and the shed-escalation ladder. Wire a
+// tables and the shed-escalation ladder. Wire a
 // Controller as ServeConfig.Admission on both mux sides, Bind its
 // actuators, then Start. See DESIGN.md ("Closing the loop").
 type (
@@ -510,13 +493,13 @@ type (
 	// substitution.
 	AdmissionController = session.AdmissionController
 	// PairBuilder constructs the automaton pair for one session — what
-	// ServeConfig.Solution and ControlConfig.Builders hold (every
+	// ServeConfig.Solution and each ControlCandidate hold (every
 	// Solution, HardenedSolution and StabilizedSolution is one).
 	PairBuilder = session.PairBuilder
 	// ControlConfig configures the adaptive controller.
 	ControlConfig = control.Config
-	// ControlActuators are the mux- and transport-side hooks the
-	// controller drives (late-bound via Controller.Bind).
+	// ControlActuators are the mux-side hooks the controller drives
+	// (late-bound via Controller.Bind).
 	ControlActuators = control.Actuators
 	// Controller is the adaptive overload controller.
 	Controller = control.Controller
@@ -557,9 +540,10 @@ type (
 	// the session layer's tape-resume hook, so a durable restart skips
 	// the bits already written.
 	RatelessReceiver = rateless.Receiver
-	// ControlCandidate is one cross-family escape hatch in
-	// ControlConfig.Candidates — e.g. the rateless pair behind a native
-	// β table (see cmd/rstpserve's -adaptive wiring).
+	// ControlCandidate is one row of ControlConfig.Candidates: a native
+	// k of ControlConfig.Proto, or a cross-family escape hatch such as
+	// the rateless pair behind a native β table (see cmd/rstpserve's
+	// -adaptive wiring).
 	ControlCandidate = control.Candidate
 )
 
