@@ -86,7 +86,6 @@ type summary struct {
 	Writes         int              `json:"writes"`
 	Refused        int              `json:"refused"`
 	Late           int              `json:"late"`
-	Overflow       int              `json:"overflow"`
 	Stray          int              `json:"stray"`
 	Faults         string           `json:"faults,omitempty"`
 	// Overload and watchdog counters plus UDP loss (see EXPERIMENTS.md
@@ -448,7 +447,6 @@ func run(args []string, out io.Writer) error {
 		sum.Sends += res.TX.Sends + res.RX.Sends
 		sum.Deliveries += res.TX.Deliveries + res.RX.Deliveries
 		sum.Writes += res.RX.Writes
-		sum.Overflow += res.TX.Overflow + res.RX.Overflow
 		sum.SendErrors += res.TX.SendErrors + res.RX.SendErrors
 		// Effort statistics are over completed sessions only (the schema's
 		// documented population): an incomplete session's last send tick

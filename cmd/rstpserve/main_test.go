@@ -127,12 +127,15 @@ func TestServeChaosOverUDP(t *testing.T) {
 func TestServeWatchdogReportsWedged(t *testing.T) {
 	// A blackout that starts after session establishment and never heals:
 	// every session wedges, the watchdog retires them all, and the run
-	// itself fails because the transfers really are incomplete.
+	// itself fails because the transfers really are incomplete. The
+	// 64-block inputs keep all three sessions mid-transfer at tick 400,
+	// and the 200 µs tick puts that tick 80 ms into the run, so a process
+	// starved under a loaded -race run still sends before the blackout.
 	var out strings.Builder
 	err := run([]string{
-		"-sessions", "3", "-harden", "-chaos", "-watchdog", "4",
+		"-sessions", "3", "-n", "64", "-harden", "-chaos", "-watchdog", "4",
 		"-blackout", "400:999999999", "-timeout", "20s",
-		"-tick", "50us",
+		"-tick", "200us",
 	}, &out)
 	if err == nil {
 		t.Fatalf("wedged run should report incomplete sessions:\n%s", out.String())

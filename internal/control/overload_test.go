@@ -97,7 +97,6 @@ func runOverloadSoak(t testing.TB, adaptive bool, workers int, dur, perSession t
 		Transport:  mem,
 		Clock:      clock,
 		Obs:        reg,
-		Buffer:     32,
 		TraceLimit: -1,
 	}
 	srvCfg, dlrCfg := base, base

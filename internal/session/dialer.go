@@ -3,8 +3,6 @@ package session
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/wire"
 )
@@ -14,61 +12,27 @@ import (
 // fresh transmitter automaton over the shared transport. r->t frames
 // (acks, control traffic) are demultiplexed back to their session.
 type Dialer struct {
-	cfg    Config
-	sem    chan struct{}
-	done   chan struct{}
-	wg     sync.WaitGroup
-	seq    atomic.Int64
-	nextID atomic.Uint32
-
-	mu        sync.Mutex
-	active    map[uint32]*endpoint
-	finished  map[uint32]Report
-	stray     int // r->t frames with no active session
-	closeOnce sync.Once
+	mux
+	nextID uint32 // last allocated session ID
+	stray  int    // r->t frames with no active session
 }
 
-// NewDialer validates the config and starts the r->t demux loop.
+// NewDialer validates the config and starts the side's loop.
 func NewDialer(cfg Config) (*Dialer, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	d := &Dialer{
-		cfg:      cfg,
-		sem:      make(chan struct{}, cfg.MaxSessions),
-		done:     make(chan struct{}),
-		active:   make(map[uint32]*endpoint),
-		finished: make(map[uint32]Report),
+	d := &Dialer{}
+	d.init(cfg, "transmitter")
+	d.sem = make(chan struct{}, cfg.MaxSessions)
+	d.unknown = func(wire.Frame) *endpoint {
+		d.stray++
+		return nil
 	}
 	d.instrument(cfg.metrics)
-	d.wg.Add(1)
-	go d.demux()
+	d.start()
 	return d, nil
-}
-
-func (d *Dialer) demux() {
-	defer d.wg.Done()
-	del := d.cfg.Transport.Deliveries(wire.RtoT)
-	for {
-		select {
-		case <-d.done:
-			return
-		case f, ok := <-del:
-			if !ok {
-				return
-			}
-			d.mu.Lock()
-			ep := d.active[f.Session]
-			if ep == nil {
-				d.stray++
-			}
-			d.mu.Unlock()
-			if ep != nil {
-				ep.deliver(f)
-			}
-		}
-	}
 }
 
 // Conn is one open transmitter-side session.
@@ -84,40 +48,46 @@ func (c *Conn) ID() uint32 { return c.ep.id }
 // X returns the session's input sequence.
 func (c *Conn) X() []wire.Bit { return append([]wire.Bit(nil), c.x...) }
 
-// Report snapshots the transmitter endpoint.
-func (c *Conn) Report() Report { return c.ep.snapshot(true) }
-
-// Close stops the session's loop, waits for it to exit and releases its
-// backpressure slot. Idempotent.
-func (c *Conn) Close() {
-	c.ep.halt()
-	select {
-	case <-c.ep.stopped:
-	case <-c.d.done:
+// Report snapshots the transmitter endpoint; once the session is closed
+// it is the final report.
+func (c *Conn) Report() Report {
+	c.d.mu.Lock()
+	defer c.d.mu.Unlock()
+	if c.ep.retired {
+		return c.d.finished[c.ep.id]
 	}
+	return c.ep.report(true)
+}
+
+// Close retires the session and releases its backpressure slot.
+// Idempotent.
+func (c *Conn) Close() {
+	c.d.mu.Lock()
+	defer c.d.mu.Unlock()
+	c.d.retireLocked(c.ep)
 }
 
 // Start opens a new session for input x. It blocks while MaxSessions
 // sessions are already open — the backpressure contract — until a slot
 // frees, the context is done, or the dialer closes.
 func (d *Dialer) Start(ctx context.Context, x []wire.Bit) (*Conn, error) {
-	return d.start(ctx, 0, x)
+	return d.open(ctx, 0, x)
 }
 
 // StartID opens a session under a caller-chosen ID — the restart path:
 // a recovering process must reuse the IDs of the sessions it was
 // serving so their frames route to the same durable keys in
-// Config.Store. id must be nonzero and not currently open; the
-// automatic allocator is advanced past it so later Start calls never
+// Config.Store. id must be nonzero and never used by this Dialer before;
+// the automatic allocator is advanced past it so later Start calls never
 // collide with resumed sessions.
 func (d *Dialer) StartID(ctx context.Context, id uint32, x []wire.Bit) (*Conn, error) {
 	if id == 0 {
 		return nil, fmt.Errorf("session: StartID requires a nonzero session id")
 	}
-	return d.start(ctx, id, x)
+	return d.open(ctx, id, x)
 }
 
-func (d *Dialer) start(ctx context.Context, id uint32, x []wire.Bit) (*Conn, error) {
+func (d *Dialer) open(ctx context.Context, id uint32, x []wire.Bit) (*Conn, error) {
 	select {
 	case d.sem <- struct{}{}:
 	case <-ctx.Done():
@@ -125,23 +95,24 @@ func (d *Dialer) start(ctx context.Context, id uint32, x []wire.Bit) (*Conn, err
 	case <-d.done:
 		return nil, fmt.Errorf("session: dialer closed")
 	}
+	d.mu.Lock()
 	if id == 0 {
-		id = d.nextID.Add(1)
+		d.nextID++
+		id = d.nextID
 	} else {
-		for {
-			cur := d.nextID.Load()
-			if cur >= id || d.nextID.CompareAndSwap(cur, id) {
-				break
-			}
-		}
-		d.mu.Lock()
-		_, open := d.active[id]
-		d.mu.Unlock()
-		if open {
+		d.nextID = max(d.nextID, id)
+		// A finished ID is refused like an open one: its report already
+		// sits in the finished map, so a second session under it would be
+		// answered from the first one's outcome.
+		_, live := d.active[id]
+		_, used := d.finished[id]
+		if live || used {
+			d.mu.Unlock()
 			<-d.sem
-			return nil, fmt.Errorf("session: session %d already open", id)
+			return nil, fmt.Errorf("session: session %d already used", id)
 		}
 	}
+	d.mu.Unlock()
 	// The control plane sees every admission after its slot and ID are
 	// settled: Admit may sleep (pacing) or refuse, and it records the
 	// per-session builder BuilderFor serves to both sides below. Pacing
@@ -158,25 +129,14 @@ func (d *Dialer) start(ctx context.Context, id uint32, x []wire.Bit) (*Conn, err
 		<-d.sem
 		return nil, err
 	}
-	ep := newEndpoint(d.cfg, id, "transmitter", t, &d.seq)
 	d.mu.Lock()
-	d.active[id] = ep
-	d.mu.Unlock()
-	d.wg.Add(1)
-	go func() {
-		defer d.wg.Done()
-		ep.loop(d.done, false)
-		ep.markFinished()
-		rep := ep.snapshot(true)
-		d.mu.Lock()
-		delete(d.active, id)
-		d.finished[id] = rep
-		d.mu.Unlock()
-		if d.cfg.Admission != nil {
-			d.cfg.Admission.Forget(id)
-		}
+	defer d.mu.Unlock()
+	if d.closed() {
 		<-d.sem
-	}()
+		return nil, fmt.Errorf("session: dialer closed")
+	}
+	ep := newEndpoint(&d.mux, id, t)
+	d.addLocked(ep)
 	return &Conn{d: d, ep: ep, x: append([]wire.Bit(nil), x...)}, nil
 }
 
@@ -194,35 +154,7 @@ func (d *Dialer) Stray() int {
 	return d.stray
 }
 
-// Reports returns a report per session the dialer has ever opened.
-func (d *Dialer) Reports() []Report {
-	d.mu.Lock()
-	eps := make([]*endpoint, 0, len(d.active))
-	out := make([]Report, 0, len(d.finished)+len(d.active))
-	for _, rep := range d.finished {
-		out = append(out, rep)
-	}
-	for _, ep := range d.active {
-		eps = append(eps, ep)
-	}
-	d.mu.Unlock()
-	for _, ep := range eps {
-		out = append(out, ep.snapshot(true))
-	}
-	return out
-}
-
 // Aggregate sums counters across every session opened so far.
 func (d *Dialer) Aggregate() Aggregate {
 	return aggregate(d.cfg, d.Reports(), 0, 0, 0)
-}
-
-// Close stops the demux loop and every open session, then waits for
-// them. It does not close the transport (the caller owns it).
-func (d *Dialer) Close() error {
-	d.closeOnce.Do(func() {
-		close(d.done)
-		d.wg.Wait()
-	})
-	return nil
 }

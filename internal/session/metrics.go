@@ -21,7 +21,6 @@ type sessionMetrics struct {
 	deliveries *obs.Counter
 	writes     *obs.Counter
 	rejected   *obs.Counter
-	overflow   *obs.Counter
 	sendErrs   *obs.Counter
 	evicted    *obs.Counter
 	wedged     *obs.Counter
@@ -57,7 +56,6 @@ func newSessionMetrics(reg *obs.Registry, p rstp.Params, bound float64) *session
 		deliveries: reg.Counter("rstp_session_deliveries_total", "delivered frames accepted by session automata"),
 		writes:     reg.Counter("rstp_session_writes_total", "messages written to receiver output tapes"),
 		rejected:   reg.Counter("rstp_session_rejected_total", "delivered frames refused by an automaton's signature"),
-		overflow:   reg.Counter("rstp_session_overflow_total", "frames dropped on a full per-session inbox"),
 		sendErrs:   reg.Counter("rstp_session_send_errors_total", "transport send failures (counted as channel loss)"),
 		evicted:    reg.Counter("rstp_sessions_evicted_total", "sessions torn down by the idle monitor"),
 		wedged:     reg.Counter("rstp_sessions_wedged_total", "sessions force-retired by the progress watchdog"),
@@ -110,13 +108,6 @@ func (m *sessionMetrics) onReject() {
 		return
 	}
 	m.rejected.Inc()
-}
-
-func (m *sessionMetrics) onOverflow() {
-	if m == nil {
-		return
-	}
-	m.overflow.Inc()
 }
 
 // onWrite observes one output write. prev is the tick of the previous
@@ -266,28 +257,23 @@ func (s *Server) liveEffort() (mean, max float64) {
 }
 
 // LiveSessions snapshots every active receiver session into the live
-// introspection table. Light snapshots only — no traces, no tape copies
-// beyond what Report already takes.
+// introspection table. Counters only — no traces, no tape copies.
 func (s *Server) LiveSessions() []LiveSession {
-	s.mu.Lock()
-	eps := make([]*endpoint, 0, len(s.active))
-	for _, ep := range s.active {
-		eps = append(eps, ep)
-	}
-	s.mu.Unlock()
 	now := s.cfg.Clock.Now()
-	out := make([]LiveSession, 0, len(eps))
-	for _, ep := range eps {
-		rep := ep.snapshot(false)
-		ls := LiveSession{
-			ID: rep.ID, Role: rep.Role,
-			Sends: rep.Sends, Writes: rep.Writes,
-			EffortTicks: rep.Effort(),
-			Resyncs:     rep.Resyncs,
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]LiveSession, 0, len(s.active))
+	for _, ep := range s.order {
+		if ep.retired {
+			continue
 		}
-		ep.mu.Lock()
-		ls.IdleTicks = now - ep.lastActivity
-		ep.mu.Unlock()
+		ls := LiveSession{
+			ID: ep.id, Role: s.role,
+			Sends: ep.sends, Writes: ep.writes,
+			EffortTicks: Report{Start: ep.start, LastSend: ep.lastSend, Writes: ep.writes}.Effort(),
+			IdleTicks:   now - ep.lastActivity,
+			Resyncs:     ep.resyncs,
+		}
 		if b := s.cfg.EffortLowerBound; b > 0 && ls.EffortTicks > 0 {
 			ls.EffortGapTicks = ls.EffortTicks - b
 		}

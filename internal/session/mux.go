@@ -1,0 +1,218 @@
+package session
+
+import (
+	"sync"
+	"time"
+
+	"repro/internal/wire"
+)
+
+// mux is the core a Server and a Dialer share: the side's endpoints, its
+// finished reports, and the one loop goroutine that drives them. The loop
+// applies every delivered frame as it arrives and, once per c2 ticks,
+// steps every active endpoint in spawn order. All endpoint state is
+// guarded by mu, so the loop, retirement and readers never need a second
+// lock.
+type mux struct {
+	cfg    Config
+	role   string   // "transmitter" or "receiver": every endpoint of the side
+	parity int64    // packet-seq parity: 1 = transmitter side (odd), 0 = receiver (even)
+	dir    wire.Dir // direction of the frames this side receives
+	// watchdog is the receiver side's wedge window in ticks (0 = off).
+	watchdog int64
+	done     chan struct{}
+	wg       sync.WaitGroup // the loop plus every tape save in flight
+
+	// unknown handles a frame for no active session, under mu: the server
+	// spawns a receiver (or counts a refusal), the dialer counts a stray.
+	unknown func(f wire.Frame) *endpoint
+	// sem holds one token per active endpoint when the side has
+	// backpressure (the dialer); nil otherwise.
+	sem chan struct{}
+
+	mu       sync.Mutex
+	landed   sync.Cond // broadcast when a tape save lands
+	seq      int64
+	active   map[uint32]*endpoint
+	order    []*endpoint // active endpoints in spawn order, retired ones compacted out each tick
+	finished map[uint32]Report
+
+	closeOnce sync.Once
+}
+
+func (m *mux) init(cfg Config, role string) {
+	m.cfg = cfg
+	m.role = role
+	m.dir = wire.RtoT
+	if role == "transmitter" {
+		m.parity = 1
+	} else {
+		m.dir = wire.TtoR
+		m.watchdog = int64(cfg.WatchdogK) * int64(cfg.Params.Delta1()) * cfg.Params.C2
+	}
+	m.done = make(chan struct{})
+	m.landed.L = &m.mu
+	m.active = make(map[uint32]*endpoint)
+	m.finished = make(map[uint32]Report)
+}
+
+func (m *mux) start() {
+	m.wg.Add(1)
+	go m.loop()
+}
+
+// loop is the side's only long-lived goroutine. A closed delivery channel
+// (the transport shut down) stops routing but not stepping: endpoints
+// then retire on their first failed send, as the protocol contract says.
+func (m *mux) loop() {
+	defer m.wg.Done()
+	ticker := time.NewTicker(m.cfg.Clock.Ticks(m.cfg.Params.C2))
+	defer ticker.Stop()
+	del := m.cfg.Transport.Deliveries(m.dir)
+	for {
+		select {
+		case <-m.done:
+			return
+		case f, ok := <-del:
+			if !ok {
+				del = nil
+				continue
+			}
+			m.route(f)
+		case <-ticker.C:
+			m.mu.Lock()
+			for n := len(del); n > 0; n-- {
+				m.deliverLocked(<-del)
+			}
+			m.tickLocked()
+			m.mu.Unlock()
+		}
+	}
+}
+
+// route applies one delivered frame to its session.
+func (m *mux) route(f wire.Frame) {
+	m.mu.Lock()
+	m.deliverLocked(f)
+	m.mu.Unlock()
+}
+
+func (m *mux) deliverLocked(f wire.Frame) {
+	ep := m.active[f.Session]
+	if ep == nil {
+		if ep = m.unknown(f); ep == nil {
+			return
+		}
+	}
+	ep.apply(f)
+}
+
+// tickLocked steps every active endpoint once, in spawn order. An
+// endpoint whose tape save is still in flight is skipped whole: it is
+// neither stepped nor judged idle or wedged until the save lands.
+func (m *mux) tickLocked() {
+	live := m.order[:0]
+	for _, ep := range m.order {
+		if ep.retired {
+			continue
+		}
+		if !ep.saving && !m.advance(ep) {
+			m.retireLocked(ep)
+			continue
+		}
+		live = append(live, ep)
+	}
+	clear(m.order[len(live):])
+	m.order = live
+}
+
+// advance takes one step of ep and, on the receiver side, runs idle
+// eviction and the watchdog. It returns false when ep must retire. A step
+// that started a tape save defers both checks until the save lands, so
+// no retirement reports a write before it is durable.
+func (m *mux) advance(ep *endpoint) bool {
+	if !ep.step() {
+		return false
+	}
+	if m.role == "transmitter" || ep.saving {
+		return true
+	}
+	now := m.cfg.Clock.Now()
+	if m.cfg.IdleTicks > 0 && now-ep.lastActivity > m.cfg.IdleTicks {
+		ep.evicted = true
+		m.cfg.metrics.onEvict(now, ep.id)
+		return false
+	}
+	return m.watchdog <= 0 || ep.checkProgress(now, m.watchdog)
+}
+
+// addLocked makes ep active and schedules it for stepping.
+func (m *mux) addLocked(ep *endpoint) {
+	m.active[ep.id] = ep
+	m.order = append(m.order, ep)
+}
+
+// retireLocked moves ep from the active set to the finished reports,
+// releasing its slot. Idempotent. The first report under an ID is the
+// authoritative one and doubles as the ID's tombstone.
+func (m *mux) retireLocked(ep *endpoint) {
+	if ep.retired {
+		return
+	}
+	ep.retired = true
+	delete(m.active, ep.id)
+	if _, ok := m.finished[ep.id]; !ok {
+		m.finished[ep.id] = ep.report(true)
+	}
+	ep.wake()
+	if m.cfg.Admission != nil {
+		m.cfg.Admission.Forget(ep.id)
+	}
+	if m.sem != nil {
+		<-m.sem
+	}
+}
+
+// closed reports whether Close has begun.
+func (m *mux) closed() bool {
+	select {
+	case <-m.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// Reports returns a report per session the side has ever run, finished
+// sessions first.
+func (m *mux) Reports() []Report {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make([]Report, 0, len(m.finished)+len(m.active))
+	for _, rep := range m.finished {
+		out = append(out, rep)
+	}
+	for _, ep := range m.order {
+		if !ep.retired {
+			out = append(out, ep.report(true))
+		}
+	}
+	return out
+}
+
+// Close stops the loop, waits for it and for every tape save in flight,
+// then retires the sessions still active. It does not close the transport
+// (the caller owns it). Idempotent.
+func (m *mux) Close() error {
+	m.closeOnce.Do(func() {
+		close(m.done)
+		m.wg.Wait()
+		m.mu.Lock()
+		for _, ep := range m.order {
+			m.retireLocked(ep)
+		}
+		m.order = nil
+		m.mu.Unlock()
+	})
+	return nil
+}

@@ -3,10 +3,12 @@ package session
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/ioa"
 	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/rstp"
@@ -256,15 +258,14 @@ func (s slowStore) Save(key string, data []byte) {
 
 // TestSlowTapeSaveLosesNoFrames pins the loop's behaviour while a durable
 // tape save is in flight: arrivals keep being applied, so a save that
-// lasts far longer than a tiny inbox can absorb drops no frames, and the
-// bare β receiver, which cannot recover a lost packet, still decodes Y = X.
+// lasts many step gaps drops no frames, and the bare β receiver, which
+// cannot recover a lost packet, still decodes Y = X.
 func TestSlowTapeSaveLosesNoFrames(t *testing.T) {
 	beta := mustBeta(t, 4)
 	clock := transport.NewClock(50 * time.Microsecond)
 	mem := transport.NewMem(clock, transport.MemOptions{D: testParams().D, Buffer: 1 << 14})
 	cfg := testConfig(t, beta, mem, clock)
 	cfg.Store = slowStore{rstp.NewMemStore(), 5 * time.Millisecond}
-	cfg.Buffer = 4
 	cfg.IdleTicks = -1 // the receiver's writes outlast the last arrival by far
 	pipe, err := NewPipe(cfg)
 	if err != nil {
@@ -318,6 +319,189 @@ func TestStartIDCollisionAndAllocator(t *testing.T) {
 	}
 	auto.Close()
 	conn.Close()
+	// A finished ID is used up as well: a second session under it would be
+	// answered from the first one's finished report.
+	if _, err := pipe.Dialer.StartID(ctx, 7, x); err == nil {
+		t.Fatal("StartID under a finished ID must fail")
+	}
+	first, err := pipe.TransferID(ctx, 20, x)
+	if err != nil || !first.Completed {
+		t.Fatalf("first transfer under 20: err=%v completed=%v", err, first.Completed)
+	}
+	if again, err := pipe.TransferID(ctx, 20, x); err == nil || again.Completed {
+		t.Fatalf("second transfer under finished ID 20: err=%v completed=%v", err, again.Completed)
+	}
+}
+
+// gateStore holds the first output-tape save until open is called,
+// signalling started when that save begins.
+type gateStore struct {
+	*rstp.MemStore
+	started, release chan struct{}
+	held, opened     sync.Once
+}
+
+func newGateStore() *gateStore {
+	return &gateStore{MemStore: rstp.NewMemStore(), started: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *gateStore) Save(key string, data []byte) {
+	if strings.HasSuffix(key, "/y") {
+		g.held.Do(func() {
+			close(g.started)
+			<-g.release
+		})
+	}
+	g.MemStore.Save(key, data)
+}
+
+// open releases the held save. Idempotent, so a test can also defer it:
+// a failed check must not leave Close waiting on the held save.
+func (g *gateStore) open() { g.opened.Do(func() { close(g.release) }) }
+
+// TestEvictAndCloseWaitForTapeSave pins synchronous retirement against a
+// durable save in flight: Evict and Close return only once the save has
+// landed, and the final report's tape is both a prefix of X and exactly
+// what the store holds.
+func TestEvictAndCloseWaitForTapeSave(t *testing.T) {
+	for _, op := range []string{"evict", "close"} {
+		t.Run(op, func(t *testing.T) {
+			beta := mustBeta(t, 4)
+			store := newGateStore()
+			cfg, _ := memConfig(t, beta, nil)
+			cfg.Store = store
+			cfg.IdleTicks = -1
+			pipe, err := NewPipe(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pipe.Close()
+			defer store.open()
+			x := inputFor(t, beta, 4, 21)
+			conn, err := pipe.Dialer.Start(context.Background(), x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-store.started:
+			case <-time.After(10 * time.Second):
+				t.Fatal("no tape save started")
+			}
+			returned := make(chan Report, 1)
+			go func() {
+				if op == "close" {
+					pipe.Server.Close()
+				}
+				rep, _ := pipe.Server.Evict(conn.ID())
+				returned <- rep
+			}()
+			select {
+			case <-returned:
+				t.Fatalf("%s returned while a tape save was in flight", op)
+			case <-time.After(20 * time.Millisecond):
+			}
+			store.open()
+			var rep Report
+			select {
+			case rep = <-returned:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s never returned after the save landed", op)
+			}
+			if !rep.Finished || rep.Writes == 0 {
+				t.Fatalf("final report: finished=%v writes=%d", rep.Finished, rep.Writes)
+			}
+			if v := PrefixCheck(x, rep.Y); v != "" {
+				t.Fatalf("final tape not a prefix of X: %s", v)
+			}
+			tape, _ := store.Load(tapeKey(conn.ID()))
+			if got, want := wire.BitsToString(decodeTape(tape)), wire.BitsToString(rep.Y); got != want {
+				t.Fatalf("report tape %s, durable tape %s", want, got)
+			}
+		})
+	}
+}
+
+// writeOnce is a receiver automaton that accepts every delivery and,
+// once armed, writes a single 0.
+type writeOnce struct{ armed, wrote bool }
+
+func (a *writeOnce) Name() string { return "r" }
+
+func (a *writeOnce) Classify(act ioa.Action) ioa.Class {
+	if _, ok := act.(wire.Recv); ok {
+		return ioa.ClassInput
+	}
+	return ioa.ClassOutput
+}
+
+func (a *writeOnce) NextLocal() (ioa.Action, bool) {
+	return wire.Write{M: 0}, a.armed && !a.wrote
+}
+
+func (a *writeOnce) Apply(act ioa.Action) error {
+	if _, ok := act.(wire.Write); ok {
+		a.wrote = true
+	}
+	return nil
+}
+
+type writeOnceBuilder struct{}
+
+func (writeOnceBuilder) NewPair([]wire.Bit) (t, r ioa.Automaton, err error) {
+	return &writeOnce{}, &writeOnce{}, nil
+}
+
+func (writeOnceBuilder) String() string { return "write-once" }
+
+// TestIdleEvictionWaitsForTapeSave pins that a step which starts a tape
+// save defers idle eviction until the save lands: a receiver long idle
+// at the moment of its write stays live while the save is in flight,
+// and is evicted afterwards with the write durable.
+func TestIdleEvictionWaitsForTapeSave(t *testing.T) {
+	store := newGateStore()
+	cfg, mem := memConfig(t, writeOnceBuilder{}, nil)
+	cfg.Store = store
+	cfg.IdleTicks = 1000
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mem.Close()
+	defer srv.Close()
+	defer store.open()
+	srv.route(wire.Frame{Session: 1, Dir: wire.TtoR, Seq: 1, P: wire.DataPacket(1)})
+	// Step the receiver by hand, under the side lock, with its last
+	// arrival backdated past IdleTicks: the step writes, and the idle
+	// check that follows it must wait for the save.
+	srv.mu.Lock()
+	ep := srv.active[1]
+	ep.auto.(*writeOnce).armed = true
+	ep.lastActivity -= 2 * cfg.IdleTicks
+	live := srv.advance(ep)
+	evicted := ep.evicted
+	srv.mu.Unlock()
+	if !live || evicted {
+		t.Fatal("receiver evicted idle while its tape save was in flight")
+	}
+	store.open()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		rep, _ := srv.Snapshot(1)
+		if rep.Finished {
+			if !rep.Evicted || rep.Writes != 1 {
+				t.Fatalf("final report: evicted=%v writes=%d, want an idle eviction after 1 write", rep.Evicted, rep.Writes)
+			}
+			tape, _ := store.Load(tapeKey(1))
+			if got, want := wire.BitsToString(decodeTape(tape)), wire.BitsToString(rep.Y); got != want {
+				t.Fatalf("report tape %s, durable tape %s", want, got)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("receiver never evicted after its save landed")
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestResumedMetric checks the observability wiring: a restarted

@@ -3,8 +3,6 @@ package session
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/wire"
@@ -14,125 +12,70 @@ import (
 // session ID, spawns a fresh receiver automaton per new session, drives
 // each off the shared clock, and evicts sessions that go idle.
 type Server struct {
-	cfg  Config
-	done chan struct{}
-	wg   sync.WaitGroup
-	seq  atomic.Int64
-
-	mu        sync.Mutex
-	active    map[uint32]*endpoint
-	finished  map[uint32]Report
-	retiring  map[uint32]bool // shed victims between slot release and retirement
-	refused   int             // frames of new sessions dropped at the MaxSessions cap
-	late      int             // frames of already-finished sessions dropped at the tombstone
-	shed      int             // sessions force-retired by the overload policy
-	closeOnce sync.Once
+	mux
+	refused int // frames of new sessions dropped at the MaxSessions cap
+	late    int // frames of already-finished sessions dropped at the tombstone
+	shed    int // sessions force-retired by the overload policy
 }
 
-// NewServer validates the config and starts the demux loop.
+// NewServer validates the config and starts the side's loop.
 func NewServer(cfg Config) (*Server, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{
-		cfg:      cfg,
-		done:     make(chan struct{}),
-		active:   make(map[uint32]*endpoint),
-		finished: make(map[uint32]Report),
-		retiring: make(map[uint32]bool),
-	}
+	s := &Server{}
+	s.init(cfg, "receiver")
+	s.unknown = s.admitLocked
 	s.instrument(cfg.metrics)
-	s.wg.Add(1)
-	go s.demux()
+	s.start()
 	return s, nil
 }
 
-// demux routes every delivered t->r frame to its session's inbox,
-// spawning receiver sessions on first contact.
-func (s *Server) demux() {
-	defer s.wg.Done()
-	del := s.cfg.Transport.Deliveries(wire.TtoR)
-	for {
-		select {
-		case <-s.done:
-			return
-		case f, ok := <-del:
-			if !ok {
-				return
-			}
-			s.route(f)
-		}
+// admitLocked decides the fate of a frame for no active session: drop it
+// at the tombstone or a refusal, or spawn its receiver. Callers hold s.mu.
+func (s *Server) admitLocked(f wire.Frame) *endpoint {
+	now := s.cfg.Clock.Now()
+	// The finished map doubles as a tombstone set: frames of a retired
+	// session can still be in flight (retransmissions up to D ticks behind
+	// the eviction) and must not re-spawn a ghost receiver under the same
+	// ID — a ghost would pin a MaxSessions slot until idle eviction
+	// (forever with IdleTicks disabled) and shadow the real session's
+	// report.
+	if _, done := s.finished[f.Session]; done {
+		s.late++
+		s.cfg.metrics.onLate(now, f.Session)
+		return nil
 	}
-}
-
-func (s *Server) route(f wire.Frame) {
-	s.mu.Lock()
-	ep := s.active[f.Session]
+	// The control plane's refuse gate runs before the capacity check: at
+	// the escalation ladder's refuse level and above, brand-new sessions
+	// are turned away even while slots remain, so the server sheds *load*
+	// before it ever has to shed *sessions*.
+	admit := s.cfg.Admission == nil || s.cfg.Admission.AdmitServer(f.Session)
+	if admit && len(s.active) >= s.cfg.MaxSessions {
+		admit = s.cfg.Shed == ShedEvictOldestIdle && s.shedOldestLocked()
+	}
+	var ep *endpoint
+	if admit {
+		ep = s.spawnLocked(f.Session)
+	}
 	if ep == nil {
-		// The finished map doubles as a tombstone set: frames of a
-		// retired session can still be in flight (retransmissions up to D
-		// ticks behind the eviction) and must not re-spawn a ghost
-		// receiver under the same ID — a ghost would pin a MaxSessions
-		// slot until idle eviction (forever with IdleTicks disabled) and
-		// shadow the real session's report.
-		if _, done := s.finished[f.Session]; done {
-			s.late++
-			s.mu.Unlock()
-			s.cfg.metrics.onLate(s.cfg.Clock.Now(), f.Session)
-			return
-		}
-		// A shed victim's slot is already free but its report is not in
-		// finished yet (its goroutine is still winding down): without this
-		// check an in-flight frame would respawn a ghost under the same ID
-		// and shadow the real report.
-		if s.retiring[f.Session] {
-			s.late++
-			s.mu.Unlock()
-			s.cfg.metrics.onLate(s.cfg.Clock.Now(), f.Session)
-			return
-		}
-		// The control plane's refuse gate runs before the capacity check:
-		// at the escalation ladder's refuse level and above, brand-new
-		// sessions are turned away even while slots remain, so the server
-		// sheds *load* before it ever has to shed *sessions*.
-		if s.cfg.Admission != nil && !s.cfg.Admission.AdmitServer(f.Session) {
-			s.refused++
-			s.mu.Unlock()
-			s.cfg.metrics.onRefuse(s.cfg.Clock.Now(), f.Session)
-			return
-		}
-		if len(s.active) >= s.cfg.MaxSessions {
-			if s.cfg.Shed != ShedEvictOldestIdle || !s.shedOldestLocked() {
-				s.refused++
-				s.mu.Unlock()
-				s.cfg.metrics.onRefuse(s.cfg.Clock.Now(), f.Session)
-				return
-			}
-		}
-		var err error
-		ep, err = s.spawnLocked(f.Session)
-		if err != nil {
-			s.refused++
-			s.mu.Unlock()
-			s.cfg.metrics.onRefuse(s.cfg.Clock.Now(), f.Session)
-			return
-		}
+		s.refused++
+		s.cfg.metrics.onRefuse(now, f.Session)
 	}
-	s.mu.Unlock()
-	ep.deliver(f)
+	return ep
 }
 
-// spawnLocked builds a receiver endpoint for a new session and starts its
-// loop. Callers hold s.mu.
-func (s *Server) spawnLocked(id uint32) (*endpoint, error) {
+// spawnLocked builds a receiver endpoint for a new session, or returns
+// nil when its pair cannot be built. Callers hold s.mu.
+func (s *Server) spawnLocked(id uint32) *endpoint {
 	// The pair builder needs an input only for the transmitter half,
 	// which the server discards; the receiver starts empty.
 	_, r, err := buildPair(s.cfg, id, nil)
 	if err != nil {
-		return nil, fmt.Errorf("session: server pair for session %d: %w", id, err)
+		return nil
 	}
-	ep := newEndpoint(s.cfg, id, "receiver", r, &s.seq)
+	ep := newEndpoint(&s.mux, id, r)
 	if s.cfg.Store != nil {
 		ep.tapeKey = tapeKey(id)
 		// A persisted tape means a previous incarnation of this process
@@ -144,60 +87,35 @@ func (s *Server) spawnLocked(id uint32) (*endpoint, error) {
 			s.cfg.metrics.onResume()
 		}
 	}
-	s.active[id] = ep
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		ep.loop(s.done, true)
-		ep.markFinished()
-		s.retire(ep)
-	}()
-	return ep, nil
+	s.addLocked(ep)
+	return ep
 }
 
-// retire moves an exited session from the active map to the finished
-// reports. An already-recorded report for the ID is never overwritten —
-// the first retirement under an ID is the authoritative one.
-func (s *Server) retire(ep *endpoint) {
-	rep := ep.snapshot(true)
-	s.mu.Lock()
-	delete(s.active, ep.id)
-	delete(s.retiring, ep.id)
-	if _, ok := s.finished[ep.id]; !ok {
-		s.finished[ep.id] = rep
+// victimLocked returns the active session with the smallest key, skipping
+// sessions whose tape save is still in flight (they are writing, so
+// neither idle nor stalled), or nil when there is none.
+func (s *Server) victimLocked(key func(*endpoint) int64) *endpoint {
+	var victim *endpoint
+	for _, ep := range s.order {
+		if !ep.retired && !ep.saving && (victim == nil || key(ep) < key(victim)) {
+			victim = ep
+		}
 	}
-	s.mu.Unlock()
-	if s.cfg.Admission != nil {
-		s.cfg.Admission.Forget(ep.id)
-	}
+	return victim
 }
 
 // shedOldestLocked force-retires the active session that has gone
 // longest without traffic, freeing its slot for a newcomer. Callers hold
 // s.mu; returns false when there is nothing safe to shed. The victim's
-// slot is released immediately — its goroutine retires it in the
-// background, with the retiring set holding the tombstone until the
-// report lands in finished.
+// in-flight frames drop as late at its tombstone.
 func (s *Server) shedOldestLocked() bool {
-	var (
-		victim *endpoint
-		oldest int64
-	)
-	for _, ep := range s.active {
-		ep.mu.Lock()
-		la := ep.lastActivity
-		ep.mu.Unlock()
-		if victim == nil || la < oldest {
-			victim, oldest = ep, la
-		}
-	}
+	victim := s.victimLocked(func(ep *endpoint) int64 { return ep.lastActivity })
 	if victim == nil {
 		return false
 	}
-	victim.markShed()
-	victim.halt()
-	delete(s.active, victim.id)
-	s.retiring[victim.id] = true
+	victim.shed = true
+	s.cfg.metrics.onShed(s.cfg.Clock.Now(), victim.id)
+	s.retireLocked(victim)
 	s.shed++
 	return true
 }
@@ -215,40 +133,19 @@ func (s *Server) ShedOldest() bool {
 
 // RetireStalled force-retires the active session whose output tape has
 // gone longest without growth — the control plane's last escalation rung,
-// a watchdog force-retire on demand. The victim is marked Wedged and its
-// slot released immediately; in-flight frames die at the retiring
-// tombstone. Returns false when no session is active.
+// a watchdog force-retire on demand. The victim is marked Wedged; its
+// in-flight frames die at the tombstone. Returns false when no session is
+// active.
 func (s *Server) RetireStalled() bool {
 	s.mu.Lock()
-	var (
-		victim *endpoint
-		oldest int64
-	)
-	for _, ep := range s.active {
-		ep.mu.Lock()
-		lp := ep.lastProgress
-		ep.mu.Unlock()
-		if victim == nil || lp < oldest {
-			victim, oldest = ep, lp
-		}
-	}
+	defer s.mu.Unlock()
+	victim := s.victimLocked(func(ep *endpoint) int64 { return ep.lastProgress })
 	if victim == nil {
-		s.mu.Unlock()
 		return false
 	}
-	delete(s.active, victim.id)
-	s.retiring[victim.id] = true
-	s.mu.Unlock()
-	victim.markWedged()
-	victim.halt()
+	victim.markWedged(s.cfg.Clock.Now())
+	s.retireLocked(victim)
 	return true
-}
-
-// lookup returns the active endpoint for a session, if any.
-func (s *Server) lookup(id uint32) *endpoint {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.active[id]
 }
 
 // ActiveCount returns the number of currently live receiver sessions —
@@ -261,32 +158,13 @@ func (s *Server) ActiveCount() int {
 
 // Snapshot returns the current report for a session — active or finished.
 func (s *Server) Snapshot(id uint32) (Report, bool) {
-	if ep := s.lookup(id); ep != nil {
-		return ep.snapshot(true), true
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if ep := s.active[id]; ep != nil {
+		return ep.report(true), true
+	}
 	rep, ok := s.finished[id]
 	return rep, ok
-}
-
-// Reports returns a report per session the server has ever run, finished
-// sessions first.
-func (s *Server) Reports() []Report {
-	s.mu.Lock()
-	eps := make([]*endpoint, 0, len(s.active))
-	out := make([]Report, 0, len(s.finished)+len(s.active))
-	for _, rep := range s.finished {
-		out = append(out, rep)
-	}
-	for _, ep := range s.active {
-		eps = append(eps, ep)
-	}
-	s.mu.Unlock()
-	for _, ep := range eps {
-		out = append(out, ep.snapshot(true))
-	}
-	return out
 }
 
 // Refused counts frames dropped because a new session would have
@@ -320,82 +198,71 @@ func (s *Server) WaitWrites(ctx context.Context, id uint32, n int) (Report, erro
 	poll := time.NewTicker(2 * time.Millisecond)
 	defer poll.Stop()
 	for {
-		var (
-			rep    Report
-			known  bool
-			notify chan struct{}
-		)
-		if ep := s.lookup(id); ep != nil {
-			rep = ep.snapshot(false)
-			known = true
-			notify = ep.notify
-		} else if r, ok := func() (Report, bool) {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			r, ok := s.finished[id]
-			return r, ok
-		}(); ok {
-			rep = r
-			known = true
-		}
+		rep, known, wake := s.peek(id, n)
 		if known && rep.Writes >= n {
 			return rep, nil
 		}
 		if known && rep.Finished {
 			return rep, fmt.Errorf("session: session %d ended with %d of %d writes", id, rep.Writes, n)
 		}
-		if notify == nil {
-			notify = make(chan struct{}) // unknown session: pure polling
+		var tick <-chan time.Time
+		if wake == nil {
+			tick = poll.C // unknown session: poll for its spawn
 		}
 		select {
 		case <-ctx.Done():
+			rep, _, _ = s.peek(id, 0)
 			return rep, ctx.Err()
 		case <-s.done:
+			rep, _, _ = s.peek(id, 0)
 			return rep, fmt.Errorf("session: server closed waiting on session %d", id)
-		case <-notify:
-		case <-poll.C:
+		case <-wake:
+		case <-tick:
 		}
 	}
 }
 
-// Evict stops a session's endpoint (if active) and waits for it to
-// retire, returning its final report.
-func (s *Server) Evict(id uint32) (Report, bool) {
-	ep := s.lookup(id)
-	if ep == nil {
-		s.mu.Lock()
-		rep, ok := s.finished[id]
-		s.mu.Unlock()
-		return rep, ok
-	}
-	ep.halt()
-	select {
-	case <-ep.stopped:
-	case <-s.done:
-	}
+// peek returns the session's light report and, while it is active with
+// fewer than n writes, a channel closed when it reaches n or retires.
+func (s *Server) peek(id uint32, n int) (rep Report, known bool, wake chan struct{}) {
 	s.mu.Lock()
-	rep, ok := s.finished[id]
-	s.mu.Unlock()
-	if !ok {
-		// Retirement may still be in flight; fall back to a live snapshot.
-		return ep.snapshot(true), true
+	defer s.mu.Unlock()
+	ep := s.active[id]
+	if ep == nil {
+		rep, known = s.finished[id]
+		return rep, known, nil
 	}
+	if ep.writes < n {
+		if ep.waiter == nil || n < ep.waitFor {
+			ep.waitFor = n
+		}
+		if ep.waiter == nil {
+			ep.waiter = make(chan struct{})
+		}
+		wake = ep.waiter
+	}
+	return ep.report(false), true, wake
+}
+
+// Evict retires a session (if active) and returns its final report. A
+// tape save in flight is waited for first, so the report holds only
+// durable writes.
+func (s *Server) Evict(id uint32) (Report, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if ep := s.active[id]; ep != nil {
+		for ep.saving {
+			s.landed.Wait()
+		}
+		s.retireLocked(ep)
+	}
+	rep, ok := s.finished[id]
 	return rep, ok
 }
 
 // Aggregate sums counters across every session seen so far.
 func (s *Server) Aggregate() Aggregate {
 	return aggregate(s.cfg, s.Reports(), s.Refused(), s.Late(), s.Shed())
-}
-
-// Close stops the demux loop and every session goroutine, then waits for
-// them. It does not close the transport (the caller owns it).
-func (s *Server) Close() error {
-	s.closeOnce.Do(func() {
-		close(s.done)
-		s.wg.Wait()
-	})
-	return nil
 }
 
 // Aggregate sums per-session counters into one serving-side view.
@@ -412,9 +279,9 @@ type Aggregate struct {
 	// at the tombstone; Shed counts overload evictions performed (server
 	// side only).
 	Refused, Late, Shed int
-	// Sends, Deliveries, Writes, Rejected, Overflow and SendErrors sum
-	// the endpoint counters.
-	Sends, Deliveries, Writes, Rejected, Overflow, SendErrors int
+	// Sends, Deliveries, Writes, Rejected and SendErrors sum the endpoint
+	// counters.
+	Sends, Deliveries, Writes, Rejected, SendErrors int
 }
 
 func aggregate(cfg Config, reports []Report, refused, late, shed int) Aggregate {
@@ -438,7 +305,6 @@ func aggregate(cfg Config, reports []Report, refused, late, shed int) Aggregate 
 		agg.Deliveries += r.Deliveries
 		agg.Writes += r.Writes
 		agg.Rejected += r.Rejected
-		agg.Overflow += r.Overflow
 		agg.SendErrors += r.SendErrors
 	}
 	return agg
@@ -446,7 +312,7 @@ func aggregate(cfg Config, reports []Report, refused, late, shed int) Aggregate 
 
 // String renders the aggregate as one report line.
 func (a Aggregate) String() string {
-	return fmt.Sprintf("%s over %s: %d sessions (%d active, %d evicted, %d wedged, %d shed, %d refused, %d late), %d sends (%d errored), %d deliveries, %d writes, %d rejected, %d overflow",
+	return fmt.Sprintf("%s over %s: %d sessions (%d active, %d evicted, %d wedged, %d shed, %d refused, %d late), %d sends (%d errored), %d deliveries, %d writes, %d rejected",
 		a.Proto, a.Transport, a.Sessions, a.Active, a.Evicted, a.Wedged, a.Shed, a.Refused, a.Late,
-		a.Sends, a.SendErrors, a.Deliveries, a.Writes, a.Rejected, a.Overflow)
+		a.Sends, a.SendErrors, a.Deliveries, a.Writes, a.Rejected)
 }

@@ -6,21 +6,28 @@
 // lives in a Dialer and whose receiver automaton lives in a Server,
 // connected by a shared transport.Transport that frames every packet
 // with the session ID (wire.Frame). Both ends are driven off one shared
-// real-time Clock: every endpoint takes one local protocol step each
-// StepGap ticks, with C1 <= StepGap <= C2, so the paper's step-bound
-// assumption Σ(At, Ar) is honored by construction (up to OS scheduler
-// jitter, which can only stretch gaps — see DESIGN.md).
+// real-time Clock: every endpoint takes one local protocol step each c2
+// ticks (the slowest legal schedule, the one the effort bounds quantify
+// over), so the paper's step-bound assumption Σ(At, Ar) is honored by
+// construction (up to OS scheduler jitter, which can only stretch gaps —
+// see DESIGN.md).
 //
 // Concurrency layout, kept deliberately simple so it is race-clean under
 // `go test -race`:
 //
-//   - one demux goroutine per Server/Dialer, routing delivered frames to
-//     per-session inboxes;
-//   - one goroutine per session endpoint, owning its automaton: all
-//     Apply/NextLocal calls happen there, serialised with incoming frames
-//     through a select loop;
-//   - counters and traces guarded by a per-endpoint mutex, snapshotted
-//     into immutable Reports for readers.
+//   - one loop goroutine per Server/Dialer, owning every automaton of its
+//     side: a delivered frame is applied to its session on arrival, and
+//     every c2 ticks the loop steps each active endpoint in spawn order.
+//     There is no per-session goroutine, timer or inbox, so the mux never
+//     drops a frame the transport delivered;
+//   - one mutex per side guarding every endpoint's counters and trace,
+//     snapshotted into immutable Reports for readers;
+//   - retirement (Conn.Close, Evict, shedding, the watchdog, Close) is
+//     synchronous under that mutex: the report lands in the finished map,
+//     which is also the session ID's tombstone, before the call returns;
+//   - a receiver's durable tape save is the one thing run off the loop
+//     (see Config.Store); its goroutine is counted in the side's
+//     WaitGroup, so Close waits for it.
 //
 // Backpressure is a Dialer-side semaphore of MaxSessions slots (Start
 // blocks until a slot frees or the context is done); the Server
@@ -33,9 +40,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/ioa"
 	"repro/internal/obs"
@@ -80,9 +85,8 @@ type TapeResumer interface {
 // Resyncer is the optional resynchronization hook a session automaton
 // may expose (the stabilized layer's endpoints do): the watchdog pulls
 // it once before force-retiring a wedged session, giving the protocol a
-// chance to heal in place. The call happens on the endpoint's loop
-// goroutine, which owns the automaton, so implementations need no
-// locking of their own.
+// chance to heal in place. The call happens on the side's loop, which
+// owns the automaton, so implementations need no locking of their own.
 type Resyncer interface {
 	ForceResync()
 }
@@ -161,26 +165,19 @@ func (p ShedPolicy) String() string {
 type Config struct {
 	// Solution builds each session's protocol pair.
 	Solution PairBuilder
-	// Params are the timing constants; StepGap and delay bounds are
-	// interpreted against them.
+	// Params are the timing constants: endpoints step every C2 ticks, and
+	// the delay and watchdog bounds are interpreted against them.
 	Params rstp.Params
 	// Transport carries the frames.
 	Transport transport.Transport
 	// Clock is the shared tick source.
 	Clock *transport.Clock
-	// StepGap is the tick gap between consecutive local protocol steps,
-	// clamped into [C1, C2]. Default C2 (the slowest legal schedule, the
-	// one the effort bounds quantify over).
-	StepGap int64
 	// MaxSessions bounds concurrently live sessions per side (default
 	// 1024). Dial blocks on it; the Server refuses receiver state past it.
 	MaxSessions int
 	// IdleTicks evicts a receiver session after this many ticks without
 	// traffic (default 64·D; <0 disables eviction).
 	IdleTicks int64
-	// Buffer is the per-session inbox capacity (default 64). A full inbox
-	// drops frames — the mux never blocks its demux loop on one session.
-	Buffer int
 	// TraceLimit caps the per-session recorded event trace used for
 	// per-session statistics (default 8192 events; <0 disables tracing).
 	// Events past the cap are counted, not recorded.
@@ -196,9 +193,6 @@ type Config struct {
 	// writes — so k is "how many worst-case message times of silence
 	// before giving up". 0 disables the watchdog.
 	WatchdogK int
-	// WatchdogTicks overrides the derived k·δ1·c2 wedge window directly
-	// (takes precedence over WatchdogK when > 0).
-	WatchdogTicks int64
 	// WatchdogResync makes the watchdog pull the automaton's Resyncer
 	// hook (if implemented — the stabilized layer's endpoints do) once
 	// per session before force-retiring, giving the protocol one
@@ -213,8 +207,11 @@ type Config struct {
 	// (via KeyedPairBuilder, under "s<ID>/") and the receiver's output
 	// tape (under "s<ID>/y", one byte per message, saved on every write
 	// BEFORE the write is announced — the paper's irrevocable-write
-	// semantics). nil disables persistence. Implementations must be safe
-	// for concurrent use; internal/journal.Store is the durable one.
+	// semantics). The tape save runs off the side's loop, so a slow disk
+	// delays only its own session's writes; checkpoints are saved by the
+	// automaton itself, inside Apply, on the loop. nil disables
+	// persistence. Implementations must be safe for concurrent use;
+	// internal/journal.Store is the durable one.
 	Store rstp.StateStore
 	// Admission is the optional control-plane hook: pacing/refusal of new
 	// sessions and per-session protocol parameter choice, driven by live
@@ -246,29 +243,14 @@ func (c Config) withDefaults() (Config, error) {
 	if err := c.Params.Validate(); err != nil {
 		return c, err
 	}
-	if c.StepGap == 0 {
-		c.StepGap = c.Params.C2
-	}
-	if c.StepGap < c.Params.C1 {
-		c.StepGap = c.Params.C1
-	}
-	if c.StepGap > c.Params.C2 {
-		c.StepGap = c.Params.C2
-	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 1024
 	}
 	if c.IdleTicks == 0 {
 		c.IdleTicks = 64 * c.Params.D
 	}
-	if c.Buffer <= 0 {
-		c.Buffer = 64
-	}
 	if c.TraceLimit == 0 {
 		c.TraceLimit = 8192
-	}
-	if c.WatchdogTicks <= 0 && c.WatchdogK > 0 {
-		c.WatchdogTicks = int64(c.WatchdogK) * int64(c.Params.Delta1()) * c.Params.C2
 	}
 	c.metrics = newSessionMetrics(c.Obs, c.Params, c.EffortLowerBound)
 	return c, nil
@@ -332,8 +314,8 @@ type Report struct {
 	// Start is the tick the endpoint was created.
 	Start int64
 	// Sends, Deliveries and Writes count protocol events so far; Rejected
-	// counts delivered frames the automaton's signature refused and
-	// Overflow frames dropped on a full inbox.
+	// counts delivered frames the automaton's signature refused. Overflow
+	// is always 0: the mux applies every delivered frame and drops none.
 	Sends, Deliveries, Writes int
 	Rejected, Overflow        int
 	// SendErrors counts Transport.Send failures. They are non-fatal — a
@@ -361,7 +343,8 @@ type Report struct {
 	// Resyncs counts watchdog-triggered ForceResync calls into the
 	// automaton (at most one per session).
 	Resyncs int
-	// Finished reports the endpoint's goroutine has exited.
+	// Finished reports the endpoint has retired: it is no longer stepped
+	// and its report is final.
 	Finished bool
 	// Trace is the recorded event trace (nil for light snapshots or when
 	// tracing is disabled); TraceDropped counts events past TraceLimit.
@@ -392,31 +375,20 @@ func PrefixCheck(x, y []wire.Bit) string {
 	return ""
 }
 
-// endpoint is one side of one session: an automaton, its inbox, and its
-// counters. The loop goroutine owns the automaton; the mutex guards only
-// the counters and trace.
+// endpoint is one side of one session: an automaton and its counters.
+// The side's loop owns the automaton; every mutable field is guarded by
+// the owning mux's mutex.
 type endpoint struct {
 	id      uint32
-	role    string
 	auto    ioa.Automaton
-	cfg     Config
-	seq     *atomic.Int64 // shared per-side packet sequence source
-	side    int64         // seq parity: 1 = transmitter side (odd seqs), 0 = receiver (even)
-	tapeKey string        // durable output-tape key; "" disables tape persistence
+	m       *mux
+	tapeKey string // durable output-tape key; "" disables tape persistence
 
-	in      chan wire.Frame
-	stop    chan struct{}
-	stopped chan struct{} // closed when the loop has exited
-	notify  chan struct{} // pulsed on every write
-	stopOne sync.Once
-
-	mu           sync.Mutex
 	start        int64
 	sends        int
 	deliveries   int
 	writes       int
 	rejected     int
-	overflow     int
 	sendErrs     int
 	lastErr      error
 	lastSend     int64
@@ -431,91 +403,39 @@ type endpoint struct {
 	wedged       bool
 	shed         bool
 	resyncs      int
-	finished     bool
+	retired      bool
+	saving       bool // a tape save is in flight: not stepped until it lands
+
+	// waiter, when a WaitWrites caller is parked on this session, is
+	// closed once writes reach waitFor or the endpoint retires.
+	waiter  chan struct{}
+	waitFor int
 }
 
-func newEndpoint(cfg Config, id uint32, role string, auto ioa.Automaton, seq *atomic.Int64) *endpoint {
-	// The seq parity is derived from the role rather than passed in, so
-	// the disjointness invariant (transmitter frames odd, receiver frames
-	// even) cannot be miswired by a caller.
-	var side int64
-	if role == "transmitter" {
-		side = 1
-	}
-	now := cfg.Clock.Now()
-	return &endpoint{
-		id:      id,
-		role:    role,
-		auto:    auto,
-		cfg:     cfg,
-		seq:     seq,
-		side:    side,
-		in:      make(chan wire.Frame, cfg.Buffer),
-		stop:    make(chan struct{}),
-		stopped: make(chan struct{}),
-		notify:  make(chan struct{}, 1),
-		mu:      sync.Mutex{},
-		start:   now, lastActivity: now, lastProgress: now,
-	}
+func newEndpoint(m *mux, id uint32, auto ioa.Automaton) *endpoint {
+	now := m.cfg.Clock.Now()
+	return &endpoint{id: id, auto: auto, m: m, start: now, lastActivity: now, lastProgress: now}
 }
 
 // resumeTape seeds a freshly spawned receiver endpoint with the output
 // tape a previous incarnation persisted, and tells the automaton (via
 // TapeResumer) how many messages are already durable so its recovery
-// REPORT counts them. Called before the loop goroutine starts.
+// REPORT counts them.
 func (e *endpoint) resumeTape(y []wire.Bit) {
-	e.mu.Lock()
 	e.y = append([]wire.Bit(nil), y...)
 	e.writes = len(y)
 	e.resumed = len(y)
-	e.mu.Unlock()
 	if tr, ok := e.auto.(TapeResumer); ok {
 		tr.ResumeTape(int64(len(y)))
 	}
 }
 
-// markShed flags the endpoint as an overload-policy victim before its
-// loop is halted, so retirement records the right cause.
-func (e *endpoint) markShed() {
-	e.mu.Lock()
-	e.shed = true
-	e.mu.Unlock()
-	e.cfg.metrics.onShed(e.cfg.Clock.Now(), e.id)
-}
-
-// markWedged flags the endpoint as force-retired for lack of output
-// progress before its loop is halted — the watchdog's verdict, also
-// reachable on demand through the control plane's last escalation rung.
-func (e *endpoint) markWedged() {
-	now := e.cfg.Clock.Now()
-	e.mu.Lock()
-	e.wedged = true
-	silent := now - e.lastProgress
-	e.mu.Unlock()
-	e.cfg.metrics.onWedge(now, e.id, silent)
-}
-
-// halt asks the loop to exit; idempotent.
-func (e *endpoint) halt() { e.stopOne.Do(func() { close(e.stop) }) }
-
-// deliver routes a frame into the inbox without ever blocking the caller.
-func (e *endpoint) deliver(f wire.Frame) {
-	select {
-	case e.in <- f:
-	default:
-		e.mu.Lock()
-		e.overflow++
-		e.mu.Unlock()
-		e.cfg.metrics.onOverflow()
-	}
-}
-
-// record appends a trace event under the configured cap. Callers hold e.mu.
+// record appends a trace event under the configured cap.
 func (e *endpoint) record(t int64, actor string, act ioa.Action, pktSeq int64) {
-	if e.cfg.TraceLimit < 0 {
+	if e.m.cfg.TraceLimit < 0 {
 		return
 	}
-	if len(e.trace) >= e.cfg.TraceLimit {
+	if len(e.trace) >= e.m.cfg.TraceLimit {
 		e.traceDropped++
 		return
 	}
@@ -524,105 +444,52 @@ func (e *endpoint) record(t int64, actor string, act ioa.Action, pktSeq int64) {
 	})
 }
 
-// loop drives the endpoint: one local protocol step per StepGap ticks,
-// frames applied as they arrive, idle eviction for receivers. ownerDone
-// is the owning Server/Dialer's shutdown signal.
-func (e *endpoint) loop(ownerDone <-chan struct{}, evictIdle bool) {
-	defer close(e.stopped)
-	ticker := time.NewTicker(e.cfg.Clock.Ticks(e.cfg.StepGap))
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ownerDone:
-			return
-		case <-e.stop:
-			return
-		case f := <-e.in:
-			e.onFrame(f)
-		case <-ticker.C:
-			if !e.step() {
-				return
-			}
-			if evictIdle && e.cfg.IdleTicks > 0 {
-				now := e.cfg.Clock.Now()
-				e.mu.Lock()
-				idle := now-e.lastActivity > e.cfg.IdleTicks
-				if idle {
-					e.evicted = true
-				}
-				e.mu.Unlock()
-				if idle {
-					e.cfg.metrics.onEvict(now, e.id)
-					return
-				}
-			}
-			if evictIdle && e.cfg.WatchdogTicks > 0 && !e.watchdog() {
-				return
-			}
-		}
-	}
-}
-
-// watchdog is the per-session progress check, run on the loop goroutine
-// each step for server-side endpoints: a session whose output tape grew
-// by nothing for WatchdogTicks is wedged. With WatchdogResync set and an
-// automaton that implements Resyncer, the first trip instead forces a
-// protocol resynchronization and re-arms the window, so a session the
-// stabilized layer can still heal gets exactly one wedge-window-long
-// chance before the force-retire. Returns false when the endpoint must
-// retire.
-func (e *endpoint) watchdog() bool {
-	now := e.cfg.Clock.Now()
-	e.mu.Lock()
-	if now-e.lastProgress <= e.cfg.WatchdogTicks {
-		e.mu.Unlock()
+// checkProgress is the per-session progress watchdog, run each step for
+// server-side endpoints: a session whose output tape grew by nothing for
+// window ticks is wedged. With WatchdogResync set and an automaton that
+// implements Resyncer, the first trip instead forces a protocol
+// resynchronization and re-arms the window, so a session the stabilized
+// layer can still heal gets exactly one wedge-window-long chance before
+// the force-retire. Returns false when the endpoint must retire.
+func (e *endpoint) checkProgress(now, window int64) bool {
+	if now-e.lastProgress <= window {
 		return true
 	}
-	if e.cfg.WatchdogResync && e.resyncs == 0 {
+	if e.m.cfg.WatchdogResync && e.resyncs == 0 {
 		if rs, ok := e.auto.(Resyncer); ok {
 			e.resyncs++
 			e.lastProgress = now // re-arm: one full window to heal
-			e.mu.Unlock()
-			e.cfg.metrics.onResync(now, e.id)
-			// The loop goroutine owns the automaton; calling in outside
-			// e.mu keeps the lock ordering trivial.
+			e.m.cfg.metrics.onResync(now, e.id)
 			rs.ForceResync()
 			return true
 		}
 	}
-	e.wedged = true
-	silent := now - e.lastProgress
-	e.mu.Unlock()
-	e.cfg.metrics.onWedge(now, e.id, silent)
+	e.markWedged(now)
 	return false
 }
 
-// onFrame applies one delivered frame as a recv input, if the automaton's
+// markWedged flags the endpoint as force-retired for lack of output
+// progress — the watchdog's verdict, also reachable on demand through the
+// control plane's last escalation rung.
+func (e *endpoint) markWedged(now int64) {
+	e.wedged = true
+	e.m.cfg.metrics.onWedge(now, e.id, now-e.lastProgress)
+}
+
+// apply applies one delivered frame as a recv input, if the automaton's
 // signature accepts it.
-func (e *endpoint) onFrame(f wire.Frame) {
-	now := e.cfg.Clock.Now()
+func (e *endpoint) apply(f wire.Frame) {
+	now := e.m.cfg.Clock.Now()
 	act := wire.Recv{Dir: f.Dir, P: f.P, Payload: string(f.Payload)}
-	e.mu.Lock()
 	e.lastActivity = now
-	if e.auto.Classify(act) != ioa.ClassInput {
+	if e.auto.Classify(act) != ioa.ClassInput || e.auto.Apply(act) != nil {
 		e.rejected++
-		e.mu.Unlock()
-		e.cfg.metrics.onReject()
+		e.m.cfg.metrics.onReject()
 		return
 	}
-	e.mu.Unlock()
-	if err := e.auto.Apply(act); err != nil {
-		e.mu.Lock()
-		e.rejected++
-		e.mu.Unlock()
-		e.cfg.metrics.onReject()
-		return
-	}
-	e.mu.Lock()
 	e.deliveries++
 	e.record(now, "chan", act, f.Seq)
-	e.mu.Unlock()
-	e.cfg.metrics.onRecv(now, e.id, f.Seq)
+	e.m.cfg.metrics.onRecv(now, e.id, f.Seq)
 }
 
 // step applies one local protocol action and performs its side effects
@@ -631,104 +498,102 @@ func (e *endpoint) onFrame(f wire.Frame) {
 func (e *endpoint) step() bool {
 	act, ok := e.auto.NextLocal()
 	if !ok {
-		return true // terminated protocol: keep serving recvs until stopped
+		return true // terminated protocol: keep serving recvs until retired
 	}
 	if err := e.auto.Apply(act); err != nil {
 		// A race between precondition and Apply cannot happen — the loop
-		// goroutine owns the automaton — so treat this as a protocol bug
-		// surfaced in counters rather than a crash.
-		e.mu.Lock()
+		// owns the automaton — so treat this as a protocol bug surfaced in
+		// counters rather than a crash.
 		e.rejected++
-		e.mu.Unlock()
 		return true
 	}
-	now := e.cfg.Clock.Now()
+	m := e.m
+	now := m.cfg.Clock.Now()
 	switch a := act.(type) {
 	case wire.Send:
-		pktSeq := e.seq.Add(1)*2 + e.side // disjoint seq ranges per side
-		err := e.cfg.Transport.Send(wire.Frame{Session: e.id, Dir: a.Dir, Seq: pktSeq, P: a.P, Payload: []byte(a.Payload)})
-		e.mu.Lock()
+		m.seq++
+		pktSeq := m.seq*2 + m.parity // disjoint seq ranges per side
+		err := m.cfg.Transport.Send(wire.Frame{Session: e.id, Dir: a.Dir, Seq: pktSeq, P: a.P, Payload: []byte(a.Payload)})
 		e.sends++
 		e.lastSend = now
+		e.record(now, e.auto.Name(), act, pktSeq)
+		m.cfg.metrics.onSend(now, e.id, pktSeq)
 		if err != nil {
 			e.sendErrs++
 			e.lastErr = err
-		}
-		e.record(now, e.auto.Name(), act, pktSeq)
-		e.mu.Unlock()
-		e.cfg.metrics.onSend(now, e.id, pktSeq)
-		if err != nil {
-			e.cfg.metrics.onSendErr()
+			m.cfg.metrics.onSendErr()
 		}
 		// Only a closed transport is terminal. Anything else (e.g. a
 		// transient ENOBUFS/EMSGSIZE from the UDP socket) drops this frame
 		// exactly like channel loss — the protocols already retransmit —
 		// so the endpoint counts it and keeps stepping.
-		if err != nil && errors.Is(err, transport.ErrClosed) {
+		if errors.Is(err, transport.ErrClosed) {
 			return false
 		}
 	case wire.Write:
-		e.mu.Lock()
-		prevWrite := e.lastWrite
+		prev := e.lastWrite
 		e.y = append(e.y, a.M)
 		e.writes++
 		e.lastWrite = now
 		e.lastProgress = now
 		e.record(now, e.auto.Name(), act, 0)
-		var tape []byte
-		if e.tapeKey != "" {
-			tape = encodeTape(e.y)
+		if e.tapeKey == "" {
+			e.announce(now, prev)
+			break
 		}
-		e.mu.Unlock()
-		if tape != nil {
-			// Durable before observable: the tape reaches stable storage
-			// before the write is announced through notify/metrics, so a
-			// crash can lose an unannounced write but never expose one it
-			// might roll back — write(m) stays irrevocable. A durable save
-			// can outlast many ticks, so the loop keeps applying arrivals
-			// while it runs: a full inbox would drop frames, and the bare
-			// protocols have no way to recover a lost packet.
-			saved := make(chan struct{})
-			go func() {
-				e.cfg.Store.Save(e.tapeKey, tape)
-				close(saved)
-			}()
-			for waiting := true; waiting; {
-				select {
-				case <-saved:
-					waiting = false
-				case f := <-e.in:
-					e.onFrame(f)
-				}
-			}
-		}
-		e.cfg.metrics.onWrite(now, e.id, prevWrite, e.start)
-		select {
-		case e.notify <- struct{}{}:
-		default:
-		}
+		// Durable before observable: the tape reaches stable storage
+		// before the write is announced through metrics and waiters, so a
+		// crash can lose an unannounced write but never expose one it
+		// might roll back — write(m) stays irrevocable. The save runs off
+		// the loop, which keeps applying arrivals (for this session too)
+		// and stepping the others while a slow disk holds this one.
+		e.saving = true
+		tape := encodeTape(e.y)
+		m.wg.Add(1)
+		go func() {
+			defer m.wg.Done()
+			m.cfg.Store.Save(e.tapeKey, tape)
+			m.mu.Lock()
+			e.saving = false
+			e.announce(now, prev)
+			m.landed.Broadcast()
+			m.mu.Unlock()
+		}()
 	default:
-		e.mu.Lock()
 		e.record(now, e.auto.Name(), act, 0)
-		e.mu.Unlock()
 	}
 	return true
 }
 
-// snapshot captures the endpoint's counters; withTrace also copies the
-// recorded trace and output tape.
-func (e *endpoint) snapshot(withTrace bool) Report {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+// announce publishes a durable write at tick at (prev is the previous
+// write's tick) to the metrics and to a parked WaitWrites caller.
+func (e *endpoint) announce(at, prev int64) {
+	e.m.cfg.metrics.onWrite(at, e.id, prev, e.start)
+	if e.writes >= e.waitFor {
+		e.wake()
+	}
+}
+
+// wake releases a parked WaitWrites caller, if any.
+func (e *endpoint) wake() {
+	if e.waiter != nil {
+		close(e.waiter)
+		e.waiter = nil
+	}
+}
+
+// report captures the endpoint's counters; withTrace also copies the
+// recorded trace.
+func (e *endpoint) report(withTrace bool) Report {
 	r := Report{
-		ID: e.id, Role: e.role, Start: e.start,
+		ID: e.id, Role: e.m.role, Start: e.start,
 		Sends: e.sends, Deliveries: e.deliveries, Writes: e.writes,
-		Rejected: e.rejected, Overflow: e.overflow,
+		Rejected:   e.rejected,
 		SendErrors: e.sendErrs,
 		LastSend:   e.lastSend, LastWrite: e.lastWrite,
 		Resumed: e.resumed,
 		Evicted: e.evicted, Wedged: e.wedged, Shed: e.shed, Resyncs: e.resyncs,
-		Finished:     e.finished,
+		Finished:     e.retired,
 		TraceDropped: e.traceDropped,
 	}
 	if e.lastErr != nil {
@@ -739,12 +604,4 @@ func (e *endpoint) snapshot(withTrace bool) Report {
 		r.Trace = append([]timed.Event(nil), e.trace...)
 	}
 	return r
-}
-
-// markFinished flags the endpoint's loop as exited (set by the owner
-// right after the goroutine returns).
-func (e *endpoint) markFinished() {
-	e.mu.Lock()
-	e.finished = true
-	e.mu.Unlock()
 }

@@ -457,15 +457,4 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewServer(Config{}); err == nil {
 		t.Error("empty config accepted")
 	}
-	sol := mustBeta(t, 4)
-	cfg, mem := memConfig(t, sol, nil)
-	defer mem.Close()
-	cfg.StepGap = 99 // must clamp into [c1, c2]
-	got, err := cfg.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.StepGap != testParams().C2 {
-		t.Errorf("StepGap clamped to %d, want %d", got.StepGap, testParams().C2)
-	}
 }

@@ -154,3 +154,38 @@ func TestPipeCloseIsIdempotentAndStopsEverything(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestGoroutinesDoNotGrowWithSessions pins the one-loop-per-side layout:
+// with 8 and then 64 long sessions live on one Pipe, the goroutine count
+// rises by the same small constant — no goroutine per session endpoint.
+func TestGoroutinesDoNotGrowWithSessions(t *testing.T) {
+	sol := mustBeta(t, 4)
+	cfg, _ := memConfig(t, sol, nil)
+	cfg.IdleTicks = -1 // a receiver whose transfer ends early stays live
+	pipe, err := NewPipe(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pipe.Close()
+	base := runtime.NumGoroutine()
+	rise := func(sessions int) int {
+		t.Helper()
+		for i := pipe.Dialer.InFlight(); i < sessions; i++ {
+			if _, err := pipe.Dialer.Start(context.Background(), inputFor(t, sol, 400, int64(i+1))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for pipe.Server.ActiveCount() < sessions {
+			if time.Now().After(deadline) {
+				t.Fatalf("only %d of %d receivers spawned", pipe.Server.ActiveCount(), sessions)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return runtime.NumGoroutine() - base
+	}
+	few, many := rise(8), rise(64)
+	if few > 2 || many != few {
+		t.Fatalf("goroutines rose by %d with 8 sessions and %d with 64; want the same small constant", few, many)
+	}
+}

@@ -16,6 +16,13 @@ func watchdogWindow(k int) int64 {
 	return int64(k) * int64(p.Delta1()) * p.C2
 }
 
+// lookup returns the active endpoint for a session, if any.
+func (m *mux) lookup(id uint32) *endpoint {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.active[id]
+}
+
 // TestWatchdogRetiresWedgedSession pins the tentpole guarantee: a
 // session with no output growth for k·δ1·c2 ticks is force-retired
 // through the tombstone path, reported Wedged, and its MaxSessions slot
@@ -117,7 +124,7 @@ func TestWatchdogResyncBeforeRetire(t *testing.T) {
 // TestShedEvictOldestIdle pins the overload policy: at the MaxSessions
 // cap a newcomer evicts the longest-quiet session instead of being
 // refused, the victim's report is marked Shed, and its late frames drop
-// at the retiring tombstone instead of respawning a ghost.
+// at the tombstone instead of respawning a ghost.
 func TestShedEvictOldestIdle(t *testing.T) {
 	sol := mustBeta(t, 4)
 	cfg, mem := memConfig(t, sol, nil)
@@ -181,12 +188,10 @@ func TestShedEvictOldestIdle(t *testing.T) {
 	}
 }
 
-// TestShedVictimFrameDroppedWhileRetiring closes the ghost window the
-// retiring set exists for: between the victim's slot release (under
-// s.mu, synchronous with the shed) and its goroutine finishing the
-// retire, a frame for the victim must drop as late — this is exercised
-// deterministically by routing the frame immediately after the shed,
-// when the victim's retirement is very likely still in flight.
+// TestShedVictimFrameDroppedWhileRetiring pins the ghost window around a
+// shed: the victim retires synchronously with the shed, so a straggler
+// routed immediately afterwards already meets its tombstone and drops as
+// late instead of respawning the victim.
 func TestShedVictimFrameDroppedWhileRetiring(t *testing.T) {
 	sol := mustBeta(t, 4)
 	cfg, mem := memConfig(t, sol, nil)
@@ -224,7 +229,7 @@ func TestCloseDuringWatchdogRetire(t *testing.T) {
 	sol := mustBeta(t, 4)
 	cfg, mem := memConfig(t, sol, nil)
 	cfg.IdleTicks = -1
-	cfg.WatchdogTicks = 1 // every stray session wedges almost immediately
+	cfg.WatchdogK = 1 // every stray session wedges within δ1·c2 = 18 ticks
 	srv, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
