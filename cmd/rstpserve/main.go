@@ -127,7 +127,7 @@ type summary struct {
 	ControlRetires   int64            `json:"control_retires,omitempty"`
 	ControlKHist     map[string]int64 `json:"control_k_histogram,omitempty"`
 	ControlDwell     map[string]int64 `json:"control_level_dwell_ticks,omitempty"`
-	// Cross-family selection (this PR): the candidate the controller is
+	// Cross-family selection: the foreign row the controller is
 	// currently admitting under ("" = the native family) and how many
 	// times it crossed a family boundary.
 	ControlSelected    string `json:"control_selected,omitempty"`
@@ -150,7 +150,6 @@ func run(args []string, out io.Writer) error {
 		conc        = fs.Int("conc", 0, "max concurrent sessions (default min(sessions, 512))")
 		proto       = fs.String("proto", "beta", "protocol: alpha, beta, gamma or rateless")
 		k           = fs.Int("k", 4, "packet alphabet size (beta/gamma/rateless)")
-		rateless_   = fs.Bool("rateless", false, "serve the fountain-coded rateless burst protocol (shorthand for -proto rateless); natively loss-tolerant, so -harden/-stabilize do not apply")
 		c1          = fs.Int64("c1", 2, "minimum step gap c1")
 		c2          = fs.Int64("c2", 3, "maximum step gap c2")
 		d           = fs.Int64("d", 12, "channel delay bound d")
@@ -180,9 +179,6 @@ func run(args []string, out io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *rateless_ {
-		*proto = "rateless"
 	}
 
 	// The registry always exists — with no -metrics-addr/-trace it costs a
@@ -296,8 +292,7 @@ func run(args []string, out io.Writer) error {
 		var cands []control.Candidate
 		cands, kBlock = adaptiveCandidates(p, spec, st)
 		ctrl, err = control.New(control.Config{
-			Registry: reg, Clock: clock, Params: p, Proto: *proto,
-			DefaultK:       *k,
+			Registry: reg, Clock: clock, Params: p,
 			Candidates:     cands,
 			Store:          storeOrNil(store),
 			Seed:           *seed,
@@ -318,7 +313,6 @@ func run(args []string, out io.Writer) error {
 		IdleTicks:        *idle,
 		Shed:             shedPolicy,
 		WatchdogK:        *watchdog,
-		WatchdogResync:   *stabilize,
 		Obs:              reg,
 		EffortLowerBound: st.Lower,
 		Store:            storeOrNil(store),
@@ -584,10 +578,11 @@ func storeOrNil(s *journal.Store) rstp.StateStore {
 }
 
 // adaptiveCandidates assembles the -adaptive selection table from the
-// served stack st and its spec. Native rows are the configured k and its
-// doubling (effort falls with log k, so one doubling is the meaningful
-// escape hatch under slowdown); alpha has none, since a binary alphabet
-// has no k to select. Cross-family rows are the families whose effort
+// served stack st and its spec. The served stack is the first row, which
+// makes its family the controller's native family. Native rows are the
+// configured k and its doubling (effort falls with log k, so one
+// doubling is the meaningful escape hatch under slowdown); alpha has
+// none, since a binary alphabet has no k to select. Cross-family rows are the families whose effort
 // upper bound the native one cannot reach under slowdown: serving beta,
 // the active gamma (a full round trip per burst but a tighter bound)
 // and the rateless pair (no inter-burst wait at all); serving gamma,

@@ -38,9 +38,10 @@ func run(sessions int) error {
 	const slots = 8 // receiver capacity the flood will exceed 3×
 
 	// Two candidate alphabets for k-selection, both hardened and sharing
-	// one layer observer. The input length below (a multiple of both
-	// block sizes) guarantees a mid-run retune never hands a session an
-	// input its builder rejects.
+	// one layer observer, each carrying its Lemma 6.1 effort upper bound.
+	// The first row is the served stack. The input length below (a
+	// multiple of both block sizes) guarantees a mid-run retune never
+	// hands a session an input its builder rejects.
 	reg := repro.NewMetrics()
 	lo := repro.NewLayerObserver(reg)
 	var cands []repro.ControlCandidate
@@ -50,7 +51,10 @@ func run(sessions int) error {
 		if err != nil {
 			return err
 		}
-		cands = append(cands, repro.ControlCandidate{Proto: "beta", K: k, Builder: repro.Harden(s, repro.HardenOptions{Observer: lo})})
+		cands = append(cands, repro.ControlCandidate{
+			Proto: "beta", K: k, Builder: repro.Harden(s, repro.HardenOptions{Observer: lo}),
+			Upper: repro.BetaUpperBound(p, k),
+		})
 		blockBits = lcm(blockBits, s.BlockBits)
 	}
 
@@ -64,8 +68,8 @@ func run(sessions int) error {
 	// wired as Admission on the shared ServeConfig, then bound to its
 	// actuators once the pipe exists and started.
 	ctrl, err := repro.NewController(repro.ControlConfig{
-		Registry: reg, Clock: clock, Params: p, Proto: "beta",
-		Candidates: cands, DefaultK: 4,
+		Registry: reg, Clock: clock, Params: p,
+		Candidates:     cands,
 		Seed:           7,
 		TargetSessions: slots,
 	})

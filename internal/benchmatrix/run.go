@@ -342,41 +342,11 @@ func RunCell(ctx context.Context, cell Cell, cfg RunConfig) (Record, error) {
 	}
 	if h, ok := snap.Histograms["rstp_effort_gap_ticks"]; ok && h.Count > 0 {
 		rec.EffortGapMeanTicks = h.Mean
-		rec.EffortGapP99Ticks = quantileOrFloor(h, 0.99)
+		rec.EffortGapP99Ticks = obs.QuantileOrFloor(h, 0.99)
 	}
 	if h, ok := snap.Histograms["rstp_deadline_margin_ticks"]; ok && h.Count > 0 {
-		rec.DeadlineMarginP50Ticks = quantileOrFloor(h, 0.50)
-		rec.DeadlineMarginP99Ticks = quantileOrFloor(h, 0.99)
+		rec.DeadlineMarginP50Ticks = obs.QuantileOrFloor(h, 0.50)
+		rec.DeadlineMarginP99Ticks = obs.QuantileOrFloor(h, 0.99)
 	}
 	return rec, nil
-}
-
-// quantileOrFloor resolves a bucket quantile like obs.BucketQuantile,
-// but when the quantile lands in the +Inf bucket it reports the largest
-// finite bucket bound — a bucket-resolution floor ("p99 >= 2048")
-// rather than a misleading zero. A fixed-bucket histogram cannot do
-// better, and a committed record must never show an unresolved tail as
-// a perfect one.
-func quantileOrFloor(h obs.HistogramSnapshot, q float64) int64 {
-	if v := obs.BucketQuantile(h, q); v != 0 {
-		return v
-	}
-	if h.Count == 0 {
-		return 0
-	}
-	// BucketQuantile's zero is ambiguous: either the quantile genuinely
-	// lies at the LE=0 bound, or it overflowed every finite bucket.
-	// Re-walk to tell the two apart.
-	need := int64(math.Ceil(q * float64(h.Count)))
-	var top int64
-	for _, b := range h.Buckets {
-		if b.Inf {
-			continue
-		}
-		if b.Count >= need {
-			return 0 // a real zero-bound quantile
-		}
-		top = b.LE
-	}
-	return top
 }

@@ -27,7 +27,7 @@ func BenchmarkControlTick(b *testing.B) {
 	}
 	c, err := New(Config{
 		Registry: reg, Clock: transport.NewClock(time.Nanosecond), Params: p,
-		Candidates: []Candidate{{Proto: "beta", K: 4, Builder: s4}}, DefaultK: 4,
+		Candidates: []Candidate{{Proto: "beta", K: 4, Builder: s4, Upper: rstp.BetaUpperBound(p, 4)}},
 	})
 	if err != nil {
 		b.Fatal(err)

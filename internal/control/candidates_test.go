@@ -2,25 +2,30 @@ package control
 
 import (
 	"context"
+	"crypto/sha256"
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
 	"repro/internal/rstp"
 	"repro/internal/session"
+	"repro/internal/stack"
 )
 
 // candCtl builds a controller with one native beta row (k=4) plus
-// cross-family candidates, over a synthetic bound table: deadline
-// δ1·c2 = 18, native Upper(4) = 16, gamma Upper = 8, rateless Upper = 5.
+// cross-family candidates, over synthetic bounds: deadline δ1·c2 = 18,
+// native Upper(4) = 16, gamma Upper = 8, rateless Upper = 5.
 func candCtl(t *testing.T, mut func(*Config)) (*Controller, session.PairBuilder, session.PairBuilder, session.PairBuilder) {
 	t.Helper()
 	bBeta := fakeBuilder{"beta4"}
 	bGamma := fakeBuilder{"gamma4"}
 	bRl := fakeBuilder{"rateless4"}
 	c := newCtl(t, func(cfg *Config) {
-		cfg.DefaultK = 4
 		cfg.Candidates = []Candidate{
-			{Proto: "beta", K: 4, Builder: bBeta},
+			{Proto: "beta", K: 4, Builder: bBeta, Upper: 16},
 			{Proto: "rateless", K: 4, Builder: bRl, Lower: 1, Upper: 5},
 			{Proto: "gamma", K: 4, Builder: bGamma, Lower: 1, Upper: 8},
 		}
@@ -28,10 +33,22 @@ func candCtl(t *testing.T, mut func(*Config)) (*Controller, session.PairBuilder,
 			mut(cfg)
 		}
 	})
-	c.mu.Lock()
-	c.table = []rstp.EffortRow{{K: 4, Upper: 16}}
-	c.mu.Unlock()
 	return c, bBeta, bGamma, bRl
+}
+
+// selectRow points the selection at the row (proto, k), as a retune
+// would.
+func selectRow(t *testing.T, c *Controller, proto string, k int) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, cd := range c.cands {
+		if cd.Proto == proto && cd.K == k {
+			c.sel = i
+			return
+		}
+	}
+	t.Fatalf("no %s:%d row", proto, k)
 }
 
 func TestCandidateValidation(t *testing.T) {
@@ -69,32 +86,32 @@ func TestCrossFamilySelection(t *testing.T) {
 	c.mu.Lock()
 
 	c.retuneK(obs.HistogramSnapshot{})
-	if c.sel != nil {
+	if got := c.label(c.sel); got != "4" {
 		c.mu.Unlock()
-		t.Fatalf("healthy window left the native family: %v", c.sel.label())
+		t.Fatalf("healthy window left the native family: %v", got)
 	}
 	// Median gap 32 → slowdown 2 vs Upper(4)=16: native 32 > 18 fails,
 	// gamma 16 <= 18 fits (tried before rateless: larger Upper first).
 	c.lastSwitch = -(1 << 40)
 	c.retuneK(margins(-14, 10))
-	if c.sel == nil || c.sel.Proto != "gamma" {
+	if got := c.label(c.sel); got != "gamma:4" {
 		c.mu.Unlock()
-		t.Fatalf("overload did not select gamma: %+v", c.sel)
+		t.Fatalf("overload did not select gamma: %v", got)
 	}
 	// Deeper slowdown (median gap 24 vs gamma's Upper 8 → slow 3):
 	// gamma 24 > 18 fails, rateless 15 fits. Moves inside the candidate
 	// set are immediate — no dwell needed.
 	c.retuneK(margins(-6, 10))
-	if c.sel == nil || c.sel.Proto != "rateless" {
+	if got := c.label(c.sel); got != "rateless:4" {
 		c.mu.Unlock()
-		t.Fatalf("deeper overload did not move to rateless: %+v", c.sel)
+		t.Fatalf("deeper overload did not move to rateless: %v", got)
 	}
 	// Recovery: median gap 2 < rateless's Upper → slow 1 → native fits.
 	c.lastSwitch = -(1 << 40)
 	c.retuneK(margins(16, 10))
-	if c.sel != nil {
+	if got := c.label(c.sel); got != "4" {
 		c.mu.Unlock()
-		t.Fatalf("recovery did not return to the native family: %v", c.sel.label())
+		t.Fatalf("recovery did not return to the native family: %v", got)
 	}
 	if c.famSwaps != 2 {
 		c.mu.Unlock()
@@ -104,9 +121,7 @@ func TestCrossFamilySelection(t *testing.T) {
 
 	// Admissions hand out the selected builder; the histogram records
 	// the family-qualified label.
-	c.mu.Lock()
-	c.sel = c.candidate("gamma", 4)
-	c.mu.Unlock()
+	selectRow(t, c, "gamma", 4)
 	if err := c.Admit(context.Background(), 3); err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +135,12 @@ func TestCrossFamilySelection(t *testing.T) {
 	if st.Selected != "gamma:4" || st.K != 4 {
 		t.Errorf("State selected=%q k=%d, want gamma:4 / 4", st.Selected, st.K)
 	}
-	if len(st.Candidates) != 2 || st.Candidates[0].Proto != "gamma" {
-		t.Errorf("State candidates = %+v, want gamma (Upper 8) first", st.Candidates)
+	var ranked []string
+	for _, row := range st.Candidates {
+		ranked = append(ranked, fmt.Sprintf("%s:%d", row.Proto, row.K))
+	}
+	if got := strings.Join(ranked, " "); got != "beta:4 gamma:4 rateless:4" {
+		t.Errorf("State candidates = %s, want every row in rank order: beta:4 gamma:4 rateless:4", got)
 	}
 	_, _ = bBeta, bRl
 }
@@ -137,8 +156,8 @@ func TestCandidateNoFlap(t *testing.T) {
 
 	// First escalation is dwell-eligible (New backdates lastSwitch).
 	c.retuneK(margins(-14, 10))
-	if c.sel == nil || c.sel.Proto != "gamma" {
-		t.Fatalf("overload did not select gamma: %+v", c.sel)
+	if got := c.label(c.sel); got != "gamma:4" {
+		t.Fatalf("overload did not select gamma: %v", got)
 	}
 	if c.famSwaps != 1 {
 		t.Fatalf("famSwaps = %d after first switch, want 1", c.famSwaps)
@@ -150,8 +169,8 @@ func TestCandidateNoFlap(t *testing.T) {
 		} else {
 			c.retuneK(margins(-14, 10)) // overloaded again
 		}
-		if c.sel == nil || c.sel.Proto != "gamma" {
-			t.Fatalf("window %d flapped the selection to %+v", i, c.sel)
+		if got := c.label(c.sel); got != "gamma:4" {
+			t.Fatalf("window %d flapped the selection to %v", i, got)
 		}
 	}
 	if c.famSwaps != 1 {
@@ -160,8 +179,8 @@ func TestCandidateNoFlap(t *testing.T) {
 	// Once the dwell elapses, a healthy window does return natively.
 	c.lastSwitch = -(1 << 41)
 	c.retuneK(margins(16, 10))
-	if c.sel != nil {
-		t.Fatalf("post-dwell recovery did not return: %+v", c.sel)
+	if got := c.label(c.sel); got != "4" {
+		t.Fatalf("post-dwell recovery did not return: %v", got)
 	}
 	if c.famSwaps != 2 {
 		t.Fatalf("famSwaps = %d, want 2", c.famSwaps)
@@ -170,15 +189,13 @@ func TestCandidateNoFlap(t *testing.T) {
 
 // TestDurableCandidateSelection: a cross-family choice persists as
 // "proto:k" and a restarted controller resumes the session under it,
-// while legacy bare-k records keep resolving to the native family.
+// while bare-k records keep resolving to the native family.
 func TestDurableCandidateSelection(t *testing.T) {
 	ctx := context.Background()
 	st := rstp.NewMemStore()
 
 	c1, _, bGamma, _ := candCtl(t, func(cfg *Config) { cfg.Store = st })
-	c1.mu.Lock()
-	c1.sel = c1.candidate("gamma", 4)
-	c1.mu.Unlock()
+	selectRow(t, c1, "gamma", 4)
 	if err := c1.Admit(ctx, 5); err != nil {
 		t.Fatal(err)
 	}
@@ -212,11 +229,122 @@ func TestDurableCandidateSelection(t *testing.T) {
 		t.Errorf("rateless:4 record resumed %v, want the rateless candidate", got)
 	}
 
+	// A "proto:k" record resolves to its row wherever that row ranks,
+	// even when its family has since become the native one; the row is
+	// then native, so it is counted under the bare k.
+	bG4, bG8 := fakeBuilder{"gamma4"}, fakeBuilder{"gamma8"}
+	c3 := newCtl(t, func(cfg *Config) {
+		cfg.Store = st
+		cfg.Candidates = []Candidate{
+			{Proto: "gamma", K: 8, Builder: bG8, Upper: 5},
+			{Proto: "gamma", K: 4, Builder: bG4, Upper: 8},
+		}
+	})
+	if err := c3.Admit(ctx, 5); err != nil {
+		t.Fatal(err)
+	}
+	if got := c3.BuilderFor(5); got != bG4 {
+		t.Errorf("gamma:4 record under native gamma resumed %v, want the gamma k=4 row", got)
+	}
+	if h := c3.State().KHistogram; h["4"] != 1 {
+		t.Errorf("k histogram = %v, want one admission at 4", h)
+	}
+
 	// Garbage forms read as "no record".
 	for _, raw := range []string{"gamma:", ":4", "gamma:one", "gamma:1"} {
 		st.Save(kKey(9), []byte(raw))
 		if proto, k, ok := storedSel(st, 9); ok {
 			t.Errorf("storedSel accepted %q as %s:%d", raw, proto, k)
+		}
+	}
+}
+
+// TestSelectionTraceMatchesParent replays 400 scripted windows through
+// retuneK over two tables and three dwell regimes — 1 tick, 2^40 ticks,
+// and 2^40 ticks that elapse every 25 windows (so a family switch can
+// be dwell-blocked in both directions) — and compares the State trace
+// (selected row, k, family switches) with the trace recorded from the
+// two-table controller this one replaced: a native k map with a bound
+// lookup, plus a separate foreign list. The real table carries the
+// stack.Build bounds at ctlParams, where gamma never fits when beta
+// k=8 does not; the synthetic one makes gamma reachable. The expected
+// hashes and per-label counts were produced by the same script against
+// that controller.
+func TestSelectionTraceMatchesParent(t *testing.T) {
+	p := ctlParams()
+	build := func(proto string, k int) Candidate {
+		st, err := stack.Build(p, stack.Spec{Proto: proto, K: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Candidate{Proto: proto, K: k, Builder: st.Builder, Lower: st.Lower, Upper: st.Upper}
+	}
+	realRows := []Candidate{build("beta", 4), build("beta", 2), build("beta", 8), build("gamma", 4), build("gamma", 8), build("rateless", 4)}
+	synth := []Candidate{
+		{Proto: "beta", K: 4, Builder: fakeBuilder{"beta4"}, Upper: 16},
+		{Proto: "beta", K: 2, Builder: fakeBuilder{"beta2"}, Upper: 30},
+		{Proto: "beta", K: 8, Builder: fakeBuilder{"beta8"}, Upper: 12},
+		{Proto: "gamma", K: 4, Builder: fakeBuilder{"gamma4"}, Upper: 9},
+		{Proto: "gamma", K: 8, Builder: fakeBuilder{"gamma8"}, Upper: 7},
+		{Proto: "rateless", K: 4, Builder: fakeBuilder{"rateless4"}, Upper: 5},
+	}
+	want := []struct {
+		table  int
+		dwell  int64
+		every  int // > 0: the dwell elapses before every every-th window
+		hash   string
+		counts string
+	}{
+		{0, 1, 0, "acc0f87bc6adb7f9754dd24d0427edee93de417e3d11461bbc6e3b6c6b3000f8", `"2": 127, "4": 115, "8": 98, "rateless:4": 60`},
+		{0, 1 << 40, 0, "12a867518b106a2aa2010d5810a56606cbefc5afa705709312cdecd9279d146c", `"2": 5, "4": 6, "8": 4, "rateless:4": 385`},
+		{0, 1 << 40, 25, "96f53e917f1d0068b95f5fab9830a969d083d6741918c2fa350c5730973208aa", `"2": 89, "4": 94, "8": 82, "rateless:4": 135`},
+		{1, 1, 0, "0285fe929f315d118d1e28cd5a8a4274ef94a3b9c9730ec167a5db1a4c99850b", `"4": 150, "8": 60, "gamma:4": 52, "gamma:8": 45, "rateless:4": 93`},
+		{1, 1 << 40, 0, "5530c072de914c9e70c443ba4280eeffa05cca5c53a47b179c08ecd3e2bffbe6", `"4": 2, "gamma:4": 49, "gamma:8": 36, "rateless:4": 313`},
+		{1, 1 << 40, 25, "fd5ba63ef08d0eb0132cfdc40537b9c02459503a46ff89b74d19bc657fe4c917", `"4": 94, "8": 119, "gamma:4": 31, "gamma:8": 29, "rateless:4": 127`},
+	}
+	bounds := obs.MarginBuckets(0)
+	for _, w := range want {
+		table := [][]Candidate{realRows, synth}[w.table]
+		c := newCtl(t, func(cfg *Config) {
+			cfg.Candidates = table
+			cfg.Dwell = w.dwell
+		})
+		rng := rand.New(rand.NewSource(int64(w.table)*10 + 1))
+		h := sha256.New()
+		counts := map[string]int{}
+		for step := 0; step < 400; step++ {
+			var win obs.HistogramSnapshot // an empty window one time in 14
+			if i := rng.Intn(len(bounds) + 1); i < len(bounds) {
+				win = margins(bounds[i], 10)
+			}
+			c.mu.Lock()
+			if w.every > 0 && step%w.every == 0 {
+				c.lastSwitch = -(1 << 41)
+			}
+			c.retuneK(win)
+			c.mu.Unlock()
+			st := c.State()
+			fmt.Fprintf(h, "%d %s %d %d\n", step, st.Selected, st.K, st.FamilySwitches)
+			label := st.Selected
+			if label == "" {
+				label = fmt.Sprint(st.K)
+			}
+			counts[label]++
+		}
+		labels := make([]string, 0, len(counts))
+		for l := range counts {
+			labels = append(labels, l)
+		}
+		sort.Strings(labels)
+		var got []string
+		for _, l := range labels {
+			got = append(got, fmt.Sprintf("%q: %d", l, counts[l]))
+		}
+		if gotCounts := strings.Join(got, ", "); gotCounts != w.counts {
+			t.Errorf("table %d dwell %d/%d: counts {%s}, want {%s}", w.table, w.dwell, w.every, gotCounts, w.counts)
+		}
+		if gotHash := fmt.Sprintf("%x", h.Sum(nil)); gotHash != w.hash {
+			t.Errorf("table %d dwell %d/%d: trace hash %s, want %s", w.table, w.dwell, w.every, gotHash, w.hash)
 		}
 	}
 }

@@ -11,10 +11,11 @@
 //     that parks new dials while the receiver side is at its session
 //     target, so waiting work queues silently instead of flooding the
 //     channel with frames that can only be refused;
-//   - per-session alphabet-size (k) selection at admit time, from the
-//     paper's effort bound tables (Thm 5.3/5.6 lower, Lemma 6.1/§6.2
-//     upper): the smallest k whose predicted per-message effort —
-//     scaled by the measured slowdown — still fits the δ1·c2 deadline;
+//   - per-session alphabet-size (k) selection at admit time, from one
+//     ranked table of candidate stacks and their effort upper bounds
+//     (Lemma 6.1/§6.2): the smallest native k whose predicted
+//     per-message effort — scaled by the measured slowdown — still fits
+//     the δ1·c2 deadline, or another family when no native k does;
 //   - forced eviction/retirement of the least-productive sessions at
 //     the ladder's top rungs.
 //
@@ -52,30 +53,26 @@ type Config struct {
 	// Params are the timing constants; the deadline δ1·c2 derives from
 	// them.
 	Params rstp.Params
-	// Proto names the native family: "alpha", "beta" or "gamma" (default
-	// "beta").
-	Proto string
-	// DefaultK is the k the mux's default Solution uses — the selection
-	// starting point and the k reported before the first retune.
-	DefaultK int
-	// Candidates is the selection table. A candidate whose Proto equals
-	// Proto is a native row: its bounds come from rstp.EffortTable, and
-	// k-selection picks among exactly these rows. Every other candidate
-	// is a cross-family escape hatch (gamma, rateless) carrying its own
-	// effort bounds. The controller leaves the native family only when
-	// no native k meets the deadline and a foreign candidate does, and
-	// family switches are dwell-limited (see retuneK), so a candidate
-	// whose bound sits near a native row cannot flap the selection. An
-	// empty list disables selection (every admission uses the mux's
-	// Config.Solution).
+	// Candidates is the selection table. Candidates[0] is the served
+	// stack (the mux's Config.Solution): its family is the native family
+	// and it is the selection until the first retune. The controller
+	// ranks the rows — native rows first, then by Upper descending, ties
+	// by K ascending — and each retune selects the first ranked row that
+	// fits the scaled deadline. Because a family's upper bound never
+	// rises with k, that is the smallest fitting native k, and a foreign
+	// row (gamma, rateless) is selected only when no native row fits.
+	// Moves between the native and a foreign family are dwell-limited
+	// (see retuneK), so a row whose bound sits near a native row cannot
+	// flap the selection. An empty list disables selection (every
+	// admission uses the mux's Config.Solution).
 	Candidates []Candidate
-	// Store, when non-nil, persists each admitted session's chosen k
+	// Store, when non-nil, persists each admitted session's selected row
 	// under "s<id>/k" — alongside the stabilized layer's own "s<id>/"
 	// checkpoint keys — and consults it first on admission. A durable
 	// restart (same store directory, same session IDs) then resumes every
-	// session under the k its persisted protocol state was written with,
-	// instead of collapsing to DefaultK. Cross-family selections persist
-	// as "proto:k" under the same key.
+	// session under the row its persisted protocol state was written
+	// with, instead of collapsing to Candidates[0]. Native rows persist
+	// as the bare k, foreign rows as "proto:k".
 	Store rstp.StateStore
 
 	// Interval is the control tick period in ticks (default 8·d).
@@ -99,9 +96,6 @@ type Config struct {
 	// the sessions that do hold slots. Zero disables the gate.
 	TargetSessions int
 
-	// Enter/Exit override the ladder thresholds when any entry is
-	// nonzero. Defaults: enter 0.25/1/2/4, exit at half of enter.
-	Enter, Exit [numLevels - 1]float64
 	// RefuseScale normalises the windowed server-refusal count into
 	// pressure units: RefuseScale refused frames per window count as
 	// 1.0 pressure (default 64).
@@ -119,13 +113,9 @@ type Candidate struct {
 	// Builder realises the candidate.
 	Builder session.PairBuilder
 	// Lower and Upper are the candidate's effort bounds in ticks per
-	// message, the same units as the native rstp.EffortTable rows. A
-	// native row's bounds are read from the table instead.
+	// message. Upper is what selection compares against the deadline.
 	Lower, Upper float64
 }
-
-// label is the candidate's histogram / persistence identity.
-func (cd Candidate) label() string { return fmt.Sprintf("%s:%d", cd.Proto, cd.K) }
 
 // CandidateRow is a Candidate without its builder — the serializable
 // shape State exposes at /control.
@@ -200,7 +190,6 @@ type Controller struct {
 	cfg      Config
 	acts     Actuators
 	deadline int64 // δ1·c2
-	table    []rstp.EffortRow
 
 	marginHist *obs.Histogram
 	writes     *obs.Counter
@@ -216,16 +205,11 @@ type Controller struct {
 	rng      *rand.Rand
 	ladder   Ladder
 	pressure float64
-	curK     int
 
-	// native maps each native row's k to its builder. Cross-family
-	// selection: cands is the foreign part of Config.Candidates sorted
-	// by Upper descending (most expensive first, mirroring "smallest
-	// fitting k" in the native table); sel points into it while a
-	// foreign family is selected, nil while the native family is.
-	native     map[int]session.PairBuilder
+	// cands is Config.Candidates in rank order (see Config.Candidates);
+	// sel indexes the selected row.
 	cands      []Candidate
-	sel        *Candidate
+	sel        int
 	lastSwitch int64
 	famSwaps   int64
 
@@ -248,7 +232,7 @@ type Controller struct {
 	levelTicks                 [numLevels]int64
 }
 
-// New validates the config, builds the bound table and registers the
+// New validates the config, ranks the candidates and registers the
 // controller's metrics. The controller is inert (and admits everything
 // unpaced at LevelNormal) until Start.
 func New(cfg Config) (*Controller, error) {
@@ -260,9 +244,6 @@ func New(cfg Config) (*Controller, error) {
 	}
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Proto == "" {
-		cfg.Proto = "beta"
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 8 * cfg.Params.D
@@ -279,72 +260,54 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.RefuseScale <= 0 {
 		cfg.RefuseScale = 64
 	}
-	enter := cfg.Enter
-	exit := cfg.Exit
-	if enter == ([numLevels - 1]float64{}) {
-		enter = [numLevels - 1]float64{0.25, 1, 2, 4}
-	}
-	if exit == ([numLevels - 1]float64{}) {
-		for i := range exit {
-			exit[i] = enter[i] / 2
-		}
-	}
-
-	native := make(map[int]session.PairBuilder)
-	cands := make([]Candidate, 0, len(cfg.Candidates))
-	for i, cd := range cfg.Candidates {
+	cands := append([]Candidate(nil), cfg.Candidates...)
+	for i, cd := range cands {
 		if cd.Builder == nil {
-			return nil, fmt.Errorf("control: candidate %d (%s) has no builder", i, cd.label())
+			return nil, fmt.Errorf("control: candidate %d (%s:%d) has no builder", i, cd.Proto, cd.K)
 		}
 		if cd.Proto == "" {
 			return nil, fmt.Errorf("control: candidate %d names no family", i)
 		}
-		if cd.Proto == cfg.Proto {
-			native[cd.K] = cd.Builder
-			continue
-		}
 		if cd.K < 2 || cd.Upper <= 0 {
-			return nil, fmt.Errorf("control: candidate %d (%s) needs k >= 2 and a positive upper bound", i, cd.label())
-		}
-		cands = append(cands, cd)
-	}
-	ks := make([]int, 0, len(native))
-	for k := range native {
-		ks = append(ks, k)
-	}
-	table := rstp.EffortTable(cfg.Params, cfg.Proto, ks)
-	// Keep only rows a builder can realise: a bound without a builder is
-	// a prediction the controller cannot act on.
-	kept := table[:0]
-	for _, row := range table {
-		if _, ok := native[row.K]; ok {
-			kept = append(kept, row)
+			return nil, fmt.Errorf("control: candidate %d (%s:%d) needs k >= 2 and a positive upper bound", i, cd.Proto, cd.K)
 		}
 	}
-	table = kept
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Upper != cands[j].Upper {
-			return cands[i].Upper > cands[j].Upper
+	var served Candidate
+	if len(cands) > 0 {
+		served = cands[0]
+	}
+	sort.SliceStable(cands, func(i, j int) bool {
+		a, b := cands[i], cands[j]
+		if an, bn := a.Proto == served.Proto, b.Proto == served.Proto; an != bn {
+			return an
 		}
-		return cands[i].K < cands[j].K
+		if a.Upper != b.Upper {
+			return a.Upper > b.Upper
+		}
+		return a.K < b.K
 	})
+	sel := 0
+	for i, cd := range cands {
+		if cd.Proto == served.Proto && cd.K == served.K {
+			sel = i
+			break
+		}
+	}
 
 	c := &Controller{
 		cfg:        cfg,
 		deadline:   int64(cfg.Params.Delta1()) * cfg.Params.C2,
-		table:      table,
-		native:     native,
 		cands:      cands,
+		sel:        sel,
 		lastSwitch: -cfg.Dwell, // the first needed family switch is never dwell-blocked
 		done:       make(chan struct{}),
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		curK:       cfg.DefaultK,
 		missBase:   -1,
 		perSession: make(map[uint32]session.PairBuilder),
 		tombstones: make(map[uint32]struct{}),
 		kHist:      make(map[string]int64),
 	}
-	c.ladder = Ladder{Enter: enter, Exit: exit, Dwell: cfg.Dwell}
+	c.ladder = Ladder{Enter: ladderEnter, Exit: ladderExit, Dwell: cfg.Dwell}
 
 	// Sensor handles, via get-or-create: the session layer registers the
 	// same names with the same shapes, so both hold one instance.
@@ -530,87 +493,72 @@ func (c *Controller) tick() {
 	c.mu.Unlock()
 }
 
-// retuneK re-selects the admission-time alphabet size, holding c.mu.
-// The paper's upper bound Upper(k) predicts per-message effort under a
-// correct channel; the measured median gap over the current window,
-// divided by the current selection's Upper, is the live slowdown
-// factor. The controller picks the smallest k whose scaled prediction
-// still fits the deadline — smallest because packet size grows with k
-// (§6) and the cheapest alphabet that meets δ1·c2 is the efficient
-// choice — falling back to the largest candidate (cheapest effort) when
-// nothing fits.
+// retuneK re-selects the admission-time candidate, holding c.mu. The
+// paper's upper bound Upper predicts per-message effort under a correct
+// channel; the measured median gap over the current window, divided by
+// the selected row's Upper, is the live slowdown factor. The controller
+// picks the first ranked row whose scaled prediction still fits the
+// deadline: the smallest fitting native k — smallest because packet
+// size grows with k (§6) and the cheapest alphabet that meets δ1·c2 is
+// the efficient choice — and a foreign family only when no native row
+// fits. When nothing fits, a native selection falls back to the
+// cheapest native row and a foreign selection holds its row.
 //
-// With Config.Candidates set, a second cross-family step runs on top:
-// the controller leaves the native family only when no native k meets
-// the scaled deadline and a foreign candidate does, and it returns only
-// once the native family fits again. Family switches — in either
-// direction — are limited to one per dwell window, so a candidate whose
-// bound lands near a native row cannot flap the selection on a noisy
-// slowdown estimate (the same hysteresis discipline as the ladder).
+// Moves between the native and a foreign family — in either direction
+// — are limited to one per dwell window, so a foreign row whose bound
+// lands near a native row cannot flap the selection on a noisy slowdown
+// estimate (the same hysteresis discipline as the ladder). Moves within
+// the native rows, or among the foreign ones, are immediate.
 func (c *Controller) retuneK(win obs.HistogramSnapshot) {
-	if len(c.table) == 0 && len(c.cands) == 0 {
-		return
-	}
-	curUpper := 0.0
-	if c.sel != nil {
-		curUpper = c.sel.Upper
-	} else {
-		for _, row := range c.table {
-			if row.K == c.curK {
-				curUpper = row.Upper
-				break
-			}
-		}
-	}
-	slow := 1.0
-	if win.Count > 0 && curUpper > 0 {
-		if med := float64(c.deadline - obs.BucketQuantile(win, 0.5)); med > curUpper {
-			slow = med / curUpper
-		}
-	}
-	deadline := float64(c.deadline)
-	nativeFits := false
-	if len(c.table) > 0 {
-		pick := c.table[len(c.table)-1].K
-		for _, row := range c.table {
-			if slow*row.Upper <= deadline {
-				pick = row.K
-				nativeFits = true
-				break
-			}
-		}
-		c.curK = pick
-	}
 	if len(c.cands) == 0 {
 		return
 	}
-	var want *Candidate
-	if !nativeFits {
-		for i := range c.cands {
-			if slow*c.cands[i].Upper <= deadline {
-				want = &c.cands[i]
-				break
-			}
-		}
-		if want == nil {
-			want = c.sel // nothing fits anywhere: hold the current family
+	cur := c.cands[c.sel].Upper
+	slow := 1.0
+	if win.Count > 0 {
+		if med := float64(c.deadline - obs.QuantileOrFloor(win, 0.5)); med > cur {
+			slow = med / cur
 		}
 	}
-	now := c.cfg.Clock.Now()
-	switch {
-	case want == nil && c.sel != nil && now-c.lastSwitch >= c.cfg.Dwell:
-		c.sel = nil
-		c.lastSwitch = now
-		c.famSwaps++
-	case want != nil && c.sel == nil && now-c.lastSwitch >= c.cfg.Dwell:
-		c.sel = want
-		c.lastSwitch = now
-		c.famSwaps++
-	case want != nil && c.sel != nil && want != c.sel:
-		// Both foreign: moves inside the candidate list stay immediate,
-		// exactly like within-family k moves in the native table.
-		c.sel = want
+	pick := -1
+	for i, cd := range c.cands {
+		if slow*cd.Upper <= float64(c.deadline) {
+			pick = i
+			break
+		}
 	}
+	native := c.isNative(c.sel)
+	if pick >= 0 && c.isNative(pick) != native {
+		if now := c.cfg.Clock.Now(); now-c.lastSwitch >= c.cfg.Dwell {
+			c.sel, c.lastSwitch = pick, now
+			c.famSwaps++
+			return
+		}
+		pick = -1 // dwell-blocked: as if nothing fit
+	}
+	if pick < 0 {
+		if !native {
+			return
+		}
+		pick = 0
+		for pick+1 < len(c.cands) && c.isNative(pick+1) {
+			pick++
+		}
+	}
+	c.sel = pick
+}
+
+// isNative reports whether ranked row i belongs to the native family,
+// the family of the served stack (which ranks first).
+func (c *Controller) isNative(i int) bool { return c.cands[i].Proto == c.cands[0].Proto }
+
+// label is ranked row i's histogram and persistence identity: the bare
+// k for a native row, "proto:k" for a foreign one.
+func (c *Controller) label(i int) string {
+	if c.isNative(i) {
+		return strconv.Itoa(c.cands[i].K)
+	}
+	return fmt.Sprintf("%s:%d", c.cands[i].Proto, c.cands[i].K)
 }
 
 // sleepTicks blocks for the given tick count. It reports stopped=true
@@ -709,55 +657,38 @@ func (c *Controller) Admit(ctx context.Context, id uint32) error {
 	c.mu.Lock()
 	var b session.PairBuilder
 	var label string
-	if len(c.table) > 0 || len(c.cands) > 0 {
+	if len(c.cands) > 0 {
 		// A session resuming from a durable store must reconstruct under
-		// the selection its checkpoints were written with, not whatever
-		// the ladder currently favors; the record wins whenever a builder
-		// for it still exists. (If the operator changed the candidate set
-		// between runs, fall through to the current selection — the
-		// stabilized layer then re-transfers rather than resumes.)
+		// the row its checkpoints were written with, not whatever the
+		// ladder currently favors; the record wins whenever that row still
+		// exists. (If the operator changed the candidate set between runs,
+		// fall through to the current selection — the stabilized layer
+		// then re-transfers rather than resumes.)
+		i := c.sel
 		if c.cfg.Store != nil {
 			if proto, rk, ok := storedSel(c.cfg.Store, id); ok {
 				if proto == "" {
-					if bk, has := c.native[rk]; has {
-						b, label = bk, strconv.Itoa(rk)
+					proto = c.cands[0].Proto
+				}
+				for j, cd := range c.cands {
+					if cd.Proto == proto && cd.K == rk {
+						i = j
+						break
 					}
-				} else if cd := c.candidate(proto, rk); cd != nil {
-					b, label = cd.Builder, cd.label()
 				}
 			}
 		}
-		if b == nil {
-			if c.sel != nil {
-				b, label = c.sel.Builder, c.sel.label()
-			} else if bk, ok := c.native[c.curK]; ok {
-				b, label = bk, strconv.Itoa(c.curK)
-			}
-		}
-		if b != nil {
-			c.kHist[label]++
-		}
+		b, label = c.cands[i].Builder, c.label(i)
+		c.kHist[label]++
 	}
 	c.perSession[id] = b // recorded even when nil: marks the ID as admitted
 	delete(c.tombstones, id)
 	c.mu.Unlock()
 	// The save happens outside c.mu: a durable store fsyncs, and the
-	// control tick must not wait on the disk. Native selections persist
-	// as the bare k (the pre-candidate format), foreign ones as
-	// "proto:k" — storedSel reads both.
+	// control tick must not wait on the disk. Native rows persist as the
+	// bare k, foreign ones as "proto:k" — storedSel reads both.
 	if label != "" && c.cfg.Store != nil {
 		c.cfg.Store.Save(kKey(id), []byte(label))
-	}
-	return nil
-}
-
-// candidate returns the configured candidate for (proto, k), nil if
-// none.
-func (c *Controller) candidate(proto string, k int) *Candidate {
-	for i := range c.cands {
-		if c.cands[i].Proto == proto && c.cands[i].K == k {
-			return &c.cands[i]
-		}
 	}
 	return nil
 }
@@ -783,9 +714,9 @@ func storedK(store rstp.StateStore, id uint32) (int, bool) {
 	return k, true
 }
 
-// storedSel reads a persisted selection, which is either the legacy
-// bare-k format (proto returned as "", meaning the native family) or
-// the cross-family "proto:k" form. Garbage reads as "no record".
+// storedSel reads a persisted selection, which is either the bare-k
+// format (proto returned as "", meaning the native family) or the
+// "proto:k" form. Garbage reads as "no record".
 func storedSel(store rstp.StateStore, id uint32) (proto string, k int, ok bool) {
 	raw, lok := store.Load(kKey(id))
 	if !lok || len(raw) == 0 {
@@ -868,12 +799,12 @@ type State struct {
 	Retires         int64            `json:"retires"`
 	KHistogram      map[string]int64 `json:"k_histogram,omitempty"`
 	LevelDwellTicks map[string]int64 `json:"level_dwell_ticks"`
-	BoundTable      []rstp.EffortRow `json:"bound_table,omitempty"`
-	// Selected names the cross-family candidate currently selected
-	// ("gamma:4", "rateless:4"), empty while the native family is.
-	Selected       string         `json:"selected,omitempty"`
-	FamilySwitches int64          `json:"family_switches,omitempty"`
-	Candidates     []CandidateRow `json:"candidates,omitempty"`
+	// Selected names the foreign row currently selected ("gamma:4",
+	// "rateless:4"), empty while the native family is.
+	Selected       string `json:"selected,omitempty"`
+	FamilySwitches int64  `json:"family_switches,omitempty"`
+	// Candidates lists every row in rank order.
+	Candidates []CandidateRow `json:"candidates,omitempty"`
 }
 
 // State snapshots the controller.
@@ -883,7 +814,6 @@ func (c *Controller) State() State {
 	s := State{
 		Level:           c.ladder.Current().String(),
 		Pressure:        c.pressure,
-		K:               c.curK,
 		Ticks:           c.ticks,
 		Paced:           c.paced,
 		PaceTicks:       c.paceTicks,
@@ -894,7 +824,7 @@ func (c *Controller) State() State {
 		Evictions:       c.evicts,
 		Retires:         c.retires,
 		LevelDwellTicks: make(map[string]int64, numLevels),
-		BoundTable:      c.table,
+		FamilySwitches:  c.famSwaps,
 	}
 	if len(c.kHist) > 0 {
 		s.KHistogram = make(map[string]int64, len(c.kHist))
@@ -902,11 +832,12 @@ func (c *Controller) State() State {
 			s.KHistogram[label] = n
 		}
 	}
-	if c.sel != nil {
-		s.Selected = c.sel.label()
-		s.K = c.sel.K
+	if len(c.cands) > 0 {
+		s.K = c.cands[c.sel].K
+		if !c.isNative(c.sel) {
+			s.Selected = c.label(c.sel)
+		}
 	}
-	s.FamilySwitches = c.famSwaps
 	for _, cd := range c.cands {
 		s.Candidates = append(s.Candidates, CandidateRow{Proto: cd.Proto, K: cd.K, Lower: cd.Lower, Upper: cd.Upper})
 	}
@@ -939,13 +870,13 @@ func (c *Controller) instrument(reg *obs.Registry) {
 	reg.GaugeFunc("rstp_control_k",
 		"alphabet size the next admission will select",
 		locked(func() int64 {
-			if c.sel != nil {
-				return int64(c.sel.K)
+			if len(c.cands) == 0 {
+				return 0
 			}
-			return int64(c.curK)
+			return int64(c.cands[c.sel].K)
 		}))
 	reg.CounterFunc("rstp_control_family_switches_total",
-		"cross-family selection switches (native <-> candidate)",
+		"cross-family selection switches (native <-> foreign row)",
 		locked(func() int64 { return c.famSwaps }))
 	reg.CounterFunc("rstp_control_ticks_total",
 		"control loop iterations", locked(func() int64 { return c.ticks }))

@@ -11,6 +11,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rstp"
 	"repro/internal/session"
+	"repro/internal/stack"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -144,38 +145,39 @@ func margins(med int64, n int64) obs.HistogramSnapshot {
 	}
 }
 
-// TestKSelection exercises retuneK against a synthetic bound table:
+// TestKSelection exercises retuneK against synthetic bounds:
 // healthy windows pick the smallest k whose predicted effort fits the
 // δ1·c2 deadline; a measured slowdown scales the prediction and forces
 // a larger (cheaper-per-message) alphabet; recovery returns.
 func TestKSelection(t *testing.T) {
 	b2, b4, b8 := fakeBuilder{"k2"}, fakeBuilder{"k4"}, fakeBuilder{"k8"}
 	c := newCtl(t, func(cfg *Config) {
-		cfg.Candidates = []Candidate{{Proto: "beta", K: 2, Builder: b2}, {Proto: "beta", K: 4, Builder: b4}, {Proto: "beta", K: 8, Builder: b8}}
-		cfg.DefaultK = 4
+		// Deadline δ1·c2 = 6·3 = 18. Synthetic predictions: k=2 never
+		// fits, k=4 fits at slowdown 1, only k=8 fits at slowdown 2.
+		cfg.Candidates = []Candidate{
+			{Proto: "beta", K: 4, Builder: b4, Upper: 16},
+			{Proto: "beta", K: 2, Builder: b2, Upper: 30},
+			{Proto: "beta", K: 8, Builder: b8, Upper: 9},
+		}
 	})
-	// Deadline δ1·c2 = 6·3 = 18. Synthetic predictions: k=2 never fits,
-	// k=4 fits at slowdown 1, only k=8 fits at slowdown 2.
 	c.mu.Lock()
-	c.table = []rstp.EffortRow{{K: 2, Upper: 30}, {K: 4, Upper: 16}, {K: 8, Upper: 9}}
-
 	c.retuneK(obs.HistogramSnapshot{}) // empty window: predictions alone
-	if c.curK != 4 {
+	if got := c.label(c.sel); got != "4" {
 		c.mu.Unlock()
-		t.Fatalf("healthy k = %d, want 4 (smallest fitting the deadline)", c.curK)
+		t.Fatalf("healthy k = %s, want 4 (smallest fitting the deadline)", got)
 	}
 	// Median margin -14 → median gap 32 → slowdown 32/16 = 2: only
 	// 2·Upper(8) = 18 still fits.
 	c.retuneK(margins(-14, 10))
-	if c.curK != 8 {
+	if got := c.label(c.sel); got != "8" {
 		c.mu.Unlock()
-		t.Fatalf("overloaded k = %d, want 8", c.curK)
+		t.Fatalf("overloaded k = %s, want 8", got)
 	}
 	// Healthy again (median gap 2 < Upper(8)): back to the smallest k.
 	c.retuneK(margins(16, 10))
-	if c.curK != 4 {
+	if got := c.label(c.sel); got != "4" {
 		c.mu.Unlock()
-		t.Fatalf("recovered k = %d, want 4", c.curK)
+		t.Fatalf("recovered k = %s, want 4", got)
 	}
 	c.mu.Unlock()
 
@@ -188,6 +190,38 @@ func TestKSelection(t *testing.T) {
 	}
 	if st := c.State(); st.KHistogram["4"] != 1 {
 		t.Errorf("k histogram = %v, want one admission at k=4", st.KHistogram)
+	}
+}
+
+// TestKSelectionReadsOverflowAsSlack: a window whose median margin lies
+// past the last finite margin bucket (32) has more slack than one whose
+// median is 32, never less. Reading that overflow as a zero margin —
+// a median gap as long as the whole deadline — kept a large alphabet
+// on an idle system while a slower window moved to the smaller one.
+func TestKSelectionReadsOverflowAsSlack(t *testing.T) {
+	p := rstp.Params{C1: 2, C2: 3, D: 40} // deadline δ1·c2 = 60
+	row := func(k int) Candidate {
+		st, err := stack.Build(p, stack.Spec{Proto: "beta", K: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Candidate{Proto: "beta", K: k, Builder: st.Builder, Lower: st.Lower, Upper: st.Upper}
+	}
+	for _, gap := range []int64{20, 40} {
+		c := newCtl(t, func(cfg *Config) {
+			cfg.Params = p
+			cfg.Candidates = []Candidate{row(8), row(4)} // Upper 6.32 and 12
+		})
+		for i := 0; i < 10; i++ {
+			c.marginHist.Observe(c.deadline - gap)
+		}
+		c.mu.Lock()
+		c.retuneK(c.marginHist.Snapshot())
+		got := c.label(c.sel)
+		c.mu.Unlock()
+		if got != "4" {
+			t.Errorf("ten writes at gap %d (margin %d): k = %s, want 4", gap, c.deadline-gap, got)
+		}
 	}
 }
 

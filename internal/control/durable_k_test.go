@@ -25,8 +25,7 @@ func TestDurableKSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	c1 := newCtl(t, func(cfg *Config) {
-		cfg.Candidates = []Candidate{{Proto: "beta", K: 8, Builder: b8}}
-		cfg.DefaultK = 8
+		cfg.Candidates = []Candidate{{Proto: "beta", K: 8, Builder: b8, Upper: 9}}
 		cfg.Store = s1
 	})
 	if err := c1.Admit(ctx, 1); err != nil {
@@ -48,8 +47,7 @@ func TestDurableKSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	c2 := newCtl(t, func(cfg *Config) {
-		cfg.Candidates = []Candidate{{Proto: "beta", K: 4, Builder: b4}, {Proto: "beta", K: 8, Builder: b8}}
-		cfg.DefaultK = 4
+		cfg.Candidates = []Candidate{{Proto: "beta", K: 4, Builder: b4, Upper: 16}, {Proto: "beta", K: 8, Builder: b8, Upper: 9}}
 		cfg.Store = s2
 	})
 	if err := c2.Admit(ctx, 1); err != nil {
@@ -79,8 +77,7 @@ func TestDurableKSurvivesRestart(t *testing.T) {
 	}
 	defer s3.Close()
 	c3 := newCtl(t, func(cfg *Config) {
-		cfg.Candidates = []Candidate{{Proto: "beta", K: 4, Builder: b4}}
-		cfg.DefaultK = 4
+		cfg.Candidates = []Candidate{{Proto: "beta", K: 4, Builder: b4, Upper: 16}}
 		cfg.Store = s3
 	})
 	if err := c3.Admit(ctx, 1); err != nil {

@@ -47,6 +47,14 @@ func (l Level) String() string {
 	}
 }
 
+// The controller's ladder thresholds: rung i+1 is entered at pressure
+// >= ladderEnter[i] and left at pressure <= ladderExit[i], half the
+// entry threshold.
+var (
+	ladderEnter = [numLevels - 1]float64{0.25, 1, 2, 4}
+	ladderExit  = [numLevels - 1]float64{0.125, 0.5, 1, 2}
+)
+
 // Ladder is the escalation hysteresis state machine: a pure, lock-free
 // value (the Controller serialises access) mapping a scalar pressure
 // signal onto a Level with three flap defenses —

@@ -87,7 +87,7 @@ func runOverloadSoak(t testing.TB, adaptive bool, workers int, dur, perSession t
 		if err != nil {
 			t.Fatal(err)
 		}
-		cands = append(cands, Candidate{Proto: "beta", K: k, Builder: rstp.Harden(s, rstp.HardenOptions{})})
+		cands = append(cands, Candidate{Proto: "beta", K: k, Builder: rstp.Harden(s, rstp.HardenOptions{}), Upper: rstp.BetaUpperBound(p, k)})
 		xBits = lcm(xBits, s.BlockBits)
 	}
 
@@ -107,9 +107,9 @@ func runOverloadSoak(t testing.TB, adaptive bool, workers int, dur, perSession t
 	if adaptive {
 		var err error
 		ctrl, err = New(Config{
-			Registry: reg, Clock: clock, Params: p, Proto: "beta",
-			Candidates: cands, DefaultK: 4,
-			Interval: 2 * p.D, Dwell: 8 * p.D, PaceTicks: 16 * p.D,
+			Registry: reg, Clock: clock, Params: p,
+			Candidates: cands,
+			Interval:   2 * p.D, Dwell: 8 * p.D, PaceTicks: 16 * p.D,
 			Seed:           seed,
 			RefuseScale:    8,
 			TargetSessions: soakServerSlots,

@@ -29,11 +29,11 @@ func testInput(t *testing.T, o Options, blocks int) []wire.Bit {
 // chanOpts models the lossy, reordering, corrupting channel between a
 // transmitter and receiver stepped in lockstep.
 type chanOpts struct {
-	dropSym func(n int) bool     // drop the nth coded symbol (0-based)
-	dropAck func(n int) bool     // drop the nth ack
+	dropSym func(n int) bool             // drop the nth coded symbol (0-based)
+	dropAck func(n int) bool             // drop the nth ack
 	mutate  func(n int, recv *wire.Recv) // corrupt the nth symbol in flight
-	reorder int                  // >0: hold up to this many symbols, deliver in seeded random order
-	seed    uint64               // reorder randomness
+	reorder int                          // >0: hold up to this many symbols, deliver in seeded random order
+	seed    uint64                       // reorder randomness
 }
 
 // runPair drives one transmitter/receiver pair through the channel until

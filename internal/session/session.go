@@ -191,13 +191,11 @@ type Config struct {
 	// the tombstone path. δ1·c2 is the paper's per-message effort bound —
 	// the longest a healthy session can legally take between consecutive
 	// writes — so k is "how many worst-case message times of silence
-	// before giving up". 0 disables the watchdog.
+	// before giving up". 0 disables the watchdog. An automaton that
+	// implements Resyncer (the stabilized layer's endpoints do) is
+	// resynchronized once before it is force-retired, giving the
+	// protocol one wedge-window-long chance to heal in place.
 	WatchdogK int
-	// WatchdogResync makes the watchdog pull the automaton's Resyncer
-	// hook (if implemented — the stabilized layer's endpoints do) once
-	// per session before force-retiring, giving the protocol one
-	// wedge-window-long chance to heal in place.
-	WatchdogResync bool
 	// Obs wires the mux into an observability registry: endpoint counters,
 	// the interwrite/deadline-margin/effort-gap histograms, protocol trace
 	// events, and the Server's live per-session introspection table. nil
@@ -446,16 +444,16 @@ func (e *endpoint) record(t int64, actor string, act ioa.Action, pktSeq int64) {
 
 // checkProgress is the per-session progress watchdog, run each step for
 // server-side endpoints: a session whose output tape grew by nothing for
-// window ticks is wedged. With WatchdogResync set and an automaton that
-// implements Resyncer, the first trip instead forces a protocol
-// resynchronization and re-arms the window, so a session the stabilized
-// layer can still heal gets exactly one wedge-window-long chance before
-// the force-retire. Returns false when the endpoint must retire.
+// window ticks is wedged. For an automaton that implements Resyncer,
+// the first trip instead forces a protocol resynchronization and re-arms
+// the window, so a session the stabilized layer can still heal gets
+// exactly one wedge-window-long chance before the force-retire. Returns
+// false when the endpoint must retire.
 func (e *endpoint) checkProgress(now, window int64) bool {
 	if now-e.lastProgress <= window {
 		return true
 	}
-	if e.m.cfg.WatchdogResync && e.resyncs == 0 {
+	if e.resyncs == 0 {
 		if rs, ok := e.auto.(Resyncer); ok {
 			e.resyncs++
 			e.lastProgress = now // re-arm: one full window to heal

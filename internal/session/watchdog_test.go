@@ -79,15 +79,14 @@ func TestWatchdogRetiresWedgedSession(t *testing.T) {
 }
 
 // TestWatchdogResyncBeforeRetire pins the stabilized-stack integration:
-// with WatchdogResync set and a session built by the stabilizing layer,
-// the first wedge window triggers one ForceResync (the protocol's own
-// recovery handshake) and re-arms; only the second window force-retires.
+// with a session built by the stabilizing layer, the first wedge window
+// triggers one ForceResync (the protocol's own recovery handshake) and
+// re-arms; only the second window force-retires.
 func TestWatchdogResyncBeforeRetire(t *testing.T) {
 	sol := rstp.Stabilize(mustBeta(t, 4), rstp.StabilizeOptions{})
 	cfg, mem := memConfig(t, sol, nil)
 	cfg.IdleTicks = -1
 	cfg.WatchdogK = 4
-	cfg.WatchdogResync = true
 	srv, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -84,7 +84,7 @@ func TestBuildRefusesIllegal(t *testing.T) {
 }
 
 // TestBuildBoundsMatchEffortTable: the bounds of a native-family stack
-// are exactly the rstp.EffortTable row the controller selects against.
+// are exactly the rstp.EffortTable row for its family and k.
 func TestBuildBoundsMatchEffortTable(t *testing.T) {
 	p := params()
 	for _, proto := range []string{"alpha", "beta", "gamma"} {
@@ -96,6 +96,34 @@ func TestBuildBoundsMatchEffortTable(t *testing.T) {
 			rows := rstp.EffortTable(p, proto, []int{k})
 			if len(rows) != 1 || rows[0].Lower != st.Lower || rows[0].Upper != st.Upper {
 				t.Errorf("%s: bounds %v/%v, EffortTable %+v", st.Builder, st.Lower, st.Upper, rows)
+			}
+		}
+	}
+}
+
+// TestUpperNeverRisesWithK: within each family the effort upper bound
+// never rises as k grows. The controller ranks its candidates by Upper
+// descending and takes the first that fits, which is "the smallest
+// fitting k" only because of this.
+func TestUpperNeverRisesWithK(t *testing.T) {
+	for _, p := range []rstp.Params{
+		{C1: 2, C2: 3, D: 12},
+		{C1: 1, C2: 1, D: 4},
+		{C1: 1, C2: 2, D: 7},
+		{C1: 3, C2: 5, D: 20},
+		{C1: 2, C2: 3, D: 40},
+	} {
+		for _, proto := range []string{"beta", "gamma", "rateless"} {
+			prev := 0.0
+			for k := 2; k <= 32; k++ {
+				st, err := Build(p, Spec{Proto: proto, K: k})
+				if err != nil {
+					t.Fatalf("%+v %s k=%d: %v", p, proto, k, err)
+				}
+				if k > 2 && st.Upper > prev {
+					t.Errorf("%+v %s: Upper rises from %v at k=%d to %v at k=%d", p, proto, prev, k-1, st.Upper, k)
+				}
+				prev = st.Upper
 			}
 		}
 	}

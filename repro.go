@@ -385,11 +385,10 @@ type (
 	ServeAggregate = session.Aggregate
 )
 
-// Surviving a bad network: fault-injecting chaos middleware and
-// the server-side overload/watchdog knobs on ServeConfig (Shed,
-// WatchdogK, WatchdogResync). Loss recovery itself belongs to the
-// protocol stack (the hardened layer's retransmission, the rateless
-// code). See DESIGN.md ("Surviving a bad network").
+// Surviving a bad network: fault-injecting chaos middleware and the
+// server-side overload/watchdog knobs on ServeConfig (Shed, WatchdogK).
+// Loss recovery itself belongs to the protocol stack (the hardened
+// layer's retransmission, the rateless code). See DESIGN.md ("Surviving a bad network").
 type (
 	// ChaosTransport applies a seeded fault plan to any inner Transport —
 	// the chaos matrix over a real network path.
@@ -496,7 +495,9 @@ type (
 	// ServeConfig.Solution and each ControlCandidate hold (every
 	// Solution, HardenedSolution and StabilizedSolution is one).
 	PairBuilder = session.PairBuilder
-	// ControlConfig configures the adaptive controller.
+	// ControlConfig configures the adaptive controller. Its Candidates
+	// are one ranked selection table: native rows first, then by effort
+	// upper bound descending.
 	ControlConfig = control.Config
 	// ControlActuators are the mux-side hooks the controller drives
 	// (late-bound via Controller.Bind).
@@ -540,10 +541,11 @@ type (
 	// the session layer's tape-resume hook, so a durable restart skips
 	// the bits already written.
 	RatelessReceiver = rateless.Receiver
-	// ControlCandidate is one row of ControlConfig.Candidates: a native
-	// k of ControlConfig.Proto, or a cross-family escape hatch such as
-	// the rateless pair behind a native β table (see cmd/rstpserve's
-	// -adaptive wiring).
+	// ControlCandidate is one row of ControlConfig.Candidates: a builder
+	// with its family, k and effort bounds. The first row is the served
+	// stack and names the native family; the other rows are its other k
+	// or cross-family escape hatches such as the rateless pair behind a
+	// native β stack (see cmd/rstpserve's -adaptive wiring).
 	ControlCandidate = control.Candidate
 )
 
