@@ -64,6 +64,10 @@ func TestRunBadFlags(t *testing.T) {
 		{"-fwindow", "5:5", "-loss", "0.5"}, // empty window
 		{"-blackout", "9:3"},
 		{"-proto", "rateless"}, // bare or wrapped, the coded pair has no simulator run
+		{"-loss", "1.5"},       // probabilities outside [0, 1]
+		{"-loss", "-0.2"},
+		{"-loss", "NaN"},
+		{"-excess", "-3"},
 	} {
 		if err := run(args, &strings.Builder{}); err == nil {
 			t.Errorf("args %v: expected an error", args)

@@ -8,7 +8,7 @@
 //	rstpserve -sessions 256 -proto beta -k 4      # 256 concurrent sessions
 //	rstpserve -transport udp -sessions 64         # over a UDP loopback pair
 //	rstpserve -sessions 128 -loss 0.2 -fwindow 0:2000 -harden
-//	rstpserve -transport udp -chaos -loss 0.12 -dup 0.05 -corrupt 0.03 -harden
+//	rstpserve -transport udp -loss 0.12 -dup 0.05 -corrupt 0.03 -harden
 //	rstpserve -shed evict-oldest-idle -watchdog 4 # overload + wedge defense
 //	rstpserve -adaptive -sessions 128             # closed-loop overload control
 //	rstpserve -store-dir /tmp/rstp -sessions 64   # durable crash-restart serving
@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"repro/internal/benchmatrix"
-	"repro/internal/chanmodel"
 	"repro/internal/control"
 	"repro/internal/faults"
 	"repro/internal/journal"
@@ -95,11 +94,11 @@ type summary struct {
 	Resyncs      int   `json:"resyncs"`
 	UDPMalformed int64 `json:"udp_malformed"`
 	UDPDropped   int64 `json:"udp_dropped"`
-	// Chaos middleware injection counters, when -chaos is set.
-	ChaosDropped    int `json:"chaos_dropped,omitempty"`
-	ChaosDuplicated int `json:"chaos_duplicated,omitempty"`
-	ChaosCorrupted  int `json:"chaos_corrupted,omitempty"`
-	ChaosDelayed    int `json:"chaos_delayed,omitempty"`
+	// Fault-plan injection counters, on either transport.
+	ChaosDropped    int64 `json:"chaos_dropped,omitempty"`
+	ChaosDuplicated int64 `json:"chaos_duplicated,omitempty"`
+	ChaosCorrupted  int64 `json:"chaos_corrupted,omitempty"`
+	ChaosDelayed    int64 `json:"chaos_delayed,omitempty"`
 	// Observability keys (PR 5; see EXPERIMENTS.md E21). EffortLowerBound
 	// is the paper's per-protocol lower bound (Thm 5.3 r-passive, Thm 5.6
 	// active); EffortGapMeanTicks is the mean of the live effort-gap
@@ -161,13 +160,12 @@ func run(args []string, out io.Writer) error {
 		stabilize   = fs.Bool("stabilize", false, "wrap sessions in the stabilizing recovery layer")
 		storeDir    = fs.String("store-dir", "", "persist session checkpoints and output tapes into a journal in this directory (implies -stabilize; restarting against the same directory with the same -seed resumes interrupted sessions)")
 		idle        = fs.Int64("idle", -1, "server idle-eviction threshold in ticks (-1 = off; the load generator evicts each session explicitly)")
-		loss        = fs.Float64("loss", 0, "drop probability inside -fwindow (mem transport)")
+		loss        = fs.Float64("loss", 0, "drop probability inside -fwindow")
 		dup         = fs.Float64("dup", 0, "duplication probability inside -fwindow")
 		corrupt     = fs.Float64("corrupt", 0, "corruption probability inside -fwindow")
 		fwindow     = fs.String("fwindow", "0:2000", "send-time window from:to for -loss/-dup/-corrupt")
 		blackout    = fs.String("blackout", "", "blackout window from:to (empty = none)")
 		excess      = fs.Int64("excess", 0, "extra delay beyond d inside -fwindow")
-		chaos       = fs.Bool("chaos", false, "inject the fault flags through the transport.Chaos middleware (works over any transport, including udp)")
 		shed        = fs.String("shed", "refuse", "overload policy at the -conc cap: refuse or evict-oldest-idle")
 		adaptive    = fs.Bool("adaptive", false, "run the closed-loop control plane: occupancy-gated/paced admission, per-session k-selection from the paper's bound tables (beta/gamma; with -store-dir the chosen k is journaled and restarts resume under it) and the shed-escalation ladder")
 		watchdog    = fs.Int("watchdog", 0, "progress watchdog multiplier k: wedge a session after k*delta1*c2 ticks without output growth (0 = off)")
@@ -227,49 +225,10 @@ func run(args []string, out io.Writer) error {
 	}
 
 	clock := transport.NewClock(*tick)
-	var (
-		trans      transport.Transport
-		udpT       *transport.UDP
-		chaosT     *transport.Chaos
-		faultsDesc string
-	)
-	switch *transName {
-	case "mem":
-		var delay chanmodel.DelayPolicy = &chanmodel.UniformRandom{D: p.D, Rand: rand.New(rand.NewSource(*seed))}
-		if len(clauses) > 0 && !*chaos {
-			plan := faults.NewPlan(*seed, delay, clauses...)
-			faultsDesc = plan.Name()
-			delay = plan
-		}
-		trans = transport.NewMem(clock, transport.MemOptions{D: p.D, Delay: delay, Buffer: 1 << 15})
-	case "udp":
-		if len(clauses) > 0 && !*chaos {
-			return fmt.Errorf("fault injection over udp needs -chaos (the middleware injects in front of the socket; bare UDP faults are the kernel's business)")
-		}
-		u, err := transport.NewUDPLoopback(1 << 14)
-		if err != nil {
-			return err
-		}
-		udpT = u
-		trans = u
-	default:
-		return fmt.Errorf("unknown transport %q (mem, udp)", *transName)
+	trans, faultsDesc, err := transport.Open(*transName, clock, p.D, *seed, clauses)
+	if err != nil {
+		return err
 	}
-	if *chaos {
-		if len(clauses) == 0 {
-			return fmt.Errorf("-chaos without fault flags injects nothing: set -loss/-dup/-corrupt/-excess/-blackout")
-		}
-		// The plan wraps the zero delay policy: the middleware adds only
-		// the *extra* chaos on top of whatever latency the inner transport
-		// already has, instead of double-counting a base delay.
-		plan := faults.NewPlan(*seed, chanmodel.Zero{}, clauses...)
-		faultsDesc = "chaos:" + plan.Name()
-		chaosT = transport.NewChaos(trans, clock, plan)
-		trans = chaosT
-	}
-	// Instrument the assembled stack outside-in: every layer (chaos,
-	// mem/udp) registers its counters, and Mem starts feeding the
-	// delivery-latency histogram.
 	transport.Instrument(reg, trans)
 
 	maxConc := *conc
@@ -471,17 +430,6 @@ func run(args []string, out io.Writer) error {
 	sum.Wedged = srvAgg.Wedged
 	sum.Shed = pipe.Server.Shed()
 	sum.Resyncs = srvAgg.Resyncs
-	if udpT != nil {
-		sum.UDPMalformed = udpT.Malformed()
-		sum.UDPDropped = udpT.Dropped()
-	}
-	if chaosT != nil {
-		_, dropped, duplicated, corrupted, delayed := chaosT.Stats()
-		sum.ChaosDropped = dropped
-		sum.ChaosDuplicated = duplicated
-		sum.ChaosCorrupted = corrupted
-		sum.ChaosDelayed = delayed
-	}
 	if ctrl != nil {
 		cs := ctrl.State()
 		sum.ControlLevel = cs.Level
@@ -500,6 +448,12 @@ func run(args []string, out io.Writer) error {
 	sum.Interrupted = interrupted
 	sum.MetricsAddr = boundAddr
 	snap := reg.Snapshot()
+	sum.UDPMalformed = snap.Counters["rstp_udp_malformed_total"]
+	sum.UDPDropped = snap.Counters["rstp_udp_dropped_total"]
+	sum.ChaosDropped = snap.Counters["rstp_chaos_dropped_total"]
+	sum.ChaosDuplicated = snap.Counters["rstp_chaos_duplicated_total"]
+	sum.ChaosCorrupted = snap.Counters["rstp_chaos_corrupted_total"]
+	sum.ChaosDelayed = snap.Counters["rstp_chaos_delayed_total"]
 	if h, ok := snap.Histograms["rstp_effort_gap_ticks"]; ok && h.Count > 0 {
 		sum.EffortGapMean = h.Mean
 	}

@@ -93,13 +93,18 @@ func TestServeHardenedUnderFaults(t *testing.T) {
 	if !strings.Contains(out.String(), `"faults"`) {
 		t.Errorf("summary should record the fault plan:\n%s", out.String())
 	}
+	// Over mem the plan sits in Mem's delay policy; its injection
+	// counters must still reach the summary.
+	if sum := summaryFrom(t, out.String()); sum.ChaosDropped == 0 {
+		t.Errorf("plan injected no drops at 20%% over [0,2000): %+v", sum)
+	}
 }
 
 func TestServeChaosOverUDP(t *testing.T) {
 	var out strings.Builder
 	err := run([]string{
 		"-sessions", "8", "-proto", "beta", "-harden",
-		"-transport", "udp", "-chaos",
+		"-transport", "udp",
 		"-loss", "0.15", "-dup", "0.05", "-corrupt", "0.05", "-fwindow", "0:4000",
 		"-tick", "50us",
 	}, &out)
@@ -133,7 +138,7 @@ func TestServeWatchdogReportsWedged(t *testing.T) {
 	// starved under a loaded -race run still sends before the blackout.
 	var out strings.Builder
 	err := run([]string{
-		"-sessions", "3", "-n", "64", "-harden", "-chaos", "-watchdog", "4",
+		"-sessions", "3", "-n", "64", "-harden", "-watchdog", "4",
 		"-blackout", "400:999999999", "-timeout", "20s",
 		"-tick", "200us",
 	}, &out)
@@ -316,13 +321,15 @@ func TestServeRejectsBadFlags(t *testing.T) {
 		{"-transport", "carrier-pigeon"},
 		{"-fwindow", "backwards", "-loss", "0.5"},
 		{"-fwindow", "5:5", "-loss", "0.5"}, // empty window
-		{"-transport", "udp", "-loss", "0.5"},
-		{"-chaos"},                      // chaos with no fault clauses
-		{"-shed", "evict-newest"},       // unknown shed policy
-		{"-watchdog", "-1"},             // negative watchdog multiplier
-		{"-transport", "udp", "-chaos"}, // still needs clauses over udp
+		{"-loss", "1.5"},                    // probabilities outside [0, 1]
+		{"-loss", "-0.2"},
+		{"-loss", "NaN"},
+		{"-excess", "-3"},
+		{"-shed", "evict-newest"}, // unknown shed policy
+		{"-watchdog", "-1"},       // negative watchdog multiplier
 		{"-proto", "rateless", "-harden"},
-		{"-resilient"}, // removed flags
+		{"-chaos"}, // removed flags
+		{"-resilient"},
 		{"-bench"},
 		{"-benchout", "x.json"},
 	}

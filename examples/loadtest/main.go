@@ -1,12 +1,11 @@
 // Loadtest: a thousand concurrent RSTP sessions through the in-process
 // serving subsystem, with a lossy fault window active for the first part
 // of the run. Each session transfers its own random input over the
-// hardened β(k=4) protocol; the in-memory transport enforces the paper's
-// channel axioms (delay ≤ d, arbitrary reorder) while the chaos
-// middleware drops and corrupts packets on top. Every session's output
-// tape must
-// come back equal to its input — loss and corruption may cost effort,
-// never correctness.
+// hardened β(k=4) protocol; the in-memory transport's delay policy is a
+// fault plan that drops and corrupts packets on top of the paper's
+// channel axioms (delay ≤ d, arbitrary reorder). Every session's output
+// tape must come back equal to its input — loss and corruption may cost
+// effort, never correctness.
 //
 //	go run ./examples/loadtest
 package main
@@ -38,19 +37,22 @@ func run(sessions int) error {
 	// cannot break completion, only slow it down.
 	sol := repro.Harden(base, repro.HardenOptions{})
 
-	// Channel: a pure in-memory transport enforcing the axioms (uniform
-	// random delay within d), with the chaos middleware stacked on top —
-	// the same composition rstpserve uses — dropping 15% and corrupting
-	// 5% of packets over the first 4000 ticks.
+	// Channel: an in-memory transport whose delay policy is a fault plan
+	// over uniform random delay within d — the same composition
+	// rstpserve uses over mem — dropping 15% and corrupting 5% of packets
+	// over the first 4000 ticks. The metrics registry reads the plan's
+	// injection counters under the transport's own lock.
 	rnd := rand.New(rand.NewSource(7))
 	clock := repro.NewClock(100 * time.Microsecond)
-	mem := repro.NewMemTransport(clock, repro.MemOptions{D: p.D, Delay: repro.RandomDelay(p.D, rnd), Buffer: 1 << 15})
-	chaos := repro.NewChaosTransport(mem, clock, 7,
+	plan := repro.NewFaultPlan(7, repro.RandomDelay(p.D, rnd),
 		repro.Fault{From: 0, To: 4000, Drop: 0.15, Corrupt: 0.05})
+	mem := repro.NewMemTransport(clock, repro.MemOptions{D: p.D, Delay: plan, Buffer: 1 << 15})
+	reg := repro.NewMetrics()
+	repro.InstrumentTransport(reg, mem)
 	pipe, err := repro.NewPipe(repro.ServeConfig{
 		Solution:    sol,
 		Params:      p,
-		Transport:   chaos,
+		Transport:   mem,
 		Clock:       clock,
 		MaxSessions: 256, // backpressure: at most 256 sessions in flight
 		IdleTicks:   -1,  // transfers are evicted explicitly below
@@ -100,11 +102,11 @@ func run(sessions int) error {
 	wall := time.Since(start)
 
 	agg := pipe.Server.Aggregate()
-	affected, dropped, _, corrupted, _ := chaos.Stats()
+	injected := reg.Snapshot().Counters
 	fmt.Printf("loadtest: %d sessions of %d bits over %s via %s\n",
 		sessions, 4*base.BlockBits, sol, agg.Transport)
 	fmt.Printf("chaos: %d packets affected, %d dropped, %d corrupted\n",
-		affected, dropped, corrupted)
+		injected["rstp_chaos_affected_total"], injected["rstp_chaos_dropped_total"], injected["rstp_chaos_corrupted_total"])
 	fmt.Printf("completed %d/%d in %v (%.0f sessions/sec), server writes=%d refused=%d\n",
 		completed, sessions, wall.Round(time.Millisecond),
 		float64(completed)/wall.Seconds(), agg.Writes, agg.Refused)

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/chanmodel"
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/rstp"
@@ -214,29 +213,10 @@ func RunCell(ctx context.Context, cell Cell, cfg RunConfig) (Record, error) {
 	}
 
 	clock := transport.NewClock(cfg.Tick)
-	var trans transport.Transport
-	switch cell.Transport {
-	case "mem":
-		var delay chanmodel.DelayPolicy = &chanmodel.UniformRandom{D: p.D, Rand: rand.New(rand.NewSource(seed))}
-		if len(clauses) > 0 {
-			delay = faults.NewPlan(seed, delay, clauses...)
-		}
-		trans = transport.NewMem(clock, transport.MemOptions{D: p.D, Delay: delay, Buffer: 1 << 15})
-	case "udp":
-		u, err := transport.NewUDPLoopback(1 << 14)
-		if err != nil {
-			return rec, err
-		}
-		trans = u
-		if len(clauses) > 0 {
-			// Chaos over UDP injects in front of the socket, adding only
-			// the extra faults on top of the kernel's own latency.
-			trans = transport.NewChaos(u, clock, faults.NewPlan(seed, chanmodel.Zero{}, clauses...))
-		}
-	default:
-		return rec, fmt.Errorf("unknown transport %q", cell.Transport)
+	trans, _, err := transport.Open(cell.Transport, clock, p.D, seed, clauses)
+	if err != nil {
+		return rec, err
 	}
-
 	transport.Instrument(reg, trans)
 
 	maxConc := cfg.MaxConc

@@ -10,8 +10,21 @@ import (
 // into plan clauses: loss, dup, corrupt and excess (extra delay) apply
 // over the fwindow send-time window and are omitted when all are zero;
 // a non-empty blackout adds a total-loss window of its own. Both windows
-// are "from:to" tick ranges (see ParseWindow).
+// are "from:to" tick ranges (see ParseWindow). A probability outside
+// [0, 1] (NaN included) or a negative excess is rejected rather than
+// silently clamped or ignored.
 func Clauses(loss, dup, corrupt float64, excess int64, fwindow, blackout string) ([]Fault, error) {
+	for _, p := range []struct {
+		flag string
+		v    float64
+	}{{"-loss", loss}, {"-dup", dup}, {"-corrupt", corrupt}} {
+		if !(p.v >= 0 && p.v <= 1) {
+			return nil, fmt.Errorf("%s %v: a probability must lie in [0, 1]", p.flag, p.v)
+		}
+	}
+	if excess < 0 {
+		return nil, fmt.Errorf("-excess %d: extra delay must be >= 0", excess)
+	}
 	var clauses []Fault
 	if loss > 0 || dup > 0 || corrupt > 0 || excess > 0 {
 		from, to, err := ParseWindow(fwindow)

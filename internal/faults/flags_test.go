@@ -1,6 +1,9 @@
 package faults
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestParseWindow(t *testing.T) {
 	if from, to, err := ParseWindow("100:400"); err != nil || from != 100 || to != 400 {
@@ -34,5 +37,25 @@ func TestClauses(t *testing.T) {
 	}
 	if _, err := Clauses(0, 0, 0, 0, "", "9:3"); err == nil {
 		t.Error("backwards -blackout accepted")
+	}
+	// Out-of-range flags fail instead of dropping every packet (loss >
+	// 1) or being silently ignored (negative, NaN, negative excess).
+	nan := math.NaN()
+	for _, c := range []struct {
+		loss, dup, corrupt float64
+		excess             int64
+	}{
+		{1.5, 0, 0, 0}, {-0.2, 0, 0, 0}, {nan, 0, 0, 0},
+		{0, 1.01, 0, 0}, {0, -1, 0, 0}, {0, nan, 0, 0},
+		{0, 0, 2, 0}, {0, 0, -0.5, 0}, {0, 0, nan, 0},
+		{0, 0, 0, -3},
+	} {
+		if got, err := Clauses(c.loss, c.dup, c.corrupt, c.excess, "0:600", ""); err == nil {
+			t.Errorf("Clauses(%v, %v, %v, %d) accepted: %+v", c.loss, c.dup, c.corrupt, c.excess, got)
+		}
+	}
+	// The closed interval's ends are valid probabilities.
+	if _, err := Clauses(1, 0, 1, 0, "0:600", ""); err != nil {
+		t.Errorf("probability 1 rejected: %v", err)
 	}
 }

@@ -1,24 +1,21 @@
 package transport
 
 import (
-	"container/heap"
 	"fmt"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
 // Chaos is fault-injection middleware over any Transport: it applies a
 // seeded faults.Plan (blackout, drop, duplication, symbol corruption,
 // excess delay — all time-windowed in send ticks) to every frame before
-// the inner transport sees it. Wrapping is what finally lets the chaos
-// matrix run over transports the simulator cannot reach: Mem already
-// reuses fault plans as delay policies, but UDP inherits only whatever
-// the kernel does — Chaos(UDP) injects the adversary in front of the
-// real socket path.
+// the inner transport sees it. Mem takes a plan as its delay policy
+// directly; Chaos exists for transports that have no delay policy of
+// their own — Chaos(UDP) injects the adversary in front of the real
+// socket path. Open picks the placement.
 //
 // Placement in the axiom map (DESIGN.md): Chaos deliberately *breaks*
 // axioms the inner transport keeps — no-loss (Drop/Blackout), no-dup
@@ -28,28 +25,13 @@ import (
 //
 // The plan should be built over chanmodel.Zero: the middleware adds the
 // plan's *extra* delay on top of the inner transport's own latency, so a
-// base policy that re-applies [0, d] delays would double-count. All plan
-// access (its rand stream and injection stats) is serialised under one
-// mutex, keeping a seeded plan exactly as deterministic as it is in the
-// simulator for a fixed send schedule.
+// base policy that re-applies [0, d] delays would double-count. Frames
+// the plan delays wait in the same delay line Mem uses.
 type Chaos struct {
 	inner Transport
-	clock *Clock
-	plan  *faults.Plan
-
-	mu      sync.Mutex
-	heap    pendingHeap
-	nextTie int64
-	dirSeq  [2]int64
-	closed  bool
+	line  delayLine
 
 	sendErrs atomic.Int64
-
-	wake chan struct{}
-	done chan struct{}
-	dead chan struct{} // closed when the delay scheduler has exited
-
-	closeOnce sync.Once
 }
 
 var _ Transport = (*Chaos)(nil)
@@ -58,68 +40,37 @@ var _ Transport = (*Chaos)(nil)
 // shared clock. The wrapper owns the inner transport: closing the Chaos
 // closes it.
 func NewChaos(inner Transport, clock *Clock, plan *faults.Plan) *Chaos {
-	c := &Chaos{
-		inner: inner,
-		clock: clock,
-		plan:  plan,
-		wake:  make(chan struct{}, 1),
-		done:  make(chan struct{}),
-		dead:  make(chan struct{}),
-	}
-	go c.schedule()
+	c := &Chaos{inner: inner}
+	c.line.start(clock, plan, c.release)
 	return c
 }
 
 // Name renders the plan over the inner transport.
-func (c *Chaos) Name() string { return fmt.Sprintf("chaos(%s)/%s", c.plan.Name(), c.inner.Name()) }
+func (c *Chaos) Name() string {
+	return fmt.Sprintf("chaos(%s)/%s", c.line.policy.Name(), c.inner.Name())
+}
 
 // Send runs the frame through the fault plan: dropped frames never reach
 // the inner transport, duplicated frames reach it twice, corrupted
 // frames reach it with a damaged symbol, and delayed frames are held by
-// the scheduler until their extra delay elapses.
+// the delay line until their extra delay elapses. Frames due now go
+// straight through, with no scheduler latency on the fault-free path.
 func (c *Chaos) Send(f wire.Frame) error {
-	now := c.clock.Now()
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
-	}
-	di := 0
-	if f.Dir == wire.RtoT {
-		di = 1
-	}
-	seq := c.dirSeq[di]
-	c.dirSeq[di]++
-	arrivals := c.plan.ArrivalsMut(seq, now, f.Dir, f.P)
-	// Split the schedule: everything due now goes straight through (no
-	// scheduler latency on the fault-free path), the rest is heaped.
-	var immediate []wire.Frame
-	deferred := false
-	for _, a := range arrivals {
-		df := f
-		df.P = a.P
-		if a.At <= now {
-			immediate = append(immediate, df)
-			continue
-		}
-		heap.Push(&c.heap, pending{at: a.At, tie: c.nextTie, f: df})
-		c.nextTie++
-		deferred = true
-	}
-	c.mu.Unlock()
-	if deferred {
-		select {
-		case c.wake <- struct{}{}:
-		default:
-		}
-	}
-	var err error
-	for _, df := range immediate {
+	due, err := c.line.push(f, c.line.clock.Now(), true)
+	for _, df := range due {
 		if e := c.inner.Send(df); e != nil && err == nil {
 			err = e
 		}
 	}
 	return err
+}
+
+// release sends a delayed frame on to the inner transport.
+func (c *Chaos) release(e pending) bool {
+	if err := c.inner.Send(e.f); err != nil {
+		c.sendErrs.Add(1)
+	}
+	return true
 }
 
 // Deliveries passes the inner transport's delivery channels through:
@@ -129,9 +80,7 @@ func (c *Chaos) Deliveries(dir wire.Dir) <-chan wire.Frame { return c.inner.Deli
 // Stats reports what the plan injected so far: frames affected by any
 // clause, dropped, duplicated, corrupted and delayed.
 func (c *Chaos) Stats() (affected, dropped, duplicated, corrupted, delayed int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.plan.Stats()
+	return c.line.planStats()
 }
 
 // SendErrors counts inner Send failures on delayed frames, which have no
@@ -139,62 +88,14 @@ func (c *Chaos) Stats() (affected, dropped, duplicated, corrupted, delayed int) 
 // of a latency spike.
 func (c *Chaos) SendErrors() int64 { return c.sendErrs.Load() }
 
-// Close stops the delay scheduler (frames still held are discarded, like
-// a partition that never heals) and closes the inner transport.
-func (c *Chaos) Close() error {
-	var err error
-	c.closeOnce.Do(func() {
-		c.mu.Lock()
-		c.closed = true
-		c.mu.Unlock()
-		close(c.done)
-		<-c.dead
-		err = c.inner.Close()
-	})
-	return err
-}
+// Close stops the delay line (frames still held are discarded, like a
+// partition that never heals) and closes the inner transport.
+func (c *Chaos) Close() error { return c.line.close(c.inner.Close) }
 
-// schedule releases delayed frames to the inner transport in (arrival
-// tick, insertion order), the same discipline as Mem's scheduler.
-func (c *Chaos) schedule() {
-	defer close(c.dead)
-	for {
-		c.mu.Lock()
-		var (
-			next pending
-			have bool
-		)
-		if len(c.heap) > 0 {
-			next = c.heap[0]
-			have = true
-		}
-		c.mu.Unlock()
-
-		if !have {
-			select {
-			case <-c.done:
-				return
-			case <-c.wake:
-			}
-			continue
-		}
-		if wait := c.clock.Until(next.at); wait > 0 {
-			timer := time.NewTimer(wait)
-			select {
-			case <-c.done:
-				timer.Stop()
-				return
-			case <-c.wake:
-				timer.Stop()
-				continue
-			case <-timer.C:
-			}
-		}
-		c.mu.Lock()
-		e := heap.Pop(&c.heap).(pending)
-		c.mu.Unlock()
-		if err := c.inner.Send(e.f); err != nil {
-			c.sendErrs.Add(1)
-		}
-	}
+// Instrument registers the plan's injection counters and the
+// middleware's own send-error count.
+func (c *Chaos) Instrument(reg *obs.Registry) {
+	c.line.instrumentPlan(reg)
+	reg.CounterFunc("rstp_chaos_send_errors_total",
+		"inner Send failures on delayed frames (loss past a latency spike)", c.SendErrors)
 }

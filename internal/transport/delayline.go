@@ -1,0 +1,225 @@
+package transport
+
+import (
+	"container/heap"
+	"sync"
+	"time"
+
+	"repro/internal/chanmodel"
+	"repro/internal/faults"
+	"repro/internal/obs"
+	"repro/internal/wire"
+)
+
+// pending is one scheduled delivery.
+type pending struct {
+	at   int64 // arrival tick
+	tie  int64 // insertion order, breaking same-tick ties FIFO
+	sent int64 // send tick, for delivery-latency observation
+	f    wire.Frame
+}
+
+type pendingHeap []pending
+
+func (h pendingHeap) Len() int { return len(h) }
+func (h pendingHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].tie < h[j].tie
+}
+func (h pendingHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *pendingHeap) Push(x any)   { *h = append(*h, x.(pending)) }
+func (h *pendingHeap) Pop() any {
+	old := *h
+	n := len(old)
+	e := old[n-1]
+	*h = old[:n-1]
+	return e
+}
+
+// delayLine is the one release scheduler behind Mem and Chaos. A delay
+// policy computes each frame's arrival ticks at send time, a heap holds
+// them in (arrival tick, send order), and a single goroutine hands each
+// to release once its tick has begun. Late wall-clock release can
+// stretch time but never reorders beyond what the policy decided.
+//
+// Policies and fault plans keep internal rand/stats state, so every
+// policy call is serialised under mu: a seeded plan is exactly as
+// deterministic as in the simulator for a fixed send schedule.
+type delayLine struct {
+	clock  *Clock
+	policy chanmodel.DelayPolicy
+	// release hands a due frame on; false means the line was closed
+	// while it waited.
+	release func(pending) bool
+
+	mu      sync.Mutex
+	heap    pendingHeap
+	nextTie int64
+	dirSeq  [2]int64 // per-direction policy sequence numbers
+	closed  bool
+
+	wake chan struct{}
+	done chan struct{}
+	dead chan struct{} // closed when the scheduler has exited
+
+	closeOnce sync.Once
+}
+
+// start wires the line and launches its scheduler goroutine.
+func (l *delayLine) start(clock *Clock, policy chanmodel.DelayPolicy, release func(pending) bool) {
+	l.clock, l.policy, l.release = clock, policy, release
+	l.wake = make(chan struct{}, 1)
+	l.done = make(chan struct{})
+	l.dead = make(chan struct{})
+	go l.run()
+}
+
+// push runs f, sent at tick now, through the policy and heaps its
+// arrivals. With bypass set, arrivals already due at now are returned
+// for the caller to pass on directly instead of waiting for the
+// scheduler.
+func (l *delayLine) push(f wire.Frame, now int64, bypass bool) (due []wire.Frame, err error) {
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return nil, ErrClosed
+	}
+	di := 0
+	if f.Dir == wire.RtoT {
+		di = 1
+	}
+	seq := l.dirSeq[di]
+	l.dirSeq[di]++
+	queued := len(l.heap)
+	if mut, ok := l.policy.(chanmodel.Mutator); ok {
+		for _, a := range mut.ArrivalsMut(seq, now, f.Dir, f.P) {
+			df := f
+			df.P = a.P
+			if bypass && a.At <= now {
+				due = append(due, df)
+				continue
+			}
+			l.add(a.At, now, df)
+		}
+	} else {
+		for _, at := range l.policy.Arrivals(seq, now, f.Dir, f.P) {
+			if bypass && at <= now {
+				due = append(due, f)
+				continue
+			}
+			l.add(at, now, f)
+		}
+	}
+	heaped := len(l.heap) > queued
+	l.mu.Unlock()
+	if heaped {
+		select {
+		case l.wake <- struct{}{}:
+		default:
+		}
+	}
+	return due, nil
+}
+
+// add heaps one arrival; the caller holds mu.
+func (l *delayLine) add(at, sent int64, f wire.Frame) {
+	heap.Push(&l.heap, pending{at: at, tie: l.nextTie, sent: sent, f: f})
+	l.nextTie++
+}
+
+// close stops the scheduler, discarding frames still held (a partition
+// that never heals), waits for it to exit and then runs then. Only the
+// first call does anything; later calls return nil.
+func (l *delayLine) close(then func() error) (err error) {
+	l.closeOnce.Do(func() {
+		l.mu.Lock()
+		l.closed = true
+		l.mu.Unlock()
+		close(l.done)
+		<-l.dead
+		err = then()
+	})
+	return err
+}
+
+// run is the scheduler goroutine: it pops pending frames in (arrival
+// tick, insertion order) and releases each, sleeping until the next
+// arrival is due.
+func (l *delayLine) run() {
+	defer close(l.dead)
+	for {
+		l.mu.Lock()
+		var next pending
+		have := len(l.heap) > 0
+		if have {
+			next = l.heap[0]
+		}
+		l.mu.Unlock()
+
+		if !have {
+			select {
+			case <-l.done:
+				return
+			case <-l.wake:
+			}
+			continue
+		}
+		if wait := l.clock.Until(next.at); wait > 0 {
+			timer := time.NewTimer(wait)
+			select {
+			case <-l.done:
+				timer.Stop()
+				return
+			case <-l.wake:
+				// An earlier arrival may have been queued; re-evaluate.
+				timer.Stop()
+				continue
+			case <-timer.C:
+			}
+		}
+		l.mu.Lock()
+		e := heap.Pop(&l.heap).(pending)
+		l.mu.Unlock()
+		if !l.release(e) {
+			return
+		}
+	}
+}
+
+// planStats reports what the line's fault plan injected so far (all
+// zero when the policy is not a *faults.Plan).
+func (l *delayLine) planStats() (affected, dropped, duplicated, corrupted, delayed int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if plan, ok := l.policy.(*faults.Plan); ok {
+		return plan.Stats()
+	}
+	return
+}
+
+// instrumentPlan registers the injection counters of a *faults.Plan
+// policy, which read the same whether the plan sits in Mem's delay
+// policy or in the Chaos middleware. Other policies register nothing.
+func (l *delayLine) instrumentPlan(reg *obs.Registry) {
+	if _, ok := l.policy.(*faults.Plan); !ok {
+		return
+	}
+	stat := func(pick func(a, dr, du, co, de int) int) func() int64 {
+		return func() int64 {
+			a, dr, du, co, de := l.planStats()
+			return int64(pick(a, dr, du, co, de))
+		}
+	}
+	reg.CounterFunc("rstp_chaos_affected_total",
+		"frames touched by any fault clause", stat(func(a, _, _, _, _ int) int { return a }))
+	reg.CounterFunc("rstp_chaos_dropped_total",
+		"frames dropped by the fault plan", stat(func(_, dr, _, _, _ int) int { return dr }))
+	reg.CounterFunc("rstp_chaos_duplicated_total",
+		"frames duplicated by the fault plan", stat(func(_, _, du, _, _ int) int { return du }))
+	reg.CounterFunc("rstp_chaos_corrupted_total",
+		"frames corrupted by the fault plan", stat(func(_, _, _, co, _ int) int { return co }))
+	reg.CounterFunc("rstp_chaos_delayed_total",
+		"frames held past their natural arrival by the fault plan", stat(func(_, _, _, _, de int) int { return de }))
+}

@@ -73,3 +73,63 @@ func TestInstrumentUDP(t *testing.T) {
 		}
 	}
 }
+
+// TestOpenInjectsOnEitherTransport pins Open's fault placement: the same
+// seed and clauses over mem (plan inside Mem's delay policy) and over udp
+// (plan in the Chaos middleware) both report their drops through
+// Instrument, and over mem the excess delay shows in the delivery
+// histogram, the empirical Δ(C).
+func TestOpenInjectsOnEitherTransport(t *testing.T) {
+	const d = 4
+	clauses := []faults.Fault{{From: 0, To: 1 << 50, Drop: 0.3, ExtraDelay: 3 * d}}
+	for _, tc := range []struct {
+		kind, descPrefix, namePrefix string
+	}{
+		{"mem", "faults(", "mem(d=4)/faults("},
+		{"udp", "chaos:faults(", "chaos(faults("},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			tr, desc, err := Open(tc.kind, testClock(), d, 9, clauses)
+			if err != nil {
+				t.Skipf("%s unavailable: %v", tc.kind, err)
+			}
+			defer tr.Close()
+			if !strings.HasPrefix(desc, tc.descPrefix) || !strings.HasPrefix(tr.Name(), tc.namePrefix) {
+				t.Errorf("desc %q, name %q; want prefixes %q, %q", desc, tr.Name(), tc.descPrefix, tc.namePrefix)
+			}
+			reg := obs.NewRegistry()
+			Instrument(reg, tr)
+
+			const n = 100
+			for i := 0; i < n; i++ {
+				if err := tr.Send(testFrame(int64(i + 1))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			snap := reg.Snapshot()
+			if got := snap.Counters["rstp_chaos_affected_total"]; got != n {
+				t.Errorf("affected = %d, want %d", got, n)
+			}
+			dropped := snap.Counters["rstp_chaos_dropped_total"]
+			if dropped == 0 {
+				t.Fatalf("no drops at 30%% over %d sends: %+v", n, snap.Counters)
+			}
+			collect(t, tr.Deliveries(wire.TtoR), n-int(dropped), 5*time.Second)
+			if tc.kind != "mem" {
+				return
+			}
+			h := reg.Snapshot().Histograms["rstp_transport_delivery_ticks"]
+			if h.Count != n-dropped {
+				t.Fatalf("histogram saw %d deliveries, want %d", h.Count, n-dropped)
+			}
+			for _, b := range h.Buckets {
+				if !b.Inf && b.LE <= d && b.Count != 0 {
+					t.Errorf("%d deliveries within d=%d despite %d ticks of excess delay: %+v", b.Count, d, 3*d, h.Buckets)
+				}
+			}
+		})
+	}
+	if _, _, err := Open("carrier-pigeon", testClock(), d, 9, nil); err == nil {
+		t.Error("unknown transport kind accepted")
+	}
+}

@@ -1,12 +1,9 @@
 package transport
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/chanmodel"
 	"repro/internal/obs"
@@ -45,80 +42,34 @@ func (o MemOptions) withDefaults() MemOptions {
 	return o
 }
 
-// pending is one scheduled delivery.
-type pending struct {
-	at   int64 // arrival tick
-	tie  int64 // insertion order, breaking same-tick ties FIFO
-	sent int64 // send tick, for delivery-latency observation
-	f    wire.Frame
-}
-
-type pendingHeap []pending
-
-func (h pendingHeap) Len() int { return len(h) }
-func (h pendingHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].tie < h[j].tie
-}
-func (h pendingHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *pendingHeap) Push(x any)   { *h = append(*h, x.(pending)) }
-func (h *pendingHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
 // Mem is the in-memory transport: a real-time rendering of the simulator's
-// channel. A single scheduler goroutine delivers frames in computed
-// arrival-tick order, so even under scheduler jitter the *relative* order
-// of deliveries is exactly what the delay policy (and any fault plan)
+// channel. Its delay line delivers frames in computed arrival-tick
+// order, so even under scheduler jitter the *relative* order of
+// deliveries is exactly what the delay policy (and any fault plan)
 // decided — late wall-clock delivery can stretch time but never introduce
 // reordering beyond the model's.
 type Mem struct {
-	clock *Clock
-	opt   MemOptions
-
-	mu      sync.Mutex
-	heap    pendingHeap
-	nextTie int64
-	dirSeq  [2]int64 // per-direction policy sequence numbers
-	closed  bool
-
-	wake chan struct{}
-	done chan struct{}
-	dead chan struct{} // closed when the scheduler has exited
-
-	del map[wire.Dir]chan wire.Frame
+	opt  MemOptions
+	line delayLine
+	del  map[wire.Dir]chan wire.Frame
 
 	sends     atomic.Int64
 	delivered atomic.Int64
 	// latency is wired by Instrument after construction; atomic because
 	// the scheduler goroutine is already running by then.
 	latency atomic.Pointer[obs.Histogram]
-
-	closeOnce sync.Once
 }
 
 var _ Transport = (*Mem)(nil)
 
 // NewMem starts an in-memory transport against the shared clock.
 func NewMem(clock *Clock, opt MemOptions) *Mem {
-	m := &Mem{
-		clock: clock,
-		opt:   opt.withDefaults(),
-		wake:  make(chan struct{}, 1),
-		done:  make(chan struct{}),
-		dead:  make(chan struct{}),
-	}
+	m := &Mem{opt: opt.withDefaults()}
 	m.del = map[wire.Dir]chan wire.Frame{
 		wire.TtoR: make(chan wire.Frame, m.opt.Buffer),
 		wire.RtoT: make(chan wire.Frame, m.opt.Buffer),
 	}
-	go m.schedule()
+	m.line.start(clock, m.opt.Delay, m.deliver)
 	return m
 }
 
@@ -128,41 +79,25 @@ func (m *Mem) Name() string { return fmt.Sprintf("mem(d=%d)/%s", m.opt.D, m.opt.
 // Send computes the frame's arrival schedule under the delay policy and
 // queues the deliveries.
 func (m *Mem) Send(f wire.Frame) error {
-	sendTime := m.clock.Now()
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return ErrClosed
+	if _, err := m.line.push(f, m.line.clock.Now(), false); err != nil {
+		return err
 	}
-	di := 0
-	if f.Dir == wire.RtoT {
-		di = 1
-	}
-	seq := m.dirSeq[di]
-	m.dirSeq[di]++
-	// Delay policies and fault plans keep internal rand/stats state; all
-	// calls are serialised under m.mu.
-	var arrivals []chanmodel.Arrival
-	if mut, ok := m.opt.Delay.(chanmodel.Mutator); ok {
-		arrivals = mut.ArrivalsMut(seq, sendTime, f.Dir, f.P)
-	} else {
-		for _, at := range m.opt.Delay.Arrivals(seq, sendTime, f.Dir, f.P) {
-			arrivals = append(arrivals, chanmodel.Arrival{At: at, P: f.P})
-		}
-	}
-	for _, a := range arrivals {
-		df := f
-		df.P = a.P
-		heap.Push(&m.heap, pending{at: a.At, tie: m.nextTie, sent: sendTime, f: df})
-		m.nextTie++
-	}
-	m.mu.Unlock()
 	m.sends.Add(1)
-	select {
-	case m.wake <- struct{}{}:
-	default:
-	}
 	return nil
+}
+
+// deliver pushes a due frame to its direction's channel.
+func (m *Mem) deliver(e pending) bool {
+	select {
+	case m.del[e.f.Dir] <- e.f:
+		m.delivered.Add(1)
+		if h := m.latency.Load(); h != nil {
+			h.Observe(m.line.clock.Now() - e.sent)
+		}
+		return true
+	case <-m.line.done:
+		return false
+	}
 }
 
 // Deliveries returns the delivery channel for frames traveling in dir.
@@ -171,69 +106,23 @@ func (m *Mem) Deliveries(dir wire.Dir) <-chan wire.Frame { return m.del[dir] }
 // Close stops the scheduler and closes the delivery channels. Frames
 // still in flight are discarded.
 func (m *Mem) Close() error {
-	m.closeOnce.Do(func() {
-		m.mu.Lock()
-		m.closed = true
-		m.mu.Unlock()
-		close(m.done)
-		<-m.dead
-	})
-	return nil
-}
-
-// schedule is the single delivery goroutine: it pops pending frames in
-// (arrival tick, insertion order) and pushes each to its direction's
-// channel, sleeping until the next arrival is due.
-func (m *Mem) schedule() {
-	defer func() {
+	return m.line.close(func() error {
 		close(m.del[wire.TtoR])
 		close(m.del[wire.RtoT])
-		close(m.dead)
-	}()
-	for {
-		m.mu.Lock()
-		var (
-			next pending
-			have bool
-		)
-		if len(m.heap) > 0 {
-			next = m.heap[0]
-			have = true
-		}
-		m.mu.Unlock()
+		return nil
+	})
+}
 
-		if !have {
-			select {
-			case <-m.done:
-				return
-			case <-m.wake:
-			}
-			continue
-		}
-		if wait := m.clock.Until(next.at); wait > 0 {
-			timer := time.NewTimer(wait)
-			select {
-			case <-m.done:
-				timer.Stop()
-				return
-			case <-m.wake:
-				// An earlier arrival may have been queued; re-evaluate.
-				timer.Stop()
-				continue
-			case <-timer.C:
-			}
-		}
-		m.mu.Lock()
-		e := heap.Pop(&m.heap).(pending)
-		m.mu.Unlock()
-		select {
-		case m.del[e.f.Dir] <- e.f:
-			m.delivered.Add(1)
-			if h := m.latency.Load(); h != nil {
-				h.Observe(m.clock.Now() - e.sent)
-			}
-		case <-m.done:
-			return
-		}
-	}
+// Instrument registers the in-memory transport's counters and wires its
+// send→delivery latency histogram (in ticks, against the shared clock).
+// A *faults.Plan delay policy also registers its injection counters, so
+// the histogram and the counters both see what the plan did.
+func (m *Mem) Instrument(reg *obs.Registry) {
+	reg.CounterFunc("rstp_mem_sends_total",
+		"frames accepted by the in-memory transport", m.sends.Load)
+	reg.CounterFunc("rstp_mem_delivered_total",
+		"frames delivered by the in-memory scheduler", m.delivered.Load)
+	m.latency.Store(reg.Histogram("rstp_transport_delivery_ticks",
+		"send-to-delivery latency in ticks", obs.TickBuckets(0)))
+	m.line.instrumentPlan(reg)
 }

@@ -21,13 +21,23 @@
 //     are possible and no delay bound is enforced; on loopback it behaves
 //     like a near-zero-delay channel in practice.
 //
+// Faults enter at one place per transport, and Open picks it: over Mem
+// the plan is the delay policy itself, so the delivery-latency histogram
+// (the empirical Δ(C)) sees injected excess delay; over UDP the Chaos
+// middleware applies it in front of the socket. Mem and Chaos release
+// held frames through the same delay line.
+//
 // See DESIGN.md ("Serving subsystem") for the full axiom-by-axiom map.
 package transport
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"time"
 
+	"repro/internal/chanmodel"
+	"repro/internal/faults"
 	"repro/internal/wire"
 )
 
@@ -55,6 +65,39 @@ type Transport interface {
 
 // ErrClosed is returned by Send on a closed transport.
 var ErrClosed = errors.New("transport: closed")
+
+// Open assembles the serving transport of the given kind, "mem" or
+// "udp", on clock with delay bound d, injecting the fault clauses (none
+// when empty). seed seeds Mem's uniform [0, d] delay and the fault plan.
+//
+// Over mem the plan wraps that delay as Mem's own policy, so injected
+// excess delay shows in the delivery histogram. Over udp the plan goes
+// into the Chaos middleware over the zero policy: its delays ride on top
+// of the kernel's own latency. The second result names the plan ("" with
+// no clauses), prefixed "chaos:" over udp.
+func Open(kind string, clock *Clock, d, seed int64, clauses []faults.Fault) (Transport, string, error) {
+	switch kind {
+	case "mem":
+		var delay chanmodel.DelayPolicy = &chanmodel.UniformRandom{D: d, Rand: rand.New(rand.NewSource(seed))}
+		desc := ""
+		if len(clauses) > 0 {
+			plan := faults.NewPlan(seed, delay, clauses...)
+			delay, desc = plan, plan.Name()
+		}
+		return NewMem(clock, MemOptions{D: d, Delay: delay, Buffer: 1 << 15}), desc, nil
+	case "udp":
+		u, err := NewUDPLoopback(1 << 14)
+		if err != nil {
+			return nil, "", err
+		}
+		if len(clauses) == 0 {
+			return u, "", nil
+		}
+		plan := faults.NewPlan(seed, chanmodel.Zero{}, clauses...)
+		return NewChaos(u, clock, plan), "chaos:" + plan.Name(), nil
+	}
+	return nil, "", fmt.Errorf("unknown transport %q (mem, udp)", kind)
+}
 
 // Clock maps the model's integer ticks onto wall time: tick n is the
 // half-open interval [start + n·Tick, start + (n+1)·Tick). One Clock is
