@@ -30,6 +30,7 @@ import (
 	"os"
 	"os/signal"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -336,57 +337,31 @@ func run(args []string, out io.Writer) error {
 		inputs[i] = wire.RandomBits(bits, rng.Uint64)
 	}
 
-	type outcome struct {
-		res session.TransferResult
-		err error
-	}
-	start := time.Now()
-	effortN := 0
-	results := make([]outcome, *sessions)
-	var wg sync.WaitGroup
-	for i := 0; i < *sessions; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var (
-				res session.TransferResult
-				err error
-			)
-			if store != nil {
-				// Durable runs pin session IDs to input indices: a restart
-				// against the same directory and -seed re-runs session i+1
-				// with the same input, so its persisted state is resumed
-				// instead of orphaned under a fresh ID.
-				res, err = pipe.TransferID(ctx, uint32(i+1), inputs[i])
-			} else {
-				res, err = pipe.Transfer(ctx, inputs[i])
-			}
-			results[i] = outcome{res: res, err: err}
-		}(i)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	// Quiesce the flusher before anything else writes to out: the summary
-	// must not interleave with a flush line.
-	close(stopFlush)
-	<-flushDone
-	interrupted := ctx.Err() == context.Canceled // signal, not the -timeout deadline
-
 	sum := summary{
 		Schema:         "rstp-bench-serve/v1",
-		Meta:           benchmatrix.NewMeta("rstp-bench-serve/v1", time.Now().UTC().Format(time.RFC3339)),
 		Proto:          st.Builder.String(),
 		Transport:      trans.Name(),
 		Sessions:       *sessions,
 		BitsPerSession: bits,
 		TickMicros:     float64(clock.Tick()) / float64(time.Microsecond),
-		WallMS:         float64(wall) / float64(time.Millisecond),
 		EffortBound:    st.Upper,
 		Faults:         faultsDesc,
 	}
-	for i, o := range results {
-		res := o.res
-		if o.err != nil {
+	// Each outcome folds into the summary as its transfer returns, so the
+	// run holds no TransferResult (trace included) past its own session.
+	// Only the -v lines are kept, to print in session order at the end.
+	var (
+		mu      sync.Mutex
+		effortN int
+		lines   []string
+	)
+	if *verbose {
+		lines = make([]string, *sessions)
+	}
+	fold := func(i int, res session.TransferResult, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if err != nil {
 			sum.Errors++
 		}
 		if res.Violation != "" {
@@ -411,10 +386,56 @@ func run(args []string, out io.Writer) error {
 				sum.EffortMax = e
 			}
 		}
-		if *verbose {
-			fmt.Fprintf(out, "session %d: completed=%v writes=%d/%d effort=%.2f err=%v violation=%q\n",
-				res.ID, res.Completed, res.RX.Writes, len(inputs[i]), res.Effort(), o.err, res.Violation)
+		if lines != nil {
+			lines[i] = fmt.Sprintf("session %d: completed=%v writes=%d/%d effort=%.2f err=%v violation=%q\n",
+				res.ID, res.Completed, res.RX.Writes, len(inputs[i]), res.Effort(), err, res.Violation)
 		}
+	}
+	// One worker per dialer slot takes the sessions in order: more
+	// goroutines would only queue on the slots, each holding a stack.
+	start := time.Now()
+	var (
+		wg   sync.WaitGroup
+		next atomic.Int64
+	)
+	for w := 0; w < min(maxConc, *sessions); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= *sessions {
+					return
+				}
+				var (
+					res session.TransferResult
+					err error
+				)
+				if store != nil {
+					// Durable runs pin session IDs to input indices: a
+					// restart against the same directory and -seed re-runs
+					// session i+1 with the same input, so its persisted
+					// state is resumed instead of orphaned under a fresh ID.
+					res, err = pipe.TransferID(ctx, uint32(i+1), inputs[i])
+				} else {
+					res, err = pipe.Transfer(ctx, inputs[i])
+				}
+				fold(i, res, err)
+			}
+		}()
+	}
+	wg.Wait()
+	wall := time.Since(start)
+	// Quiesce the flusher before anything else writes to out: the summary
+	// must not interleave with a flush line.
+	close(stopFlush)
+	<-flushDone
+	interrupted := ctx.Err() == context.Canceled // signal, not the -timeout deadline
+
+	sum.Meta = benchmatrix.NewMeta("rstp-bench-serve/v1", time.Now().UTC().Format(time.RFC3339))
+	sum.WallMS = float64(wall) / float64(time.Millisecond)
+	for _, line := range lines {
+		fmt.Fprint(out, line)
 	}
 	if effortN > 0 {
 		sum.EffortMean /= float64(effortN)

@@ -49,13 +49,11 @@ func (c *Conn) ID() uint32 { return c.ep.id }
 func (c *Conn) X() []wire.Bit { return append([]wire.Bit(nil), c.x...) }
 
 // Report snapshots the transmitter endpoint; once the session is closed
-// it is the final report.
+// it is the final report. The Conn is the only holder of that report:
+// the dialer keeps just the session's tombstone and counters.
 func (c *Conn) Report() Report {
 	c.d.mu.Lock()
 	defer c.d.mu.Unlock()
-	if c.ep.retired {
-		return c.d.finished[c.ep.id]
-	}
 	return c.ep.report(true)
 }
 
@@ -101,9 +99,9 @@ func (d *Dialer) open(ctx context.Context, id uint32, x []wire.Bit) (*Conn, erro
 		id = d.nextID
 	} else {
 		d.nextID = max(d.nextID, id)
-		// A finished ID is refused like an open one: its report already
-		// sits in the finished map, so a second session under it would be
-		// answered from the first one's outcome.
+		// A finished ID is refused like an open one: the server drops
+		// its frames at the tombstone, so a second session under it could
+		// never complete.
 		_, live := d.active[id]
 		_, used := d.finished[id]
 		if live || used {
@@ -156,5 +154,7 @@ func (d *Dialer) Stray() int {
 
 // Aggregate sums counters across every session opened so far.
 func (d *Dialer) Aggregate() Aggregate {
-	return aggregate(d.cfg, d.Reports(), 0, 0, 0)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.aggregateLocked()
 }

@@ -220,7 +220,7 @@ func (s *Server) instrument(m *sessionMetrics) {
 		"receiver sessions retired so far", func() int64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			return int64(len(s.finished))
+			return int64(s.retired.Sessions)
 		})
 	m.reg.FloatFunc("rstp_live_effort_mean_ticks",
 		"mean effort in ticks per message across live receiver sessions", func() float64 {

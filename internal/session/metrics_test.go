@@ -134,3 +134,29 @@ func TestLiveSessionsTable(t *testing.T) {
 		t.Errorf("active gauge = %d, want 1 mid-transfer", got)
 	}
 }
+
+// TestFinishedGaugeCountsTransfers pins rstp_server_sessions_finished to
+// the server's running count of retired sessions: after N transfers it
+// reads N.
+func TestFinishedGaugeCountsTransfers(t *testing.T) {
+	sol := mustBeta(t, 2)
+	cfg, _ := memConfig(t, sol, nil)
+	reg := obs.NewRegistry()
+	cfg.Obs = reg
+	pipe, err := NewPipe(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pipe.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	const transfers = 5
+	for i := 0; i < transfers; i++ {
+		if res, err := pipe.Transfer(ctx, inputFor(t, sol, 2, int64(i+1))); err != nil || !res.Completed {
+			t.Fatalf("transfer %d: err=%v completed=%v", i, err, res.Completed)
+		}
+	}
+	if got := reg.Snapshot().Gauges["rstp_server_sessions_finished"]; got != transfers {
+		t.Fatalf("finished gauge = %d after %d transfers", got, transfers)
+	}
+}

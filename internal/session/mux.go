@@ -7,8 +7,9 @@ import (
 	"repro/internal/wire"
 )
 
-// mux is the core a Server and a Dialer share: the side's endpoints, its
-// finished reports, and the one loop goroutine that drives them. The loop
+// mux is the core a Server and a Dialer share: the side's endpoints, the
+// tombstones and running counters of its retired sessions, and the one
+// loop goroutine that drives them. The loop
 // applies every delivered frame as it arrives and, once per c2 ticks,
 // steps every active endpoint in spawn order. All endpoint state is
 // guarded by mu, so the loop, retirement and readers never need a second
@@ -30,12 +31,21 @@ type mux struct {
 	// backpressure (the dialer); nil otherwise.
 	sem chan struct{}
 
-	mu       sync.Mutex
-	landed   sync.Cond // broadcast when a tape save lands
-	seq      int64
-	active   map[uint32]*endpoint
-	order    []*endpoint // active endpoints in spawn order, retired ones compacted out each tick
-	finished map[uint32]Report
+	mu     sync.Mutex
+	landed sync.Cond // broadcast when a tape save lands
+	seq    int64
+	active map[uint32]*endpoint
+	order  []*endpoint // active endpoints in spawn order, retired ones compacted out each tick
+	// finished is the tombstone set: the ID of every retired session. A
+	// finished ID is never reused (StartID) nor respawned (admitLocked).
+	finished map[uint32]struct{}
+	// retired sums the counters of every retired endpoint, folded in at
+	// retirement; Aggregate adds the live ones.
+	retired Aggregate
+	// parked holds, oldest first, the full final reports of receivers the
+	// side retired on its own, until Evict claims them. Always empty on
+	// the transmitter side, whose Conn reads its own endpoint.
+	parked []Report
 
 	closeOnce sync.Once
 }
@@ -53,7 +63,7 @@ func (m *mux) init(cfg Config, role string) {
 	m.done = make(chan struct{})
 	m.landed.L = &m.mu
 	m.active = make(map[uint32]*endpoint)
-	m.finished = make(map[uint32]Report)
+	m.finished = make(map[uint32]struct{})
 }
 
 func (m *mux) start() {
@@ -117,7 +127,7 @@ func (m *mux) tickLocked() {
 			continue
 		}
 		if !ep.saving && !m.advance(ep) {
-			m.retireLocked(ep)
+			m.parkLocked(ep)
 			continue
 		}
 		live = append(live, ep)
@@ -152,18 +162,19 @@ func (m *mux) addLocked(ep *endpoint) {
 	m.order = append(m.order, ep)
 }
 
-// retireLocked moves ep from the active set to the finished reports,
-// releasing its slot. Idempotent. The first report under an ID is the
-// authoritative one and doubles as the ID's tombstone.
-func (m *mux) retireLocked(ep *endpoint) {
+// retireLocked moves ep from the active set to the tombstones, folds its
+// counters into the side's running sums and releases its slot. It
+// returns false if ep had already retired. The full final report is not
+// kept here: whoever retires ep reads it from ep (Evict, Conn.Report),
+// and retirements nobody asked for go through parkLocked.
+func (m *mux) retireLocked(ep *endpoint) bool {
 	if ep.retired {
-		return
+		return false
 	}
 	ep.retired = true
 	delete(m.active, ep.id)
-	if _, ok := m.finished[ep.id]; !ok {
-		m.finished[ep.id] = ep.report(true)
-	}
+	m.finished[ep.id] = struct{}{}
+	m.retired.add(ep.counters())
 	ep.wake()
 	if m.cfg.Admission != nil {
 		m.cfg.Admission.Forget(ep.id)
@@ -171,6 +182,46 @@ func (m *mux) retireLocked(ep *endpoint) {
 	if m.sem != nil {
 		<-m.sem
 	}
+	return true
+}
+
+// parkLocked retires ep on the side's own initiative (idle eviction, the
+// watchdog, shedding, Close). On the receiver side the full report waits
+// in parked until Evict claims it. Past MaxSessions parked reports the
+// oldest degrades to its tombstone, so a side nobody evicts from holds
+// O(MaxSessions) traces, not one per session it ever ran.
+func (m *mux) parkLocked(ep *endpoint) {
+	if !m.retireLocked(ep) || m.role == "transmitter" {
+		return
+	}
+	if len(m.parked) == m.cfg.MaxSessions {
+		m.parked[0] = Report{}
+		m.parked = m.parked[1:]
+	}
+	m.parked = append(m.parked, ep.report(true))
+}
+
+// parkedIndex returns the index of session id's parked report, or -1.
+func (m *mux) parkedIndex(id uint32) int {
+	for i := range m.parked {
+		if m.parked[i].ID == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// aggregateLocked sums the retired sessions' running counters and the
+// live endpoints' current ones.
+func (m *mux) aggregateLocked() Aggregate {
+	agg := m.retired
+	agg.Proto, agg.Transport = m.cfg.Solution.String(), m.cfg.Transport.Name()
+	for _, ep := range m.order {
+		if !ep.retired {
+			agg.add(ep.counters())
+		}
+	}
+	return agg
 }
 
 // closed reports whether Close has begun.
@@ -183,23 +234,6 @@ func (m *mux) closed() bool {
 	}
 }
 
-// Reports returns a report per session the side has ever run, finished
-// sessions first.
-func (m *mux) Reports() []Report {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Report, 0, len(m.finished)+len(m.active))
-	for _, rep := range m.finished {
-		out = append(out, rep)
-	}
-	for _, ep := range m.order {
-		if !ep.retired {
-			out = append(out, ep.report(true))
-		}
-	}
-	return out
-}
-
 // Close stops the loop, waits for it and for every tape save in flight,
 // then retires the sessions still active. It does not close the transport
 // (the caller owns it). Idempotent.
@@ -209,7 +243,7 @@ func (m *mux) Close() error {
 		m.wg.Wait()
 		m.mu.Lock()
 		for _, ep := range m.order {
-			m.retireLocked(ep)
+			m.parkLocked(ep)
 		}
 		m.order = nil
 		m.mu.Unlock()

@@ -100,13 +100,17 @@ func (p *Pipe) transfer(ctx context.Context, id uint32, x []wire.Bit) (TransferR
 	}
 	res.ID = conn.ID()
 	rx, waitErr := p.Server.WaitWrites(ctx, conn.ID(), len(x))
-	conn.Close()
-	res.TX = conn.Report()
 	// Evict the receiver session and take its final report, which
-	// includes the trace (WaitWrites returns a light snapshot).
+	// includes the trace (WaitWrites returns a light snapshot). The
+	// receiver retires before the transmitter releases its dialer slot,
+	// so the server never holds more sessions than the dialer has open
+	// and a session the slot admits is never refused at the server's
+	// MaxSessions.
 	if final, ok := p.Server.Evict(conn.ID()); ok {
 		rx = final
 	}
+	conn.Close()
+	res.TX = conn.Report()
 	res.RX = rx
 	res.Violation = PrefixCheck(x, rx.Y)
 	res.Completed = res.Violation == "" && rx.Writes == len(x)

@@ -3,6 +3,7 @@ package session
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/wire"
@@ -36,12 +37,12 @@ func NewServer(cfg Config) (*Server, error) {
 // at the tombstone or a refusal, or spawn its receiver. Callers hold s.mu.
 func (s *Server) admitLocked(f wire.Frame) *endpoint {
 	now := s.cfg.Clock.Now()
-	// The finished map doubles as a tombstone set: frames of a retired
-	// session can still be in flight (retransmissions up to D ticks behind
-	// the eviction) and must not re-spawn a ghost receiver under the same
-	// ID — a ghost would pin a MaxSessions slot until idle eviction
-	// (forever with IdleTicks disabled) and shadow the real session's
-	// report.
+	// Frames of a retired session can still be in flight
+	// (retransmissions up to D ticks behind the eviction) and must not
+	// re-spawn a ghost receiver under the same ID: a ghost would pin a
+	// MaxSessions slot until idle eviction (forever with IdleTicks
+	// disabled) and count as a second session. They drop at the
+	// tombstone.
 	if _, done := s.finished[f.Session]; done {
 		s.late++
 		s.cfg.metrics.onLate(now, f.Session)
@@ -115,7 +116,7 @@ func (s *Server) shedOldestLocked() bool {
 	}
 	victim.shed = true
 	s.cfg.metrics.onShed(s.cfg.Clock.Now(), victim.id)
-	s.retireLocked(victim)
+	s.parkLocked(victim)
 	s.shed++
 	return true
 }
@@ -144,7 +145,7 @@ func (s *Server) RetireStalled() bool {
 		return false
 	}
 	victim.markWedged(s.cfg.Clock.Now())
-	s.retireLocked(victim)
+	s.parkLocked(victim)
 	return true
 }
 
@@ -156,15 +157,28 @@ func (s *Server) ActiveCount() int {
 	return len(s.active)
 }
 
-// Snapshot returns the current report for a session — active or finished.
+// Snapshot returns the current report for a session: an active one's,
+// a parked one's full final report, or else a finished session's
+// tombstone (ID, Role and Finished only).
 func (s *Server) Snapshot(id uint32) (Report, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if ep := s.active[id]; ep != nil {
 		return ep.report(true), true
 	}
-	rep, ok := s.finished[id]
-	return rep, ok
+	return s.retiredLocked(id)
+}
+
+// retiredLocked returns what the server still holds of a retired
+// session: its parked report, or else its tombstone.
+func (s *Server) retiredLocked(id uint32) (Report, bool) {
+	if i := s.parkedIndex(id); i >= 0 {
+		return s.parked[i], true
+	}
+	if _, ok := s.finished[id]; ok {
+		return Report{ID: id, Role: s.role, Finished: true}, true
+	}
+	return Report{}, false
 }
 
 // Refused counts frames dropped because a new session would have
@@ -229,7 +243,8 @@ func (s *Server) peek(id uint32, n int) (rep Report, known bool, wake chan struc
 	defer s.mu.Unlock()
 	ep := s.active[id]
 	if ep == nil {
-		rep, known = s.finished[id]
+		rep, known = s.retiredLocked(id)
+		rep.Trace = nil
 		return rep, known, nil
 	}
 	if ep.writes < n {
@@ -244,9 +259,12 @@ func (s *Server) peek(id uint32, n int) (rep Report, known bool, wake chan struc
 	return ep.report(false), true, wake
 }
 
-// Evict retires a session (if active) and returns its final report. A
-// tape save in flight is waited for first, so the report holds only
-// durable writes.
+// Evict retires a session (if active) and hands over its full final
+// report, trace included. A tape save in flight is waited for first, so
+// the report holds only durable writes. A session the server retired on
+// its own is claimed from the parked reports. Each report is handed over
+// once: ok is false for an unknown session and for one whose report was
+// already claimed or has degraded to its tombstone.
 func (s *Server) Evict(id uint32) (Report, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -254,15 +272,26 @@ func (s *Server) Evict(id uint32) (Report, bool) {
 		for ep.saving {
 			s.landed.Wait()
 		}
-		s.retireLocked(ep)
+		if s.retireLocked(ep) {
+			return ep.report(true), true
+		}
 	}
-	rep, ok := s.finished[id]
-	return rep, ok
+	i := s.parkedIndex(id)
+	if i < 0 {
+		return Report{}, false
+	}
+	rep := s.parked[i]
+	s.parked = slices.Delete(s.parked, i, i+1)
+	return rep, true
 }
 
 // Aggregate sums counters across every session seen so far.
 func (s *Server) Aggregate() Aggregate {
-	return aggregate(s.cfg, s.Reports(), s.Refused(), s.Late(), s.Shed())
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	agg := s.aggregateLocked()
+	agg.Refused, agg.Late, agg.Shed = s.refused, s.late, s.shed
+	return agg
 }
 
 // Aggregate sums per-session counters into one serving-side view.
@@ -284,30 +313,27 @@ type Aggregate struct {
 	Sends, Deliveries, Writes, Rejected, SendErrors int
 }
 
-func aggregate(cfg Config, reports []Report, refused, late, shed int) Aggregate {
-	agg := Aggregate{Proto: cfg.Solution.String(), Transport: cfg.Transport.Name(), Refused: refused, Late: late, Shed: shed}
-	for _, r := range reports {
-		agg.Sessions++
-		if !r.Finished {
-			agg.Active++
-		}
-		if r.Evicted {
-			agg.Evicted++
-		}
-		if r.Wedged {
-			agg.Wedged++
-		}
-		if r.Shed {
-			agg.SessionsShed++
-		}
-		agg.Resyncs += r.Resyncs
-		agg.Sends += r.Sends
-		agg.Deliveries += r.Deliveries
-		agg.Writes += r.Writes
-		agg.Rejected += r.Rejected
-		agg.SendErrors += r.SendErrors
+// add folds one endpoint's counters into the aggregate.
+func (a *Aggregate) add(r Report) {
+	a.Sessions++
+	if !r.Finished {
+		a.Active++
 	}
-	return agg
+	if r.Evicted {
+		a.Evicted++
+	}
+	if r.Wedged {
+		a.Wedged++
+	}
+	if r.Shed {
+		a.SessionsShed++
+	}
+	a.Resyncs += r.Resyncs
+	a.Sends += r.Sends
+	a.Deliveries += r.Deliveries
+	a.Writes += r.Writes
+	a.Rejected += r.Rejected
+	a.SendErrors += r.SendErrors
 }
 
 // String renders the aggregate as one report line.

@@ -23,8 +23,14 @@
 //   - one mutex per side guarding every endpoint's counters and trace,
 //     snapshotted into immutable Reports for readers;
 //   - retirement (Conn.Close, Evict, shedding, the watchdog, Close) is
-//     synchronous under that mutex: the report lands in the finished map,
-//     which is also the session ID's tombstone, before the call returns;
+//     synchronous under that mutex: before the call returns, the session
+//     ID is in the side's tombstone set and its counters are folded into
+//     the side's running sums. A retired session keeps nothing else,
+//     except that a receiver the side retired on its own parks its full
+//     report until Evict claims it (at most MaxSessions are parked);
+//   - each full final report (trace and output tape) goes to exactly one
+//     caller: Conn.Report reads the Conn's own endpoint, Evict hands over
+//     the receiver's;
 //   - a receiver's durable tape save is the one thing run off the loop
 //     (see Config.Store); its goroutine is counted in the side's
 //     WaitGroup, so Close waits for it.
@@ -580,9 +586,9 @@ func (e *endpoint) wake() {
 	}
 }
 
-// report captures the endpoint's counters; withTrace also copies the
-// recorded trace.
-func (e *endpoint) report(withTrace bool) Report {
+// counters captures the endpoint's counters: a Report without its
+// output tape or trace.
+func (e *endpoint) counters() Report {
 	r := Report{
 		ID: e.id, Role: e.m.role, Start: e.start,
 		Sends: e.sends, Deliveries: e.deliveries, Writes: e.writes,
@@ -597,6 +603,13 @@ func (e *endpoint) report(withTrace bool) Report {
 	if e.lastErr != nil {
 		r.Err = e.lastErr.Error()
 	}
+	return r
+}
+
+// report captures the endpoint's counters and a copy of its output
+// tape; withTrace also copies the recorded trace.
+func (e *endpoint) report(withTrace bool) Report {
+	r := e.counters()
 	r.Y = append([]wire.Bit(nil), e.y...)
 	if withTrace {
 		r.Trace = append([]timed.Event(nil), e.trace...)

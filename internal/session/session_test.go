@@ -373,7 +373,7 @@ func TestTransferOverUDP(t *testing.T) {
 // session retires, in-flight stragglers under its ID (retransmissions up
 // to D ticks behind the eviction) must be dropped, not spawn a ghost
 // receiver that would pin a MaxSessions slot (forever, with idle
-// eviction disabled) and shadow the real session's finished report.
+// eviction disabled) and count as a second session.
 func TestLateFrameDoesNotRespawnFinishedSession(t *testing.T) {
 	sol := mustBeta(t, 4)
 	cfg, _ := memConfig(t, sol, nil)
@@ -398,9 +398,8 @@ func TestLateFrameDoesNotRespawnFinishedSession(t *testing.T) {
 	if got := pipe.Server.Late(); got != 1 {
 		t.Fatalf("late counter %d, want 1", got)
 	}
-	rep, ok := pipe.Server.Snapshot(res.ID)
-	if !ok || rep.Writes != len(x) {
-		t.Fatalf("finished report corrupted: ok=%v writes=%d, want %d", ok, rep.Writes, len(x))
+	if agg := pipe.Server.Aggregate(); agg.Sessions != 1 || agg.Writes != len(x) {
+		t.Fatalf("finished session's counters corrupted: sessions=%d writes=%d, want 1 and %d", agg.Sessions, agg.Writes, len(x))
 	}
 }
 

@@ -72,31 +72,27 @@ func TestConcurrentShutdownNoLeaksPrefixHolds(t *testing.T) {
 	cancel()
 	wg.Wait()
 
-	// Safety survives cancellation: every receiver-side tape is a prefix
-	// of its session's input.
-	reports := pipe.Server.Reports()
-	checked := 0
-	for _, rep := range reports {
-		x, ok := inputs[rep.ID]
-		if !ok {
-			continue
-		}
-		if v := PrefixCheck(x, rep.Y); v != "" {
-			t.Errorf("session %d prefix violation after cancel: %s", rep.ID, v)
-		}
-		checked++
-	}
-	if checked == 0 {
-		t.Error("no server-side sessions to check — transfers never reached the server")
-	}
+	// Safety survives cancellation: every receiver-side tape a transfer
+	// was handed is a prefix of its session's input.
 	mu.Lock()
+	checked := 0
 	sawProgress := false
 	for _, res := range results {
+		if res.RX.ID != res.ID {
+			continue // the server never saw the session
+		}
+		if v := PrefixCheck(inputs[res.ID], res.RX.Y); v != "" {
+			t.Errorf("session %d prefix violation after cancel: %s", res.ID, v)
+		}
+		checked++
 		if res.RX.Writes > 0 {
 			sawProgress = true
 		}
 	}
 	mu.Unlock()
+	if checked == 0 {
+		t.Error("no server-side sessions to check — transfers never reached the server")
+	}
 	if !sawProgress {
 		t.Error("no session made progress before cancel; test did not exercise mid-transfer shutdown")
 	}

@@ -253,7 +253,7 @@ func TestCloseDuringWatchdogRetire(t *testing.T) {
 		defer wg.Done()
 		// Concurrent readers must stay safe during the shutdown.
 		_ = srv.Aggregate()
-		_ = srv.Reports()
+		_, _ = srv.Snapshot(1)
 	}()
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
@@ -262,15 +262,18 @@ func TestCloseDuringWatchdogRetire(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("Close deadlocked against watchdog retirement")
 	}
-	// Every session seen has exactly one authoritative report, and no
-	// goroutine is still mutating: a second Close must be a cheap no-op.
-	reports := srv.Reports()
-	seen := map[uint32]bool{}
-	for _, r := range reports {
-		if seen[r.ID] {
-			t.Fatalf("session %d reported twice", r.ID)
-		}
-		seen[r.ID] = true
+	// Every spawned session retired exactly once: each left one tombstone
+	// and was folded into the running counters once, and none is still
+	// active. A second Close must be a cheap no-op.
+	agg := srv.Aggregate()
+	srv.mu.Lock()
+	spawned := len(srv.finished)
+	srv.mu.Unlock()
+	if agg.Sessions != spawned {
+		t.Fatalf("aggregate counts %d sessions, %d were spawned", agg.Sessions, spawned)
+	}
+	if agg.Active != 0 {
+		t.Fatalf("%d sessions still active after Close", agg.Active)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
