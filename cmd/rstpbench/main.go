@@ -1,8 +1,6 @@
 // Command rstpbench regenerates the paper's results tables (experiments
-// E1..E16 of DESIGN.md) and, with -matrix, runs the serving-stack
-// benchmark matrix (internal/benchmatrix): {protocol × transport ×
-// chaos plan × session count} cells reduced to one BENCH_matrix.json
-// record each, optionally gated against a committed baseline.
+// E1..E16 of DESIGN.md). The served-stack benchmark grid is a test of
+// the serving command instead: go test -run TestServeMatrix ./cmd/rstpserve/.
 //
 // Usage:
 //
@@ -11,21 +9,15 @@
 //	rstpbench -quick -seed 7    # smaller workloads, chosen seed
 //	rstpbench -parallel         # run all experiments concurrently
 //	rstpbench -format csv       # machine-readable output
-//	rstpbench -matrix -quick    # per-PR benchmark matrix tier
-//	rstpbench -matrix -quick -baseline BENCH_matrix.json   # CI gate
-//	rstpbench -matrix -cells beta4/mem -out /tmp/m.json    # one slice
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
-	"time"
 
-	"repro/internal/benchmatrix"
 	"repro/internal/experiments"
 )
 
@@ -41,23 +33,12 @@ func run(args []string, out io.Writer) error {
 	var (
 		list     = fs.String("e", "all", "comma-separated experiment ids (e1..e16) or \"all\"")
 		seed     = fs.Int64("seed", 1, "random seed for workloads")
-		quick    = fs.Bool("quick", false, "smaller workloads (faster, looser asymptotics); with -matrix, the per-PR quick tier")
+		quick    = fs.Bool("quick", false, "smaller workloads (faster, looser asymptotics)")
 		format   = fs.String("format", "table", "output format: table or csv")
 		parallel = fs.Bool("parallel", false, "run all experiments concurrently (with -e all)")
-
-		matrix    = fs.Bool("matrix", false, "run the serving-stack benchmark matrix instead of the paper experiments")
-		cells     = fs.String("cells", "", "with -matrix: comma-separated substrings selecting cells by name (e.g. beta4/mem,udp)")
-		outFile   = fs.String("out", "BENCH_matrix.json", "with -matrix: artifact output file")
-		baseline  = fs.String("baseline", "", "with -matrix: committed BENCH_matrix.json to gate against (exit nonzero on regression)")
-		threshold = fs.Float64("threshold", 0.10, "with -matrix -baseline: relative goodput drop that fails the gate")
-		tick      = fs.Duration("tick", 50*time.Microsecond, "with -matrix: wall-clock length of one model tick")
-		attempts  = fs.Int("attempts", 3, "with -matrix: runs per throughput-gated cell, best kept (scheduler-noise rejection)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *matrix {
-		return runMatrix(out, *quick, *cells, *outFile, *baseline, *threshold, *seed, *tick, *attempts)
 	}
 	if *format != "table" && *format != "csv" {
 		return fmt.Errorf("unknown format %q", *format)
@@ -97,55 +78,6 @@ func run(args []string, out io.Writer) error {
 		if err := render(out, table, *format); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// runMatrix is the -matrix entry point: enumerate the tier, apply the
-// -cells filter, run every cell, write the artifact, and — when a
-// -baseline is given — gate the run against it, printing the top
-// regressed cells and failing on any regression.
-func runMatrix(out io.Writer, quick bool, cellsExpr, outFile, baseline string, threshold float64, seed int64, tick time.Duration, attempts int) error {
-	tier := benchmatrix.TierFull
-	if quick {
-		tier = benchmatrix.TierQuick
-	}
-	cells, err := benchmatrix.Filter(benchmatrix.Enumerate(tier), cellsExpr)
-	if err != nil {
-		return err
-	}
-	// Load the baseline before spending minutes running cells: a stale
-	// or malformed baseline should fail immediately.
-	var base *benchmatrix.File
-	if baseline != "" {
-		base, err = benchmatrix.Load(baseline)
-		if err != nil {
-			return err
-		}
-	}
-	fmt.Fprintf(out, "benchmark matrix: tier=%s cells=%d seed=%d tick=%s\n", tier, len(cells), seed, tick)
-	f, err := benchmatrix.Run(context.Background(), cells, benchmatrix.RunConfig{
-		Seed:     seed,
-		Tick:     tick,
-		Attempts: attempts,
-		Wall:     time.Now().UTC().Format(time.RFC3339),
-		Logf:     func(format string, args ...any) { fmt.Fprintf(out, format+"\n", args...) },
-	})
-	if err != nil {
-		return err
-	}
-	f.Tier = tier.String()
-	if err := f.Write(outFile); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "wrote %s (%d cells, commit %s)\n", outFile, len(f.Cells), f.Meta.Commit)
-	if base == nil {
-		return nil
-	}
-	cmp := benchmatrix.Compare(base, f, benchmatrix.CompareOptions{Threshold: threshold})
-	cmp.Render(out, 10)
-	if n := len(cmp.Regressions); n > 0 {
-		return fmt.Errorf("%d cell(s) regressed against %s", n, baseline)
 	}
 	return nil
 }

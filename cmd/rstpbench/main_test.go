@@ -1,12 +1,8 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/benchmatrix"
 )
 
 func TestRunSelectedExperiments(t *testing.T) {
@@ -68,9 +64,16 @@ func TestRunUnknownExperiment(t *testing.T) {
 }
 
 func TestRunBadFlag(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"-nope"}, &sb); err == nil {
-		t.Fatal("bad flag should fail")
+	for _, args := range [][]string{
+		{"-nope"},
+		{"-matrix"}, // removed flags: the grid is TestServeMatrix in cmd/rstpserve
+		{"-baseline", "x.json"},
+		{"-attempts", "3"},
+	} {
+		var sb strings.Builder
+		if err := run(args, &sb); err == nil {
+			t.Errorf("run(%v) should have failed", args)
+		}
 	}
 }
 
@@ -90,81 +93,5 @@ func TestRunAllQuick(t *testing.T) {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("output missing %q", want)
 		}
-	}
-}
-
-// TestRunMatrixSlice drives the -matrix path end to end on one small
-// cell slice: artifact written with meta and measurements, then a gate
-// pass against its own output and a gate failure against a doctored
-// faster baseline.
-func TestRunMatrixSlice(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "m.json")
-	var sb strings.Builder
-	if err := run([]string{"-matrix", "-quick", "-cells", "beta4/mem/none/s1", "-out", out, "-tick", "20us"}, &sb); err != nil {
-		t.Fatalf("matrix run: %v\n%s", err, sb.String())
-	}
-	f, err := benchmatrix.Load(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Cells) != 1 || f.Cells[0].Violations != 0 || f.Cells[0].GoodputMsgSec <= 0 {
-		t.Fatalf("artifact cells = %+v", f.Cells)
-	}
-	if f.Meta.Schema != benchmatrix.Schema || f.Meta.GoVersion == "" {
-		t.Fatalf("artifact meta = %+v", f.Meta)
-	}
-	if f.Tier != "quick" {
-		t.Errorf("tier = %q, want quick", f.Tier)
-	}
-
-	// Gating a run against its own output passes. Two back-to-back
-	// wall-clock measurements of one tiny cell can swing past the default
-	// 10% on a loaded machine, so this plumbing check uses the same
-	// loosened threshold CI grants hosted runners; the doctored baseline
-	// below is 100x, far past either threshold.
-	sb.Reset()
-	out2 := filepath.Join(dir, "m2.json")
-	if err := run([]string{"-matrix", "-quick", "-cells", "beta4/mem/none/s1", "-out", out2, "-tick", "20us", "-threshold", "0.6", "-baseline", out}, &sb); err != nil {
-		t.Fatalf("self-gate: %v\n%s", err, sb.String())
-	}
-	if !strings.Contains(sb.String(), "no regressions") {
-		t.Errorf("gate output missing verdict:\n%s", sb.String())
-	}
-
-	// A baseline claiming 100x the goodput fails the gate and names the
-	// regressed cell.
-	doctored := *f
-	doctored.Cells = append([]benchmatrix.Record(nil), f.Cells...)
-	doctored.Cells[0].GoodputMsgSec *= 100
-	base := filepath.Join(dir, "fast.json")
-	if err := doctored.Write(base); err != nil {
-		t.Fatal(err)
-	}
-	sb.Reset()
-	err = run([]string{"-matrix", "-quick", "-cells", "beta4/mem/none/s1", "-out", out2, "-tick", "20us", "-threshold", "0.6", "-baseline", base}, &sb)
-	if err == nil || !strings.Contains(err.Error(), "regressed") {
-		t.Fatalf("doctored gate err = %v\n%s", err, sb.String())
-	}
-	if !strings.Contains(sb.String(), "beta4/mem/none/s1") || !strings.Contains(sb.String(), "goodput dropped") {
-		t.Errorf("gate output does not name the regressed cell:\n%s", sb.String())
-	}
-}
-
-// TestRunMatrixBadBaseline: a stale or foreign baseline fails before
-// any cell runs.
-func TestRunMatrixBadBaseline(t *testing.T) {
-	dir := t.TempDir()
-	stale := filepath.Join(dir, "stale.json")
-	if err := os.WriteFile(stale, []byte(`{"meta":{"schema":"rstp-bench-matrix/v0"},"cells":[{"proto":"beta"}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	err := run([]string{"-matrix", "-baseline", stale}, &sb)
-	if err == nil || !strings.Contains(err.Error(), "schema") {
-		t.Fatalf("stale baseline err = %v", err)
-	}
-	if err := run([]string{"-matrix", "-cells", "nosuchcell"}, &sb); err == nil {
-		t.Fatal("empty -cells selection should fail")
 	}
 }

@@ -29,12 +29,12 @@ import (
 	"math/rand"
 	"os"
 	"os/signal"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
 
-	"repro/internal/benchmatrix"
 	"repro/internal/control"
 	"repro/internal/faults"
 	"repro/internal/journal"
@@ -64,30 +64,33 @@ type summary struct {
 	Schema string `json:"schema"`
 	// Meta stamps the artifact with provenance (commit, Go version,
 	// GOMAXPROCS, wall clock) shared with every BENCH_*.json emitter.
-	Meta           benchmatrix.Meta `json:"meta"`
-	Proto          string           `json:"proto"`
-	Transport      string           `json:"transport"`
-	Sessions       int              `json:"sessions"`
-	Completed      int              `json:"completed"`
-	Violations     int              `json:"violations"`
-	Incomplete     int              `json:"incomplete"`
-	Errors         int              `json:"errors"`
-	BitsPerSession int              `json:"bits_per_session"`
-	TickMicros     float64          `json:"tick_us"`
-	WallMS         float64          `json:"wall_ms"`
-	SessionsPerSec float64          `json:"sessions_per_sec"`
-	GoodputMsgSec  float64          `json:"goodput_msgs_per_sec"`
-	EffortMean     float64          `json:"effort_mean_ticks_per_msg"`
-	EffortMax      float64          `json:"effort_max_ticks_per_msg"`
-	EffortBound    float64          `json:"effort_bound_ticks_per_msg"`
-	Sends          int              `json:"sends"`
-	SendErrors     int              `json:"send_errors"`
-	Deliveries     int              `json:"deliveries"`
-	Writes         int              `json:"writes"`
-	Refused        int              `json:"refused"`
-	Late           int              `json:"late"`
-	Stray          int              `json:"stray"`
-	Faults         string           `json:"faults,omitempty"`
+	Meta           obs.Meta `json:"meta"`
+	Proto          string   `json:"proto"`
+	Transport      string   `json:"transport"`
+	Sessions       int      `json:"sessions"`
+	Completed      int      `json:"completed"`
+	Violations     int      `json:"violations"`
+	Incomplete     int      `json:"incomplete"`
+	Errors         int      `json:"errors"`
+	BitsPerSession int      `json:"bits_per_session"`
+	TickMicros     float64  `json:"tick_us"`
+	WallMS         float64  `json:"wall_ms"`
+	SessionsPerSec float64  `json:"sessions_per_sec"`
+	GoodputMsgSec  float64  `json:"goodput_msgs_per_sec"`
+	// AllocsPerWrite is heap allocations per message written, counted
+	// over the transfer phase only (setup and summary excluded).
+	AllocsPerWrite float64 `json:"allocs_per_write"`
+	EffortMean     float64 `json:"effort_mean_ticks_per_msg"`
+	EffortMax      float64 `json:"effort_max_ticks_per_msg"`
+	EffortBound    float64 `json:"effort_bound_ticks_per_msg"`
+	Sends          int     `json:"sends"`
+	SendErrors     int     `json:"send_errors"`
+	Deliveries     int     `json:"deliveries"`
+	Writes         int     `json:"writes"`
+	Refused        int     `json:"refused"`
+	Late           int     `json:"late"`
+	Stray          int     `json:"stray"`
+	Faults         string  `json:"faults,omitempty"`
 	// Overload and watchdog counters plus UDP loss (see EXPERIMENTS.md
 	// E20).
 	Wedged       int   `json:"wedged"`
@@ -393,6 +396,8 @@ func run(args []string, out io.Writer) error {
 	}
 	// One worker per dialer slot takes the sessions in order: more
 	// goroutines would only queue on the slots, each holding a stack.
+	var memBefore, memAfter runtime.MemStats
+	runtime.ReadMemStats(&memBefore)
 	start := time.Now()
 	var (
 		wg   sync.WaitGroup
@@ -426,13 +431,14 @@ func run(args []string, out io.Writer) error {
 	}
 	wg.Wait()
 	wall := time.Since(start)
+	runtime.ReadMemStats(&memAfter)
 	// Quiesce the flusher before anything else writes to out: the summary
 	// must not interleave with a flush line.
 	close(stopFlush)
 	<-flushDone
 	interrupted := ctx.Err() == context.Canceled // signal, not the -timeout deadline
 
-	sum.Meta = benchmatrix.NewMeta("rstp-bench-serve/v1", time.Now().UTC().Format(time.RFC3339))
+	sum.Meta = obs.NewMeta("rstp-bench-serve/v1", time.Now().UTC().Format(time.RFC3339))
 	sum.WallMS = float64(wall) / float64(time.Millisecond)
 	for _, line := range lines {
 		fmt.Fprint(out, line)
@@ -443,6 +449,9 @@ func run(args []string, out io.Writer) error {
 	if secs := wall.Seconds(); secs > 0 {
 		sum.SessionsPerSec = float64(sum.Completed) / secs
 		sum.GoodputMsgSec = float64(sum.Writes) / secs
+	}
+	if sum.Writes > 0 {
+		sum.AllocsPerWrite = float64(memAfter.Mallocs-memBefore.Mallocs) / float64(sum.Writes)
 	}
 	sum.Refused = pipe.Server.Refused()
 	sum.Late = pipe.Server.Late()

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/benchmatrix"
 	"repro/internal/obs"
 	"repro/internal/rstp"
 	"repro/internal/transport"
@@ -103,7 +102,7 @@ func TestControlBenchGuard(t *testing.T) {
 
 	payload := map[string]any{
 		"schema":             "rstp-bench-control/v1",
-		"meta":               benchmatrix.NewMeta("rstp-bench-control/v1", time.Now().UTC().Format(time.RFC3339)),
+		"meta":               obs.NewMeta("rstp-bench-control/v1", time.Now().UTC().Format(time.RFC3339)),
 		"benchmark":          "BenchmarkControlTick",
 		"iterations":         res.N,
 		"tick_ns_per_op":     res.NsPerOp(),

@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/benchmatrix"
+	"repro/internal/obs"
 )
 
 // benchSave drives the Save path over a fixed key set with ~64-byte
@@ -99,7 +99,7 @@ func TestJournalBenchGuard(t *testing.T) {
 	results = append(results, run("BenchmarkJournalSaveSync", BenchmarkJournalSaveSync))
 	payload := map[string]any{
 		"schema":  "rstp-bench-journal/v1",
-		"meta":    benchmatrix.NewMeta("rstp-bench-journal/v1", time.Now().UTC().Format(time.RFC3339)),
+		"meta":    obs.NewMeta("rstp-bench-journal/v1", time.Now().UTC().Format(time.RFC3339)),
 		"results": results,
 	}
 	raw, err := json.MarshalIndent(payload, "", "  ")

@@ -1,6 +1,5 @@
-// The obs benchmarks live in an external test package so the guard can
-// stamp its artifact with benchmatrix.Meta — benchmatrix imports obs,
-// so an in-package test importing it back would be an import cycle.
+// The obs benchmarks live in an external test package: they drive the
+// registry through its exported API only, as the serving stack does.
 package obs_test
 
 import (
@@ -9,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/benchmatrix"
 	"repro/internal/obs"
 )
 
@@ -76,7 +74,7 @@ func TestObsBenchGuard(t *testing.T) {
 	}
 	payload := map[string]any{
 		"schema":        "rstp-bench-obs/v1",
-		"meta":          benchmatrix.NewMeta("rstp-bench-obs/v1", time.Now().UTC().Format(time.RFC3339)),
+		"meta":          obs.NewMeta("rstp-bench-obs/v1", time.Now().UTC().Format(time.RFC3339)),
 		"benchmark":     "BenchmarkObsHotPath",
 		"iterations":    res.N,
 		"ns_per_op":     res.NsPerOp(),

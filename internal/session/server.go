@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"time"
 
 	"repro/internal/wire"
 )
@@ -17,6 +16,16 @@ type Server struct {
 	refused int // frames of new sessions dropped at the MaxSessions cap
 	late    int // frames of already-finished sessions dropped at the tombstone
 	shed    int // sessions force-retired by the overload policy
+	// spawnWaits parks WaitWrites callers on sessions not spawned yet;
+	// spawnLocked closes and drops the entry of the ID it spawns.
+	spawnWaits map[uint32]*spawnWait
+}
+
+// spawnWait is the channel the WaitWrites callers of one unspawned
+// session park on, and how many callers hold it.
+type spawnWait struct {
+	ch      chan struct{}
+	holders int
 }
 
 // NewServer validates the config and starts the side's loop.
@@ -25,7 +34,7 @@ func NewServer(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{}
+	s := &Server{spawnWaits: make(map[uint32]*spawnWait)}
 	s.init(cfg, "receiver")
 	s.unknown = s.admitLocked
 	s.instrument(cfg.metrics)
@@ -77,6 +86,10 @@ func (s *Server) spawnLocked(id uint32) *endpoint {
 		return nil
 	}
 	ep := newEndpoint(&s.mux, id, r)
+	if w := s.spawnWaits[id]; w != nil {
+		close(w.ch)
+		delete(s.spawnWaits, id)
+	}
 	if s.cfg.Store != nil {
 		ep.tapeKey = tapeKey(id)
 		// A persisted tape means a previous incarnation of this process
@@ -207,10 +220,9 @@ func (s *Server) Shed() int {
 
 // WaitWrites blocks until session id has written at least n messages,
 // returning its light report. It tolerates the session not existing yet
-// (frames may still be in flight).
+// (frames may still be in flight): the caller parks until the server
+// spawns it.
 func (s *Server) WaitWrites(ctx context.Context, id uint32, n int) (Report, error) {
-	poll := time.NewTicker(2 * time.Millisecond)
-	defer poll.Stop()
 	for {
 		rep, known, wake := s.peek(id, n)
 		if known && rep.Writes >= n {
@@ -219,25 +231,21 @@ func (s *Server) WaitWrites(ctx context.Context, id uint32, n int) (Report, erro
 		if known && rep.Finished {
 			return rep, fmt.Errorf("session: session %d ended with %d of %d writes", id, rep.Writes, n)
 		}
-		var tick <-chan time.Time
-		if wake == nil {
-			tick = poll.C // unknown session: poll for its spawn
-		}
 		select {
 		case <-ctx.Done():
-			rep, _, _ = s.peek(id, 0)
-			return rep, ctx.Err()
+			return s.giveUp(id, wake), ctx.Err()
 		case <-s.done:
-			rep, _, _ = s.peek(id, 0)
-			return rep, fmt.Errorf("session: server closed waiting on session %d", id)
+			return s.giveUp(id, wake), fmt.Errorf("session: server closed waiting on session %d", id)
 		case <-wake:
-		case <-tick:
 		}
 	}
 }
 
-// peek returns the session's light report and, while it is active with
-// fewer than n writes, a channel closed when it reaches n or retires.
+// peek returns the session's light report and, while it has fewer than
+// n writes, a channel closed when that may have changed: when an active
+// session reaches n or retires, or when an unknown one spawns. The
+// caller then holds the unknown session's spawn channel until it spawns
+// or giveUp releases it.
 func (s *Server) peek(id uint32, n int) (rep Report, known bool, wake chan struct{}) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -245,7 +253,16 @@ func (s *Server) peek(id uint32, n int) (rep Report, known bool, wake chan struc
 	if ep == nil {
 		rep, known = s.retiredLocked(id)
 		rep.Trace = nil
-		return rep, known, nil
+		if !known {
+			w := s.spawnWaits[id]
+			if w == nil {
+				w = &spawnWait{ch: make(chan struct{})}
+				s.spawnWaits[id] = w
+			}
+			w.holders++
+			wake = w.ch
+		}
+		return rep, known, wake
 	}
 	if ep.writes < n {
 		if ep.waiter == nil || n < ep.waitFor {
@@ -257,6 +274,25 @@ func (s *Server) peek(id uint32, n int) (rep Report, known bool, wake chan struc
 		wake = ep.waiter
 	}
 	return ep.report(false), true, wake
+}
+
+// giveUp returns the session's light report to a WaitWrites caller that
+// stops waiting, and drops the caller's hold on the spawn channel wake if
+// the session has still not spawned; the entry goes with its last holder.
+func (s *Server) giveUp(id uint32, wake chan struct{}) Report {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if w := s.spawnWaits[id]; w != nil && w.ch == wake {
+		if w.holders--; w.holders == 0 {
+			delete(s.spawnWaits, id)
+		}
+	}
+	if ep := s.active[id]; ep != nil {
+		return ep.report(false)
+	}
+	rep, _ := s.retiredLocked(id)
+	rep.Trace = nil
+	return rep
 }
 
 // Evict retires a session (if active) and hands over its full final

@@ -335,6 +335,40 @@ func TestServerMaxSessionsRefusesNew(t *testing.T) {
 	}
 }
 
+// TestWaitWritesUnspawnedHitsDeadline: WaitWrites callers parked on a
+// session that never spawns return the context's error at its deadline,
+// and the last of them drops the parked entry.
+func TestWaitWritesUnspawnedHitsDeadline(t *testing.T) {
+	sol := mustBeta(t, 4)
+	cfg, mem := memConfig(t, sol, nil)
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	defer mem.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	errs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			_, err := srv.WaitWrites(ctx, 7, 1)
+			errs <- err
+		}()
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != context.DeadlineExceeded {
+			t.Fatalf("WaitWrites on an unspawned session = %v, want %v", err, context.DeadlineExceeded)
+		}
+	}
+	srv.mu.Lock()
+	parked := len(srv.spawnWaits)
+	srv.mu.Unlock()
+	if parked != 0 {
+		t.Fatalf("%d spawn waits left parked after the deadline", parked)
+	}
+}
+
 func TestTransferOverUDP(t *testing.T) {
 	udp, err := transport.NewUDPLoopback(1 << 12)
 	if err != nil {

@@ -3,8 +3,8 @@
 // compose: the paper's retransmission families (alpha, beta, gamma)
 // optionally wrapped in the hardened and/or stabilized layers, and the
 // rateless pair, which is always bare because loss tolerance is native
-// to its code. Every command, the benchmark matrix and the controller's
-// candidate list assemble their stacks here.
+// to its code. Every command and the controller's candidate list
+// assemble their stacks here.
 package stack
 
 import (
