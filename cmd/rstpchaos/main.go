@@ -8,20 +8,22 @@
 //
 //	rstpchaos -sweep                       # the E17 channel fault-sweep table
 //	rstpchaos -crashsweep                  # the E18 process crash-sweep table
-//	rstpchaos -proto beta -loss 0.3        # one chaos run, hardened
-//	rstpchaos -proto gamma -blackout 100:400 -unhardened
-//	rstpchaos -proto alpha -corrupt 0.5 -fwindow 0:600 -seed 7
-//	rstpchaos -proto beta -stabilize -procfaults t:crash:60:240,r:corrupt:150
-//	rstpchaos -proto beta -stabilize -loss 0.3 -procfaults r:crashcorrupt:80:240
+//	rstpchaos -loss 0.3                    # one chaos run, hardened(beta(k=4))
+//	rstpchaos -stack 'gamma(k=4)' -blackout 100:400
+//	rstpchaos -stack 'hardened(alpha)' -corrupt 0.5 -fwindow 0:600 -seed 7
+//	rstpchaos -stack 'stabilized(hardened(beta(k=4)))' -procfaults t:crash:60:240,r:corrupt:150
+//	rstpchaos -stack 'stabilized(hardened(beta(k=4)))' -loss 0.3 -procfaults r:crashcorrupt:80:240
 //
 // Fault flags compose into a single plan: -loss/-dup/-corrupt apply over
 // the -fwindow send-time window, -blackout and -excess carve their own
 // windows. -procfaults adds process faults (crash, crash+checkpoint
-// corruption, live corruption, step-rate stretch); -stabilize wraps the
-// stack in the self-stabilizing recovery layer that absorbs them. All
-// randomness is seeded, so a given flag set reproduces the same run byte
-// for byte. The tool exits nonzero whenever the output tape violates the
-// prefix invariant.
+// corruption, live corruption, step-rate stretch); a stabilized(...)
+// -stack wraps the protocol in the self-stabilizing recovery layer that
+// absorbs them. -stack names the stack as rstpserve does: alpha,
+// beta(k=N) or gamma(k=N), optionally inside hardened(...) and then
+// stabilized(...). All randomness is seeded, so a given flag set
+// reproduces the same run byte for byte. The tool exits nonzero whenever
+// the output tape violates the prefix invariant.
 package main
 
 import (
@@ -55,14 +57,12 @@ func run(args []string, out io.Writer) error {
 		sweep      = fs.Bool("sweep", false, "print the E17 fault-sweep table and exit")
 		crashSweep = fs.Bool("crashsweep", false, "print the E18 crash-sweep table and exit")
 		quick      = fs.Bool("quick", false, "smaller sweep workload")
-		proto      = fs.String("proto", "beta", "protocol: alpha, beta or gamma")
-		k          = fs.Int("k", 4, "packet alphabet size (beta/gamma)")
+		stackName  = fs.String("stack", "hardened(beta(k=4))", "protocol stack: alpha, beta(k=N) or gamma(k=N), optionally inside hardened(...) and then stabilized(...)")
 		c1         = fs.Int64("c1", 2, "minimum step gap c1")
 		c2         = fs.Int64("c2", 3, "maximum step gap c2")
 		d          = fs.Int64("d", 12, "channel delay bound d")
 		n          = fs.Int("n", 12, "input length in blocks")
 		seed       = fs.Int64("seed", 1, "seed for the fault plan and input")
-		unhardened = fs.Bool("unhardened", false, "run the bare protocol instead of the hardened wrapper")
 		loss       = fs.Float64("loss", 0, "drop probability inside -fwindow")
 		dup        = fs.Float64("dup", 0, "duplication probability inside -fwindow")
 		corrupt    = fs.Float64("corrupt", 0, "corruption probability inside -fwindow")
@@ -70,7 +70,6 @@ func run(args []string, out io.Writer) error {
 		blackout   = fs.String("blackout", "", "blackout window from:to (empty = none)")
 		excess     = fs.Int64("excess", 0, "extra delay beyond d applied inside -fwindow")
 		procFaults = fs.String("procfaults", "", "process fault clauses proc:kind:from[:to], comma-separated (kinds: crash, crashcorrupt, corrupt, rateN)")
-		stabilize  = fs.Bool("stabilize", false, "wrap the stack in the stabilizing recovery layer")
 		maxTicks   = fs.Int64("maxticks", 1_000_000, "simulation tick cap")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -93,7 +92,11 @@ func run(args []string, out io.Writer) error {
 	}
 
 	p := rstp.Params{C1: *c1, C2: *c2, D: *d}
-	st, err := stack.Build(p, stack.Spec{Proto: *proto, K: *k, Harden: !*unhardened, Stabilize: *stabilize})
+	spec, err := stack.Parse(*stackName)
+	if err != nil {
+		return fmt.Errorf("-stack: %w", err)
+	}
+	st, err := stack.Build(p, spec)
 	if err != nil {
 		return err
 	}

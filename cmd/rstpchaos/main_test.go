@@ -25,7 +25,7 @@ func TestRunSweepDeterministic(t *testing.T) {
 
 func TestRunHardenedSingle(t *testing.T) {
 	var sb strings.Builder
-	err := run([]string{"-proto", "beta", "-loss", "0.3", "-dup", "0.2", "-seed", "5"}, &sb)
+	err := run([]string{"-stack", "hardened(beta(k=4))", "-loss", "0.3", "-dup", "0.2", "-seed", "5"}, &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestRunUnhardenedBlackoutCorrupts(t *testing.T) {
 	// both stalls and corrupts its tape, and the tool exits nonzero on
 	// the corruption.
 	var sb strings.Builder
-	err := run([]string{"-proto", "beta", "-unhardened", "-blackout", "60:240", "-maxticks", "20000"}, &sb)
+	err := run([]string{"-stack", "beta(k=4)", "-blackout", "60:240", "-maxticks", "20000"}, &sb)
 	if err == nil || !strings.Contains(err.Error(), "corrupted") {
 		t.Fatalf("expected a corrupted-output error, got %v", err)
 	}
@@ -53,21 +53,28 @@ func TestRunUnhardenedBlackoutCorrupts(t *testing.T) {
 		}
 	}
 	if strings.Contains(out, "hardened") {
-		t.Error("-unhardened run labelled hardened")
+		t.Error("bare run labelled hardened")
 	}
 }
 
 func TestRunBadFlags(t *testing.T) {
 	for _, args := range [][]string{
-		{"-proto", "delta"},
+		{"-stack", "delta(k=4)"},
+		{"-stack", "beta(k=04)"}, // one spelling per stack
+		{"-stack", "beta"},
 		{"-fwindow", "nope", "-loss", "0.5"},
 		{"-fwindow", "5:5", "-loss", "0.5"}, // empty window
 		{"-blackout", "9:3"},
-		{"-proto", "rateless"}, // bare or wrapped, the coded pair has no simulator run
-		{"-loss", "1.5"},       // probabilities outside [0, 1]
+		{"-stack", "rateless(k=4)"}, // bare or wrapped, the coded pair has no simulator run
+		{"-stack", "hardened(rateless(k=4))"},
+		{"-loss", "1.5"}, // probabilities outside [0, 1]
 		{"-loss", "-0.2"},
 		{"-loss", "NaN"},
 		{"-excess", "-3"},
+		{"-proto", "beta"}, // removed flags: -stack names the stack
+		{"-k", "4"},
+		{"-unhardened"},
+		{"-stabilize"},
 	} {
 		if err := run(args, &strings.Builder{}); err == nil {
 			t.Errorf("args %v: expected an error", args)
@@ -95,7 +102,7 @@ func TestRunCrashSweepDeterministic(t *testing.T) {
 
 func TestRunStabilizedProcFaults(t *testing.T) {
 	var sb strings.Builder
-	err := run([]string{"-proto", "beta", "-stabilize",
+	err := run([]string{"-stack", "stabilized(hardened(beta(k=4)))",
 		"-procfaults", "t:crash:60:240,r:crashcorrupt:260:420", "-seed", "5"}, &sb)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +120,7 @@ func TestRunStabilizedProcFaults(t *testing.T) {
 
 func TestRunStabilizedUnhardenedBare(t *testing.T) {
 	var sb strings.Builder
-	err := run([]string{"-proto", "beta", "-stabilize", "-unhardened",
+	err := run([]string{"-stack", "stabilized(beta(k=4))",
 		"-procfaults", "r:corrupt:150", "-seed", "2"}, &sb)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +135,7 @@ func TestRunUnwrappedCrashCorrupts(t *testing.T) {
 	// A receiver crash loses mid-burst packets: the bare decoder misaligns,
 	// writes wrong bits, and the tool exits nonzero on the corruption.
 	var sb strings.Builder
-	err := run([]string{"-proto", "beta", "-unhardened",
+	err := run([]string{"-stack", "beta(k=4)",
 		"-procfaults", "r:crash:60:240", "-maxticks", "20000"}, &sb)
 	if err == nil || !strings.Contains(err.Error(), "corrupted") {
 		t.Fatalf("expected a corrupted-output error, got %v", err)

@@ -5,13 +5,17 @@
 //
 // Usage:
 //
-//	rstpserve -sessions 256 -proto beta -k 4      # 256 concurrent sessions
+//	rstpserve -sessions 256 -stack 'beta(k=4)'    # 256 concurrent sessions
 //	rstpserve -transport udp -sessions 64         # over a UDP loopback pair
-//	rstpserve -sessions 128 -loss 0.2 -fwindow 0:2000 -harden
-//	rstpserve -transport udp -loss 0.12 -dup 0.05 -corrupt 0.03 -harden
+//	rstpserve -sessions 128 -loss 0.2 -fwindow 0:2000 -stack 'hardened(beta(k=4))'
+//	rstpserve -transport udp -loss 0.12 -dup 0.05 -corrupt 0.03 -stack 'hardened(gamma(k=4))'
 //	rstpserve -shed evict-oldest-idle -watchdog 4 # overload + wedge defense
 //	rstpserve -adaptive -sessions 128             # closed-loop overload control
-//	rstpserve -store-dir /tmp/rstp -sessions 64   # durable crash-restart serving
+//	rstpserve -store-dir /tmp/rstp -stack 'stabilized(beta(k=4))'  # durable crash-restart serving
+//
+// -stack takes a stack's one name, the "proto" key of the summary:
+// alpha, beta(k=N), gamma(k=N) or rateless(k=N), optionally inside
+// hardened(...) and then stabilized(...).
 //
 // Every session's output tape is verified against its input: Y must be a
 // prefix of X throughout and equal to X at completion. The tool prints a
@@ -151,8 +155,7 @@ func run(args []string, out io.Writer) error {
 	var (
 		sessions    = fs.Int("sessions", 32, "number of sessions to transfer")
 		conc        = fs.Int("conc", 0, "max concurrent sessions (default min(sessions, 512))")
-		proto       = fs.String("proto", "beta", "protocol: alpha, beta, gamma or rateless")
-		k           = fs.Int("k", 4, "packet alphabet size (beta/gamma/rateless)")
+		stackName   = fs.String("stack", "beta(k=4)", "protocol stack: alpha, beta(k=N), gamma(k=N) or rateless(k=N), optionally inside hardened(...) and then stabilized(...)")
 		c1          = fs.Int64("c1", 2, "minimum step gap c1")
 		c2          = fs.Int64("c2", 3, "maximum step gap c2")
 		d           = fs.Int64("d", 12, "channel delay bound d")
@@ -160,9 +163,7 @@ func run(args []string, out io.Writer) error {
 		tick        = fs.Duration("tick", transport.DefaultTick, "wall-clock length of one model tick")
 		transName   = fs.String("transport", "mem", "transport: mem or udp")
 		seed        = fs.Int64("seed", 1, "seed for inputs, delays and fault plans")
-		harden      = fs.Bool("harden", false, "wrap sessions in the hardened reliability layer")
-		stabilize   = fs.Bool("stabilize", false, "wrap sessions in the stabilizing recovery layer")
-		storeDir    = fs.String("store-dir", "", "persist session checkpoints and output tapes into a journal in this directory (implies -stabilize; restarting against the same directory with the same -seed resumes interrupted sessions)")
+		storeDir    = fs.String("store-dir", "", "persist session checkpoints and output tapes into a journal in this directory (needs a stabilized -stack; restarting against the same directory with the same -seed resumes interrupted sessions)")
 		idle        = fs.Int64("idle", -1, "server idle-eviction threshold in ticks (-1 = off; the load generator evicts each session explicitly)")
 		loss        = fs.Float64("loss", 0, "drop probability inside -fwindow")
 		dup         = fs.Float64("dup", 0, "duplication probability inside -fwindow")
@@ -171,7 +172,7 @@ func run(args []string, out io.Writer) error {
 		blackout    = fs.String("blackout", "", "blackout window from:to (empty = none)")
 		excess      = fs.Int64("excess", 0, "extra delay beyond d inside -fwindow")
 		shed        = fs.String("shed", "refuse", "overload policy at the -conc cap: refuse or evict-oldest-idle")
-		adaptive    = fs.Bool("adaptive", false, "run the closed-loop control plane: occupancy-gated/paced admission, per-session k-selection from the paper's bound tables (beta/gamma; with -store-dir the chosen k is journaled and restarts resume under it) and the shed-escalation ladder")
+		adaptive    = fs.Bool("adaptive", false, "run the closed-loop control plane: occupancy-gated/paced admission, per-session k-selection from the paper's bound tables (beta/gamma; with -store-dir the chosen stack is journaled and restarts resume under it) and the shed-escalation ladder")
 		watchdog    = fs.Int("watchdog", 0, "progress watchdog multiplier k: wedge a session after k*delta1*c2 ticks without output growth (0 = off)")
 		verbose     = fs.Bool("v", false, "print one line per session")
 		timeout     = fs.Duration("timeout", 2*time.Minute, "overall run deadline")
@@ -191,6 +192,10 @@ func run(args []string, out io.Writer) error {
 	}
 
 	p := rstp.Params{C1: *c1, C2: *c2, D: *d}
+	spec, err := stack.Parse(*stackName)
+	if err != nil {
+		return fmt.Errorf("-stack: %w", err)
+	}
 	var store *journal.Store
 	if *storeDir != "" {
 		// Durable serving rides on the stabilized recovery layer: the
@@ -198,7 +203,9 @@ func run(args []string, out io.Writer) error {
 		// Recover mode makes every (re)start load whatever the directory
 		// already holds — empty on a first run, a mid-transfer snapshot
 		// after a crash.
-		*stabilize = true
+		if !spec.Stabilize {
+			return fmt.Errorf("-store-dir needs a stabilized stack, e.g. -stack 'stabilized(%s)'", *stackName)
+		}
 		var jerr error
 		store, jerr = journal.Open(*storeDir, journal.Options{Obs: reg})
 		if jerr != nil {
@@ -206,10 +213,7 @@ func run(args []string, out io.Writer) error {
 		}
 		defer store.Close()
 	}
-	spec := stack.Spec{
-		Proto: *proto, K: *k, Harden: *harden, Stabilize: *stabilize,
-		Store: storeOrNil(store), Observer: rstp.ObsObserver(reg), Seed: *seed, Registry: reg,
-	}
+	spec.Store, spec.Observer, spec.Seed, spec.Registry = storeOrNil(store), rstp.ObsObserver(reg), *seed, reg
 	st, err := stack.Build(p, spec)
 	if err != nil {
 		return err
@@ -248,7 +252,7 @@ func run(args []string, out io.Writer) error {
 	var ctrl *control.Controller
 	kBlock := st.BlockBits
 	if *adaptive {
-		if *proto == "rateless" {
+		if spec.Proto == "rateless" {
 			trans.Close()
 			return fmt.Errorf("-adaptive needs a retransmission family as the native protocol (alpha, beta, gamma); rateless rides in its candidate set instead")
 		}
@@ -587,7 +591,7 @@ func adaptiveCandidates(p rstp.Params, spec stack.Spec, st stack.Stack) ([]contr
 		s := spec
 		s.Proto, s.K = proto, k
 		if proto == "rateless" {
-			s.Harden, s.Stabilize = false, false // natively loss-tolerant; restarts recover through the cumulative ack
+			s.Harden, s.Stabilize, s.Store = false, false, nil // natively loss-tolerant; restarts recover through the cumulative ack
 		}
 		row, err := stack.Build(p, s)
 		if err != nil {

@@ -56,7 +56,7 @@ func scrape(t *testing.T, addr, path string) string {
 func TestServeChaosOverUDP(t *testing.T) {
 	var out strings.Builder
 	err := run([]string{
-		"-sessions", "8", "-proto", "beta", "-harden",
+		"-sessions", "8", "-stack", "hardened(beta(k=4))",
 		"-transport", "udp",
 		"-loss", "0.15", "-dup", "0.05", "-corrupt", "0.05", "-fwindow", "0:4000",
 		"-tick", "50us",
@@ -88,7 +88,7 @@ func TestServeWatchdogReportsWedged(t *testing.T) {
 	// starved under a loaded -race run still sends before the blackout.
 	var out strings.Builder
 	err := run([]string{
-		"-sessions", "3", "-n", "64", "-harden", "-watchdog", "4",
+		"-sessions", "3", "-n", "64", "-stack", "hardened(beta(k=4))", "-watchdog", "4",
 		"-blackout", "400:999999999", "-timeout", "20s",
 		"-tick", "200us",
 	}, &out)
@@ -267,7 +267,9 @@ func TestServeSigintFlushesSummary(t *testing.T) {
 
 func TestServeRejectsBadFlags(t *testing.T) {
 	cases := [][]string{
-		{"-proto", "delta"},
+		{"-stack", "delta(k=4)"},
+		{"-stack", "beta(k=04)"}, // one spelling per stack
+		{"-stack", "beta"},
 		{"-transport", "carrier-pigeon"},
 		{"-fwindow", "backwards", "-loss", "0.5"},
 		{"-fwindow", "5:5", "-loss", "0.5"}, // empty window
@@ -277,8 +279,12 @@ func TestServeRejectsBadFlags(t *testing.T) {
 		{"-excess", "-3"},
 		{"-shed", "evict-newest"}, // unknown shed policy
 		{"-watchdog", "-1"},       // negative watchdog multiplier
-		{"-proto", "rateless", "-harden"},
+		{"-stack", "hardened(rateless(k=4))"},
 		{"-chaos"}, // removed flags
+		{"-proto", "beta"},
+		{"-k", "4"},
+		{"-harden"},
+		{"-stabilize"},
 		{"-resilient"},
 		{"-bench"},
 		{"-benchout", "x.json"},
@@ -311,7 +317,7 @@ func TestServeStoreHelperProcess(t *testing.T) {
 // journal, resume at least one session's tape, and complete every
 // transfer with zero prefix violations.
 func TestServeKillRestart(t *testing.T) {
-	killRestart(t)
+	killRestart(t, "stabilized(beta(k=4))")
 }
 
 // TestServeKillRestartHardened is the same kill-and-restart smoke over
@@ -319,19 +325,19 @@ func TestServeKillRestart(t *testing.T) {
 // and so stays correct even when a synchronous journal save delays a
 // receiver step past c2.
 func TestServeKillRestartHardened(t *testing.T) {
-	killRestart(t, "-harden")
+	killRestart(t, "stabilized(hardened(beta(k=4)))")
 }
 
-func killRestart(t *testing.T, extra ...string) {
+func killRestart(t *testing.T, stack string) {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("subprocess kill-and-restart smoke")
 	}
 	dir := t.TempDir()
-	args := append([]string{
-		"-sessions", "4", "-n", "200", "-tick", "500us",
+	args := []string{
+		"-sessions", "4", "-n", "200", "-tick", "500us", "-stack", stack,
 		"-store-dir", dir, "-seed", "9", "-timeout", "5m",
-	}, extra...)
+	}
 	child := exec.Command(os.Args[0], "-test.run=^TestServeStoreHelperProcess$")
 	child.Env = append(os.Environ(),
 		"RSTPSERVE_HELPER=1",
@@ -361,10 +367,10 @@ func killRestart(t *testing.T, extra ...string) {
 
 	// Same directory, same seed, faster clock: the second incarnation
 	// must pick the sessions up where the journal says they were.
-	restart := append([]string{
-		"-sessions", "4", "-n", "200", "-tick", "50us",
+	restart := []string{
+		"-sessions", "4", "-n", "200", "-tick", "50us", "-stack", stack,
 		"-store-dir", dir, "-seed", "9", "-timeout", "2m",
-	}, extra...)
+	}
 	var out strings.Builder
 	if err := run(restart, &out); err != nil {
 		t.Fatalf("restarted run: %v\n%s", err, out.String())
@@ -383,11 +389,19 @@ func killRestart(t *testing.T, extra ...string) {
 
 // TestServeStoreDirFreshRun pins the first-boot path: -store-dir against
 // an empty directory serves normally (recover mode with nothing to
-// recover) and reports the journal keys in the summary.
+// recover) and reports the journal keys in the summary. A stack that is
+// not stabilized cannot checkpoint: the run is refused, names the stack
+// it needs and leaves the directory untouched.
 func TestServeStoreDirFreshRun(t *testing.T) {
 	dir := t.TempDir()
 	var out strings.Builder
-	err := run([]string{"-sessions", "4", "-n", "2", "-tick", "50us", "-store-dir", dir}, &out)
+	if err := run([]string{"-store-dir", dir}, &out); err == nil || !strings.Contains(err.Error(), "stabilized(beta(k=4))") {
+		t.Fatalf("-store-dir with the bare default stack: %v, want a refusal naming stabilized(beta(k=4))", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "journal.log")); err == nil {
+		t.Fatal("refused run opened a journal")
+	}
+	err := run([]string{"-sessions", "4", "-n", "2", "-tick", "50us", "-stack", "stabilized(beta(k=4))", "-store-dir", dir}, &out)
 	if err != nil {
 		t.Fatalf("fresh -store-dir run: %v\n%s", err, out.String())
 	}
@@ -420,7 +434,7 @@ func TestServeAdaptiveSmoke(t *testing.T) {
 	go func() {
 		done <- run([]string{
 			"-sessions", "24", "-conc", "8", "-n", "16",
-			"-adaptive", "-harden", "-tick", "50us",
+			"-adaptive", "-stack", "hardened(beta(k=4))", "-tick", "50us",
 			"-metrics-addr", "127.0.0.1:0",
 			"-timeout", "60s",
 		}, &out)
@@ -496,7 +510,7 @@ func TestServeAdaptiveUDP(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- run([]string{
-			"-transport", "udp", "-harden", "-adaptive",
+			"-transport", "udp", "-stack", "hardened(beta(k=4))", "-adaptive",
 			"-sessions", "128", "-tick", "50us", "-timeout", "30s",
 		}, &out)
 	}()
@@ -532,7 +546,7 @@ func TestServeAdaptiveStoreDirRestart(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{
 		"-sessions", "4", "-n", "8", "-tick", "50us",
-		"-adaptive", "-store-dir", dir, "-seed", "11", "-timeout", "2m",
+		"-adaptive", "-stack", "stabilized(beta(k=4))", "-store-dir", dir, "-seed", "11", "-timeout", "2m",
 	}
 	var out strings.Builder
 	if err := run(args, &out); err != nil {
@@ -542,8 +556,8 @@ func TestServeAdaptiveStoreDirRestart(t *testing.T) {
 	if sum.Completed != 4 || sum.Violations != 0 {
 		t.Fatalf("first run: %+v", sum)
 	}
-	if sum.ControlKHist["4"] != 4 {
-		t.Fatalf("first run k histogram = %v, want 4 admissions at k=4", sum.ControlKHist)
+	if sum.ControlKHist["stabilized(beta(k=4))"] != 4 {
+		t.Fatalf("first run k histogram = %v, want 4 admissions at stabilized(beta(k=4))", sum.ControlKHist)
 	}
 
 	// The chosen k must be durable, under the session's own key family.
@@ -552,8 +566,8 @@ func TestServeAdaptiveStoreDirRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := 1; id <= 4; id++ {
-		if raw, ok := st.Load(fmt.Sprintf("s%d/k", id)); !ok || string(raw) != "4" {
-			t.Errorf("journal records %q (ok=%v) for session %d's k, want \"4\"", raw, ok, id)
+		if raw, ok := st.Load(fmt.Sprintf("s%d/k", id)); !ok || string(raw) != "stabilized(beta(k=4))" {
+			t.Errorf("journal records %q (ok=%v) for session %d's stack, want \"stabilized(beta(k=4))\"", raw, ok, id)
 		}
 	}
 	st.Close()
@@ -568,8 +582,8 @@ func TestServeAdaptiveStoreDirRestart(t *testing.T) {
 	if sum.Completed != 4 || sum.Violations != 0 {
 		t.Fatalf("restart: %+v", sum)
 	}
-	if sum.ControlKHist["4"] != 4 {
-		t.Errorf("restart k histogram = %v, want the 4 recorded k=4 admissions", sum.ControlKHist)
+	if sum.ControlKHist["stabilized(beta(k=4))"] != 4 {
+		t.Errorf("restart k histogram = %v, want the 4 recorded stabilized(beta(k=4)) admissions", sum.ControlKHist)
 	}
 	if sum.JournalReplayed == 0 {
 		t.Errorf("restart replayed no journal records: %+v", sum)

@@ -17,7 +17,7 @@ type matrixRow struct {
 	chaos     string // "none", "loss", "burst" or "crash"
 	transport string // "mem" or "udp"
 	sessions  int
-	harden    bool
+	stack     string // the -stack value, which the summary's proto must echo
 	args      []string
 }
 
@@ -29,13 +29,13 @@ type matrixRow struct {
 // fast host; 24-bit beta4 sessions at 64-way concurrency finish by
 // tick 300 and never see the burst.
 var matrixFamilies = []struct {
-	name, proto string
+	name, stack string
 	n           int
 }{
-	{"alpha", "alpha", 34},        // 1-bit blocks, 18 ticks/msg
-	{"beta4", "beta", 17},         // 6-bit blocks, 6 ticks/msg
-	{"gamma4", "gamma", 16},       // 5-bit blocks, 7.8 ticks/msg
-	{"rateless4", "rateless", 34}, // 6-bit blocks, 3 ticks/msg
+	{"alpha", "alpha", 34},             // 1-bit blocks, 18 ticks/msg
+	{"beta4", "beta(k=4)", 17},         // 6-bit blocks, 6 ticks/msg
+	{"gamma4", "gamma(k=4)", 16},       // 5-bit blocks, 7.8 ticks/msg
+	{"rateless4", "rateless(k=4)", 34}, // 6-bit blocks, 3 ticks/msg
 }
 
 // matrixPlans renders each fault plan as rstpserve's fault flags, in
@@ -65,16 +65,18 @@ func matrixRows(full bool) []matrixRow {
 			// Faults and real sockets lose frames, which only the
 			// hardened layer recovers; rateless tolerates loss natively
 			// and runs bare everywhere, which is the point of its rows.
-			harden := fam.proto != "rateless" && (chaos != "none" || transport == "udp")
+			stack := fam.stack
+			if !strings.HasPrefix(stack, "rateless(") && (chaos != "none" || transport == "udp") {
+				stack = "hardened(" + stack + ")"
+			}
 			args := []string{
-				"-proto", fam.proto, "-n", fmt.Sprint(fam.n),
+				"-stack", stack, "-n", fmt.Sprint(fam.n),
 				"-transport", transport, "-sessions", fmt.Sprint(sessions),
 				"-tick", "50us", "-timeout", fmt.Sprint(time.Minute * time.Duration(1+(sessions-1)/512)),
-				fmt.Sprintf("-harden=%v", harden),
 			}
 			rows = append(rows, matrixRow{
 				name:  fmt.Sprintf("%s/%s/%s/s%d", fam.name, transport, chaos, sessions),
-				chaos: chaos, transport: transport, sessions: sessions, harden: harden,
+				chaos: chaos, transport: transport, sessions: sessions, stack: stack,
 				args: append(args, matrixPlans[plan].flags...),
 			})
 		}
@@ -201,8 +203,8 @@ func runRow(t *testing.T, row matrixRow) summary {
 	if sum.EffortLowerBound <= 0 || sum.EffortBound <= sum.EffortLowerBound {
 		t.Errorf("effort bounds missing: lower %v upper %v", sum.EffortLowerBound, sum.EffortBound)
 	}
-	if hardened := strings.HasPrefix(sum.Proto, "hardened("); hardened != row.harden {
-		t.Errorf("stack %q, want hardened=%v", sum.Proto, row.harden)
+	if sum.Proto != row.stack {
+		t.Errorf("summary proto %q, want the -stack value %q", sum.Proto, row.stack)
 	}
 	if row.transport == "udp" && sum.UDPMalformed != 0 {
 		t.Errorf("%d malformed datagrams", sum.UDPMalformed)

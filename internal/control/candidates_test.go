@@ -20,9 +20,9 @@ import (
 // native Upper(4) = 16, gamma Upper = 8, rateless Upper = 5.
 func candCtl(t *testing.T, mut func(*Config)) (*Controller, session.PairBuilder, session.PairBuilder, session.PairBuilder) {
 	t.Helper()
-	bBeta := fakeBuilder{"beta4"}
-	bGamma := fakeBuilder{"gamma4"}
-	bRl := fakeBuilder{"rateless4"}
+	bBeta := fakeBuilder{"beta(k=4)"}
+	bGamma := fakeBuilder{"gamma(k=4)"}
+	bRl := fakeBuilder{"rateless(k=4)"}
 	c := newCtl(t, func(cfg *Config) {
 		cfg.Candidates = []Candidate{
 			{Proto: "beta", K: 4, Builder: bBeta, Upper: 16},
@@ -86,7 +86,7 @@ func TestCrossFamilySelection(t *testing.T) {
 	c.mu.Lock()
 
 	c.retuneK(obs.HistogramSnapshot{})
-	if got := c.label(c.sel); got != "4" {
+	if got := c.label(c.sel); got != "beta(k=4)" {
 		c.mu.Unlock()
 		t.Fatalf("healthy window left the native family: %v", got)
 	}
@@ -94,7 +94,7 @@ func TestCrossFamilySelection(t *testing.T) {
 	// gamma 16 <= 18 fits (tried before rateless: larger Upper first).
 	c.lastSwitch = -(1 << 40)
 	c.retuneK(margins(-14, 10))
-	if got := c.label(c.sel); got != "gamma:4" {
+	if got := c.label(c.sel); got != "gamma(k=4)" {
 		c.mu.Unlock()
 		t.Fatalf("overload did not select gamma: %v", got)
 	}
@@ -102,14 +102,14 @@ func TestCrossFamilySelection(t *testing.T) {
 	// gamma 24 > 18 fails, rateless 15 fits. Moves inside the candidate
 	// set are immediate — no dwell needed.
 	c.retuneK(margins(-6, 10))
-	if got := c.label(c.sel); got != "rateless:4" {
+	if got := c.label(c.sel); got != "rateless(k=4)" {
 		c.mu.Unlock()
 		t.Fatalf("deeper overload did not move to rateless: %v", got)
 	}
 	// Recovery: median gap 2 < rateless's Upper → slow 1 → native fits.
 	c.lastSwitch = -(1 << 40)
 	c.retuneK(margins(16, 10))
-	if got := c.label(c.sel); got != "4" {
+	if got := c.label(c.sel); got != "beta(k=4)" {
 		c.mu.Unlock()
 		t.Fatalf("recovery did not return to the native family: %v", got)
 	}
@@ -120,7 +120,7 @@ func TestCrossFamilySelection(t *testing.T) {
 	c.mu.Unlock()
 
 	// Admissions hand out the selected builder; the histogram records
-	// the family-qualified label.
+	// the row's stack name.
 	selectRow(t, c, "gamma", 4)
 	if err := c.Admit(context.Background(), 3); err != nil {
 		t.Fatal(err)
@@ -129,11 +129,11 @@ func TestCrossFamilySelection(t *testing.T) {
 		t.Errorf("BuilderFor(3) = %v, want the gamma candidate", got)
 	}
 	st := c.State()
-	if st.KHistogram["gamma:4"] != 1 {
-		t.Errorf("k histogram = %v, want one admission at gamma:4", st.KHistogram)
+	if st.KHistogram["gamma(k=4)"] != 1 {
+		t.Errorf("k histogram = %v, want one admission at gamma(k=4)", st.KHistogram)
 	}
-	if st.Selected != "gamma:4" || st.K != 4 {
-		t.Errorf("State selected=%q k=%d, want gamma:4 / 4", st.Selected, st.K)
+	if st.Selected != "gamma(k=4)" || st.K != 4 {
+		t.Errorf("State selected=%q k=%d, want gamma(k=4) / 4", st.Selected, st.K)
 	}
 	var ranked []string
 	for _, row := range st.Candidates {
@@ -156,7 +156,7 @@ func TestCandidateNoFlap(t *testing.T) {
 
 	// First escalation is dwell-eligible (New backdates lastSwitch).
 	c.retuneK(margins(-14, 10))
-	if got := c.label(c.sel); got != "gamma:4" {
+	if got := c.label(c.sel); got != "gamma(k=4)" {
 		t.Fatalf("overload did not select gamma: %v", got)
 	}
 	if c.famSwaps != 1 {
@@ -169,7 +169,7 @@ func TestCandidateNoFlap(t *testing.T) {
 		} else {
 			c.retuneK(margins(-14, 10)) // overloaded again
 		}
-		if got := c.label(c.sel); got != "gamma:4" {
+		if got := c.label(c.sel); got != "gamma(k=4)" {
 			t.Fatalf("window %d flapped the selection to %v", i, got)
 		}
 	}
@@ -179,7 +179,7 @@ func TestCandidateNoFlap(t *testing.T) {
 	// Once the dwell elapses, a healthy window does return natively.
 	c.lastSwitch = -(1 << 41)
 	c.retuneK(margins(16, 10))
-	if got := c.label(c.sel); got != "4" {
+	if got := c.label(c.sel); got != "beta(k=4)" {
 		t.Fatalf("post-dwell recovery did not return: %v", got)
 	}
 	if c.famSwaps != 2 {
@@ -187,52 +187,42 @@ func TestCandidateNoFlap(t *testing.T) {
 	}
 }
 
-// TestDurableCandidateSelection: a cross-family choice persists as
-// "proto:k" and a restarted controller resumes the session under it,
-// while bare-k records keep resolving to the native family.
+// TestDurableCandidateSelection: a selection persists as its row's
+// stack name and a restarted controller resumes the session under the
+// row of that name, native or foreign; a record that names no row reads
+// as "no record".
 func TestDurableCandidateSelection(t *testing.T) {
 	ctx := context.Background()
 	st := rstp.NewMemStore()
 
-	c1, _, bGamma, _ := candCtl(t, func(cfg *Config) { cfg.Store = st })
+	c1, _, _, _ := candCtl(t, func(cfg *Config) { cfg.Store = st })
 	selectRow(t, c1, "gamma", 4)
 	if err := c1.Admit(ctx, 5); err != nil {
 		t.Fatal(err)
 	}
-	if raw, ok := st.Load(kKey(5)); !ok || string(raw) != "gamma:4" {
-		t.Fatalf("persisted selection = %q, want gamma:4", raw)
+	if raw, ok := st.Load(kKey(5)); !ok || string(raw) != "gamma(k=4)" {
+		t.Fatalf("persisted selection = %q, want gamma(k=4)", raw)
 	}
 
 	// Restart: native selection is current, but session 5 resumes gamma.
-	c2, bBeta, bGamma2, _ := candCtl(t, func(cfg *Config) { cfg.Store = st })
+	c2, bBeta, bGamma, bRl := candCtl(t, func(cfg *Config) { cfg.Store = st })
 	if err := c2.Admit(ctx, 5); err != nil {
 		t.Fatal(err)
 	}
-	if got := c2.BuilderFor(5); got != bGamma2 {
+	if got := c2.BuilderFor(5); got != bGamma {
 		t.Errorf("restart resumed %v, want the gamma candidate", got)
 	}
-	_ = bGamma
-
-	// Legacy bare-k record resolves to the native builder.
-	st.Save(kKey(6), []byte("4"))
-	if err := c2.Admit(ctx, 6); err != nil {
-		t.Fatal(err)
-	}
-	if got := c2.BuilderFor(6); got != bBeta {
-		t.Errorf("legacy record resumed %v, want the native k=4 builder", got)
-	}
-	st.Save(kKey(7), []byte("rateless:4"))
+	st.Save(kKey(7), []byte("rateless(k=4)"))
 	if err := c2.Admit(ctx, 7); err != nil {
 		t.Fatal(err)
 	}
-	if got := c2.BuilderFor(7); got.String() != "rateless4" {
-		t.Errorf("rateless:4 record resumed %v, want the rateless candidate", got)
+	if got := c2.BuilderFor(7); got != bRl {
+		t.Errorf("rateless(k=4) record resumed %v, want the rateless candidate", got)
 	}
 
-	// A "proto:k" record resolves to its row wherever that row ranks,
-	// even when its family has since become the native one; the row is
-	// then native, so it is counted under the bare k.
-	bG4, bG8 := fakeBuilder{"gamma4"}, fakeBuilder{"gamma8"}
+	// A record resolves to its row wherever that row ranks, even when
+	// its family has since become the native one.
+	bG4, bG8 := fakeBuilder{"gamma(k=4)"}, fakeBuilder{"gamma(k=8)"}
 	c3 := newCtl(t, func(cfg *Config) {
 		cfg.Store = st
 		cfg.Candidates = []Candidate{
@@ -244,17 +234,22 @@ func TestDurableCandidateSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := c3.BuilderFor(5); got != bG4 {
-		t.Errorf("gamma:4 record under native gamma resumed %v, want the gamma k=4 row", got)
+		t.Errorf("gamma(k=4) record under native gamma resumed %v, want the gamma k=4 row", got)
 	}
-	if h := c3.State().KHistogram; h["4"] != 1 {
-		t.Errorf("k histogram = %v, want one admission at 4", h)
+	if h := c3.State().KHistogram; h["gamma(k=4)"] != 1 {
+		t.Errorf("k histogram = %v, want one admission at gamma(k=4)", h)
 	}
 
-	// Garbage forms read as "no record".
-	for _, raw := range []string{"gamma:", ":4", "gamma:one", "gamma:1"} {
-		st.Save(kKey(9), []byte(raw))
-		if proto, k, ok := storedSel(st, 9); ok {
-			t.Errorf("storedSel accepted %q as %s:%d", raw, proto, k)
+	// Records that name no row — other spellings, other stacks, garbage —
+	// admit under the current selection.
+	for i, raw := range []string{"", "4", "gamma:4", "gamma(k=04)", "hardened(gamma(k=4))", "gamma(k=8)", "eight"} {
+		id := uint32(10 + i)
+		st.Save(kKey(id), []byte(raw))
+		if err := c2.Admit(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+		if got := c2.BuilderFor(id); got != bBeta {
+			t.Errorf("record %q resumed %v, want the current selection beta(k=4)", raw, got)
 		}
 	}
 }
@@ -281,12 +276,12 @@ func TestSelectionTraceMatchesParent(t *testing.T) {
 	}
 	realRows := []Candidate{build("beta", 4), build("beta", 2), build("beta", 8), build("gamma", 4), build("gamma", 8), build("rateless", 4)}
 	synth := []Candidate{
-		{Proto: "beta", K: 4, Builder: fakeBuilder{"beta4"}, Upper: 16},
-		{Proto: "beta", K: 2, Builder: fakeBuilder{"beta2"}, Upper: 30},
-		{Proto: "beta", K: 8, Builder: fakeBuilder{"beta8"}, Upper: 12},
-		{Proto: "gamma", K: 4, Builder: fakeBuilder{"gamma4"}, Upper: 9},
-		{Proto: "gamma", K: 8, Builder: fakeBuilder{"gamma8"}, Upper: 7},
-		{Proto: "rateless", K: 4, Builder: fakeBuilder{"rateless4"}, Upper: 5},
+		{Proto: "beta", K: 4, Builder: fakeBuilder{"beta(k=4)"}, Upper: 16},
+		{Proto: "beta", K: 2, Builder: fakeBuilder{"beta(k=2)"}, Upper: 30},
+		{Proto: "beta", K: 8, Builder: fakeBuilder{"beta(k=8)"}, Upper: 12},
+		{Proto: "gamma", K: 4, Builder: fakeBuilder{"gamma(k=4)"}, Upper: 9},
+		{Proto: "gamma", K: 8, Builder: fakeBuilder{"gamma(k=8)"}, Upper: 7},
+		{Proto: "rateless", K: 4, Builder: fakeBuilder{"rateless(k=4)"}, Upper: 5},
 	}
 	want := []struct {
 		table  int
@@ -322,13 +317,20 @@ func TestSelectionTraceMatchesParent(t *testing.T) {
 				c.lastSwitch = -(1 << 41)
 			}
 			c.retuneK(win)
+			row := c.cands[c.sel]
 			c.mu.Unlock()
 			st := c.State()
-			fmt.Fprintf(h, "%d %s %d %d\n", step, st.Selected, st.K, st.FamilySwitches)
-			label := st.Selected
-			if label == "" {
-				label = fmt.Sprint(st.K)
+			// The recorded trace spells a foreign row "proto:k" and counts
+			// a native one under its bare k.
+			label, selected := fmt.Sprint(row.K), ""
+			if st.Selected != "" {
+				if st.Selected != row.Builder.String() {
+					t.Fatalf("step %d: State selected %q, want the row's name %q", step, st.Selected, row.Builder)
+				}
+				selected = fmt.Sprintf("%s:%d", row.Proto, row.K)
+				label = selected
 			}
+			fmt.Fprintf(h, "%d %s %d %d\n", step, selected, st.K, st.FamilySwitches)
 			counts[label]++
 		}
 		labels := make([]string, 0, len(counts))

@@ -30,8 +30,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -71,8 +69,8 @@ type Config struct {
 	// checkpoint keys — and consults it first on admission. A durable
 	// restart (same store directory, same session IDs) then resumes every
 	// session under the row its persisted protocol state was written
-	// with, instead of collapsing to Candidates[0]. Native rows persist
-	// as the bare k, foreign rows as "proto:k".
+	// with, instead of collapsing to Candidates[0]. A row persists as its
+	// name, the Builder's String().
 	Store rstp.StateStore
 
 	// Interval is the control tick period in ticks (default 8·d).
@@ -143,10 +141,6 @@ type Actuators struct {
 	RetireStalled func() bool
 }
 
-// maxTombstones bounds the forgotten-ID set that keeps late frames of a
-// k-selected session from respawning a receiver under the wrong k.
-const maxTombstones = 8192
-
 // refusePressureCap bounds the refusal-rate pressure component at a
 // value between the refuse and evict enter thresholds: a retransmission
 // storm from sessions queued at the capacity cap can push the ladder to
@@ -214,8 +208,6 @@ type Controller struct {
 	famSwaps   int64
 
 	perSession  map[uint32]session.PairBuilder
-	tombstones  map[uint32]struct{}
-	tombstoneQ  []uint32
 	kHist       map[string]int64
 	prevMargin  obs.HistogramSnapshot
 	prevWrites  int64
@@ -304,7 +296,6 @@ func New(cfg Config) (*Controller, error) {
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		missBase:   -1,
 		perSession: make(map[uint32]session.PairBuilder),
-		tombstones: make(map[uint32]struct{}),
 		kHist:      make(map[string]int64),
 	}
 	c.ladder = Ladder{Enter: ladderEnter, Exit: ladderExit, Dwell: cfg.Dwell}
@@ -552,14 +543,9 @@ func (c *Controller) retuneK(win obs.HistogramSnapshot) {
 // the family of the served stack (which ranks first).
 func (c *Controller) isNative(i int) bool { return c.cands[i].Proto == c.cands[0].Proto }
 
-// label is ranked row i's histogram and persistence identity: the bare
-// k for a native row, "proto:k" for a foreign one.
-func (c *Controller) label(i int) string {
-	if c.isNative(i) {
-		return strconv.Itoa(c.cands[i].K)
-	}
-	return fmt.Sprintf("%s:%d", c.cands[i].Proto, c.cands[i].K)
-}
+// label is ranked row i's histogram and persistence identity: its
+// stack's name, e.g. "hardened(gamma(k=4))".
+func (c *Controller) label(i int) string { return c.cands[i].Builder.String() }
 
 // sleepTicks blocks for the given tick count. It reports stopped=true
 // when the controller shut down mid-sleep (callers admit rather than
@@ -666,12 +652,9 @@ func (c *Controller) Admit(ctx context.Context, id uint32) error {
 		// then re-transfers rather than resumes.)
 		i := c.sel
 		if c.cfg.Store != nil {
-			if proto, rk, ok := storedSel(c.cfg.Store, id); ok {
-				if proto == "" {
-					proto = c.cands[0].Proto
-				}
-				for j, cd := range c.cands {
-					if cd.Proto == proto && cd.K == rk {
+			if raw, ok := c.cfg.Store.Load(kKey(id)); ok {
+				for j := range c.cands {
+					if c.label(j) == string(raw) {
 						i = j
 						break
 					}
@@ -682,57 +665,20 @@ func (c *Controller) Admit(ctx context.Context, id uint32) error {
 		c.kHist[label]++
 	}
 	c.perSession[id] = b // recorded even when nil: marks the ID as admitted
-	delete(c.tombstones, id)
 	c.mu.Unlock()
 	// The save happens outside c.mu: a durable store fsyncs, and the
-	// control tick must not wait on the disk. Native rows persist as the
-	// bare k, foreign ones as "proto:k" — storedSel reads both.
+	// control tick must not wait on the disk.
 	if label != "" && c.cfg.Store != nil {
 		c.cfg.Store.Save(kKey(id), []byte(label))
 	}
 	return nil
 }
 
-// kKey is the checkpoint key recording the alphabet size session id was
-// admitted under. It shares the stabilized layer's "s<id>/" prefix so a
-// session's durable state — protocol checkpoints, output tape, chosen k
-// — lives under one key family.
+// kKey is the checkpoint key recording the name of the stack session id
+// was admitted under. It shares the stabilized layer's "s<id>/" prefix so
+// a session's durable state — protocol checkpoints, output tape, chosen
+// stack — lives under one key family.
 func kKey(id uint32) string { return fmt.Sprintf("s%d/k", id) }
-
-// storedK reads a previously recorded per-session k back from the
-// store. Anything unparseable (a torn write the journal could not
-// checksum away, an empty value) reads as "no record".
-func storedK(store rstp.StateStore, id uint32) (int, bool) {
-	raw, ok := store.Load(kKey(id))
-	if !ok || len(raw) == 0 {
-		return 0, false
-	}
-	k, err := strconv.Atoi(string(raw))
-	if err != nil || k < 2 {
-		return 0, false
-	}
-	return k, true
-}
-
-// storedSel reads a persisted selection, which is either the bare-k
-// format (proto returned as "", meaning the native family) or the
-// "proto:k" form. Garbage reads as "no record".
-func storedSel(store rstp.StateStore, id uint32) (proto string, k int, ok bool) {
-	raw, lok := store.Load(kKey(id))
-	if !lok || len(raw) == 0 {
-		return "", 0, false
-	}
-	s := string(raw)
-	if i := strings.IndexByte(s, ':'); i > 0 {
-		k, err := strconv.Atoi(s[i+1:])
-		if err != nil || k < 2 {
-			return "", 0, false
-		}
-		return s[:i], k, true
-	}
-	k, ok = storedK(store, id)
-	return "", k, ok
-}
 
 // BuilderFor implements session.AdmissionController.
 func (c *Controller) BuilderFor(id uint32) session.PairBuilder {
@@ -742,18 +688,15 @@ func (c *Controller) BuilderFor(id uint32) session.PairBuilder {
 }
 
 // AdmitServer implements session.AdmissionController. Admitted IDs are
-// always accepted (their slot is spoken for), forgotten IDs always
-// refused (late frames of a retired k-selected session must not respawn
-// a receiver under the default k), and unknown IDs — a remote dialer
-// this controller never saw — track the ladder.
+// always accepted (their slot is spoken for) and unknown IDs — a remote
+// dialer this controller never saw — track the ladder. Late frames of a
+// retired session never get here: the server drops them at its own
+// tombstone.
 func (c *Controller) AdmitServer(id uint32) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.perSession[id]; ok {
 		return true
-	}
-	if _, ok := c.tombstones[id]; ok {
-		return false
 	}
 	if c.ladder.Current() >= LevelRefuse {
 		c.serverRefused++
@@ -763,23 +706,11 @@ func (c *Controller) AdmitServer(id uint32) bool {
 }
 
 // Forget implements session.AdmissionController: the per-session record
-// moves into a bounded tombstone set.
+// is dropped.
 func (c *Controller) Forget(id uint32) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.perSession[id]; !ok {
-		return
-	}
 	delete(c.perSession, id)
-	if _, ok := c.tombstones[id]; ok {
-		return
-	}
-	c.tombstones[id] = struct{}{}
-	c.tombstoneQ = append(c.tombstoneQ, id)
-	if len(c.tombstoneQ) > maxTombstones {
-		delete(c.tombstones, c.tombstoneQ[0])
-		c.tombstoneQ = c.tombstoneQ[1:]
-	}
 }
 
 // State is the controller's introspection snapshot: the "control" live
@@ -799,8 +730,9 @@ type State struct {
 	Retires         int64            `json:"retires"`
 	KHistogram      map[string]int64 `json:"k_histogram,omitempty"`
 	LevelDwellTicks map[string]int64 `json:"level_dwell_ticks"`
-	// Selected names the foreign row currently selected ("gamma:4",
-	// "rateless:4"), empty while the native family is.
+	// Selected names the foreign row currently selected by its stack's
+	// name ("gamma(k=4)", "rateless(k=4)"), empty while the native family
+	// is.
 	Selected       string `json:"selected,omitempty"`
 	FamilySwitches int64  `json:"family_switches,omitempty"`
 	// Candidates lists every row in rank order.

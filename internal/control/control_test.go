@@ -64,7 +64,9 @@ func TestNewValidation(t *testing.T) {
 
 // TestAdmitRecordsAndForgets walks one ID through the controller's
 // session-tracking life cycle: admitted → accepted server-side →
-// forgotten → tombstoned (late frames must not respawn it).
+// forgotten. Late frames of a forgotten session are the server's to drop
+// (internal/session's TestTransferGivenUpBeforeSpawnLeavesNoGhost and
+// TestLateFrameDoesNotRespawnFinishedSession).
 func TestAdmitRecordsAndForgets(t *testing.T) {
 	c := newCtl(t, nil)
 	if err := c.Admit(context.Background(), 7); err != nil {
@@ -81,15 +83,18 @@ func TestAdmitRecordsAndForgets(t *testing.T) {
 	}
 	c.Forget(7)
 	c.Forget(7) // idempotent
-	if c.AdmitServer(7) {
-		t.Error("forgotten ID re-admitted: a late frame could respawn a receiver under the wrong k")
+	c.mu.Lock()
+	_, kept := c.perSession[7]
+	c.mu.Unlock()
+	if kept {
+		t.Error("forgotten ID still holds its per-session record")
 	}
-	// Re-admission under the same ID (the restart path) clears the stone.
+	// Re-admission under the same ID (the restart path) records it again.
 	if err := c.Admit(context.Background(), 7); err != nil {
 		t.Fatalf("re-Admit: %v", err)
 	}
 	if !c.AdmitServer(7) {
-		t.Error("re-admitted ID still tombstoned")
+		t.Error("re-admitted ID refused server-side")
 	}
 }
 
@@ -150,7 +155,7 @@ func margins(med int64, n int64) obs.HistogramSnapshot {
 // δ1·c2 deadline; a measured slowdown scales the prediction and forces
 // a larger (cheaper-per-message) alphabet; recovery returns.
 func TestKSelection(t *testing.T) {
-	b2, b4, b8 := fakeBuilder{"k2"}, fakeBuilder{"k4"}, fakeBuilder{"k8"}
+	b2, b4, b8 := fakeBuilder{"beta(k=2)"}, fakeBuilder{"beta(k=4)"}, fakeBuilder{"beta(k=8)"}
 	c := newCtl(t, func(cfg *Config) {
 		// Deadline δ1·c2 = 6·3 = 18. Synthetic predictions: k=2 never
 		// fits, k=4 fits at slowdown 1, only k=8 fits at slowdown 2.
@@ -162,22 +167,22 @@ func TestKSelection(t *testing.T) {
 	})
 	c.mu.Lock()
 	c.retuneK(obs.HistogramSnapshot{}) // empty window: predictions alone
-	if got := c.label(c.sel); got != "4" {
+	if got := c.label(c.sel); got != "beta(k=4)" {
 		c.mu.Unlock()
-		t.Fatalf("healthy k = %s, want 4 (smallest fitting the deadline)", got)
+		t.Fatalf("healthy row = %s, want beta(k=4) (smallest k fitting the deadline)", got)
 	}
 	// Median margin -14 → median gap 32 → slowdown 32/16 = 2: only
 	// 2·Upper(8) = 18 still fits.
 	c.retuneK(margins(-14, 10))
-	if got := c.label(c.sel); got != "8" {
+	if got := c.label(c.sel); got != "beta(k=8)" {
 		c.mu.Unlock()
-		t.Fatalf("overloaded k = %s, want 8", got)
+		t.Fatalf("overloaded row = %s, want beta(k=8)", got)
 	}
 	// Healthy again (median gap 2 < Upper(8)): back to the smallest k.
 	c.retuneK(margins(16, 10))
-	if got := c.label(c.sel); got != "4" {
+	if got := c.label(c.sel); got != "beta(k=4)" {
 		c.mu.Unlock()
-		t.Fatalf("recovered k = %s, want 4", got)
+		t.Fatalf("recovered row = %s, want beta(k=4)", got)
 	}
 	c.mu.Unlock()
 
@@ -188,7 +193,7 @@ func TestKSelection(t *testing.T) {
 	if got := c.BuilderFor(3); got != session.PairBuilder(b4) {
 		t.Errorf("BuilderFor(3) = %v, want the k=4 builder", got)
 	}
-	if st := c.State(); st.KHistogram["4"] != 1 {
+	if st := c.State(); st.KHistogram["beta(k=4)"] != 1 {
 		t.Errorf("k histogram = %v, want one admission at k=4", st.KHistogram)
 	}
 }
@@ -219,8 +224,8 @@ func TestKSelectionReadsOverflowAsSlack(t *testing.T) {
 		c.retuneK(c.marginHist.Snapshot())
 		got := c.label(c.sel)
 		c.mu.Unlock()
-		if got != "4" {
-			t.Errorf("ten writes at gap %d (margin %d): k = %s, want 4", gap, c.deadline-gap, got)
+		if got != "beta(k=4)" {
+			t.Errorf("ten writes at gap %d (margin %d): row = %s, want beta(k=4)", gap, c.deadline-gap, got)
 		}
 	}
 }

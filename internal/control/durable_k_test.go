@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/journal"
-	"repro/internal/rstp"
 	"repro/internal/session"
 )
 
@@ -16,7 +15,7 @@ import (
 // the recorded k instead of collapsing to the configured one.
 func TestDurableKSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
-	b4, b8 := fakeBuilder{"k4"}, fakeBuilder{"k8"}
+	b4, b8 := fakeBuilder{"beta(k=4)"}, fakeBuilder{"beta(k=8)"}
 	ctx := context.Background()
 
 	// First incarnation: only k=8 on offer, so session 1 records k=8.
@@ -34,8 +33,8 @@ func TestDurableKSurvivesRestart(t *testing.T) {
 	if got := c1.BuilderFor(1); got != session.PairBuilder(b8) {
 		t.Fatalf("first run handed out %v, want the k=8 builder", got)
 	}
-	if raw, ok := s1.Load("s1/k"); !ok || string(raw) != "8" {
-		t.Fatalf("store records %q (ok=%v) under s1/k, want \"8\"", raw, ok)
+	if raw, ok := s1.Load("s1/k"); !ok || string(raw) != "beta(k=8)" {
+		t.Fatalf("store records %q (ok=%v) under s1/k, want \"beta(k=8)\"", raw, ok)
 	}
 	s1.Close()
 
@@ -56,7 +55,7 @@ func TestDurableKSurvivesRestart(t *testing.T) {
 	if got := c2.BuilderFor(1); got != session.PairBuilder(b8) {
 		t.Fatalf("restart resumed session 1 with %v, want the recorded k=8 builder", got)
 	}
-	if st := c2.State(); st.KHistogram["8"] != 1 {
+	if st := c2.State(); st.KHistogram["beta(k=8)"] != 1 {
 		t.Errorf("restart k histogram = %v, want one admission at k=8", st.KHistogram)
 	}
 	// A brand-new session still follows the current selection.
@@ -85,24 +84,5 @@ func TestDurableKSurvivesRestart(t *testing.T) {
 	}
 	if got := c3.BuilderFor(1); got != session.PairBuilder(b4) {
 		t.Errorf("orphaned record resumed with %v, want the k=4 fallback", got)
-	}
-}
-
-// TestStoredKIgnoresGarbage: an unparseable or absurd record reads as
-// "no record" — admission proceeds under the current k.
-func TestStoredKIgnoresGarbage(t *testing.T) {
-	st := rstp.NewMemStore()
-	for _, raw := range []string{"", "eight", "-3", "1"} {
-		st.Save(kKey(9), []byte(raw))
-		if k, ok := storedK(st, 9); ok {
-			t.Errorf("storedK accepted %q as %d", raw, k)
-		}
-	}
-	st.Save(kKey(9), []byte("16"))
-	if k, ok := storedK(st, 9); !ok || k != 16 {
-		t.Errorf("storedK(16) = %d, %v", k, ok)
-	}
-	if _, ok := storedK(st, 10); ok {
-		t.Error("storedK invented a record for an unknown id")
 	}
 }

@@ -36,7 +36,8 @@ type mux struct {
 	seq    int64
 	active map[uint32]*endpoint
 	order  []*endpoint // active endpoints in spawn order, retired ones compacted out each tick
-	// finished is the tombstone set: the ID of every retired session. A
+	// finished is the tombstone set: the ID of every retired session, and
+	// on the server of every session evicted before it spawned. A
 	// finished ID is never reused (StartID) nor respawned (admitLocked).
 	finished map[uint32]struct{}
 	// retired sums the counters of every retired endpoint, folded in at

@@ -60,7 +60,7 @@ func TestParkedReportClaimedOnce(t *testing.T) {
 	sol := mustBeta(t, 4)
 	cfg, _ := memConfig(t, sol, nil)
 	cfg.MaxSessions = 2
-	cfg.IdleTicks = 200 // 10ms at the 50µs test tick
+	cfg.IdleTicks = 2000 // 100ms at the 50µs test tick: a shorter host stall must not evict a session mid-transfer
 	pipe, err := NewPipe(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -86,10 +86,7 @@ func (s *Server) spawnLocked(id uint32) *endpoint {
 		return nil
 	}
 	ep := newEndpoint(&s.mux, id, r)
-	if w := s.spawnWaits[id]; w != nil {
-		close(w.ch)
-		delete(s.spawnWaits, id)
-	}
+	s.wakeSpawnWaitsLocked(id)
 	if s.cfg.Store != nil {
 		ep.tapeKey = tapeKey(id)
 		// A persisted tape means a previous incarnation of this process
@@ -103,6 +100,15 @@ func (s *Server) spawnLocked(id uint32) *endpoint {
 	}
 	s.addLocked(ep)
 	return ep
+}
+
+// wakeSpawnWaitsLocked wakes the WaitWrites callers parked on session id
+// not having spawned: it just spawned, or never will. Callers hold s.mu.
+func (s *Server) wakeSpawnWaitsLocked(id uint32) {
+	if w := s.spawnWaits[id]; w != nil {
+		close(w.ch)
+		delete(s.spawnWaits, id)
+	}
 }
 
 // victimLocked returns the active session with the smallest key, skipping
@@ -300,7 +306,10 @@ func (s *Server) giveUp(id uint32, wake chan struct{}) Report {
 // the report holds only durable writes. A session the server retired on
 // its own is claimed from the parked reports. Each report is handed over
 // once: ok is false for an unknown session and for one whose report was
-// already claimed or has degraded to its tombstone.
+// already claimed or has degraded to its tombstone. An ID the server
+// never spawned is tombstoned all the same, so the frames of a session
+// given up before its first frame landed drop as late instead of
+// spawning a ghost receiver.
 func (s *Server) Evict(id uint32) (Report, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -314,6 +323,8 @@ func (s *Server) Evict(id uint32) (Report, bool) {
 	}
 	i := s.parkedIndex(id)
 	if i < 0 {
+		s.finished[id] = struct{}{}
+		s.wakeSpawnWaitsLocked(id)
 		return Report{}, false
 	}
 	rep := s.parked[i]

@@ -369,6 +369,47 @@ func TestWaitWritesUnspawnedHitsDeadline(t *testing.T) {
 	}
 }
 
+// TestEvictUnspawnedWakesWaiters: evicting a session the server never
+// spawned tombstones it, and a WaitWrites caller parked on its spawn
+// returns at once with the tombstone instead of waiting out its context.
+func TestEvictUnspawnedWakesWaiters(t *testing.T) {
+	sol := mustBeta(t, 4)
+	cfg, mem := memConfig(t, sol, nil)
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	defer mem.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	errs := make(chan error, 1)
+	go func() {
+		rep, err := srv.WaitWrites(ctx, 7, 1)
+		if err == nil || !rep.Finished {
+			err = fmt.Errorf("WaitWrites = %+v, %v; want the tombstone and an error", rep, err)
+		} else {
+			err = nil
+		}
+		errs <- err
+	}()
+	for {
+		srv.mu.Lock()
+		parked := srv.spawnWaits[7] != nil
+		srv.mu.Unlock()
+		if parked {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, ok := srv.Evict(7); ok {
+		t.Fatal("Evict of an unspawned session handed over a report")
+	}
+	if err := <-errs; err != nil || ctx.Err() != nil {
+		t.Fatalf("after Evict: %v (ctx %v)", err, ctx.Err())
+	}
+}
+
 func TestTransferOverUDP(t *testing.T) {
 	udp, err := transport.NewUDPLoopback(1 << 12)
 	if err != nil {
@@ -434,6 +475,43 @@ func TestLateFrameDoesNotRespawnFinishedSession(t *testing.T) {
 	}
 	if agg := pipe.Server.Aggregate(); agg.Sessions != 1 || agg.Writes != len(x) {
 		t.Fatalf("finished session's counters corrupted: sessions=%d writes=%d, want 1 and %d", agg.Sessions, agg.Writes, len(x))
+	}
+}
+
+// TestTransferGivenUpBeforeSpawnLeavesNoGhost: a transfer whose context
+// expires before its first frame lands is evicted at a server that never
+// spawned it. Its frames still in flight must drop as late at the
+// tombstone, not spawn a ghost receiver that would hold a MaxSessions
+// slot until Close (idle eviction is off).
+func TestTransferGivenUpBeforeSpawnLeavesNoGhost(t *testing.T) {
+	sol := mustBeta(t, 4)
+	// Every frame takes d = 12 ticks of 4 ms; the transmitter steps every
+	// c2 = 3 ticks, so it sends before the 30 ms deadline and nothing
+	// lands before 48 ms.
+	clock := transport.NewClock(4 * time.Millisecond)
+	mem := transport.NewMem(clock, transport.MemOptions{D: testParams().D, Delay: chanmodel.MaxDelay{D: testParams().D}, Buffer: 1 << 10})
+	cfg := testConfig(t, sol, mem, clock)
+	cfg.IdleTicks = -1
+	pipe, err := NewPipe(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pipe.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	if _, err := pipe.Transfer(ctx, inputFor(t, sol, 4, 3)); err != context.DeadlineExceeded {
+		t.Fatalf("transfer = %v, want %v", err, context.DeadlineExceeded)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for pipe.Server.Late() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no frame dropped as late within 5s; active sessions %d", pipe.Server.ActiveCount())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(clock.Ticks(2 * testParams().D)) // let the rest of the burst land
+	if n := pipe.Server.ActiveCount(); n != 0 {
+		t.Fatalf("%d ghost receivers spawned by frames of a session given up before it spawned", n)
 	}
 }
 

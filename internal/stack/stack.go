@@ -1,15 +1,19 @@
-// Package stack turns a protocol stack description into the pair
-// builder that serves it. It is the one place that knows which layers
-// compose: the paper's retransmission families (alpha, beta, gamma)
-// optionally wrapped in the hardened and/or stabilized layers, and the
-// rateless pair, which is always bare because loss tolerance is native
-// to its code. Every command and the controller's candidate list
-// assemble their stacks here.
+// Package stack turns a protocol stack name into the pair builder that
+// serves it. It is the one place that knows which layers compose: the
+// paper's retransmission families (alpha, beta, gamma) optionally
+// wrapped in the hardened and/or stabilized layers, and the rateless
+// pair, which is always bare because loss tolerance is native to its
+// code. A stack has one name, its Builder.String() (e.g.
+// "stabilized(hardened(beta(k=4)))"), which Parse reads back. The
+// serving commands and the controller's candidate list assemble their
+// stacks here.
 package stack
 
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 
 	"repro/internal/obs"
 	"repro/internal/rateless"
@@ -29,7 +33,8 @@ type Spec struct {
 	// recovery layer.
 	Stabilize bool
 	// Store, when non-nil, makes the stabilized layer checkpoint into it
-	// and recover from it on construction. Bare stacks ignore it.
+	// and recover from it on construction. Only a stabilized stack takes
+	// one.
 	Store rstp.StateStore
 	// Observer is shared by every endpoint the wrappers build.
 	Observer rstp.LayerObserver
@@ -54,12 +59,54 @@ type Stack struct {
 	Upper float64
 }
 
+// Parse reads a stack name, the inverse of Builder.String(): "alpha",
+// "beta(k=N)", "gamma(k=N)" or "rateless(k=N)", optionally inside
+// "hardened(…)" and then "stabilized(…)". Each stack has exactly one
+// name: it holds no spaces, and N has no sign and no leading zeros.
+// Parse checks the grammar only; Build refuses what does not compose.
+func Parse(name string) (Spec, error) {
+	var s Spec
+	rest := name
+	if inner, ok := unwrap(rest, "stabilized"); ok {
+		s.Stabilize, rest = true, inner
+	}
+	if inner, ok := unwrap(rest, "hardened"); ok {
+		s.Harden, rest = true, inner
+	}
+	if rest == "alpha" {
+		s.Proto = "alpha"
+		return s, nil
+	}
+	for _, fam := range []string{"beta", "gamma", "rateless"} {
+		arg, ok := unwrap(rest, fam)
+		if !ok || !strings.HasPrefix(arg, "k=") {
+			continue
+		}
+		if k, err := strconv.Atoi(arg[2:]); err == nil && k >= 0 && strconv.Itoa(k) == arg[2:] {
+			s.Proto, s.K = fam, k
+			return s, nil
+		}
+	}
+	return Spec{}, fmt.Errorf("unknown stack %q: want alpha, beta(k=N), gamma(k=N) or rateless(k=N), optionally inside hardened(...) and then stabilized(...)", name)
+}
+
+// unwrap returns x when s is "layer(x)".
+func unwrap(s, layer string) (string, bool) {
+	if strings.HasPrefix(s, layer+"(") && strings.HasSuffix(s, ")") {
+		return s[len(layer)+1 : len(s)-1], true
+	}
+	return "", false
+}
+
 // Build assembles the stack s describes under timing constants p. It
 // refuses unknown families and the combinations that do not compose:
 // the hardened and stabilized wrappers speak the retransmission
 // families' burst framing and have nothing to add to a fountain-coded
-// stream.
+// stream, and only the stabilized layer checkpoints into a Store.
 func Build(p rstp.Params, s Spec) (Stack, error) {
+	if s.Store != nil && !s.Stabilize {
+		return Stack{}, fmt.Errorf("a state store needs a stabilized stack: only the stabilized layer checkpoints")
+	}
 	if s.Proto == "rateless" {
 		if s.Harden || s.Stabilize {
 			return Stack{}, fmt.Errorf("rateless does not compose with the hardened or stabilized layer: loss tolerance is native to the code")

@@ -524,7 +524,7 @@ func NewController(cfg ControlConfig) (*Controller, error) { return control.New(
 // costs a few extra symbols per block instead of a round trip. The
 // builder satisfies PairBuilder, so the subsystem is selectable
 // anywhere the hardened β/γ stacks are — ServeConfig.Solution,
-// ControlConfig.Candidates, rstpserve -proto. See DESIGN.md
+// ControlConfig.Candidates, rstpserve -stack 'rateless(k=4)'. See DESIGN.md
 // ("Coding vs. retransmission").
 type (
 	// RatelessOptions configures a rateless pair or builder: the timing
