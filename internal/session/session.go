@@ -484,7 +484,8 @@ func (e *endpoint) markWedged(now int64) {
 // signature accepts it.
 func (e *endpoint) apply(f wire.Frame) {
 	now := e.m.cfg.Clock.Now()
-	act := wire.Recv{Dir: f.Dir, P: f.P, Payload: string(f.Payload)}
+	// Boxed once: Classify, Apply and record all take the same value.
+	var act ioa.Action = wire.Recv{Dir: f.Dir, P: f.P, Payload: string(f.Payload)}
 	e.lastActivity = now
 	if e.auto.Classify(act) != ioa.ClassInput || e.auto.Apply(act) != nil {
 		e.rejected++

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"container/heap"
 	"sync"
 	"time"
 
@@ -19,23 +18,58 @@ type pending struct {
 	f    wire.Frame
 }
 
+// pendingHeap is a min-heap of pending deliveries in (at, tie) order.
+// It is typed rather than driven through container/heap, whose
+// Push(any)/Pop() any would box every pending twice.
 type pendingHeap []pending
 
-func (h pendingHeap) Len() int { return len(h) }
-func (h pendingHeap) Less(i, j int) bool {
+func (h pendingHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].tie < h[j].tie
 }
-func (h pendingHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *pendingHeap) Push(x any)   { *h = append(*h, x.(pending)) }
-func (h *pendingHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+// push adds e and restores the heap order.
+func (h *pendingHeap) push(e pending) {
+	*h = append(*h, e)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !s.less(i, p) {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+}
+
+// pop removes and returns the least pending; the heap must not be
+// empty. The vacated slot is zeroed so the backing array does not pin
+// the frame's payload.
+func (h *pendingHeap) pop() pending {
+	s := *h
+	n := len(s) - 1
+	top := s[0]
+	s[0] = s[n]
+	s[n] = pending{}
+	s = s[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && s.less(r, c) {
+			c = r
+		}
+		if !s.less(c, i) {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+		i = c
+	}
+	*h = s
+	return top
 }
 
 // delayLine is the one release scheduler behind Mem and Chaos. A delay
@@ -125,7 +159,7 @@ func (l *delayLine) push(f wire.Frame, now int64, bypass bool) (due []wire.Frame
 
 // add heaps one arrival; the caller holds mu.
 func (l *delayLine) add(at, sent int64, f wire.Frame) {
-	heap.Push(&l.heap, pending{at: at, tie: l.nextTie, sent: sent, f: f})
+	l.heap.push(pending{at: at, tie: l.nextTie, sent: sent, f: f})
 	l.nextTie++
 }
 
@@ -146,44 +180,60 @@ func (l *delayLine) close(then func() error) (err error) {
 
 // run is the scheduler goroutine: it pops pending frames in (arrival
 // tick, insertion order) and releases each, sleeping until the next
-// arrival is due.
+// arrival is due. It owns one timer, re-armed for every wait. A frame
+// is popped only under mu and only once clock.Until says its tick has
+// begun, so a stale timer fire can cost a loop but never release a
+// frame early.
 func (l *delayLine) run() {
 	defer close(l.dead)
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	defer timer.Stop()
 	for {
 		l.mu.Lock()
-		var next pending
 		have := len(l.heap) > 0
+		var wait time.Duration
+		var next pending
 		if have {
-			next = l.heap[0]
+			if wait = l.clock.Until(l.heap[0].at); wait <= 0 {
+				next = l.heap.pop()
+			}
 		}
 		l.mu.Unlock()
 
-		if !have {
+		switch {
+		case !have:
 			select {
 			case <-l.done:
 				return
 			case <-l.wake:
 			}
-			continue
-		}
-		if wait := l.clock.Until(next.at); wait > 0 {
-			timer := time.NewTimer(wait)
+		case wait > 0:
+			timer.Reset(wait)
 			select {
 			case <-l.done:
-				timer.Stop()
 				return
 			case <-l.wake:
 				// An earlier arrival may have been queued; re-evaluate.
-				timer.Stop()
-				continue
+				disarm(timer)
 			case <-timer.C:
 			}
+		default:
+			if !l.release(next) {
+				return
+			}
 		}
-		l.mu.Lock()
-		e := heap.Pop(&l.heap).(pending)
-		l.mu.Unlock()
-		if !l.release(e) {
-			return
+	}
+}
+
+// disarm stops t and drains a fire that raced the Stop, so the next
+// Reset starts from an empty channel. go.mod's go 1.22 keeps the
+// pre-1.23 timer channel, which Stop does not drain.
+func disarm(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
 		}
 	}
 }

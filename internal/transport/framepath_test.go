@@ -1,0 +1,312 @@
+package transport
+
+import (
+	"bytes"
+	"container/heap"
+	"math/rand"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/chanmodel"
+	"repro/internal/wire"
+)
+
+// refHeap drives pendingHeap's order through container/heap: the
+// reference the typed heap must match pop for pop.
+type refHeap []pending
+
+func (h refHeap) Len() int           { return len(h) }
+func (h refHeap) Less(i, j int) bool { return pendingHeap(h).less(i, j) }
+func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(pending)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
+}
+
+// TestPendingHeapMatchesContainerHeap feeds the typed heap and
+// container/heap the same seeded (at, tie) stream — few distinct
+// arrival ticks, so most keys tie on at — with interleaved pushes and
+// pops, draining to empty and refilling, and requires the same pop
+// sequence from both.
+func TestPendingHeapMatchesContainerHeap(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var got pendingHeap
+		var want refHeap
+		tie := int64(0)
+		pops := 0
+		for round := 0; round < 8; round++ {
+			for op := 0; op < 300; op++ {
+				if len(got) == 0 || rng.Intn(3) > 0 {
+					e := pending{at: rng.Int63n(6), tie: tie, sent: tie, f: testFrame(tie)}
+					tie++
+					got.push(e)
+					heap.Push(&want, e)
+					continue
+				}
+				g, w := got.pop(), heap.Pop(&want).(pending)
+				if g.at != w.at || g.tie != w.tie {
+					t.Fatalf("seed %d pop %d: typed heap gave (%d,%d), container/heap (%d,%d)", seed, pops, g.at, g.tie, w.at, w.tie)
+				}
+				pops++
+			}
+			for len(got) > 0 {
+				g, w := got.pop(), heap.Pop(&want).(pending)
+				if g.at != w.at || g.tie != w.tie {
+					t.Fatalf("seed %d drain pop %d: typed heap gave (%d,%d), container/heap (%d,%d)", seed, pops, g.at, g.tie, w.at, w.tie)
+				}
+				pops++
+			}
+			if want.Len() != 0 {
+				t.Fatalf("seed %d: reference heap holds %d after the typed heap drained", seed, want.Len())
+			}
+		}
+	}
+}
+
+// TestPendingHeapPopZeroesSlot checks that a popped pending leaves no
+// copy of its frame in the heap's backing array.
+func TestPendingHeapPopZeroesSlot(t *testing.T) {
+	var h pendingHeap
+	for i := int64(0); i < 4; i++ {
+		f := testFrame(i)
+		f.Payload = []byte{byte(i)}
+		h.push(pending{at: i, tie: i, f: f})
+	}
+	for len(h) > 0 {
+		h.pop()
+		if vacated := h[:len(h)+1][len(h)]; vacated.f.Payload != nil {
+			t.Fatalf("vacated slot still holds frame %d's payload", vacated.f.Seq)
+		}
+	}
+}
+
+// TestDelayLineHeapNoAlloc is the delay line's allocation guard: once
+// its backing array has grown, a steady stream of frames through the
+// heap (push one, pop one) allocates nothing.
+func TestDelayLineHeapNoAlloc(t *testing.T) {
+	var l delayLine
+	for i := int64(0); i < 64; i++ {
+		l.add(i, i, testFrame(i))
+	}
+	i := int64(64)
+	allocs := testing.AllocsPerRun(1000, func() {
+		l.add(i, i, testFrame(i))
+		l.heap.pop()
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("delay line push+pop allocates %.1f per frame, want 0", allocs)
+	}
+}
+
+// scripted is a delay policy for tests: the n-th frame in a direction
+// arrives delays[n] ticks after it was sent (0 once the script runs
+// out). It records each arrival tick in at and returns it in a reused
+// slice, so the policy itself allocates nothing per frame.
+type scripted struct {
+	delays []int64
+	at     []int64
+	out    [1]int64
+}
+
+func (s *scripted) Name() string { return "scripted" }
+func (s *scripted) Arrivals(dirSeq, sendTime int64, _ wire.Dir, _ wire.Packet) []int64 {
+	s.out[0] = sendTime
+	if dirSeq < int64(len(s.delays)) {
+		s.out[0] += s.delays[dirSeq]
+		s.at[dirSeq] = s.out[0]
+	}
+	return s.out[:]
+}
+
+// TestMemNeverReleasesEarly drives the reused release timer through its
+// re-arm paths: a frame due far ahead arms it, a nearer one wakes the
+// scheduler and stops it, and a seeded stream of near and far frames
+// keeps stopping and re-arming it. Every frame Mem hands out must have
+// reached its arrival tick, and frames must come out in (arrival tick,
+// send order).
+func TestMemNeverReleasesEarly(t *testing.T) {
+	const n = 1000
+	rng := rand.New(rand.NewSource(7))
+	delays := make([]int64, n)
+	delays[0], delays[1] = 400, 40 // far, then nearer: wake + Stop
+	for i := 2; i < n; i++ {
+		delays[i] = rng.Int63n(30)
+	}
+	policy := &scripted{delays: delays, at: make([]int64, n)}
+	clock := NewClock(20 * time.Microsecond)
+	m := NewMem(clock, MemOptions{D: 400, Delay: policy, Buffer: n})
+	defer m.Close()
+
+	got := make(chan []int64, 1) // Seq-1 of each frame, in delivery order
+	go func() {
+		var order []int64
+		for f := range m.Deliveries(wire.TtoR) {
+			if now := clock.Now(); now < policy.at[f.Seq-1] {
+				t.Errorf("frame %d released at tick %d, before its arrival tick %d", f.Seq, now, policy.at[f.Seq-1])
+			}
+			if order = append(order, f.Seq-1); len(order) == n {
+				break
+			}
+		}
+		got <- order
+	}()
+	for i := 0; i < n; i++ {
+		if err := m.Send(testFrame(int64(i + 1))); err != nil {
+			t.Fatal(err)
+		}
+		if i >= 2 && rng.Intn(4) == 0 {
+			time.Sleep(time.Duration(rng.Intn(200)) * time.Microsecond)
+		}
+	}
+	var order []int64
+	select {
+	case order = <-got:
+	case <-time.After(10 * time.Second):
+		t.Fatal("timed out waiting for deliveries")
+	}
+	for k := 1; k < len(order); k++ {
+		a, b := order[k-1], order[k]
+		if policy.at[a] > policy.at[b] || policy.at[a] == policy.at[b] && a > b {
+			t.Fatalf("delivery %d: frame %d (tick %d) after frame %d (tick %d): not (arrival tick, send order)",
+				k, b+1, policy.at[b], a+1, policy.at[a])
+		}
+	}
+}
+
+// memSendDeliver sends one frame through m and receives it.
+func memSendDeliver(tb testing.TB, m *Mem, f wire.Frame) {
+	if err := m.Send(f); err != nil {
+		tb.Fatal(err)
+	}
+	<-m.Deliveries(f.Dir)
+}
+
+// TestMemFramePathNoAlloc checks that Mem's own share of a frame's
+// journey — the delay line's heap, the reused release timer, the
+// scheduler and the delivery channel — allocates nothing once warm.
+// The scripted policy returns a reused slice; the library's policies
+// allocate their one-element Arrivals result, which is chanmodel's cost.
+func TestMemFramePathNoAlloc(t *testing.T) {
+	delays := make([]int64, 4096)
+	for i := range delays {
+		delays[i] = int64(i % 2) // every other frame waits on the timer
+	}
+	policy := &scripted{delays: delays, at: make([]int64, len(delays))}
+	m := NewMem(NewClock(20*time.Microsecond), MemOptions{D: 1, Delay: policy})
+	defer m.Close()
+	f := testFrame(1)
+	for i := 0; i < 100; i++ {
+		memSendDeliver(t, m, f)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { memSendDeliver(t, m, f) }); allocs != 0 {
+		t.Fatalf("Mem send→deliver allocates %.1f per frame, want 0", allocs)
+	}
+}
+
+// BenchmarkMemSendDeliver is one frame through the in-memory transport:
+// Send under the library's zero-delay policy, the delay line, the
+// scheduler goroutine and the delivery channel. Its one alloc/op is
+// chanmodel.Zero's Arrivals result.
+func BenchmarkMemSendDeliver(b *testing.B) {
+	m := NewMem(NewClock(0), MemOptions{Delay: chanmodel.Zero{}})
+	defer m.Close()
+	f := testFrame(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		memSendDeliver(b, m, f)
+	}
+}
+
+// TestUDPSendNoAlloc checks that a warm UDP.Send — encode into the
+// direction's reused buffer, one datagram write — allocates nothing.
+func TestUDPSendNoAlloc(t *testing.T) {
+	u, err := NewUDPLoopback(1 << 14)
+	if err != nil {
+		t.Skipf("udp loopback unavailable: %v", err)
+	}
+	defer u.Close()
+	var drain sync.WaitGroup
+	drain.Add(1)
+	go func() { // keep the delivery buffer from filling
+		defer drain.Done()
+		for range u.Deliveries(wire.TtoR) {
+		}
+	}()
+	f := testFrame(1)
+	for i := 0; i < 10; i++ {
+		if err := u.Send(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := u.Send(f); err != nil {
+			t.Fatal(err)
+		}
+	})
+	u.Close()
+	drain.Wait()
+	if allocs != 0 {
+		t.Fatalf("warm UDP.Send allocates %.1f per frame, want 0", allocs)
+	}
+}
+
+// TestUDPConcurrentSendsIntact sends from several goroutines per
+// direction at once, as Chaos does from its scheduler and its callers:
+// the per-direction encode buffer must never mix two frames, so every
+// datagram parses and every delivered payload matches its frame.
+func TestUDPConcurrentSendsIntact(t *testing.T) {
+	u, err := NewUDPLoopback(1 << 14)
+	if err != nil {
+		t.Skipf("udp loopback unavailable: %v", err)
+	}
+	defer u.Close()
+	const senders, perSender = 4, 50
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			dir := []wire.Dir{wire.TtoR, wire.RtoT}[g%2]
+			for i := 0; i < perSender; i++ {
+				seq := int64(g*perSender + i + 1)
+				f := wire.Frame{Session: uint32(g), Dir: dir, Seq: seq, P: wire.DataPacket(1), Payload: bytes.Repeat([]byte{byte(seq)}, g+1)}
+				if err := u.Send(f); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, dir := range []wire.Dir{wire.TtoR, wire.RtoT} {
+		got := 0
+		timeout := time.After(2 * time.Second)
+	drain:
+		for got < senders/2*perSender {
+			select {
+			case f := <-u.Deliveries(dir):
+				got++
+				g := int(f.Session)
+				if f.Seq <= int64(g*perSender) || f.Seq > int64((g+1)*perSender) ||
+					!bytes.Equal(f.Payload, bytes.Repeat([]byte{byte(f.Seq)}, g+1)) {
+					t.Fatalf("frame mixed across senders: session %d seq %d payload %v", f.Session, f.Seq, f.Payload)
+				}
+			case <-timeout: // loopback may drop under a burst; what arrived must be intact
+				break drain
+			}
+		}
+		if got == 0 {
+			t.Fatalf("no %v frames delivered", dir)
+		}
+	}
+	if m := u.Malformed(); m != 0 {
+		t.Fatalf("%d datagrams failed to parse", m)
+	}
+}

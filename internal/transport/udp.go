@@ -26,6 +26,15 @@ type UDP struct {
 	done    chan struct{}
 	readers sync.WaitGroup
 
+	// send holds one encode buffer per direction, reused by every Send
+	// in that direction. Its mutex guards the buffer: Send may run
+	// concurrently with itself (Chaos calls it from its scheduler and
+	// from its callers).
+	send [2]struct {
+		mu  sync.Mutex
+		buf []byte
+	}
+
 	dropped   atomic.Int64
 	malformed atomic.Int64
 
@@ -86,10 +95,10 @@ func (u *UDP) Name() string {
 	return fmt.Sprintf("udp(t=%v r=%v)", u.tAddr, u.rAddr)
 }
 
-// Send encodes the frame and writes it as one datagram from its source
-// side's socket to the destination side's socket. Frames whose payload
-// exceeds MaxUDPPayload are rejected — they could never fit one IPv4
-// datagram.
+// Send encodes the frame into its direction's reused buffer and writes
+// it as one datagram from its source side's socket to the destination
+// side's socket. Frames whose payload exceeds MaxUDPPayload are
+// rejected — they could never fit one IPv4 datagram.
 func (u *UDP) Send(f wire.Frame) error {
 	select {
 	case <-u.done:
@@ -99,15 +108,17 @@ func (u *UDP) Send(f wire.Frame) error {
 	if len(f.Payload) > MaxUDPPayload {
 		return fmt.Errorf("transport: udp payload %d bytes exceeds %d (frame must fit one datagram)", len(f.Payload), MaxUDPPayload)
 	}
-	buf, err := wire.EncodeFrame(f)
-	if err != nil {
-		return err
+	s := &u.send[0]
+	conn, to := u.tConn, u.rAddr
+	if f.Dir != wire.TtoR {
+		s = &u.send[1]
+		conn, to = u.rConn, u.tAddr
 	}
-	if f.Dir == wire.TtoR {
-		_, err = u.tConn.WriteToUDP(buf, u.rAddr)
-	} else {
-		_, err = u.rConn.WriteToUDP(buf, u.tAddr)
-	}
+	s.mu.Lock()
+	// AppendFrame cannot fail: the payload fits MaxUDPPayload.
+	s.buf, _ = wire.AppendFrame(s.buf[:0], f)
+	_, err := conn.WriteToUDP(s.buf, to)
+	s.mu.Unlock()
 	if err != nil {
 		select {
 		case <-u.done:
@@ -158,7 +169,7 @@ func (u *UDP) read(conn *net.UDPConn, dir wire.Dir) {
 	defer u.readers.Done()
 	buf := make([]byte, maxDatagram)
 	for {
-		n, _, err := conn.ReadFromUDP(buf)
+		n, err := conn.Read(buf) // the sender's address is never needed
 		if err != nil {
 			return // socket closed (or fatally broken): reader exits
 		}
