@@ -10,7 +10,7 @@
 //	rstpserve -sessions 128 -loss 0.2 -fwindow 0:2000 -stack 'hardened(beta(k=4))'
 //	rstpserve -transport udp -loss 0.12 -dup 0.05 -corrupt 0.03 -stack 'hardened(gamma(k=4))'
 //	rstpserve -shed evict-oldest-idle -watchdog 4 # overload + wedge defense
-//	rstpserve -adaptive -sessions 128             # closed-loop overload control
+//	rstpserve -adaptive -sessions 128             # admission control: gate, pace, refuse, pick k
 //	rstpserve -store-dir /tmp/rstp -stack 'stabilized(beta(k=4))'  # durable crash-restart serving
 //
 // -stack takes a stack's one name, the "proto" key of the summary:
@@ -118,27 +118,21 @@ type summary struct {
 	Interrupted       bool    `json:"interrupted,omitempty"`
 	MetricsAddr       string  `json:"metrics_addr,omitempty"`
 	TraceDropped      int64   `json:"trace_dropped,omitempty"`
-	// Durable-store keys (PR 6; see EXPERIMENTS.md E22), present only with
-	// -store-dir. Resumed counts sessions that restarted with a persisted
-	// output tape; the Journal* keys snapshot the checkpoint journal.
 	// Adaptive-control keys (PR 7; see EXPERIMENTS.md E23), present only
-	// with -adaptive: the controller's final ladder level, intervention
-	// counters, the per-k admission histogram and the per-level dwell
-	// times in ticks.
+	// with -adaptive: the controller's final ladder level, admission
+	// counters, the per-stack admission histogram and the per-level
+	// dwell times in ticks.
 	ControlLevel     string           `json:"control_level,omitempty"`
 	ControlPaced     int64            `json:"control_paced,omitempty"`
 	ControlPaceTicks int64            `json:"control_pace_ticks,omitempty"`
 	ControlGated     int64            `json:"control_gated,omitempty"`
 	ControlRefused   int64            `json:"control_refused,omitempty"`
-	ControlEvictions int64            `json:"control_evictions,omitempty"`
-	ControlRetires   int64            `json:"control_retires,omitempty"`
 	ControlKHist     map[string]int64 `json:"control_k_histogram,omitempty"`
 	ControlDwell     map[string]int64 `json:"control_level_dwell_ticks,omitempty"`
-	// Cross-family selection: the foreign row the controller is
-	// currently admitting under ("" = the native family) and how many
-	// times it crossed a family boundary.
-	ControlSelected    string `json:"control_selected,omitempty"`
-	ControlFamSwitches int64  `json:"control_family_switches,omitempty"`
+
+	// Durable-store keys (PR 6; see EXPERIMENTS.md E22), present only with
+	// -store-dir. Resumed counts sessions that restarted with a persisted
+	// output tape; the Journal* keys snapshot the checkpoint journal.
 	StoreDir           string `json:"store_dir,omitempty"`
 	Resumed            int64  `json:"resumed,omitempty"`
 	JournalSaves       int64  `json:"journal_saves,omitempty"`
@@ -172,7 +166,7 @@ func run(args []string, out io.Writer) error {
 		blackout    = fs.String("blackout", "", "blackout window from:to (empty = none)")
 		excess      = fs.Int64("excess", 0, "extra delay beyond d inside -fwindow")
 		shed        = fs.String("shed", "refuse", "overload policy at the -conc cap: refuse or evict-oldest-idle")
-		adaptive    = fs.Bool("adaptive", false, "run the closed-loop control plane: occupancy-gated/paced admission, per-session k-selection from the paper's bound tables (beta/gamma; with -store-dir the chosen stack is journaled and restarts resume under it) and the shed-escalation ladder")
+		adaptive    = fs.Bool("adaptive", false, "control admission: hold new sessions while -conc receivers are live, pace then refuse them under deadline misses or server refusals, and pick each session's k from the served stack's k and 2k by the paper's bounds (with -store-dir the pick is journaled and restarts resume under it); admitted sessions are never shed")
 		watchdog    = fs.Int("watchdog", 0, "progress watchdog multiplier k: wedge a session after k*delta1*c2 ticks without output growth (0 = off)")
 		verbose     = fs.Bool("v", false, "print one line per session")
 		timeout     = fs.Duration("timeout", 2*time.Minute, "overall run deadline")
@@ -252,10 +246,6 @@ func run(args []string, out io.Writer) error {
 	var ctrl *control.Controller
 	kBlock := st.BlockBits
 	if *adaptive {
-		if spec.Proto == "rateless" {
-			trans.Close()
-			return fmt.Errorf("-adaptive needs a retransmission family as the native protocol (alpha, beta, gamma); rateless rides in its candidate set instead")
-		}
 		var cands []control.Candidate
 		cands, kBlock = adaptiveCandidates(p, spec, st)
 		ctrl, err = control.New(control.Config{
@@ -295,11 +285,7 @@ func run(args []string, out io.Writer) error {
 	defer pipe.Close()
 
 	if ctrl != nil {
-		ctrl.Bind(control.Actuators{
-			Active:        func() int64 { return int64(pipe.Server.ActiveCount()) },
-			EvictOldest:   pipe.Server.ShedOldest,
-			RetireStalled: pipe.Server.RetireStalled,
-		})
+		ctrl.Bind(control.Actuators{Active: func() int64 { return int64(pipe.Server.ActiveCount()) }})
 		ctrl.Start()
 		defer ctrl.Stop()
 	}
@@ -471,12 +457,8 @@ func run(args []string, out io.Writer) error {
 		sum.ControlPaceTicks = cs.PaceTicks
 		sum.ControlGated = cs.Gated
 		sum.ControlRefused = cs.DialRefused + cs.ServerRefused
-		sum.ControlEvictions = cs.Evictions
-		sum.ControlRetires = cs.Retires
 		sum.ControlKHist = cs.KHistogram
 		sum.ControlDwell = cs.LevelDwellTicks
-		sum.ControlSelected = cs.Selected
-		sum.ControlFamSwitches = cs.FamilySwitches
 	}
 	sum.EffortLowerBound = st.Lower
 	sum.Interrupted = interrupted
@@ -566,49 +548,24 @@ func storeOrNil(s *journal.Store) rstp.StateStore {
 }
 
 // adaptiveCandidates assembles the -adaptive selection table from the
-// served stack st and its spec. The served stack is the first row, which
-// makes its family the controller's native family. Native rows are the
-// configured k and its doubling (effort falls with log k, so one
-// doubling is the meaningful escape hatch under slowdown); alpha has
-// none, since a binary alphabet has no k to select. Cross-family rows are the families whose effort
-// upper bound the native one cannot reach under slowdown: serving beta,
-// the active gamma (a full round trip per burst but a tighter bound)
-// and the rateless pair (no inter-burst wait at all); serving gamma,
-// only rateless. Every row is wrapped exactly like the served stack —
-// except rateless, which is always bare — and a row that fails to build
-// is simply absent: the controller then holds what it has, which is the
-// safe default. Durable runs keep the full set because the controller
-// records each session's chosen row in the store ("s<id>/k") and resumes
-// under it after a restart. The second result is the lcm of every
-// row's block size, which the input length must be a multiple of.
+// served stack st and its spec: st itself, the first row, and the same
+// stack at 2k (effort falls with log k, so one doubling is the
+// meaningful escape hatch under slowdown). Alpha has no k to select, and
+// a 2k row that fails to build is simply absent. The second result is
+// the lcm of the rows' block sizes, which the input length must be a
+// multiple of.
 func adaptiveCandidates(p rstp.Params, spec stack.Spec, st stack.Stack) ([]control.Candidate, int) {
 	if spec.Proto == "alpha" {
 		return nil, st.BlockBits
 	}
 	cands := []control.Candidate{{Proto: spec.Proto, K: spec.K, Builder: st.Builder, Lower: st.Lower, Upper: st.Upper}}
-	block := st.BlockBits
-	add := func(proto string, k int) {
-		s := spec
-		s.Proto, s.K = proto, k
-		if proto == "rateless" {
-			s.Harden, s.Stabilize, s.Store = false, false, nil // natively loss-tolerant; restarts recover through the cumulative ack
-		}
-		row, err := stack.Build(p, s)
-		if err != nil {
-			return
-		}
-		cands = append(cands, control.Candidate{Proto: proto, K: k, Builder: row.Builder, Lower: row.Lower, Upper: row.Upper})
-		block = lcmInt(block, row.BlockBits)
+	spec.K *= 2
+	row, err := stack.Build(p, spec)
+	if err != nil {
+		return cands, st.BlockBits
 	}
-	add(spec.Proto, 2*spec.K)
-	switch spec.Proto {
-	case "beta":
-		add("gamma", spec.K)
-		add("rateless", spec.K)
-	case "gamma":
-		add("rateless", spec.K)
-	}
-	return cands, block
+	cands = append(cands, control.Candidate{Proto: spec.Proto, K: spec.K, Builder: row.Builder, Lower: row.Lower, Upper: row.Upper})
+	return cands, lcmInt(st.BlockBits, row.BlockBits)
 }
 
 func lcmInt(a, b int) int {

@@ -494,14 +494,15 @@ func TestServeAdaptiveSmoke(t *testing.T) {
 }
 
 // TestServeAdaptiveUDP runs the control plane over a real socket at a
-// concurrency where the controller's tick and the server's demux contend
-// for each other's locks on every control interval. It is the end-to-end
-// regression test for that lock-order deadlock: a deadlocked run never
-// returns, not even at its own -timeout. On a loaded host the ladder may
-// legitimately evict or retire a few sessions (the run then exits
-// nonzero for them), so the test asserts a timely return, zero prefix
-// violations, and that every incomplete session was shed by the
-// controller rather than left to stall.
+// concurrency where the controller's occupancy gate and the server's
+// demux contend for each other's locks on every admission. It is the
+// end-to-end regression test for that lock-order deadlock: a deadlocked
+// run never returns, not even at its own -timeout. On a loaded host the
+// ladder may legitimately refuse a few sessions at the doorstep (the run
+// then exits nonzero for them) — the controller's only way to fail a
+// session — so the test asserts a timely return, zero prefix violations,
+// and that every incomplete session was refused by the controller rather
+// than left to stall.
 func TestServeAdaptiveUDP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("128 adaptive sessions over UDP")
@@ -524,16 +525,44 @@ func TestServeAdaptiveUDP(t *testing.T) {
 	if sum.Violations != 0 || sum.Completed == 0 {
 		t.Fatalf("run: %v; want 0 violations and completed sessions: %+v", err, sum)
 	}
-	if shed := sum.ControlEvictions + sum.ControlRetires; int64(sum.Incomplete) > shed {
-		t.Fatalf("run: %v; %d sessions incomplete but the controller shed only %d: %+v",
-			err, sum.Incomplete, shed, sum)
+	if int64(sum.Incomplete) > sum.ControlRefused {
+		t.Fatalf("run: %v; %d sessions incomplete but the controller refused only %d: %+v",
+			err, sum.Incomplete, sum.ControlRefused, sum)
 	}
 	if (err != nil) != (sum.Incomplete > 0) {
 		t.Fatalf("run error %v does not match %d incomplete sessions", err, sum.Incomplete)
 	}
 	if sum.Incomplete > 0 {
-		t.Logf("%d sessions shed by the controller under host load (evictions %d, retires %d)",
-			sum.Incomplete, sum.ControlEvictions, sum.ControlRetires)
+		t.Logf("%d sessions refused by the controller under host load (%d refusals)",
+			sum.Incomplete, sum.ControlRefused)
+	}
+}
+
+// TestServeAdaptiveUncapped is the regression test for the false stall:
+// 2048 sessions with no capacity cap anywhere, which a fixed server
+// completes. A controller that reads "live sessions, no write in this
+// window" as gridlock refuses most of them at the doorstep on some
+// seeds. Both arms must complete every session on every seed. Nightly
+// only (RSTP_FULL_SOAK=1): each adaptive run takes over a second of two
+// busy cores.
+func TestServeAdaptiveUncapped(t *testing.T) {
+	if os.Getenv("RSTP_FULL_SOAK") != "1" {
+		t.Skip("2048-session fixed/-adaptive runs are nightly (set RSTP_FULL_SOAK=1)")
+	}
+	for _, seed := range []string{"1", "2", "3"} {
+		for _, arm := range [][]string{nil, {"-adaptive"}} {
+			args := append([]string{
+				"-stack", "hardened(beta(k=4))", "-tick", "50us", "-sessions", "2048",
+				"-seed", seed, "-timeout", "60s",
+			}, arm...)
+			var out strings.Builder
+			err := run(args, &out)
+			sum := summaryFrom(t, out.String())
+			if err != nil || sum.Completed != 2048 || sum.Violations != 0 {
+				t.Errorf("seed %s %v: %v; completed %d/2048, %d violations, %d refused by the controller",
+					seed, arm, err, sum.Completed, sum.Violations, sum.ControlRefused)
+			}
+		}
 	}
 }
 

@@ -5,7 +5,8 @@
 // their deadline against a full server), pacing and refusal engage if
 // the measured deadline-miss rate or refusal rate worsens, and every
 // admission picks its packet-alphabet size k from the paper's effort
-// bound tables against the live slowdown.
+// bound tables against the live slowdown. Admitted sessions are never
+// shed: the controller turns load away at the door or not at all.
 //
 // The run prints the goodput and the controller's own accounting — the
 // ladder level it ended at, how many admissions it gated or paced, and
@@ -65,8 +66,8 @@ func run(sessions int) error {
 	repro.InstrumentTransport(reg, mem)
 
 	// The controller is built first (it is the mux's admission hook),
-	// wired as Admission on the shared ServeConfig, then bound to its
-	// actuators once the pipe exists and started.
+	// wired as Admission on the shared ServeConfig, then bound to the
+	// server's occupancy count once the pipe exists and started.
 	ctrl, err := repro.NewController(repro.ControlConfig{
 		Registry: reg, Clock: clock, Params: p,
 		Candidates:     cands,
@@ -83,7 +84,7 @@ func run(sessions int) error {
 		Transport:   mem,
 		Clock:       clock,
 		MaxSessions: slots,
-		IdleTicks:   -1, // slots are reclaimed per transfer; the controller owns eviction
+		IdleTicks:   -1, // slots are reclaimed per transfer
 		Obs:         reg,
 		Admission:   ctrl,
 	})
@@ -92,11 +93,7 @@ func run(sessions int) error {
 	}
 	defer pipe.Close()
 
-	ctrl.Bind(repro.ControlActuators{
-		Active:        func() int64 { return int64(pipe.Server.ActiveCount()) },
-		EvictOldest:   pipe.Server.ShedOldest,
-		RetireStalled: pipe.Server.RetireStalled,
-	})
+	ctrl.Bind(repro.ControlActuators{Active: func() int64 { return int64(pipe.Server.ActiveCount()) }})
 	ctrl.Start()
 	defer ctrl.Stop()
 

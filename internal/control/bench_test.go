@@ -31,7 +31,6 @@ func BenchmarkControlTick(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c.Bind(Actuators{Active: func() int64 { return 4 }})
 	// Seed the sensors so every tick windows a realistic distribution.
 	for i := int64(-20); i < 40; i++ {
 		c.marginHist.Observe(i)
@@ -39,7 +38,6 @@ func BenchmarkControlTick(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.writes.Inc() // keeps the stall sensor in its live branch
 		c.marginHist.Observe(int64(i%40) - 8)
 		c.tick()
 	}

@@ -1,23 +1,24 @@
 // Package control is the serving stack's adaptive overload control
 // plane: a seeded, deterministic loop that closes the circle the obs
 // layer opened. Each tick it windows the shared registry's sensors —
-// the deadline-margin histogram's miss tail, output-write stalls, the
-// server's refusal rate — folds them into one pressure scalar, runs it
-// through a hysteresis escalation ladder (pace → refuse → evict →
-// retire), and drives three actuators:
+// the deadline-margin histogram's miss tail and the server's refusal
+// rate — folds them into one pressure scalar, runs it through a
+// hysteresis escalation ladder (normal → pace → refuse), and drives two
+// actuators, both at admission:
 //
-//   - admission pacing and refusal in the session mux, via the
+//   - pacing and refusal of new sessions in the session mux, via the
 //     session.AdmissionController hooks — including an occupancy gate
 //     that parks new dials while the receiver side is at its session
 //     target, so waiting work queues silently instead of flooding the
 //     channel with frames that can only be refused;
 //   - per-session alphabet-size (k) selection at admit time, from one
-//     ranked table of candidate stacks and their effort upper bounds
-//     (Lemma 6.1/§6.2): the smallest native k whose predicted
+//     ranked table of the served family's rows and their effort upper
+//     bounds (Lemma 6.1/§6.2): the smallest k whose predicted
 //     per-message effort — scaled by the measured slowdown — still fits
-//     the δ1·c2 deadline, or another family when no native k does;
-//   - forced eviction/retirement of the least-productive sessions at
-//     the ladder's top rungs.
+//     the δ1·c2 deadline.
+//
+// The controller sheds load, never admitted sessions: once a session
+// is in, only the mux's own watchdog and -shed policy can end it.
 //
 // Every decision is observable (rstp_control_* metrics and the
 // "control" live hook, served at /control) and every random choice
@@ -51,18 +52,14 @@ type Config struct {
 	// Params are the timing constants; the deadline δ1·c2 derives from
 	// them.
 	Params rstp.Params
-	// Candidates is the selection table. Candidates[0] is the served
-	// stack (the mux's Config.Solution): its family is the native family
-	// and it is the selection until the first retune. The controller
-	// ranks the rows — native rows first, then by Upper descending, ties
-	// by K ascending — and each retune selects the first ranked row that
-	// fits the scaled deadline. Because a family's upper bound never
-	// rises with k, that is the smallest fitting native k, and a foreign
-	// row (gamma, rateless) is selected only when no native row fits.
-	// Moves between the native and a foreign family are dwell-limited
-	// (see retuneK), so a row whose bound sits near a native row cannot
-	// flap the selection. An empty list disables selection (every
-	// admission uses the mux's Config.Solution).
+	// Candidates is the selection table: rows of one family, the family
+	// of Candidates[0]. Candidates[0] is the served stack (the mux's
+	// Config.Solution) and the selection until the first retune. The
+	// controller ranks the rows by Upper descending, ties by K
+	// ascending, and each retune selects the first ranked row that fits
+	// the scaled deadline. Because a family's upper bound never rises
+	// with k, that is the smallest fitting k. An empty list disables
+	// selection (every admission uses the mux's Config.Solution).
 	Candidates []Candidate
 	// Store, when non-nil, persists each admitted session's selected row
 	// under "s<id>/k" — alongside the stabilized layer's own "s<id>/"
@@ -104,7 +101,7 @@ type Config struct {
 // plus the effort bounds its family's formulas predict for it (as
 // stack.Build reports them).
 type Candidate struct {
-	// Proto names the family, e.g. "beta", "gamma" or "rateless".
+	// Proto names the family, e.g. "beta"; every row shares row 0's.
 	Proto string
 	// K is the candidate's packet alphabet size.
 	K int
@@ -124,42 +121,20 @@ type CandidateRow struct {
 	Upper float64 `json:"upper"`
 }
 
-// Actuators are the mux-side hooks the controller drives. They are
-// bound after construction (Bind) because the Server that provides them
-// is itself built with the controller already in hand. Any nil hook
-// disables that actuation.
+// Actuators are the mux-side hooks the controller reads. They are bound
+// after construction (Bind) because the Server that provides them is
+// itself built with the controller already in hand.
 type Actuators struct {
-	// Active reports live receiver-session occupancy (Server.ActiveCount);
-	// nil disables stall detection, which needs to know work is pending.
+	// Active reports live receiver-session occupancy
+	// (Server.ActiveCount), which the occupancy gate compares against
+	// Config.TargetSessions; nil leaves the gate counting only the
+	// controller's own in-flight admissions.
 	Active func() int64
-	// EvictOldest force-retires the longest-idle receiver session
-	// (Server.ShedOldest); called once per tick at LevelEvict and above.
-	EvictOldest func() bool
-	// RetireStalled force-retires the receiver session with the least
-	// recent output progress (Server.RetireStalled); once per tick at
-	// LevelRetire.
-	RetireStalled func() bool
 }
 
-// refusePressureCap bounds the refusal-rate pressure component at a
-// value between the refuse and evict enter thresholds: a retransmission
-// storm from sessions queued at the capacity cap can push the ladder to
-// shedding *load* (pace, refuse) but never, on its own, to shedding
-// *sessions* — eviction needs evidence of actual service degradation
-// (deadline misses, stalls), not just a busy doorstep.
-const refusePressureCap = 1.5
-
 // missPressureWeight scales the windowed deadline-miss EXCESS — the
-// miss fraction above its slowly-adapting baseline — into pressure,
-// topping out (like the refusal component) between the refuse and
-// evict enter thresholds. Both symptoms mean "too much load for the
-// service to meet deadlines", and the remedy for load is shedding load
-// (pace, refuse). Killing admitted sessions does not reduce a shared
-// channel's load at all — the victims' transmitters keep
-// retransmitting to a tombstone — so the evict and retire rungs are
-// reserved for the one symptom load-shedding cannot fix: sessions
-// occupying slots while nothing progresses (the stall sensor, which
-// compounds without bound).
+// miss fraction above its slowly-adapting baseline — into pressure: a
+// miss fraction 2/3 above the baseline reaches the refuse rung.
 const missPressureWeight = 1.5
 
 // missBaseAlpha is the EWMA weight for the miss-fraction baseline. The
@@ -186,7 +161,6 @@ type Controller struct {
 	deadline int64 // δ1·c2
 
 	marginHist *obs.Histogram
-	writes     *obs.Counter
 	refused    *obs.Counter
 
 	done    chan struct{}
@@ -202,25 +176,18 @@ type Controller struct {
 
 	// cands is Config.Candidates in rank order (see Config.Candidates);
 	// sel indexes the selected row.
-	cands      []Candidate
-	sel        int
-	lastSwitch int64
-	famSwaps   int64
+	cands []Candidate
+	sel   int
 
 	perSession  map[uint32]session.PairBuilder
 	kHist       map[string]int64
 	prevMargin  obs.HistogramSnapshot
-	prevWrites  int64
 	prevRefused int64
 	missBase    float64 // EWMA of the windowed miss fraction; -1 until seeded
-	stallWins   int64
-	lastEvict   int64
-	lastRetire  int64
 
 	ticks, paced, paceTicks    int64
 	gated, gateTicks           int64
 	dialRefused, serverRefused int64
-	evicts, retires            int64
 	levelTicks                 [numLevels]int64
 }
 
@@ -263,16 +230,16 @@ func New(cfg Config) (*Controller, error) {
 		if cd.K < 2 || cd.Upper <= 0 {
 			return nil, fmt.Errorf("control: candidate %d (%s:%d) needs k >= 2 and a positive upper bound", i, cd.Proto, cd.K)
 		}
+		if cd.Proto != cands[0].Proto {
+			return nil, fmt.Errorf("control: candidate %d (%s:%d) is not of the served family %s", i, cd.Proto, cd.K, cands[0].Proto)
+		}
 	}
-	var served Candidate
+	var servedK int
 	if len(cands) > 0 {
-		served = cands[0]
+		servedK = cands[0].K
 	}
 	sort.SliceStable(cands, func(i, j int) bool {
 		a, b := cands[i], cands[j]
-		if an, bn := a.Proto == served.Proto, b.Proto == served.Proto; an != bn {
-			return an
-		}
 		if a.Upper != b.Upper {
 			return a.Upper > b.Upper
 		}
@@ -280,7 +247,7 @@ func New(cfg Config) (*Controller, error) {
 	})
 	sel := 0
 	for i, cd := range cands {
-		if cd.Proto == served.Proto && cd.K == served.K {
+		if cd.K == servedK {
 			sel = i
 			break
 		}
@@ -291,7 +258,6 @@ func New(cfg Config) (*Controller, error) {
 		deadline:   int64(cfg.Params.Delta1()) * cfg.Params.C2,
 		cands:      cands,
 		sel:        sel,
-		lastSwitch: -cfg.Dwell, // the first needed family switch is never dwell-blocked
 		done:       make(chan struct{}),
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		missBase:   -1,
@@ -304,8 +270,6 @@ func New(cfg Config) (*Controller, error) {
 	// same names with the same shapes, so both hold one instance.
 	c.marginHist = cfg.Registry.Histogram("rstp_deadline_margin_ticks",
 		"per-message deadline δ1·c2 minus the interwrite gap (negative = miss)", obs.MarginBuckets(0))
-	c.writes = cfg.Registry.Counter("rstp_session_writes_total",
-		"messages written to receiver output tapes")
 	c.refused = cfg.Registry.Counter("rstp_server_frames_refused_total",
 		"new-session frames dropped at the MaxSessions cap")
 
@@ -313,8 +277,7 @@ func New(cfg Config) (*Controller, error) {
 	return c, nil
 }
 
-// Bind installs the actuators. Call before Start; hooks left nil
-// disable the corresponding actuation.
+// Bind installs the actuators. Call before Start.
 func (c *Controller) Bind(a Actuators) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -362,35 +325,20 @@ func (c *Controller) loop() {
 }
 
 // tick is one control-loop iteration: sense, score, step the ladder,
-// actuate.
+// retune the selection.
 func (c *Controller) tick() {
 	now := c.cfg.Clock.Now()
 	margin := c.marginHist.Snapshot()
-	writes := c.writes.Value()
 	refused := c.refused.Value()
 
-	// Active is read outside c.mu, as in Admit: Server.ActiveCount takes
-	// the server's lock, and the server calls AdmitServer (which takes
-	// c.mu) while holding it.
 	c.mu.Lock()
-	act := c.acts.Active
-	c.mu.Unlock()
-	var active int64
-	if act != nil {
-		active = act()
-	}
-
-	c.mu.Lock()
+	defer c.mu.Unlock()
 	win := obs.DeltaSnapshot(c.prevMargin, margin)
-	dWrites := writes - c.prevWrites
 	dRefused := refused - c.prevRefused
-	c.prevMargin, c.prevWrites, c.prevRefused = margin, writes, refused
+	c.prevMargin, c.prevRefused = margin, refused
 
-	// Pressure is the WORST single symptom, not the sum: each sensor is
-	// scaled so the highest rung it can reach is the highest rung whose
-	// remedy addresses it, and summing would let two mild symptoms buy a
-	// remedy neither justifies (a busy doorstep plus a few late writes
-	// must not evict anyone).
+	// Pressure is the WORST single symptom, not the sum: summing would
+	// let two mild symptoms buy a remedy neither justifies.
 	//
 	// Symptom 1: the deadline-miss fraction of this window's writes,
 	// scored as the excess over its EWMA baseline. The margin
@@ -398,7 +346,9 @@ func (c *Controller) tick() {
 	// deadline, so the cumulative count at LE=0 over the window count is
 	// the fraction of writes that missed δ1·c2; the baseline calibrates
 	// out the platform's steady-state miss rate (see missBaseAlpha) so
-	// only a *worsening* — congestion onset — registers.
+	// only a *worsening* — congestion onset — registers. A window with
+	// no writes says nothing either way: a session that has not written
+	// yet is not a stalled one.
 	pressure := 0.0
 	if win.Count >= missMinWindow {
 		var misses int64
@@ -418,31 +368,9 @@ func (c *Controller) tick() {
 		c.missBase += missBaseAlpha * (frac - c.missBase)
 	}
 	// Symptom 2: refusal rate. Frames already being turned away at the
-	// server cap are overload by definition — capped below the evict
-	// threshold, because the remedy for a noisy doorstep is shedding
-	// load, never shedding admitted sessions.
-	if dRefused > 0 {
-		rp := float64(dRefused) / c.cfg.RefuseScale
-		if rp > refusePressureCap {
-			rp = refusePressureCap
-		}
-		if rp > pressure {
-			pressure = rp
-		}
-	}
-	// Symptom 3: stall. Live sessions with zero output growth compound
-	// each consecutive silent window without bound — total dead air is
-	// the one symptom allowed to climb all the way to forced retirement.
-	// Half a pressure unit per silent window: one quiet window under
-	// bursty congestion is noise (it paces); four in a row reach evict,
-	// eight force retirement.
-	if active > 0 && dWrites == 0 {
-		c.stallWins++
-		if sp := 0.5 * float64(c.stallWins); sp > pressure {
-			pressure = sp
-		}
-	} else {
-		c.stallWins = 0
+	// server cap are overload by definition.
+	if rp := float64(dRefused) / c.cfg.RefuseScale; rp > pressure {
+		pressure = rp
 	}
 
 	level := c.ladder.Update(now, pressure)
@@ -450,38 +378,6 @@ func (c *Controller) tick() {
 	c.ticks++
 	c.levelTicks[level] += c.cfg.Interval
 	c.retuneK(win)
-
-	// The destructive actuators are rate-limited to one victim per dwell
-	// window: eviction exists to relieve pressure, and the ladder cannot
-	// even observe relief faster than its own dwell — killing a session
-	// per tick would shred goodput for no faster convergence.
-	var evict, retire func() bool
-	if level >= LevelEvict && c.acts.EvictOldest != nil && now-c.lastEvict >= c.cfg.Dwell {
-		c.lastEvict = now
-		evict = c.acts.EvictOldest
-	}
-	if level >= LevelRetire && c.acts.RetireStalled != nil && now-c.lastRetire >= c.cfg.Dwell {
-		c.lastRetire = now
-		retire = c.acts.RetireStalled
-	}
-	c.mu.Unlock()
-
-	evicted, retired := false, false
-	if evict != nil {
-		evicted = evict()
-	}
-	if retire != nil {
-		retired = retire()
-	}
-
-	c.mu.Lock()
-	if evicted {
-		c.evicts++
-	}
-	if retired {
-		c.retires++
-	}
-	c.mu.Unlock()
 }
 
 // retuneK re-selects the admission-time candidate, holding c.mu. The
@@ -489,17 +385,10 @@ func (c *Controller) tick() {
 // channel; the measured median gap over the current window, divided by
 // the selected row's Upper, is the live slowdown factor. The controller
 // picks the first ranked row whose scaled prediction still fits the
-// deadline: the smallest fitting native k — smallest because packet
-// size grows with k (§6) and the cheapest alphabet that meets δ1·c2 is
-// the efficient choice — and a foreign family only when no native row
-// fits. When nothing fits, a native selection falls back to the
-// cheapest native row and a foreign selection holds its row.
-//
-// Moves between the native and a foreign family — in either direction
-// — are limited to one per dwell window, so a foreign row whose bound
-// lands near a native row cannot flap the selection on a noisy slowdown
-// estimate (the same hysteresis discipline as the ladder). Moves within
-// the native rows, or among the foreign ones, are immediate.
+// deadline — the smallest fitting k, because packet size grows with k
+// (§6) and the cheapest alphabet that meets δ1·c2 is the efficient
+// choice — and the last row, the one with the smallest bound, when
+// none fits.
 func (c *Controller) retuneK(win obs.HistogramSnapshot) {
 	if len(c.cands) == 0 {
 		return
@@ -511,40 +400,17 @@ func (c *Controller) retuneK(win obs.HistogramSnapshot) {
 			slow = med / cur
 		}
 	}
-	pick := -1
+	c.sel = len(c.cands) - 1
 	for i, cd := range c.cands {
 		if slow*cd.Upper <= float64(c.deadline) {
-			pick = i
-			break
-		}
-	}
-	native := c.isNative(c.sel)
-	if pick >= 0 && c.isNative(pick) != native {
-		if now := c.cfg.Clock.Now(); now-c.lastSwitch >= c.cfg.Dwell {
-			c.sel, c.lastSwitch = pick, now
-			c.famSwaps++
+			c.sel = i
 			return
 		}
-		pick = -1 // dwell-blocked: as if nothing fit
 	}
-	if pick < 0 {
-		if !native {
-			return
-		}
-		pick = 0
-		for pick+1 < len(c.cands) && c.isNative(pick+1) {
-			pick++
-		}
-	}
-	c.sel = pick
 }
 
-// isNative reports whether ranked row i belongs to the native family,
-// the family of the served stack (which ranks first).
-func (c *Controller) isNative(i int) bool { return c.cands[i].Proto == c.cands[0].Proto }
-
 // label is ranked row i's histogram and persistence identity: its
-// stack's name, e.g. "hardened(gamma(k=4))".
+// stack's name, e.g. "hardened(beta(k=4))".
 func (c *Controller) label(i int) string { return c.cands[i].Builder.String() }
 
 // sleepTicks blocks for the given tick count. It reports stopped=true
@@ -597,7 +463,9 @@ func (c *Controller) Admit(ctx context.Context, id uint32) error {
 	// from the gate takes a whole channel round-trip to show up in
 	// Active, and gating on Active alone would release every waiter into
 	// that blind window at once. The ladder still applies while parked —
-	// an escalation to refuse turns the wait into a refusal.
+	// an escalation to refuse turns the wait into a refusal. Active is
+	// called outside c.mu: Server.ActiveCount takes the server's lock, and
+	// the server calls AdmitServer (which takes c.mu) while holding it.
 	if c.cfg.TargetSessions > 0 {
 		first := true
 		for {
@@ -726,15 +594,8 @@ type State struct {
 	GateTicks       int64            `json:"gate_ticks"`
 	DialRefused     int64            `json:"dial_refused"`
 	ServerRefused   int64            `json:"server_refused"`
-	Evictions       int64            `json:"evictions"`
-	Retires         int64            `json:"retires"`
 	KHistogram      map[string]int64 `json:"k_histogram,omitempty"`
 	LevelDwellTicks map[string]int64 `json:"level_dwell_ticks"`
-	// Selected names the foreign row currently selected by its stack's
-	// name ("gamma(k=4)", "rateless(k=4)"), empty while the native family
-	// is.
-	Selected       string `json:"selected,omitempty"`
-	FamilySwitches int64  `json:"family_switches,omitempty"`
 	// Candidates lists every row in rank order.
 	Candidates []CandidateRow `json:"candidates,omitempty"`
 }
@@ -753,10 +614,7 @@ func (c *Controller) State() State {
 		GateTicks:       c.gateTicks,
 		DialRefused:     c.dialRefused,
 		ServerRefused:   c.serverRefused,
-		Evictions:       c.evicts,
-		Retires:         c.retires,
 		LevelDwellTicks: make(map[string]int64, numLevels),
-		FamilySwitches:  c.famSwaps,
 	}
 	if len(c.kHist) > 0 {
 		s.KHistogram = make(map[string]int64, len(c.kHist))
@@ -766,9 +624,6 @@ func (c *Controller) State() State {
 	}
 	if len(c.cands) > 0 {
 		s.K = c.cands[c.sel].K
-		if !c.isNative(c.sel) {
-			s.Selected = c.label(c.sel)
-		}
 	}
 	for _, cd := range c.cands {
 		s.Candidates = append(s.Candidates, CandidateRow{Proto: cd.Proto, K: cd.K, Lower: cd.Lower, Upper: cd.Upper})
@@ -791,7 +646,7 @@ func (c *Controller) instrument(reg *obs.Registry) {
 		}
 	}
 	reg.GaugeFunc("rstp_control_level",
-		"escalation ladder level (0 normal … 4 retire)",
+		"escalation ladder level (0 normal, 1 pace, 2 refuse)",
 		locked(func() int64 { return int64(c.ladder.Current()) }))
 	reg.FloatFunc("rstp_control_pressure",
 		"latest composite overload pressure (0 = healthy)", func() float64 {
@@ -807,9 +662,6 @@ func (c *Controller) instrument(reg *obs.Registry) {
 			}
 			return int64(c.cands[c.sel].K)
 		}))
-	reg.CounterFunc("rstp_control_family_switches_total",
-		"cross-family selection switches (native <-> foreign row)",
-		locked(func() int64 { return c.famSwaps }))
 	reg.CounterFunc("rstp_control_ticks_total",
 		"control loop iterations", locked(func() int64 { return c.ticks }))
 	reg.CounterFunc("rstp_control_paced_total",
@@ -824,10 +676,6 @@ func (c *Controller) instrument(reg *obs.Registry) {
 		"dialer admissions refused by the ladder", locked(func() int64 { return c.dialRefused }))
 	reg.CounterFunc("rstp_control_server_refused_total",
 		"unknown server sessions refused by the ladder", locked(func() int64 { return c.serverRefused }))
-	reg.CounterFunc("rstp_control_evictions_total",
-		"forced evictions of the longest-idle session", locked(func() int64 { return c.evicts }))
-	reg.CounterFunc("rstp_control_retires_total",
-		"forced retirements of the least-progressed session", locked(func() int64 { return c.retires }))
 	for i := 0; i < numLevels; i++ {
 		lvl := Level(i)
 		reg.CounterFunc(fmt.Sprintf("rstp_control_dwell_%s_ticks_total", lvl),

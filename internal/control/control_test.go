@@ -230,50 +230,71 @@ func TestKSelectionReadsOverflowAsSlack(t *testing.T) {
 	}
 }
 
-// TestTickStallEscalation runs real ticks against an idle registry with
-// one live session: consecutive zero-write windows compound the stall
-// pressure and climb the ladder; resumed writes reset it and the ladder
-// descends.
-func TestTickStallEscalation(t *testing.T) {
+// tickN runs n control ticks, each one Interval after the last on the
+// test clock, calling before ahead of each.
+func tickN(c *Controller, n int, before func()) {
+	for i := 0; i < n; i++ {
+		if before != nil {
+			before()
+		}
+		time.Sleep(time.Microsecond) // the 1ns-tick clock advances past any dwell
+		c.tick()
+	}
+}
+
+// TestTickSilentSessionStaysNormal is the regression test for the false
+// stall: a live session that has not written yet is not overload. Eight
+// windows with one active session and zero writes leave the pressure at
+// 0 and the ladder at normal.
+func TestTickSilentSessionStaysNormal(t *testing.T) {
 	c := newCtl(t, func(cfg *Config) {
 		cfg.Interval = 1
 		cfg.Dwell = 1
 	})
-	c.Bind(Actuators{
-		Active: func() int64 { return 1 },
-	})
-	for i := 0; i < 6; i++ {
-		time.Sleep(time.Microsecond) // the 1ns-tick clock advances past any dwell
-		c.tick()
-	}
+	c.Bind(Actuators{Active: func() int64 { return 1 }})
+	tickN(c, 8, nil)
 	st := c.State()
-	if st.Ticks != 6 {
-		t.Fatalf("ticks = %d, want 6", st.Ticks)
+	if st.Ticks != 8 {
+		t.Fatalf("ticks = %d, want 8", st.Ticks)
 	}
-	if st.Level == LevelNormal.String() {
-		t.Fatalf("six stalled windows left the ladder at normal (pressure %v)", st.Pressure)
+	if st.Pressure != 0 || st.Level != LevelNormal.String() {
+		t.Errorf("8 silent windows: level %s pressure %v, want normal/0", st.Level, st.Pressure)
 	}
-	if st.Pressure < 3 {
-		t.Errorf("stall pressure %v after 6 silent windows, want compounding >= 3", st.Pressure)
+	if st.LevelDwellTicks[LevelNormal.String()] != 8 {
+		t.Errorf("dwell = %v, want all 8 ticks at normal", st.LevelDwellTicks)
 	}
+}
 
-	// Output resumes: stall pressure resets and the ladder walks back.
-	for i := 0; i < 8; i++ {
-		c.writes.Inc()
-		time.Sleep(time.Microsecond)
-		c.tick()
+// TestTickRefusedFramesReachRefuse: a refused-frame delta at the server
+// is overload by definition and still climbs the ladder, one rung per
+// dwell, to refuse; once refusals stop it walks back to normal.
+func TestTickRefusedFramesReachRefuse(t *testing.T) {
+	c := newCtl(t, func(cfg *Config) {
+		cfg.Interval = 1
+		cfg.Dwell = 1
+	})
+	c.Bind(Actuators{Active: func() int64 { return 1 }})
+	tickN(c, 4, func() { c.refused.Add(2 * 64) }) // pressure 2 per window at RefuseScale 64
+	st := c.State()
+	if st.Pressure != 2 || st.Level != LevelRefuse.String() {
+		t.Fatalf("4 refusing windows: level %s pressure %v, want refuse/2", st.Level, st.Pressure)
 	}
-	if got := c.State(); got.Pressure != 0 || got.Level != LevelNormal.String() {
-		t.Errorf("after recovery: level %s pressure %v, want normal/0", got.Level, got.Pressure)
+	if err := c.Admit(context.Background(), 1); !errors.Is(err, session.ErrAdmissionRefused) {
+		t.Errorf("Admit after the climb: %v, want ErrAdmissionRefused", err)
+	}
+	tickN(c, 4, nil)
+	if st := c.State(); st.Pressure != 0 || st.Level != LevelNormal.String() {
+		t.Errorf("after refusals stop: level %s pressure %v, want normal/0", st.Level, st.Pressure)
 	}
 }
 
 // TestTickActiveLockOrder is the lock-order regression test for the
 // controller↔server pair: the server holds its own lock while it calls
-// AdmitServer, and Server.ActiveCount takes that lock. A tick that
-// called Active while holding c.mu deadlocked against such a caller.
+// AdmitServer, and Server.ActiveCount takes that lock. A control tick
+// or an admission at the occupancy gate that called Active while
+// holding c.mu deadlocked against such a caller.
 func TestTickActiveLockOrder(t *testing.T) {
-	c := newCtl(t, nil)
+	c := newCtl(t, func(cfg *Config) { cfg.TargetSessions = 2 })
 	var srvMu sync.Mutex // stands in for the server's lock
 	inActive := make(chan struct{}, 1)
 	c.Bind(Actuators{Active: func() int64 {
@@ -287,9 +308,12 @@ func TestTickActiveLockOrder(t *testing.T) {
 	ticked := make(chan struct{})
 	go func() {
 		c.tick()
+		if err := c.Admit(context.Background(), 2); err != nil {
+			t.Errorf("Admit below the occupancy target: %v", err)
+		}
 		close(ticked)
 	}()
-	<-inActive // the tick is waiting for the server's lock
+	<-inActive // the gate is waiting for the server's lock
 	admitted := make(chan struct{})
 	go func() {
 		c.AdmitServer(1) // still under the server's lock
@@ -300,7 +324,7 @@ func TestTickActiveLockOrder(t *testing.T) {
 		select {
 		case <-ch:
 		case <-time.After(5 * time.Second):
-			t.Fatal("tick and AdmitServer deadlocked: Active was called under the controller's lock")
+			t.Fatal("AdmitServer deadlocked against the controller: Active was called under the controller's lock")
 		}
 	}
 }
@@ -329,12 +353,22 @@ func TestStateAndMetricsExposed(t *testing.T) {
 		"rstp_control_paced_total", "rstp_control_pace_ticks_total",
 		"rstp_control_gated_total", "rstp_control_gate_ticks_total",
 		"rstp_control_dial_refused_total", "rstp_control_server_refused_total",
-		"rstp_control_evictions_total",
-		"rstp_control_retires_total", "rstp_control_dwell_normal_ticks_total",
-		"rstp_control_dwell_retire_ticks_total",
+		"rstp_control_dwell_normal_ticks_total", "rstp_control_dwell_pace_ticks_total",
+		"rstp_control_dwell_refuse_ticks_total",
 	} {
 		if !found[name] {
 			t.Errorf("metric %s not registered", name)
+		}
+	}
+	// The controller sheds load, never sessions, and selects within one
+	// family: the series of the deleted rungs and family switch are gone.
+	for _, name := range []string{
+		"rstp_control_evictions_total", "rstp_control_retires_total",
+		"rstp_control_family_switches_total", "rstp_control_dwell_evict_ticks_total",
+		"rstp_control_dwell_retire_ticks_total",
+	} {
+		if found[name] {
+			t.Errorf("metric %s still registered", name)
 		}
 	}
 	if _, ok := snap.Live["control"]; !ok {

@@ -5,7 +5,7 @@ import "fmt"
 // Level is one rung of the shed-escalation ladder, ordered by severity.
 // The ladder never jumps: it climbs and descends one rung at a time, at
 // most one change per dwell window, so the policy cannot flap between
-// "business as usual" and "evict everything" on a noisy signal.
+// "business as usual" and "refuse everyone" on a noisy signal.
 type Level int
 
 const (
@@ -14,20 +14,14 @@ const (
 	// LevelPace delays new admissions by a jittered pacing interval, so
 	// load is shaped before anything is turned away.
 	LevelPace
-	// LevelRefuse turns brand-new sessions away outright (dialer Admit
-	// and server spawn both), while admitted sessions run to completion.
+	// LevelRefuse is the top rung: it turns brand-new sessions away
+	// outright (dialer Admit and server spawn both), while admitted
+	// sessions run to completion.
 	LevelRefuse
-	// LevelEvict additionally force-retires the longest-idle session each
-	// control tick, reclaiming capacity from the least active work.
-	LevelEvict
-	// LevelRetire is the last rung: the session with the least recent
-	// output progress is force-retired (a watchdog verdict on demand) —
-	// the move of last resort when nothing is completing at all.
-	LevelRetire
 )
 
 // numLevels counts the ladder's rungs, LevelNormal included.
-const numLevels = int(LevelRetire) + 1
+const numLevels = int(LevelRefuse) + 1
 
 // String names the level for metrics, summaries and logs.
 func (l Level) String() string {
@@ -38,10 +32,6 @@ func (l Level) String() string {
 		return "pace"
 	case LevelRefuse:
 		return "refuse"
-	case LevelEvict:
-		return "evict"
-	case LevelRetire:
-		return "retire"
 	default:
 		return fmt.Sprintf("level(%d)", int(l))
 	}
@@ -51,8 +41,8 @@ func (l Level) String() string {
 // >= ladderEnter[i] and left at pressure <= ladderExit[i], half the
 // entry threshold.
 var (
-	ladderEnter = [numLevels - 1]float64{0.25, 1, 2, 4}
-	ladderExit  = [numLevels - 1]float64{0.125, 0.5, 1, 2}
+	ladderEnter = [numLevels - 1]float64{0.25, 1}
+	ladderExit  = [numLevels - 1]float64{0.125, 0.5}
 )
 
 // Ladder is the escalation hysteresis state machine: a pure, lock-free

@@ -4,8 +4,8 @@ import "testing"
 
 func testLadder(dwell int64) Ladder {
 	return Ladder{
-		Enter: [4]float64{0.25, 1, 2, 4},
-		Exit:  [4]float64{0.125, 0.5, 1, 2},
+		Enter: [numLevels - 1]float64{0.25, 1},
+		Exit:  [numLevels - 1]float64{0.125, 0.5},
 		Dwell: dwell,
 	}
 }
@@ -25,15 +25,13 @@ func TestLadderSingleStepPerDwell(t *testing.T) {
 		{5, 10, LevelNormal},  // still inside the first window
 		{10, 10, LevelPace},   // first climb — one rung despite pressure 10
 		{15, 10, LevelPace},   // dwell freeze
-		{20, 10, LevelRefuse}, // second rung
-		{30, 10, LevelEvict},  // third
-		{40, 10, LevelRetire}, // top
-		{45, 0, LevelRetire},  // pressure gone, but inside the dwell
-		{50, 0, LevelEvict},   // descend one rung per window
-		{60, 0, LevelRefuse},
-		{70, 0, LevelPace},
-		{80, 0, LevelNormal},
-		{90, 0, LevelNormal}, // floor
+		{20, 10, LevelRefuse}, // top
+		{30, 10, LevelRefuse}, // nothing above refuse
+		{40, 10, LevelRefuse},
+		{45, 0, LevelPace},   // pressure gone: descend one rung
+		{50, 0, LevelPace},   // dwell freeze
+		{55, 0, LevelNormal}, // one rung per window
+		{65, 0, LevelNormal}, // floor
 	}
 	for i, s := range steps {
 		if got := l.Update(s.now, s.pressure); got != s.want {
@@ -102,10 +100,7 @@ func TestLadderNoFlapUnderOscillation(t *testing.T) {
 
 // TestLadderLevelNames pins the metric/summary labels.
 func TestLadderLevelNames(t *testing.T) {
-	want := map[Level]string{
-		LevelNormal: "normal", LevelPace: "pace", LevelRefuse: "refuse",
-		LevelEvict: "evict", LevelRetire: "retire",
-	}
+	want := map[Level]string{LevelNormal: "normal", LevelPace: "pace", LevelRefuse: "refuse"}
 	for lvl, name := range want {
 		if lvl.String() != name {
 			t.Errorf("Level(%d).String() = %q, want %q", lvl, lvl.String(), name)

@@ -48,7 +48,7 @@ func (b *bottleneck) Arrivals(_ int64, sendTime int64, _ wire.Dir, _ wire.Packet
 type soakResult struct {
 	attempted   int64 // sessions the dialer opened
 	completed   int64 // Y = X within the per-session deadline
-	incomplete  int64 // opened but timed out / evicted / retired
+	incomplete  int64 // opened but timed out
 	dialRefused int64 // ErrAdmissionRefused at Start
 	violations  int64 // prefix-safety failures (must be zero, always)
 
@@ -133,11 +133,7 @@ func runOverloadSoak(t testing.TB, adaptive bool, workers int, dur, perSession t
 	defer dlr.Close()
 
 	if ctrl != nil {
-		ctrl.Bind(Actuators{
-			Active:        func() int64 { return int64(srv.ActiveCount()) },
-			EvictOldest:   srv.ShedOldest,
-			RetireStalled: srv.RetireStalled,
-		})
+		ctrl.Bind(Actuators{Active: func() int64 { return int64(srv.ActiveCount()) }})
 		ctrl.Start()
 		defer ctrl.Stop()
 	}
@@ -246,10 +242,9 @@ func TestOverloadRampAdaptiveVsBaseline(t *testing.T) {
 	}
 	t.Logf("baseline: %d completed / %d attempted (%d incomplete)",
 		baseline.completed, baseline.attempted, baseline.incomplete)
-	t.Logf("adaptive: %d completed / %d attempted (%d incomplete, %d dial-refused); controller: level=%s ticks=%d paced=%d gated=%d evict=%d retire=%d dwell=%v",
+	t.Logf("adaptive: %d completed / %d attempted (%d incomplete, %d dial-refused); controller: level=%s ticks=%d paced=%d gated=%d dwell=%v",
 		adaptive.completed, adaptive.attempted, adaptive.incomplete,
-		adaptive.dialRefused, st.Level, st.Ticks, st.Paced, st.Gated,
-		st.Evictions, st.Retires, st.LevelDwellTicks)
+		adaptive.dialRefused, st.Level, st.Ticks, st.Paced, st.Gated, st.LevelDwellTicks)
 
 	if adaptive.completed == 0 {
 		t.Fatal("adaptive run completed no sessions under 2× load")
@@ -257,7 +252,7 @@ func TestOverloadRampAdaptiveVsBaseline(t *testing.T) {
 	if st.Ticks == 0 {
 		t.Fatal("controller never ticked")
 	}
-	engaged := st.Paced+st.Gated+st.DialRefused+st.ServerRefused+st.Evictions+st.Retires > 0 ||
+	engaged := st.Paced+st.Gated+st.DialRefused+st.ServerRefused > 0 ||
 		st.LevelDwellTicks["normal"] < st.Ticks*2*ctlParams().D
 	if !engaged {
 		t.Errorf("controller never engaged under 2× load: %+v", st)

@@ -58,9 +58,9 @@ func (s *Server) admitLocked(f wire.Frame) *endpoint {
 		return nil
 	}
 	// The control plane's refuse gate runs before the capacity check: at
-	// the escalation ladder's refuse level and above, brand-new sessions
-	// are turned away even while slots remain, so the server sheds *load*
-	// before it ever has to shed *sessions*.
+	// the escalation ladder's refuse level, brand-new sessions are turned
+	// away even while slots remain, so the server sheds *load* before it
+	// ever has to shed *sessions*.
 	admit := s.cfg.Admission == nil || s.cfg.Admission.AdmitServer(f.Session)
 	if admit && len(s.active) >= s.cfg.MaxSessions {
 		admit = s.cfg.Shed == ShedEvictOldestIdle && s.shedOldestLocked()
@@ -111,25 +111,18 @@ func (s *Server) wakeSpawnWaitsLocked(id uint32) {
 	}
 }
 
-// victimLocked returns the active session with the smallest key, skipping
-// sessions whose tape save is still in flight (they are writing, so
-// neither idle nor stalled), or nil when there is none.
-func (s *Server) victimLocked(key func(*endpoint) int64) *endpoint {
+// shedOldestLocked force-retires the active session that has gone
+// longest without traffic, freeing its slot for a newcomer. Sessions
+// whose tape save is still in flight are skipped: they are writing, so
+// not idle. Callers hold s.mu; returns false when there is nothing safe
+// to shed. The victim's in-flight frames drop as late at its tombstone.
+func (s *Server) shedOldestLocked() bool {
 	var victim *endpoint
 	for _, ep := range s.order {
-		if !ep.retired && !ep.saving && (victim == nil || key(ep) < key(victim)) {
+		if !ep.retired && !ep.saving && (victim == nil || ep.lastActivity < victim.lastActivity) {
 			victim = ep
 		}
 	}
-	return victim
-}
-
-// shedOldestLocked force-retires the active session that has gone
-// longest without traffic, freeing its slot for a newcomer. Callers hold
-// s.mu; returns false when there is nothing safe to shed. The victim's
-// in-flight frames drop as late at its tombstone.
-func (s *Server) shedOldestLocked() bool {
-	victim := s.victimLocked(func(ep *endpoint) int64 { return ep.lastActivity })
 	if victim == nil {
 		return false
 	}
@@ -140,36 +133,8 @@ func (s *Server) shedOldestLocked() bool {
 	return true
 }
 
-// ShedOldest force-retires the longest-idle active session on demand —
-// the control plane's evict-oldest-idle escalation rung, the same move
-// ShedEvictOldestIdle makes at the MaxSessions high-water mark but
-// triggered by measured pressure instead of a full table. Returns false
-// when there is nothing to shed.
-func (s *Server) ShedOldest() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.shedOldestLocked()
-}
-
-// RetireStalled force-retires the active session whose output tape has
-// gone longest without growth — the control plane's last escalation rung,
-// a watchdog force-retire on demand. The victim is marked Wedged; its
-// in-flight frames die at the tombstone. Returns false when no session is
-// active.
-func (s *Server) RetireStalled() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	victim := s.victimLocked(func(ep *endpoint) int64 { return ep.lastProgress })
-	if victim == nil {
-		return false
-	}
-	victim.markWedged(s.cfg.Clock.Now())
-	s.parkLocked(victim)
-	return true
-}
-
 // ActiveCount returns the number of currently live receiver sessions —
-// the control plane's occupancy sensor.
+// the control plane's occupancy gate reads it.
 func (s *Server) ActiveCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

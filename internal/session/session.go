@@ -99,7 +99,7 @@ type Resyncer interface {
 
 // ErrAdmissionRefused is returned by Dialer.Start when the configured
 // AdmissionController refuses the new session outright (the escalation
-// ladder's refuse level and above). It is load shaping, not failure: the
+// ladder's refuse level). It is load shaping, not failure: the
 // caller should back off and retry, exactly as it would on a full
 // semaphore.
 var ErrAdmissionRefused = errors.New("session: admission refused by control plane")
@@ -130,7 +130,7 @@ type AdmissionController interface {
 	// for a brand-new session id right now. Sessions the controller
 	// admitted dialer-side are always accepted (their slot is spoken
 	// for); unknown IDs are refused while the escalation ladder is at its
-	// refuse level or above.
+	// refuse level.
 	AdmitServer(id uint32) bool
 	// Forget drops the controller's per-session record once the session
 	// has retired on either side. Idempotent.
@@ -468,16 +468,9 @@ func (e *endpoint) checkProgress(now, window int64) bool {
 			return true
 		}
 	}
-	e.markWedged(now)
-	return false
-}
-
-// markWedged flags the endpoint as force-retired for lack of output
-// progress — the watchdog's verdict, also reachable on demand through the
-// control plane's last escalation rung.
-func (e *endpoint) markWedged(now int64) {
 	e.wedged = true
 	e.m.cfg.metrics.onWedge(now, e.id, now-e.lastProgress)
+	return false
 }
 
 // apply applies one delivered frame as a recv input, if the automaton's

@@ -481,11 +481,12 @@ func Dial(cfg ServeConfig) (*Dialer, error) { return session.NewDialer(cfg) }
 func NewPipe(cfg ServeConfig) (*Pipe, error) { return session.NewPipe(cfg) }
 
 // Adaptive control plane (PR 7): a seeded, deterministic control loop
-// that senses the shared metrics registry and drives admission
-// pacing/refusal, per-session k-selection from the paper's bound
-// tables and the shed-escalation ladder. Wire a
-// Controller as ServeConfig.Admission on both mux sides, Bind its
-// actuators, then Start. See DESIGN.md ("Closing the loop").
+// that senses the shared metrics registry and drives admission only —
+// an occupancy gate, pacing and refusal on a normal → pace → refuse
+// ladder, and per-session k-selection from the paper's bound tables.
+// It never sheds an admitted session. Wire a Controller as
+// ServeConfig.Admission on both mux sides, Bind the server's occupancy
+// count, then Start. See DESIGN.md ("Closing the loop").
 type (
 	// AdmissionController is the control plane's hook into the session
 	// mux: pacing/refusal of new sessions and per-session builder
@@ -496,11 +497,11 @@ type (
 	// Solution, HardenedSolution and StabilizedSolution is one).
 	PairBuilder = session.PairBuilder
 	// ControlConfig configures the adaptive controller. Its Candidates
-	// are one ranked selection table: native rows first, then by effort
-	// upper bound descending.
+	// are one ranked selection table of the served family's rows, by
+	// effort upper bound descending.
 	ControlConfig = control.Config
-	// ControlActuators are the mux-side hooks the controller drives
-	// (late-bound via Controller.Bind).
+	// ControlActuators are the mux-side hooks the controller reads —
+	// the server's occupancy count (late-bound via Controller.Bind).
 	ControlActuators = control.Actuators
 	// Controller is the adaptive overload controller.
 	Controller = control.Controller
@@ -510,7 +511,7 @@ type (
 )
 
 // ErrAdmissionRefused is returned by Dialer.Start when the control
-// plane refuses a new session at the ladder's refuse rung or above.
+// plane refuses a new session at the ladder's refuse rung.
 var ErrAdmissionRefused = session.ErrAdmissionRefused
 
 // NewController builds the adaptive controller against a shared
@@ -524,8 +525,8 @@ func NewController(cfg ControlConfig) (*Controller, error) { return control.New(
 // costs a few extra symbols per block instead of a round trip. The
 // builder satisfies PairBuilder, so the subsystem is selectable
 // anywhere the hardened β/γ stacks are — ServeConfig.Solution,
-// ControlConfig.Candidates, rstpserve -stack 'rateless(k=4)'. See DESIGN.md
-// ("Coding vs. retransmission").
+// rstpserve -stack 'rateless(k=4)'. See DESIGN.md ("Coding vs.
+// retransmission").
 type (
 	// RatelessOptions configures a rateless pair or builder: the timing
 	// Params, the packet alphabet size K, the session's base Seed (block
@@ -543,9 +544,8 @@ type (
 	RatelessReceiver = rateless.Receiver
 	// ControlCandidate is one row of ControlConfig.Candidates: a builder
 	// with its family, k and effort bounds. The first row is the served
-	// stack and names the native family; the other rows are its other k
-	// or cross-family escape hatches such as the rateless pair behind a
-	// native β stack (see cmd/rstpserve's -adaptive wiring).
+	// stack; the other rows are the same family at other k (see
+	// cmd/rstpserve's -adaptive wiring).
 	ControlCandidate = control.Candidate
 )
 
