@@ -10,7 +10,7 @@
 //	rstpserve -sessions 128 -loss 0.2 -fwindow 0:2000 -stack 'hardened(beta(k=4))'
 //	rstpserve -transport udp -loss 0.12 -dup 0.05 -corrupt 0.03 -stack 'hardened(gamma(k=4))'
 //	rstpserve -shed evict-oldest-idle -watchdog 4 # overload + wedge defense
-//	rstpserve -adaptive -sessions 128             # admission control: gate, pace, refuse, pick k
+//	rstpserve -adaptive -sessions 128             # admission control: gate, pace, refuse
 //	rstpserve -store-dir /tmp/rstp -stack 'stabilized(beta(k=4))'  # durable crash-restart serving
 //
 // -stack takes a stack's one name, the "proto" key of the summary:
@@ -120,14 +120,12 @@ type summary struct {
 	TraceDropped      int64   `json:"trace_dropped,omitempty"`
 	// Adaptive-control keys (PR 7; see EXPERIMENTS.md E23), present only
 	// with -adaptive: the controller's final ladder level, admission
-	// counters, the per-stack admission histogram and the per-level
-	// dwell times in ticks.
+	// counters and the per-level dwell times in ticks.
 	ControlLevel     string           `json:"control_level,omitempty"`
 	ControlPaced     int64            `json:"control_paced,omitempty"`
 	ControlPaceTicks int64            `json:"control_pace_ticks,omitempty"`
 	ControlGated     int64            `json:"control_gated,omitempty"`
 	ControlRefused   int64            `json:"control_refused,omitempty"`
-	ControlKHist     map[string]int64 `json:"control_k_histogram,omitempty"`
 	ControlDwell     map[string]int64 `json:"control_level_dwell_ticks,omitempty"`
 
 	// Durable-store keys (PR 6; see EXPERIMENTS.md E22), present only with
@@ -166,7 +164,7 @@ func run(args []string, out io.Writer) error {
 		blackout    = fs.String("blackout", "", "blackout window from:to (empty = none)")
 		excess      = fs.Int64("excess", 0, "extra delay beyond d inside -fwindow")
 		shed        = fs.String("shed", "refuse", "overload policy at the -conc cap: refuse or evict-oldest-idle")
-		adaptive    = fs.Bool("adaptive", false, "control admission: hold new sessions while -conc receivers are live, pace then refuse them under deadline misses or server refusals, and pick each session's k from the served stack's k and 2k by the paper's bounds (with -store-dir the pick is journaled and restarts resume under it); admitted sessions are never shed")
+		adaptive    = fs.Bool("adaptive", false, "control admission: hold new sessions while -conc receivers are live, and pace then refuse them under deadline misses or server refusals; every session runs -stack, and admitted sessions are never shed")
 		watchdog    = fs.Int("watchdog", 0, "progress watchdog multiplier k: wedge a session after k*delta1*c2 ticks without output growth (0 = off)")
 		verbose     = fs.Bool("v", false, "print one line per session")
 		timeout     = fs.Duration("timeout", 2*time.Minute, "overall run deadline")
@@ -244,14 +242,9 @@ func run(args []string, out io.Writer) error {
 	// Admission hook), bound to its actuators after (the Server provides
 	// them).
 	var ctrl *control.Controller
-	kBlock := st.BlockBits
 	if *adaptive {
-		var cands []control.Candidate
-		cands, kBlock = adaptiveCandidates(p, spec, st)
 		ctrl, err = control.New(control.Config{
 			Registry: reg, Clock: clock, Params: p,
-			Candidates:     cands,
-			Store:          storeOrNil(store),
 			Seed:           *seed,
 			TargetSessions: maxConc,
 		})
@@ -321,9 +314,7 @@ func run(args []string, out io.Writer) error {
 		close(flushDone)
 	}
 
-	// With k-selection on, the input length is a block multiple of every
-	// candidate alphabet, so a retuned admission never rejects its input.
-	bits := *n * kBlock
+	bits := *n * st.BlockBits
 	rng := rand.New(rand.NewSource(*seed))
 	inputs := make([][]wire.Bit, *sessions)
 	for i := range inputs {
@@ -457,7 +448,6 @@ func run(args []string, out io.Writer) error {
 		sum.ControlPaceTicks = cs.PaceTicks
 		sum.ControlGated = cs.Gated
 		sum.ControlRefused = cs.DialRefused + cs.ServerRefused
-		sum.ControlKHist = cs.KHistogram
 		sum.ControlDwell = cs.LevelDwellTicks
 	}
 	sum.EffortLowerBound = st.Lower
@@ -545,35 +535,6 @@ func storeOrNil(s *journal.Store) rstp.StateStore {
 		return nil
 	}
 	return s
-}
-
-// adaptiveCandidates assembles the -adaptive selection table from the
-// served stack st and its spec: st itself, the first row, and the same
-// stack at 2k (effort falls with log k, so one doubling is the
-// meaningful escape hatch under slowdown). Alpha has no k to select, and
-// a 2k row that fails to build is simply absent. The second result is
-// the lcm of the rows' block sizes, which the input length must be a
-// multiple of.
-func adaptiveCandidates(p rstp.Params, spec stack.Spec, st stack.Stack) ([]control.Candidate, int) {
-	if spec.Proto == "alpha" {
-		return nil, st.BlockBits
-	}
-	cands := []control.Candidate{{Proto: spec.Proto, K: spec.K, Builder: st.Builder, Lower: st.Lower, Upper: st.Upper}}
-	spec.K *= 2
-	row, err := stack.Build(p, spec)
-	if err != nil {
-		return cands, st.BlockBits
-	}
-	cands = append(cands, control.Candidate{Proto: spec.Proto, K: spec.K, Builder: row.Builder, Lower: row.Lower, Upper: row.Upper})
-	return cands, lcmInt(st.BlockBits, row.BlockBits)
-}
-
-func lcmInt(a, b int) int {
-	g, x := a, b
-	for x != 0 {
-		g, x = x, g%x
-	}
-	return a / g * b
 }
 
 // parseShed maps the -shed flag onto a session.ShedPolicy.

@@ -14,6 +14,8 @@ import (
 	"time"
 
 	"repro/internal/journal"
+	"repro/internal/rstp"
+	"repro/internal/stack"
 )
 
 // summaryFrom extracts the trailing JSON summary from a run's output,
@@ -455,7 +457,6 @@ func TestServeAdaptiveSmoke(t *testing.T) {
 	for _, want := range []string{
 		"rstp_control_level",
 		"rstp_control_pressure",
-		"rstp_control_k",
 		"rstp_control_paced_total",
 		"rstp_control_gated_total",
 		"rstp_control_dwell_normal_ticks_total",
@@ -466,12 +467,11 @@ func TestServeAdaptiveSmoke(t *testing.T) {
 	}
 	var live struct {
 		Level string `json:"level"`
-		K     int    `json:"k"`
 	}
 	if err := json.Unmarshal([]byte(scrape(t, addr, "/control")), &live); err != nil {
 		t.Fatalf("/control is not valid JSON: %v", err)
 	}
-	if live.Level == "" || live.K == 0 {
+	if live.Level == "" {
 		t.Errorf("/control state incomplete: %+v", live)
 	}
 
@@ -488,8 +488,14 @@ func TestServeAdaptiveSmoke(t *testing.T) {
 	if sum.ControlDwell == nil {
 		t.Errorf("summary missing control_level_dwell_ticks: %+v", sum)
 	}
-	if len(sum.ControlKHist) == 0 {
-		t.Errorf("summary missing control_k_histogram (k-selection never recorded an admission): %+v", sum)
+	// -adaptive sizes inputs like a fixed run: -n blocks of the stack.
+	if st, err := stack.Build(rstp.Params{C1: 2, C2: 3, D: 12}, stack.Spec{Proto: "beta", K: 4, Harden: true}); err != nil {
+		t.Fatal(err)
+	} else if sum.BitsPerSession != 16*st.BlockBits {
+		t.Errorf("bits_per_session = %d, want -n 16 × %d", sum.BitsPerSession, st.BlockBits)
+	}
+	if strings.Contains(out.String(), "control_k_histogram") {
+		t.Errorf("summary still carries control_k_histogram:\n%s", out.String())
 	}
 }
 
@@ -542,14 +548,15 @@ func TestServeAdaptiveUDP(t *testing.T) {
 // 2048 sessions with no capacity cap anywhere, which a fixed server
 // completes. A controller that reads "live sessions, no write in this
 // window" as gridlock refuses most of them at the doorstep on some
-// seeds. Both arms must complete every session on every seed. Nightly
-// only (RSTP_FULL_SOAK=1): each adaptive run takes over a second of two
-// busy cores.
+// seeds. Both arms must complete every session on every seed, and carry
+// the same bits per session. Nightly only (RSTP_FULL_SOAK=1): each
+// adaptive run takes over a second of two busy cores.
 func TestServeAdaptiveUncapped(t *testing.T) {
 	if os.Getenv("RSTP_FULL_SOAK") != "1" {
 		t.Skip("2048-session fixed/-adaptive runs are nightly (set RSTP_FULL_SOAK=1)")
 	}
 	for _, seed := range []string{"1", "2", "3"} {
+		fixedBits := 0
 		for _, arm := range [][]string{nil, {"-adaptive"}} {
 			args := append([]string{
 				"-stack", "hardened(beta(k=4))", "-tick", "50us", "-sessions", "2048",
@@ -562,15 +569,19 @@ func TestServeAdaptiveUncapped(t *testing.T) {
 				t.Errorf("seed %s %v: %v; completed %d/2048, %d violations, %d refused by the controller",
 					seed, arm, err, sum.Completed, sum.Violations, sum.ControlRefused)
 			}
+			if arm == nil {
+				fixedBits = sum.BitsPerSession
+			} else if sum.BitsPerSession != fixedBits {
+				t.Errorf("seed %s: -adaptive sends %d bits per session, the fixed run %d", seed, sum.BitsPerSession, fixedBits)
+			}
 		}
 	}
 }
 
-// TestServeAdaptiveStoreDirRestart is the regression test for the
-// durable k-selection gap: -adaptive no longer collapses its candidate
-// set under -store-dir. The first run journals each session's chosen k
-// ("s<id>/k"); the restart against the same directory admits every
-// resumed session under the recorded k and completes violation-free.
+// TestServeAdaptiveStoreDirRestart: -adaptive composes with -store-dir.
+// Both runs complete violation-free, the restart replays the first run's
+// journal, and the journal holds only the stabilized layer's own keys —
+// the controller records nothing per session ("s<id>/k").
 func TestServeAdaptiveStoreDirRestart(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{
@@ -585,24 +596,19 @@ func TestServeAdaptiveStoreDirRestart(t *testing.T) {
 	if sum.Completed != 4 || sum.Violations != 0 {
 		t.Fatalf("first run: %+v", sum)
 	}
-	if sum.ControlKHist["stabilized(beta(k=4))"] != 4 {
-		t.Fatalf("first run k histogram = %v, want 4 admissions at stabilized(beta(k=4))", sum.ControlKHist)
-	}
 
-	// The chosen k must be durable, under the session's own key family.
 	st, err := journal.Open(dir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for id := 1; id <= 4; id++ {
-		if raw, ok := st.Load(fmt.Sprintf("s%d/k", id)); !ok || string(raw) != "stabilized(beta(k=4))" {
-			t.Errorf("journal records %q (ok=%v) for session %d's stack, want \"stabilized(beta(k=4))\"", raw, ok, id)
+		if raw, ok := st.Load(fmt.Sprintf("s%d/k", id)); ok {
+			t.Errorf("journal holds s%d/k = %q; the controller persists nothing", id, raw)
 		}
 	}
 	st.Close()
 
-	// Restart: same directory, same seed. Every session resumes under
-	// its recorded k (the histogram proves the store was consulted).
+	// Restart: same directory, same seed.
 	out.Reset()
 	if err := run(args, &out); err != nil {
 		t.Fatalf("restarted adaptive durable run: %v\n%s", err, out.String())
@@ -610,9 +616,6 @@ func TestServeAdaptiveStoreDirRestart(t *testing.T) {
 	sum = summaryFrom(t, out.String())
 	if sum.Completed != 4 || sum.Violations != 0 {
 		t.Fatalf("restart: %+v", sum)
-	}
-	if sum.ControlKHist["stabilized(beta(k=4))"] != 4 {
-		t.Errorf("restart k histogram = %v, want the 4 recorded stabilized(beta(k=4)) admissions", sum.ControlKHist)
 	}
 	if sum.JournalReplayed == 0 {
 		t.Errorf("restart replayed no journal records: %+v", sum)

@@ -3,14 +3,12 @@
 // whose admission is owned by the adaptive controller: dials queue at
 // the occupancy gate until a receiver slot frees (instead of burning
 // their deadline against a full server), pacing and refusal engage if
-// the measured deadline-miss rate or refusal rate worsens, and every
-// admission picks its packet-alphabet size k from the paper's effort
-// bound tables against the live slowdown. Admitted sessions are never
+// the measured deadline-miss rate or refusal rate worsens. Every session
+// runs the one served stack, hardened β(4). Admitted sessions are never
 // shed: the controller turns load away at the door or not at all.
 //
 // The run prints the goodput and the controller's own accounting — the
-// ladder level it ended at, how many admissions it gated or paced, and
-// the per-k admission histogram.
+// ladder level it ended at and how many admissions it gated or paced.
 //
 //	go run ./examples/adaptive
 package main
@@ -38,26 +36,13 @@ func run(sessions int) error {
 	p := repro.Params{C1: 2, C2: 3, D: 12}
 	const slots = 8 // receiver capacity the flood will exceed 3×
 
-	// Two candidate alphabets for k-selection, both hardened and sharing
-	// one layer observer, each carrying its Lemma 6.1 effort upper bound.
-	// The first row is the served stack. The input length below (a
-	// multiple of both block sizes) guarantees a mid-run retune never
-	// hands a session an input its builder rejects.
+	// The served stack: hardened β(4), reporting to the shared registry.
 	reg := repro.NewMetrics()
-	lo := repro.NewLayerObserver(reg)
-	var cands []repro.ControlCandidate
-	blockBits := 1
-	for _, k := range []int{4, 8} {
-		s, err := repro.Beta(p, k)
-		if err != nil {
-			return err
-		}
-		cands = append(cands, repro.ControlCandidate{
-			Proto: "beta", K: k, Builder: repro.Harden(s, repro.HardenOptions{Observer: lo}),
-			Upper: repro.BetaUpperBound(p, k),
-		})
-		blockBits = lcm(blockBits, s.BlockBits)
+	s, err := repro.Beta(p, 4)
+	if err != nil {
+		return err
 	}
+	solution := repro.Harden(s, repro.HardenOptions{Observer: repro.NewLayerObserver(reg)})
 
 	clock := repro.NewClock(50 * time.Microsecond)
 	rnd := rand.New(rand.NewSource(7))
@@ -70,7 +55,6 @@ func run(sessions int) error {
 	// server's occupancy count once the pipe exists and started.
 	ctrl, err := repro.NewController(repro.ControlConfig{
 		Registry: reg, Clock: clock, Params: p,
-		Candidates:     cands,
 		Seed:           7,
 		TargetSessions: slots,
 	})
@@ -79,7 +63,7 @@ func run(sessions int) error {
 	}
 
 	pipe, err := repro.NewPipe(repro.ServeConfig{
-		Solution:    cands[0].Builder,
+		Solution:    solution,
 		Params:      p,
 		Transport:   mem,
 		Clock:       clock,
@@ -106,7 +90,7 @@ func run(sessions int) error {
 	sem := make(chan struct{}, 3*slots)
 	inrnd := rand.New(rand.NewSource(11))
 	for i := 0; i < sessions; i++ {
-		x := repro.RandomBits(8*blockBits, inrnd.Uint64)
+		x := repro.RandomBits(8*s.BlockBits, inrnd.Uint64)
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
@@ -132,19 +116,10 @@ func run(sessions int) error {
 	fmt.Printf("flood: %d sessions over %d receiver slots\n", sessions, slots)
 	fmt.Printf("goodput: %d completed, %d failed, %d refused\n",
 		completed.Load(), failed.Load(), refused.Load())
-	fmt.Printf("controller: level=%s gated=%d paced=%d k_histogram=%v\n",
-		st.Level, st.Gated, st.Paced, st.KHistogram)
+	fmt.Printf("controller: level=%s gated=%d paced=%d\n", st.Level, st.Gated, st.Paced)
 	fmt.Printf("dwell ticks per level: %v\n", st.LevelDwellTicks)
 	if completed.Load() == 0 {
 		return fmt.Errorf("no session completed under control")
 	}
 	return nil
-}
-
-func lcm(a, b int) int {
-	g, x := a, b
-	for x != 0 {
-		g, x = x, g%x
-	}
-	return a / g * b
 }

@@ -7,27 +7,17 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/rstp"
 	"repro/internal/transport"
 )
 
 // BenchmarkControlTick measures one full control-loop iteration — sensor
-// snapshots, windowed pressure, the ladder step and the k retune —
-// against a registry with live margin data. This is the
+// snapshots, windowed pressure and the ladder step — against a registry with live margin data. This is the
 // controller's entire steady-state overhead: it runs once per Interval
 // (default 8·d ticks), so per-tick cost here is the whole price of
 // adaptive mode.
 func BenchmarkControlTick(b *testing.B) {
 	reg := obs.NewRegistry()
-	p := ctlParams()
-	s4, err := rstp.Beta(p, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := New(Config{
-		Registry: reg, Clock: transport.NewClock(time.Nanosecond), Params: p,
-		Candidates: []Candidate{{Proto: "beta", K: 4, Builder: s4, Upper: rstp.BetaUpperBound(p, 4)}},
-	})
+	c, err := New(Config{Registry: reg, Clock: transport.NewClock(time.Nanosecond), Params: ctlParams()})
 	if err != nil {
 		b.Fatal(err)
 	}

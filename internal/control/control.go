@@ -3,22 +3,17 @@
 // layer opened. Each tick it windows the shared registry's sensors —
 // the deadline-margin histogram's miss tail and the server's refusal
 // rate — folds them into one pressure scalar, runs it through a
-// hysteresis escalation ladder (normal → pace → refuse), and drives two
-// actuators, both at admission:
+// hysteresis escalation ladder (normal → pace → refuse), and paces or
+// refuses new sessions in the session mux via the
+// session.AdmissionController hooks — including an occupancy gate that
+// parks new dials while the receiver side is at its session target, so
+// waiting work queues silently instead of flooding the channel with
+// frames that can only be refused.
 //
-//   - pacing and refusal of new sessions in the session mux, via the
-//     session.AdmissionController hooks — including an occupancy gate
-//     that parks new dials while the receiver side is at its session
-//     target, so waiting work queues silently instead of flooding the
-//     channel with frames that can only be refused;
-//   - per-session alphabet-size (k) selection at admit time, from one
-//     ranked table of the served family's rows and their effort upper
-//     bounds (Lemma 6.1/§6.2): the smallest k whose predicted
-//     per-message effort — scaled by the measured slowdown — still fits
-//     the δ1·c2 deadline.
-//
-// The controller sheds load, never admitted sessions: once a session
-// is in, only the mux's own watchdog and -shed policy can end it.
+// The controller admits; it does not choose the protocol. Every session
+// runs the mux's Config.Solution, the stack the operator named. And it
+// sheds load, never admitted sessions: once a session is in, only the
+// mux's own watchdog and -shed policy can end it.
 //
 // Every decision is observable (rstp_control_* metrics and the
 // "control" live hook, served at /control) and every random choice
@@ -30,7 +25,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -49,26 +43,9 @@ type Config struct {
 	Registry *obs.Registry
 	// Clock is the tick source shared with the transports and sessions.
 	Clock *transport.Clock
-	// Params are the timing constants; the deadline δ1·c2 derives from
-	// them.
+	// Params are the timing constants; the Interval and PaceTicks
+	// defaults derive from them.
 	Params rstp.Params
-	// Candidates is the selection table: rows of one family, the family
-	// of Candidates[0]. Candidates[0] is the served stack (the mux's
-	// Config.Solution) and the selection until the first retune. The
-	// controller ranks the rows by Upper descending, ties by K
-	// ascending, and each retune selects the first ranked row that fits
-	// the scaled deadline. Because a family's upper bound never rises
-	// with k, that is the smallest fitting k. An empty list disables
-	// selection (every admission uses the mux's Config.Solution).
-	Candidates []Candidate
-	// Store, when non-nil, persists each admitted session's selected row
-	// under "s<id>/k" — alongside the stabilized layer's own "s<id>/"
-	// checkpoint keys — and consults it first on admission. A durable
-	// restart (same store directory, same session IDs) then resumes every
-	// session under the row its persisted protocol state was written
-	// with, instead of collapsing to Candidates[0]. A row persists as its
-	// name, the Builder's String().
-	Store rstp.StateStore
 
 	// Interval is the control tick period in ticks (default 8·d).
 	Interval int64
@@ -95,30 +72,6 @@ type Config struct {
 	// pressure units: RefuseScale refused frames per window count as
 	// 1.0 pressure (default 64).
 	RefuseScale float64
-}
-
-// Candidate is one protocol choice the controller may select: a builder
-// plus the effort bounds its family's formulas predict for it (as
-// stack.Build reports them).
-type Candidate struct {
-	// Proto names the family, e.g. "beta"; every row shares row 0's.
-	Proto string
-	// K is the candidate's packet alphabet size.
-	K int
-	// Builder realises the candidate.
-	Builder session.PairBuilder
-	// Lower and Upper are the candidate's effort bounds in ticks per
-	// message. Upper is what selection compares against the deadline.
-	Lower, Upper float64
-}
-
-// CandidateRow is a Candidate without its builder — the serializable
-// shape State exposes at /control.
-type CandidateRow struct {
-	Proto string  `json:"proto"`
-	K     int     `json:"k"`
-	Lower float64 `json:"lower"`
-	Upper float64 `json:"upper"`
 }
 
 // Actuators are the mux-side hooks the controller reads. They are bound
@@ -156,9 +109,8 @@ const missMinWindow = 4
 // control loop. Create with New, wire as Config.Admission on both mux
 // sides, Bind the actuators, then Start.
 type Controller struct {
-	cfg      Config
-	acts     Actuators
-	deadline int64 // δ1·c2
+	cfg  Config
+	acts Actuators
 
 	marginHist *obs.Histogram
 	refused    *obs.Counter
@@ -174,13 +126,10 @@ type Controller struct {
 	ladder   Ladder
 	pressure float64
 
-	// cands is Config.Candidates in rank order (see Config.Candidates);
-	// sel indexes the selected row.
-	cands []Candidate
-	sel   int
-
-	perSession  map[uint32]session.PairBuilder
-	kHist       map[string]int64
+	// admitted holds the IDs Admit let in and Forget has not dropped:
+	// the gate counts them as in flight and AdmitServer always accepts
+	// them.
+	admitted    map[uint32]struct{}
 	prevMargin  obs.HistogramSnapshot
 	prevRefused int64
 	missBase    float64 // EWMA of the windowed miss fraction; -1 until seeded
@@ -191,9 +140,9 @@ type Controller struct {
 	levelTicks                 [numLevels]int64
 }
 
-// New validates the config, ranks the candidates and registers the
-// controller's metrics. The controller is inert (and admits everything
-// unpaced at LevelNormal) until Start.
+// New validates the config and registers the controller's metrics. The
+// controller is inert (and admits everything unpaced at LevelNormal)
+// until Start.
 func New(cfg Config) (*Controller, error) {
 	if cfg.Registry == nil {
 		return nil, fmt.Errorf("control: Config.Registry required")
@@ -219,50 +168,12 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.RefuseScale <= 0 {
 		cfg.RefuseScale = 64
 	}
-	cands := append([]Candidate(nil), cfg.Candidates...)
-	for i, cd := range cands {
-		if cd.Builder == nil {
-			return nil, fmt.Errorf("control: candidate %d (%s:%d) has no builder", i, cd.Proto, cd.K)
-		}
-		if cd.Proto == "" {
-			return nil, fmt.Errorf("control: candidate %d names no family", i)
-		}
-		if cd.K < 2 || cd.Upper <= 0 {
-			return nil, fmt.Errorf("control: candidate %d (%s:%d) needs k >= 2 and a positive upper bound", i, cd.Proto, cd.K)
-		}
-		if cd.Proto != cands[0].Proto {
-			return nil, fmt.Errorf("control: candidate %d (%s:%d) is not of the served family %s", i, cd.Proto, cd.K, cands[0].Proto)
-		}
-	}
-	var servedK int
-	if len(cands) > 0 {
-		servedK = cands[0].K
-	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		if a.Upper != b.Upper {
-			return a.Upper > b.Upper
-		}
-		return a.K < b.K
-	})
-	sel := 0
-	for i, cd := range cands {
-		if cd.K == servedK {
-			sel = i
-			break
-		}
-	}
-
 	c := &Controller{
-		cfg:        cfg,
-		deadline:   int64(cfg.Params.Delta1()) * cfg.Params.C2,
-		cands:      cands,
-		sel:        sel,
-		done:       make(chan struct{}),
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		missBase:   -1,
-		perSession: make(map[uint32]session.PairBuilder),
-		kHist:      make(map[string]int64),
+		cfg:      cfg,
+		done:     make(chan struct{}),
+		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		missBase: -1,
+		admitted: make(map[uint32]struct{}),
 	}
 	c.ladder = Ladder{Enter: ladderEnter, Exit: ladderExit, Dwell: cfg.Dwell}
 
@@ -324,8 +235,7 @@ func (c *Controller) loop() {
 	}
 }
 
-// tick is one control-loop iteration: sense, score, step the ladder,
-// retune the selection.
+// tick is one control-loop iteration: sense, score, step the ladder.
 func (c *Controller) tick() {
 	now := c.cfg.Clock.Now()
 	margin := c.marginHist.Snapshot()
@@ -377,41 +287,7 @@ func (c *Controller) tick() {
 	c.pressure = pressure
 	c.ticks++
 	c.levelTicks[level] += c.cfg.Interval
-	c.retuneK(win)
 }
-
-// retuneK re-selects the admission-time candidate, holding c.mu. The
-// paper's upper bound Upper predicts per-message effort under a correct
-// channel; the measured median gap over the current window, divided by
-// the selected row's Upper, is the live slowdown factor. The controller
-// picks the first ranked row whose scaled prediction still fits the
-// deadline — the smallest fitting k, because packet size grows with k
-// (§6) and the cheapest alphabet that meets δ1·c2 is the efficient
-// choice — and the last row, the one with the smallest bound, when
-// none fits.
-func (c *Controller) retuneK(win obs.HistogramSnapshot) {
-	if len(c.cands) == 0 {
-		return
-	}
-	cur := c.cands[c.sel].Upper
-	slow := 1.0
-	if win.Count > 0 {
-		if med := float64(c.deadline - obs.QuantileOrFloor(win, 0.5)); med > cur {
-			slow = med / cur
-		}
-	}
-	c.sel = len(c.cands) - 1
-	for i, cd := range c.cands {
-		if slow*cd.Upper <= float64(c.deadline) {
-			c.sel = i
-			return
-		}
-	}
-}
-
-// label is ranked row i's histogram and persistence identity: its
-// stack's name, e.g. "hardened(beta(k=4))".
-func (c *Controller) label(i int) string { return c.cands[i].Builder.String() }
 
 // sleepTicks blocks for the given tick count. It reports stopped=true
 // when the controller shut down mid-sleep (callers admit rather than
@@ -432,8 +308,7 @@ func (c *Controller) sleepTicks(ctx context.Context, ticks int64) (stopped bool,
 // Admit implements session.AdmissionController: refuse at LevelRefuse+,
 // pace (with seeded jitter) at LevelPace, hold at the occupancy gate
 // while the receiver side is full (Config.TargetSessions), and record
-// the builder chosen for this ID so both mux sides construct the same
-// pair.
+// the ID as admitted.
 func (c *Controller) Admit(ctx context.Context, id uint32) error {
 	c.mu.Lock()
 	level := c.ladder.Current()
@@ -459,7 +334,7 @@ func (c *Controller) Admit(ctx context.Context, id uint32) error {
 	// Occupancy gate: while the receiver side sits at its session target,
 	// park here instead of transmitting frames that can only be refused.
 	// Occupancy counts BOTH the live receiver sessions (Active) and this
-	// controller's own in-flight admissions (perSession): a dial released
+	// controller's own in-flight admissions (admitted): a dial released
 	// from the gate takes a whole channel round-trip to show up in
 	// Active, and gating on Active alone would release every waiter into
 	// that blind window at once. The ladder still applies while parked —
@@ -471,7 +346,7 @@ func (c *Controller) Admit(ctx context.Context, id uint32) error {
 		for {
 			c.mu.Lock()
 			act := c.acts.Active
-			inflight := int64(len(c.perSession))
+			inflight := int64(len(c.admitted))
 			if c.ladder.Current() >= LevelRefuse {
 				c.dialRefused++
 				c.mu.Unlock()
@@ -509,50 +384,9 @@ func (c *Controller) Admit(ctx context.Context, id uint32) error {
 	}
 
 	c.mu.Lock()
-	var b session.PairBuilder
-	var label string
-	if len(c.cands) > 0 {
-		// A session resuming from a durable store must reconstruct under
-		// the row its checkpoints were written with, not whatever the
-		// ladder currently favors; the record wins whenever that row still
-		// exists. (If the operator changed the candidate set between runs,
-		// fall through to the current selection — the stabilized layer
-		// then re-transfers rather than resumes.)
-		i := c.sel
-		if c.cfg.Store != nil {
-			if raw, ok := c.cfg.Store.Load(kKey(id)); ok {
-				for j := range c.cands {
-					if c.label(j) == string(raw) {
-						i = j
-						break
-					}
-				}
-			}
-		}
-		b, label = c.cands[i].Builder, c.label(i)
-		c.kHist[label]++
-	}
-	c.perSession[id] = b // recorded even when nil: marks the ID as admitted
+	c.admitted[id] = struct{}{}
 	c.mu.Unlock()
-	// The save happens outside c.mu: a durable store fsyncs, and the
-	// control tick must not wait on the disk.
-	if label != "" && c.cfg.Store != nil {
-		c.cfg.Store.Save(kKey(id), []byte(label))
-	}
 	return nil
-}
-
-// kKey is the checkpoint key recording the name of the stack session id
-// was admitted under. It shares the stabilized layer's "s<id>/" prefix so
-// a session's durable state — protocol checkpoints, output tape, chosen
-// stack — lives under one key family.
-func kKey(id uint32) string { return fmt.Sprintf("s%d/k", id) }
-
-// BuilderFor implements session.AdmissionController.
-func (c *Controller) BuilderFor(id uint32) session.PairBuilder {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.perSession[id]
 }
 
 // AdmitServer implements session.AdmissionController. Admitted IDs are
@@ -563,7 +397,7 @@ func (c *Controller) BuilderFor(id uint32) session.PairBuilder {
 func (c *Controller) AdmitServer(id uint32) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.perSession[id]; ok {
+	if _, ok := c.admitted[id]; ok {
 		return true
 	}
 	if c.ladder.Current() >= LevelRefuse {
@@ -573,12 +407,12 @@ func (c *Controller) AdmitServer(id uint32) bool {
 	return true
 }
 
-// Forget implements session.AdmissionController: the per-session record
-// is dropped.
+// Forget implements session.AdmissionController: the ID is no longer
+// admitted.
 func (c *Controller) Forget(id uint32) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	delete(c.perSession, id)
+	delete(c.admitted, id)
 }
 
 // State is the controller's introspection snapshot: the "control" live
@@ -586,7 +420,6 @@ func (c *Controller) Forget(id uint32) {
 type State struct {
 	Level           string           `json:"level"`
 	Pressure        float64          `json:"pressure"`
-	K               int              `json:"k"`
 	Ticks           int64            `json:"ticks"`
 	Paced           int64            `json:"paced"`
 	PaceTicks       int64            `json:"pace_ticks"`
@@ -594,10 +427,7 @@ type State struct {
 	GateTicks       int64            `json:"gate_ticks"`
 	DialRefused     int64            `json:"dial_refused"`
 	ServerRefused   int64            `json:"server_refused"`
-	KHistogram      map[string]int64 `json:"k_histogram,omitempty"`
 	LevelDwellTicks map[string]int64 `json:"level_dwell_ticks"`
-	// Candidates lists every row in rank order.
-	Candidates []CandidateRow `json:"candidates,omitempty"`
 }
 
 // State snapshots the controller.
@@ -615,18 +445,6 @@ func (c *Controller) State() State {
 		DialRefused:     c.dialRefused,
 		ServerRefused:   c.serverRefused,
 		LevelDwellTicks: make(map[string]int64, numLevels),
-	}
-	if len(c.kHist) > 0 {
-		s.KHistogram = make(map[string]int64, len(c.kHist))
-		for label, n := range c.kHist {
-			s.KHistogram[label] = n
-		}
-	}
-	if len(c.cands) > 0 {
-		s.K = c.cands[c.sel].K
-	}
-	for _, cd := range c.cands {
-		s.Candidates = append(s.Candidates, CandidateRow{Proto: cd.Proto, K: cd.K, Lower: cd.Lower, Upper: cd.Upper})
 	}
 	for i, ticks := range c.levelTicks {
 		s.LevelDwellTicks[Level(i).String()] = ticks
@@ -654,14 +472,6 @@ func (c *Controller) instrument(reg *obs.Registry) {
 			defer c.mu.Unlock()
 			return c.pressure
 		})
-	reg.GaugeFunc("rstp_control_k",
-		"alphabet size the next admission will select",
-		locked(func() int64 {
-			if len(c.cands) == 0 {
-				return 0
-			}
-			return int64(c.cands[c.sel].K)
-		}))
 	reg.CounterFunc("rstp_control_ticks_total",
 		"control loop iterations", locked(func() int64 { return c.ticks }))
 	reg.CounterFunc("rstp_control_paced_total",

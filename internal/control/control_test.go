@@ -2,30 +2,19 @@ package control
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/ioa"
 	"repro/internal/obs"
 	"repro/internal/rstp"
 	"repro/internal/session"
-	"repro/internal/stack"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 func ctlParams() rstp.Params { return rstp.Params{C1: 2, C2: 3, D: 12} }
-
-// fakeBuilder is a named PairBuilder stand-in: k-selection tests only
-// need identity, never a working automaton pair.
-type fakeBuilder struct{ name string }
-
-func (f fakeBuilder) NewPair(x []wire.Bit) (ioa.Automaton, ioa.Automaton, error) {
-	return nil, nil, nil
-}
-func (f fakeBuilder) String() string { return f.name }
 
 func newCtl(t *testing.T, mut func(*Config)) *Controller {
 	t.Helper()
@@ -75,19 +64,16 @@ func TestAdmitRecordsAndForgets(t *testing.T) {
 	if !c.AdmitServer(7) {
 		t.Error("admitted ID refused server-side")
 	}
-	if b := c.BuilderFor(7); b != nil {
-		t.Errorf("BuilderFor with no candidate builders = %v, want nil", b)
-	}
 	if !c.AdmitServer(9) {
 		t.Error("unknown ID refused at LevelNormal")
 	}
 	c.Forget(7)
 	c.Forget(7) // idempotent
 	c.mu.Lock()
-	_, kept := c.perSession[7]
+	_, kept := c.admitted[7]
 	c.mu.Unlock()
 	if kept {
-		t.Error("forgotten ID still holds its per-session record")
+		t.Error("forgotten ID still admitted")
 	}
 	// Re-admission under the same ID (the restart path) records it again.
 	if err := c.Admit(context.Background(), 7); err != nil {
@@ -138,95 +124,6 @@ func TestPacingSeededDeterminism(t *testing.T) {
 	}
 	if c := run(43); c == a {
 		t.Errorf("seeds 42 and 43 produced identical jitter (%d ticks over 100 admissions)", a)
-	}
-}
-
-// margins builds a windowed margin snapshot whose median lands exactly
-// on the given bucket bound.
-func margins(med int64, n int64) obs.HistogramSnapshot {
-	return obs.HistogramSnapshot{
-		Count:   n,
-		Buckets: []obs.HistogramBucket{{LE: med, Count: n}, {Inf: true, Count: n}},
-	}
-}
-
-// TestKSelection exercises retuneK against synthetic bounds:
-// healthy windows pick the smallest k whose predicted effort fits the
-// δ1·c2 deadline; a measured slowdown scales the prediction and forces
-// a larger (cheaper-per-message) alphabet; recovery returns.
-func TestKSelection(t *testing.T) {
-	b2, b4, b8 := fakeBuilder{"beta(k=2)"}, fakeBuilder{"beta(k=4)"}, fakeBuilder{"beta(k=8)"}
-	c := newCtl(t, func(cfg *Config) {
-		// Deadline δ1·c2 = 6·3 = 18. Synthetic predictions: k=2 never
-		// fits, k=4 fits at slowdown 1, only k=8 fits at slowdown 2.
-		cfg.Candidates = []Candidate{
-			{Proto: "beta", K: 4, Builder: b4, Upper: 16},
-			{Proto: "beta", K: 2, Builder: b2, Upper: 30},
-			{Proto: "beta", K: 8, Builder: b8, Upper: 9},
-		}
-	})
-	c.mu.Lock()
-	c.retuneK(obs.HistogramSnapshot{}) // empty window: predictions alone
-	if got := c.label(c.sel); got != "beta(k=4)" {
-		c.mu.Unlock()
-		t.Fatalf("healthy row = %s, want beta(k=4) (smallest k fitting the deadline)", got)
-	}
-	// Median margin -14 → median gap 32 → slowdown 32/16 = 2: only
-	// 2·Upper(8) = 18 still fits.
-	c.retuneK(margins(-14, 10))
-	if got := c.label(c.sel); got != "beta(k=8)" {
-		c.mu.Unlock()
-		t.Fatalf("overloaded row = %s, want beta(k=8)", got)
-	}
-	// Healthy again (median gap 2 < Upper(8)): back to the smallest k.
-	c.retuneK(margins(16, 10))
-	if got := c.label(c.sel); got != "beta(k=4)" {
-		c.mu.Unlock()
-		t.Fatalf("recovered row = %s, want beta(k=4)", got)
-	}
-	c.mu.Unlock()
-
-	// Admissions hand out the selected builder and both sides see it.
-	if err := c.Admit(context.Background(), 3); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.BuilderFor(3); got != session.PairBuilder(b4) {
-		t.Errorf("BuilderFor(3) = %v, want the k=4 builder", got)
-	}
-	if st := c.State(); st.KHistogram["beta(k=4)"] != 1 {
-		t.Errorf("k histogram = %v, want one admission at k=4", st.KHistogram)
-	}
-}
-
-// TestKSelectionReadsOverflowAsSlack: a window whose median margin lies
-// past the last finite margin bucket (32) has more slack than one whose
-// median is 32, never less. Reading that overflow as a zero margin —
-// a median gap as long as the whole deadline — kept a large alphabet
-// on an idle system while a slower window moved to the smaller one.
-func TestKSelectionReadsOverflowAsSlack(t *testing.T) {
-	p := rstp.Params{C1: 2, C2: 3, D: 40} // deadline δ1·c2 = 60
-	row := func(k int) Candidate {
-		st, err := stack.Build(p, stack.Spec{Proto: "beta", K: k})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return Candidate{Proto: "beta", K: k, Builder: st.Builder, Lower: st.Lower, Upper: st.Upper}
-	}
-	for _, gap := range []int64{20, 40} {
-		c := newCtl(t, func(cfg *Config) {
-			cfg.Params = p
-			cfg.Candidates = []Candidate{row(8), row(4)} // Upper 6.32 and 12
-		})
-		for i := 0; i < 10; i++ {
-			c.marginHist.Observe(c.deadline - gap)
-		}
-		c.mu.Lock()
-		c.retuneK(c.marginHist.Snapshot())
-		got := c.label(c.sel)
-		c.mu.Unlock()
-		if got != "beta(k=4)" {
-			t.Errorf("ten writes at gap %d (margin %d): row = %s, want beta(k=4)", gap, c.deadline-gap, got)
-		}
 	}
 }
 
@@ -348,7 +245,7 @@ func TestStateAndMetricsExposed(t *testing.T) {
 		found[name] = true
 	}
 	for _, name := range []string{
-		"rstp_control_level", "rstp_control_pressure", "rstp_control_k",
+		"rstp_control_level", "rstp_control_pressure",
 		"rstp_control_ticks_total",
 		"rstp_control_paced_total", "rstp_control_pace_ticks_total",
 		"rstp_control_gated_total", "rstp_control_gate_ticks_total",
@@ -360,9 +257,10 @@ func TestStateAndMetricsExposed(t *testing.T) {
 			t.Errorf("metric %s not registered", name)
 		}
 	}
-	// The controller sheds load, never sessions, and selects within one
-	// family: the series of the deleted rungs and family switch are gone.
+	// The controller sheds load, never sessions, and selects no k: the
+	// series of the deleted rungs, family switch and k gauge are gone.
 	for _, name := range []string{
+		"rstp_control_k",
 		"rstp_control_evictions_total", "rstp_control_retires_total",
 		"rstp_control_family_switches_total", "rstp_control_dwell_evict_ticks_total",
 		"rstp_control_dwell_retire_ticks_total",
@@ -371,8 +269,25 @@ func TestStateAndMetricsExposed(t *testing.T) {
 			t.Errorf("metric %s still registered", name)
 		}
 	}
-	if _, ok := snap.Live["control"]; !ok {
-		t.Error("live hook \"control\" not registered")
+	live, ok := snap.Live["control"]
+	if !ok {
+		t.Fatal("live hook \"control\" not registered")
+	}
+	raw, err := json.Marshal(live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fields["level"]; !ok {
+		t.Errorf("/control JSON has no level: %s", raw)
+	}
+	for _, key := range []string{"k", "k_histogram", "candidates"} {
+		if _, ok := fields[key]; ok {
+			t.Errorf("/control JSON still carries %q: %s", key, raw)
+		}
 	}
 }
 

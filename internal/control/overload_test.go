@@ -77,22 +77,16 @@ func runOverloadSoak(t testing.TB, adaptive bool, workers int, dur, perSession t
 	reg := obs.NewRegistry()
 	transport.Instrument(reg, mem)
 
-	// Candidate alphabets for k-selection. The input length must be a
-	// block multiple for every candidate, or a mid-run retune would hand
-	// a session an input its builder rejects.
-	var cands []Candidate
-	xBits := 1
-	for _, k := range []int{4, 8} {
-		s, err := rstp.Beta(p, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cands = append(cands, Candidate{Proto: "beta", K: k, Builder: rstp.Harden(s, rstp.HardenOptions{}), Upper: rstp.BetaUpperBound(p, k)})
-		xBits = lcm(xBits, s.BlockBits)
+	// Both arms serve one stack, hardened β(4), on 30-bit inputs (five
+	// of its blocks).
+	s, err := rstp.Beta(p, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
+	xBits := 5 * s.BlockBits
 
 	base := session.Config{
-		Solution:   cands[0].Builder,
+		Solution:   rstp.Harden(s, rstp.HardenOptions{}),
 		Params:     p,
 		Transport:  mem,
 		Clock:      clock,
@@ -105,11 +99,9 @@ func runOverloadSoak(t testing.TB, adaptive bool, workers int, dur, perSession t
 
 	var ctrl *Controller
 	if adaptive {
-		var err error
 		ctrl, err = New(Config{
 			Registry: reg, Clock: clock, Params: p,
-			Candidates: cands,
-			Interval:   2 * p.D, Dwell: 8 * p.D, PaceTicks: 16 * p.D,
+			Interval: 2 * p.D, Dwell: 8 * p.D, PaceTicks: 16 * p.D,
 			Seed:           seed,
 			RefuseScale:    8,
 			TargetSessions: soakServerSlots,
@@ -203,14 +195,6 @@ func runOverloadSoak(t testing.TB, adaptive bool, workers int, dur, perSession t
 
 // fullSoakEnabled gates the long nightly variants behind RSTP_FULL_SOAK.
 func fullSoakEnabled() bool { return os.Getenv("RSTP_FULL_SOAK") == "1" }
-
-func lcm(a, b int) int {
-	g, x := a, b
-	for x != 0 {
-		g, x = x, g%x
-	}
-	return a / g * b
-}
 
 // TestOverloadRampAdaptiveVsBaseline is the PR-time overload proof: a
 // 2×-capacity admission flood (32 generators offering roughly twice

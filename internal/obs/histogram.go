@@ -154,38 +154,6 @@ func BucketQuantile(h HistogramSnapshot, q float64) int64 {
 	return 0
 }
 
-// QuantileOrFloor resolves a bucket quantile like BucketQuantile, but
-// when the quantile lands in the +Inf bucket it reports the largest
-// finite bucket bound — a bucket-resolution floor ("p99 >= 2048")
-// rather than a misleading zero. A fixed-bucket histogram cannot do
-// better, and a reader must never see an unresolved tail as a perfect
-// one: a committed record would show it as one, and a deadline-margin
-// median read as 0 would turn ample slack into a gap as long as the
-// whole deadline.
-func QuantileOrFloor(h HistogramSnapshot, q float64) int64 {
-	if v := BucketQuantile(h, q); v != 0 {
-		return v
-	}
-	if h.Count == 0 {
-		return 0
-	}
-	// BucketQuantile's zero is ambiguous: either the quantile genuinely
-	// lies at the LE=0 bound, or it overflowed every finite bucket.
-	// Re-walk to tell the two apart.
-	need := int64(math.Ceil(q * float64(h.Count)))
-	var top int64
-	for _, b := range h.Buckets {
-		if b.Inf {
-			continue
-		}
-		if b.Count >= need {
-			return 0 // a real zero-bound quantile
-		}
-		top = b.LE
-	}
-	return top
-}
-
 // TickBuckets returns the default latency bucket bounds in ticks:
 // exponential 1, 2, 4, ... up to 2^(n-1). Channel latencies live in
 // [0, d] and effort per message in a small multiple of d, so a dozen

@@ -129,42 +129,6 @@ func TestBucketQuantile(t *testing.T) {
 	}
 }
 
-// TestQuantileOrFloor pins the overflow clamp: a tail past every finite
-// bucket reports the largest finite bound, while a genuine zero-bound
-// quantile and an empty histogram still report 0.
-func TestQuantileOrFloor(t *testing.T) {
-	mk := func(counts ...int64) HistogramSnapshot {
-		// Cumulative counts over bounds -2, 0, 4, +Inf.
-		bounds := []int64{-2, 0, 4}
-		h := HistogramSnapshot{Count: counts[len(counts)-1]}
-		for i, c := range counts {
-			b := HistogramBucket{Count: c}
-			if i < len(bounds) {
-				b.LE = bounds[i]
-			} else {
-				b.Inf = true
-			}
-			h.Buckets = append(h.Buckets, b)
-		}
-		return h
-	}
-	if got := QuantileOrFloor(mk(0, 0, 1, 100), 0.99); got != 4 {
-		t.Errorf("overflowed p99 = %d, want floor 4", got)
-	}
-	if got := QuantileOrFloor(mk(0, 100, 100, 100), 0.99); got != 0 {
-		t.Errorf("zero-bound p99 = %d, want 0", got)
-	}
-	if got := QuantileOrFloor(mk(40, 100, 100, 100), 0.50); got != 0 {
-		t.Errorf("zero-bound p50 = %d, want 0", got)
-	}
-	if got := QuantileOrFloor(HistogramSnapshot{}, 0.99); got != 0 {
-		t.Errorf("empty histogram p99 = %d, want 0", got)
-	}
-	if got := QuantileOrFloor(mk(0, 0, 100, 100), 0.99); got != 4 {
-		t.Errorf("resolved p99 = %d, want 4", got)
-	}
-}
-
 // TestQuantileGaugesExported checks both exporters carry the
 // precomputed _p50/_p99 series, so dashboards and JSON consumers agree.
 func TestQuantileGaugesExported(t *testing.T) {

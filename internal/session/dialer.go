@@ -112,10 +112,9 @@ func (d *Dialer) open(ctx context.Context, id uint32, x []wire.Bit) (*Conn, erro
 	}
 	d.mu.Unlock()
 	// The control plane sees every admission after its slot and ID are
-	// settled: Admit may sleep (pacing) or refuse, and it records the
-	// per-session builder BuilderFor serves to both sides below. Pacing
-	// while holding the slot is deliberate — a paced session is admitted
-	// work in flight, not a queue jump waiting to happen.
+	// settled: Admit may sleep (pacing) or refuse. Pacing while holding
+	// the slot is deliberate — a paced session is admitted work in
+	// flight, not a queue jump waiting to happen.
 	if d.cfg.Admission != nil {
 		if err := d.cfg.Admission.Admit(ctx, id); err != nil {
 			<-d.sem

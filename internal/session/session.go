@@ -105,16 +105,9 @@ type Resyncer interface {
 var ErrAdmissionRefused = errors.New("session: admission refused by control plane")
 
 // AdmissionController is the control plane's hook into the mux: it paces
-// or refuses new sessions and selects per-session protocol parameters.
+// or refuses new sessions. It never changes the protocol: both sides
+// build every session from Config.Solution.
 // internal/control.Controller implements it; nil disables every hook.
-//
-// Both sides of a Pipe share one controller, which is what makes
-// per-session k-selection sound: the dialer records the builder it chose
-// for an ID at Admit time and the server's spawn asks BuilderFor the same
-// ID, so transmitter and receiver always construct matching automata. A
-// server fed by a remote dialer has no such record and BuilderFor returns
-// nil — the default Config.Solution — because the wire format does not
-// carry k (see DESIGN.md, control-plane section).
 type AdmissionController interface {
 	// Admit is consulted once per new transmitter-side session, after the
 	// backpressure slot is taken and the ID allocated, before any protocol
@@ -122,10 +115,6 @@ type AdmissionController interface {
 	// ErrAdmissionRefused; any error aborts the Start and releases the
 	// slot.
 	Admit(ctx context.Context, id uint32) error
-	// BuilderFor returns the protocol pair builder chosen for session id
-	// at Admit time, or nil for Config.Solution. Called by both the
-	// dialer's and the server's pair construction.
-	BuilderFor(id uint32) PairBuilder
 	// AdmitServer reports whether the server should spawn receiver state
 	// for a brand-new session id right now. Sessions the controller
 	// admitted dialer-side are always accepted (their slot is spoken
@@ -218,9 +207,8 @@ type Config struct {
 	// internal/journal.Store is the durable one.
 	Store rstp.StateStore
 	// Admission is the optional control-plane hook: pacing/refusal of new
-	// sessions and per-session protocol parameter choice, driven by live
-	// metrics (see internal/control). nil disables it — admissions flow
-	// exactly as before.
+	// sessions, driven by live metrics (see internal/control). nil
+	// disables it — admissions flow exactly as before.
 	Admission AdmissionController
 	// EffortLowerBound is the paper's per-message effort lower bound in
 	// ticks for the configured protocol (δ1·c2/log2 ζ_k(δ1) r-passive,
@@ -266,22 +254,14 @@ func sessionKeyPrefix(id uint32) string { return fmt.Sprintf("s%d/", id) }
 func tapeKey(id uint32) string          { return sessionKeyPrefix(id) + "y" }
 
 // buildPair constructs one session's protocol pair, routing through the
-// keyed path when a store is configured and the solution supports it. An
-// AdmissionController may substitute a per-session builder (k-selection);
-// both sides consult it under the same ID, so the pair always matches.
+// keyed path when a store is configured and the solution supports it.
 func buildPair(cfg Config, id uint32, x []wire.Bit) (t, r ioa.Automaton, err error) {
-	sol := cfg.Solution
-	if cfg.Admission != nil {
-		if b := cfg.Admission.BuilderFor(id); b != nil {
-			sol = b
-		}
-	}
 	if cfg.Store != nil {
-		if kb, ok := sol.(KeyedPairBuilder); ok {
+		if kb, ok := cfg.Solution.(KeyedPairBuilder); ok {
 			return kb.NewPairKeyed(sessionKeyPrefix(id), x)
 		}
 	}
-	return sol.NewPair(x)
+	return cfg.Solution.NewPair(x)
 }
 
 // encodeTape and decodeTape serialize an output tape one byte per

@@ -482,23 +482,20 @@ func NewPipe(cfg ServeConfig) (*Pipe, error) { return session.NewPipe(cfg) }
 
 // Adaptive control plane (PR 7): a seeded, deterministic control loop
 // that senses the shared metrics registry and drives admission only —
-// an occupancy gate, pacing and refusal on a normal → pace → refuse
-// ladder, and per-session k-selection from the paper's bound tables.
-// It never sheds an admitted session. Wire a Controller as
+// an occupancy gate, and pacing and refusal on a normal → pace → refuse
+// ladder. Every session runs ServeConfig.Solution; the controller never
+// sheds an admitted session. Wire a Controller as
 // ServeConfig.Admission on both mux sides, Bind the server's occupancy
 // count, then Start. See DESIGN.md ("Closing the loop").
 type (
 	// AdmissionController is the control plane's hook into the session
-	// mux: pacing/refusal of new sessions and per-session builder
-	// substitution.
+	// mux: pacing/refusal of new sessions.
 	AdmissionController = session.AdmissionController
 	// PairBuilder constructs the automaton pair for one session — what
-	// ServeConfig.Solution and each ControlCandidate hold (every
-	// Solution, HardenedSolution and StabilizedSolution is one).
+	// ServeConfig.Solution holds (every Solution, HardenedSolution and
+	// StabilizedSolution is one).
 	PairBuilder = session.PairBuilder
-	// ControlConfig configures the adaptive controller. Its Candidates
-	// are one ranked selection table of the served family's rows, by
-	// effort upper bound descending.
+	// ControlConfig configures the adaptive controller.
 	ControlConfig = control.Config
 	// ControlActuators are the mux-side hooks the controller reads —
 	// the server's occupancy count (late-bound via Controller.Bind).
@@ -542,11 +539,6 @@ type (
 	// the session layer's tape-resume hook, so a durable restart skips
 	// the bits already written.
 	RatelessReceiver = rateless.Receiver
-	// ControlCandidate is one row of ControlConfig.Candidates: a builder
-	// with its family, k and effort bounds. The first row is the served
-	// stack; the other rows are the same family at other k (see
-	// cmd/rstpserve's -adaptive wiring).
-	ControlCandidate = control.Candidate
 )
 
 // NewRatelessBuilder validates the options and returns the pair builder.
