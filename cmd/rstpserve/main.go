@@ -9,8 +9,7 @@
 //	rstpserve -transport udp -sessions 64         # over a UDP loopback pair
 //	rstpserve -sessions 128 -loss 0.2 -fwindow 0:2000 -stack 'hardened(beta(k=4))'
 //	rstpserve -transport udp -loss 0.12 -dup 0.05 -corrupt 0.03 -stack 'hardened(gamma(k=4))'
-//	rstpserve -shed evict-oldest-idle -watchdog 4 # overload + wedge defense
-//	rstpserve -adaptive -sessions 128             # admission control: gate, pace, refuse
+//	rstpserve -watchdog 4 -stack 'hardened(beta(k=4))'  # retire wedged sessions
 //	rstpserve -store-dir /tmp/rstp -stack 'stabilized(beta(k=4))'  # durable crash-restart serving
 //
 // -stack takes a stack's one name, the "proto" key of the summary:
@@ -39,7 +38,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/control"
 	"repro/internal/faults"
 	"repro/internal/journal"
 	"repro/internal/obs"
@@ -95,10 +93,8 @@ type summary struct {
 	Late           int     `json:"late"`
 	Stray          int     `json:"stray"`
 	Faults         string  `json:"faults,omitempty"`
-	// Overload and watchdog counters plus UDP loss (see EXPERIMENTS.md
-	// E20).
+	// Watchdog counters plus UDP loss (see EXPERIMENTS.md E20).
 	Wedged       int   `json:"wedged"`
-	Shed         int   `json:"shed"`
 	Resyncs      int   `json:"resyncs"`
 	UDPMalformed int64 `json:"udp_malformed"`
 	UDPDropped   int64 `json:"udp_dropped"`
@@ -118,16 +114,6 @@ type summary struct {
 	Interrupted       bool    `json:"interrupted,omitempty"`
 	MetricsAddr       string  `json:"metrics_addr,omitempty"`
 	TraceDropped      int64   `json:"trace_dropped,omitempty"`
-	// Adaptive-control keys (PR 7; see EXPERIMENTS.md E23), present only
-	// with -adaptive: the controller's final ladder level, admission
-	// counters and the per-level dwell times in ticks.
-	ControlLevel     string           `json:"control_level,omitempty"`
-	ControlPaced     int64            `json:"control_paced,omitempty"`
-	ControlPaceTicks int64            `json:"control_pace_ticks,omitempty"`
-	ControlGated     int64            `json:"control_gated,omitempty"`
-	ControlRefused   int64            `json:"control_refused,omitempty"`
-	ControlDwell     map[string]int64 `json:"control_level_dwell_ticks,omitempty"`
-
 	// Durable-store keys (PR 6; see EXPERIMENTS.md E22), present only with
 	// -store-dir. Resumed counts sessions that restarted with a persisted
 	// output tape; the Journal* keys snapshot the checkpoint journal.
@@ -163,8 +149,6 @@ func run(args []string, out io.Writer) error {
 		fwindow     = fs.String("fwindow", "0:2000", "send-time window from:to for -loss/-dup/-corrupt")
 		blackout    = fs.String("blackout", "", "blackout window from:to (empty = none)")
 		excess      = fs.Int64("excess", 0, "extra delay beyond d inside -fwindow")
-		shed        = fs.String("shed", "refuse", "overload policy at the -conc cap: refuse or evict-oldest-idle")
-		adaptive    = fs.Bool("adaptive", false, "control admission: hold new sessions while -conc receivers are live, and pace then refuse them under deadline misses or server refusals; every session runs -stack, and admitted sessions are never shed")
 		watchdog    = fs.Int("watchdog", 0, "progress watchdog multiplier k: wedge a session after k*delta1*c2 ticks without output growth (0 = off)")
 		verbose     = fs.Bool("v", false, "print one line per session")
 		timeout     = fs.Duration("timeout", 2*time.Minute, "overall run deadline")
@@ -216,10 +200,6 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	shedPolicy, err := parseShed(*shed)
-	if err != nil {
-		return err
-	}
 	if *watchdog < 0 {
 		return fmt.Errorf("-watchdog %d: the multiplier must be >= 0 (0 disables the watchdog)", *watchdog)
 	}
@@ -238,22 +218,6 @@ func run(args []string, out io.Writer) error {
 			maxConc = 512
 		}
 	}
-	// The adaptive control plane: built before the mux (it is the mux's
-	// Admission hook), bound to its actuators after (the Server provides
-	// them).
-	var ctrl *control.Controller
-	if *adaptive {
-		ctrl, err = control.New(control.Config{
-			Registry: reg, Clock: clock, Params: p,
-			Seed:           *seed,
-			TargetSessions: maxConc,
-		})
-		if err != nil {
-			trans.Close()
-			return err
-		}
-	}
-
 	pipeCfg := session.Config{
 		Solution:         st.Builder,
 		Params:           p,
@@ -261,14 +225,10 @@ func run(args []string, out io.Writer) error {
 		Clock:            clock,
 		MaxSessions:      maxConc,
 		IdleTicks:        *idle,
-		Shed:             shedPolicy,
 		WatchdogK:        *watchdog,
 		Obs:              reg,
 		EffortLowerBound: st.Lower,
 		Store:            storeOrNil(store),
-	}
-	if ctrl != nil {
-		pipeCfg.Admission = ctrl
 	}
 	pipe, err := session.NewPipe(pipeCfg)
 	if err != nil {
@@ -276,12 +236,6 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	defer pipe.Close()
-
-	if ctrl != nil {
-		ctrl.Bind(control.Actuators{Active: func() int64 { return int64(pipe.Server.ActiveCount()) }})
-		ctrl.Start()
-		defer ctrl.Stop()
-	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
@@ -439,17 +393,7 @@ func run(args []string, out io.Writer) error {
 	sum.Stray = pipe.Dialer.Stray()
 	srvAgg := pipe.Server.Aggregate()
 	sum.Wedged = srvAgg.Wedged
-	sum.Shed = pipe.Server.Shed()
 	sum.Resyncs = srvAgg.Resyncs
-	if ctrl != nil {
-		cs := ctrl.State()
-		sum.ControlLevel = cs.Level
-		sum.ControlPaced = cs.Paced
-		sum.ControlPaceTicks = cs.PaceTicks
-		sum.ControlGated = cs.Gated
-		sum.ControlRefused = cs.DialRefused + cs.ServerRefused
-		sum.ControlDwell = cs.LevelDwellTicks
-	}
 	sum.EffortLowerBound = st.Lower
 	sum.Interrupted = interrupted
 	sum.MetricsAddr = boundAddr
@@ -516,12 +460,11 @@ func flushLoop(ctx context.Context, stop <-chan struct{}, reg *obs.Registry, out
 			return
 		case <-t.C:
 			s := reg.Snapshot()
-			fmt.Fprintf(out, "obs: active=%d writes=%d sends=%d deliveries=%d shed=%d wedged=%d\n",
+			fmt.Fprintf(out, "obs: active=%d writes=%d sends=%d deliveries=%d wedged=%d\n",
 				s.Gauges["rstp_server_sessions_active"],
 				s.Counters["rstp_session_writes_total"],
 				s.Counters["rstp_session_sends_total"],
 				s.Counters["rstp_session_deliveries_total"],
-				s.Counters["rstp_sessions_shed_total"],
 				s.Counters["rstp_sessions_wedged_total"])
 		}
 	}
@@ -535,16 +478,4 @@ func storeOrNil(s *journal.Store) rstp.StateStore {
 		return nil
 	}
 	return s
-}
-
-// parseShed maps the -shed flag onto a session.ShedPolicy.
-func parseShed(s string) (session.ShedPolicy, error) {
-	switch s {
-	case "refuse", "":
-		return session.ShedRefuse, nil
-	case "evict-oldest-idle":
-		return session.ShedEvictOldestIdle, nil
-	default:
-		return 0, fmt.Errorf("unknown -shed policy %q (refuse, evict-oldest-idle)", s)
-	}
 }

@@ -1,21 +1,18 @@
-// Adaptive: the serving stack under closed-loop overload control. A
-// session flood three times the server's capacity runs through a pipe
-// whose admission is owned by the adaptive controller: dials queue at
-// the occupancy gate until a receiver slot frees (instead of burning
-// their deadline against a full server), pacing and refusal engage if
-// the measured deadline-miss rate or refusal rate worsens. Every session
-// runs the one served stack, hardened β(4). Admitted sessions are never
-// shed: the controller turns load away at the door or not at all.
+// Adaptive: the serving stack behind the occupancy gate. A dialer with
+// three times the server's receiver slots floods it with sessions; the
+// controller parks each new dial while the receiver side is full, so
+// waiting work queues before it sends a frame instead of being refused
+// at the server. Every session runs the one served stack, hardened
+// β(4), and every admitted session runs to completion.
 //
-// The run prints the goodput and the controller's own accounting — the
-// ladder level it ended at and how many admissions it gated or paced.
+// The run prints the goodput and the gate's own accounting: how many
+// dials it held and for how many ticks in total.
 //
 //	go run ./examples/adaptive
 package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log"
 	"math/rand"
@@ -27,20 +24,30 @@ import (
 )
 
 func main() {
-	if err := run(48); err != nil {
+	res, err := run(48)
+	if err != nil {
 		log.Fatal(err)
+	}
+	if res.completed != res.sessions {
+		log.Fatalf("%d of %d sessions did not complete", res.sessions-res.completed, res.sessions)
 	}
 }
 
-func run(sessions int) error {
+// result is one flood's outcome.
+type result struct {
+	sessions, completed, violations int
+	gate                            repro.ControlState
+}
+
+func run(sessions int) (result, error) {
 	p := repro.Params{C1: 2, C2: 3, D: 12}
-	const slots = 8 // receiver capacity the flood will exceed 3×
+	const slots = 8 // receiver capacity; the dialer has 3× as many
 
 	// The served stack: hardened β(4), reporting to the shared registry.
 	reg := repro.NewMetrics()
 	s, err := repro.Beta(p, 4)
 	if err != nil {
-		return err
+		return result{}, err
 	}
 	solution := repro.Harden(s, repro.HardenOptions{Observer: repro.NewLayerObserver(reg)})
 
@@ -50,19 +57,18 @@ func run(sessions int) error {
 	defer mem.Close()
 	repro.InstrumentTransport(reg, mem)
 
-	// The controller is built first (it is the mux's admission hook),
-	// wired as Admission on the shared ServeConfig, then bound to the
-	// server's occupancy count once the pipe exists and started.
+	// The controller is built first (it is both sides' admission hook)
+	// and bound to the server's occupancy count once the server exists.
 	ctrl, err := repro.NewController(repro.ControlConfig{
 		Registry: reg, Clock: clock, Params: p,
 		Seed:           7,
 		TargetSessions: slots,
 	})
 	if err != nil {
-		return err
+		return result{}, err
 	}
-
-	pipe, err := repro.NewPipe(repro.ServeConfig{
+	defer ctrl.Stop()
+	cfg := repro.ServeConfig{
 		Solution:    solution,
 		Params:      p,
 		Transport:   mem,
@@ -71,55 +77,81 @@ func run(sessions int) error {
 		IdleTicks:   -1, // slots are reclaimed per transfer
 		Obs:         reg,
 		Admission:   ctrl,
-	})
-	if err != nil {
-		return err
 	}
-	defer pipe.Close()
+	srv, err := repro.Serve(cfg)
+	if err != nil {
+		return result{}, err
+	}
+	defer srv.Close()
+	cfg.MaxSessions = 3 * slots
+	dlr, err := repro.Dial(cfg)
+	if err != nil {
+		return result{}, err
+	}
+	defer dlr.Close()
+	ctrl.Bind(repro.ControlActuators{Active: func() int64 { return int64(srv.ActiveCount()) }})
 
-	ctrl.Bind(repro.ControlActuators{Active: func() int64 { return int64(pipe.Server.ActiveCount()) }})
-	ctrl.Start()
-	defer ctrl.Stop()
-
-	// The flood: 3× capacity in concurrent transfer workers. Refused
-	// dials (the ladder's refuse rung) count separately from failures.
+	// The flood: one worker per dialer slot, taking the sessions in turn.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	var completed, failed, refused atomic.Int64
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, 3*slots)
 	inrnd := rand.New(rand.NewSource(11))
-	for i := 0; i < sessions; i++ {
-		x := repro.RandomBits(8*s.BlockBits, inrnd.Uint64)
+	inputs := make([][]repro.Bit, sessions)
+	for i := range inputs {
+		inputs[i] = repro.RandomBits(8*s.BlockBits, inrnd.Uint64)
+	}
+	var completed, violations atomic.Int64
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < 3*slots; w++ {
 		wg.Add(1)
-		sem <- struct{}{}
 		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			r, err := pipe.Transfer(ctx, x)
-			switch {
-			case errors.Is(err, repro.ErrAdmissionRefused):
-				refused.Add(1)
-			case err != nil || !r.Completed:
-				failed.Add(1)
-			default:
-				completed.Add(1)
-			}
-			if r.Violation != "" {
-				log.Fatalf("prefix violation: %s", r.Violation)
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= sessions {
+					return
+				}
+				x := inputs[i]
+				conn, err := dlr.Start(ctx, x)
+				if err != nil {
+					return
+				}
+				rx, err := srv.WaitWrites(ctx, conn.ID(), len(x))
+				if final, ok := srv.Evict(conn.ID()); ok {
+					rx = final
+				}
+				conn.Close()
+				if !isPrefix(rx.Y, x) {
+					violations.Add(1)
+				} else if err == nil && len(rx.Y) == len(x) {
+					completed.Add(1)
+				}
 			}
 		}()
 	}
 	wg.Wait()
 
-	st := ctrl.State()
-	fmt.Printf("flood: %d sessions over %d receiver slots\n", sessions, slots)
-	fmt.Printf("goodput: %d completed, %d failed, %d refused\n",
-		completed.Load(), failed.Load(), refused.Load())
-	fmt.Printf("controller: level=%s gated=%d paced=%d\n", st.Level, st.Gated, st.Paced)
-	fmt.Printf("dwell ticks per level: %v\n", st.LevelDwellTicks)
-	if completed.Load() == 0 {
-		return fmt.Errorf("no session completed under control")
+	res := result{
+		sessions:   sessions,
+		completed:  int(completed.Load()),
+		violations: int(violations.Load()),
+		gate:       ctrl.State(),
 	}
-	return nil
+	fmt.Printf("flood: %d sessions, %d dialer slots over %d receiver slots\n", sessions, 3*slots, slots)
+	fmt.Printf("goodput: %d completed, %d prefix violations\n", res.completed, res.violations)
+	fmt.Printf("gate: gated=%d gate_ticks=%d\n", res.gate.Gated, res.gate.GateTicks)
+	return res, nil
+}
+
+// isPrefix reports whether the output tape y is a prefix of the input x.
+func isPrefix(y, x []repro.Bit) bool {
+	if len(y) > len(x) {
+		return false
+	}
+	for i := range y {
+		if y[i] != x[i] {
+			return false
+		}
+	}
+	return true
 }

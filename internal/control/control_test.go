@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/rstp"
 	"repro/internal/session"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 func ctlParams() rstp.Params { return rstp.Params{C1: 2, C2: 3, D: 12} }
@@ -19,9 +21,10 @@ func ctlParams() rstp.Params { return rstp.Params{C1: 2, C2: 3, D: 12} }
 func newCtl(t *testing.T, mut func(*Config)) *Controller {
 	t.Helper()
 	cfg := Config{
-		Registry: obs.NewRegistry(),
-		Clock:    transport.NewClock(time.Nanosecond),
-		Params:   ctlParams(),
+		Registry:       obs.NewRegistry(),
+		Clock:          transport.NewClock(time.Nanosecond),
+		Params:         ctlParams(),
+		TargetSessions: 2,
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -33,165 +36,208 @@ func newCtl(t *testing.T, mut func(*Config)) *Controller {
 	return c
 }
 
-func forceLevel(c *Controller, l Level) {
-	c.mu.Lock()
-	c.ladder.level = l
-	c.mu.Unlock()
-}
-
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{Clock: transport.NewClock(0), Params: ctlParams()}); err == nil {
-		t.Error("nil Registry accepted")
-	}
-	if _, err := New(Config{Registry: obs.NewRegistry(), Params: ctlParams()}); err == nil {
-		t.Error("nil Clock accepted")
-	}
-	if _, err := New(Config{Registry: obs.NewRegistry(), Clock: transport.NewClock(0)}); err == nil {
-		t.Error("zero Params accepted")
+	reg, clock := obs.NewRegistry(), transport.NewClock(0)
+	for name, cfg := range map[string]Config{
+		"nil Registry":    {Clock: clock, Params: ctlParams(), TargetSessions: 1},
+		"nil Clock":       {Registry: reg, Params: ctlParams(), TargetSessions: 1},
+		"zero Params":     {Registry: reg, Clock: clock, TargetSessions: 1},
+		"no target":       {Registry: reg, Clock: clock, Params: ctlParams()},
+		"negative target": {Registry: reg, Clock: clock, Params: ctlParams(), TargetSessions: -1},
+	} {
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
 // TestAdmitRecordsAndForgets walks one ID through the controller's
-// session-tracking life cycle: admitted → accepted server-side →
-// forgotten. Late frames of a forgotten session are the server's to drop
-// (internal/session's TestTransferGivenUpBeforeSpawnLeavesNoGhost and
+// session-tracking life cycle: admitted → forgotten → re-admitted under
+// the same ID (the restart path). Late frames of a forgotten session are
+// the server's to drop (internal/session's
+// TestTransferGivenUpBeforeSpawnLeavesNoGhost and
 // TestLateFrameDoesNotRespawnFinishedSession).
 func TestAdmitRecordsAndForgets(t *testing.T) {
 	c := newCtl(t, nil)
+	admitted := func(id uint32) bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		_, ok := c.admitted[id]
+		return ok
+	}
 	if err := c.Admit(context.Background(), 7); err != nil {
-		t.Fatalf("Admit at normal level: %v", err)
+		t.Fatalf("Admit below the target: %v", err)
 	}
-	if !c.AdmitServer(7) {
-		t.Error("admitted ID refused server-side")
-	}
-	if !c.AdmitServer(9) {
-		t.Error("unknown ID refused at LevelNormal")
+	if !admitted(7) {
+		t.Error("admitted ID not recorded")
 	}
 	c.Forget(7)
 	c.Forget(7) // idempotent
-	c.mu.Lock()
-	_, kept := c.admitted[7]
-	c.mu.Unlock()
-	if kept {
+	if admitted(7) {
 		t.Error("forgotten ID still admitted")
 	}
-	// Re-admission under the same ID (the restart path) records it again.
 	if err := c.Admit(context.Background(), 7); err != nil {
 		t.Fatalf("re-Admit: %v", err)
 	}
-	if !c.AdmitServer(7) {
-		t.Error("re-admitted ID refused server-side")
+	if !admitted(7) {
+		t.Error("re-admitted ID not recorded")
 	}
 }
 
-func TestRefuseLevel(t *testing.T) {
+// parkedAdmit starts Admit(id) against a full gate and waits until it
+// has parked (Gated reaches wantGated). The returned channel yields
+// Admit's result.
+func parkedAdmit(t *testing.T, c *Controller, id uint32, wantGated int64) <-chan error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- c.Admit(context.Background(), id) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for c.State().Gated < wantGated {
+		if time.Now().After(deadline) {
+			t.Fatalf("Admit(%d) never parked at the gate: %+v", id, c.State())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("Admit(%d) returned %v through a full gate", id, err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	return done
+}
+
+// TestGateHoldsAndReleases: at the target occupancy Admit parks and
+// counts one gated admission however often it polls, and returns once
+// Active drops below the target.
+func TestGateHoldsAndReleases(t *testing.T) {
 	c := newCtl(t, nil)
-	forceLevel(c, LevelRefuse)
-	if err := c.Admit(context.Background(), 1); !errors.Is(err, session.ErrAdmissionRefused) {
-		t.Fatalf("Admit at refuse level: %v, want ErrAdmissionRefused", err)
+	var active atomic.Int64
+	active.Store(2)
+	c.Bind(Actuators{Active: active.Load})
+	done := parkedAdmit(t, c, 1, 1)
+	if st := c.State(); st.Gated != 1 || st.GateTicks == 0 {
+		t.Errorf("one parked admission: %+v, want gated 1 and gate ticks > 0", st)
 	}
-	if c.AdmitServer(2) {
-		t.Error("unknown server ID admitted at refuse level")
+	active.Store(1)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("released Admit: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Admit still parked after Active dropped below the target")
 	}
-	st := c.State()
-	if st.DialRefused != 1 || st.ServerRefused != 1 {
-		t.Errorf("refusal counters = %d/%d, want 1/1", st.DialRefused, st.ServerRefused)
+	if st := c.State(); st.Gated != 1 {
+		t.Errorf("gated = %d after one admission, want 1", st.Gated)
 	}
 }
 
-// TestPacingSeededDeterminism: two controllers with the same seed inject
-// exactly the same jittered delays; the seed is the whole story.
-func TestPacingSeededDeterminism(t *testing.T) {
+// TestGateCountsInFlightAdmissions: with no Active bound the gate counts
+// the admissions it let in and nobody has forgotten yet.
+func TestGateCountsInFlightAdmissions(t *testing.T) {
+	c := newCtl(t, nil)
+	for id := uint32(1); id <= 2; id++ {
+		if err := c.Admit(context.Background(), id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := parkedAdmit(t, c, 3, 1)
+	c.Forget(1)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("released Admit: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Admit still parked after an in-flight admission was forgotten")
+	}
+}
+
+// TestStopReleasesParkedAdmit: Stop is idempotent and releases an Admit
+// parked at a gate that would otherwise never open; a later Admit does
+// not park at all.
+func TestStopReleasesParkedAdmit(t *testing.T) {
+	c := newCtl(t, nil)
+	c.Bind(Actuators{Active: func() int64 { return 2 }})
+	done := parkedAdmit(t, c, 1, 1)
+	c.Stop()
+	c.Stop()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("parked admission after Stop: %v, want released nil", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop left an admission parked")
+	}
+	if err := c.Admit(context.Background(), 2); err != nil {
+		t.Fatalf("Admit after Stop: %v", err)
+	}
+}
+
+// TestAdmitHonoursContext: a parked Admit returns its caller's context
+// error, and the ID is not admitted.
+func TestAdmitHonoursContext(t *testing.T) {
+	c := newCtl(t, nil)
+	c.Bind(Actuators{Active: func() int64 { return 2 }})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if err := c.Admit(ctx, 1); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Admit past its deadline: %v, want context.DeadlineExceeded", err)
+	}
+	c.mu.Lock()
+	n := len(c.admitted)
+	c.mu.Unlock()
+	if n != 0 {
+		t.Errorf("%d IDs admitted after a cancelled Admit, want 0", n)
+	}
+}
+
+// TestGateSeededDeterminism: two controllers with the same seed inject
+// exactly the same jittered gate waits; the seed is the whole story.
+// Active reports a full receiver side on three polls of every four, so
+// each admission parks exactly three times whatever the timer does.
+func TestGateSeededDeterminism(t *testing.T) {
 	run := func(seed int64) int64 {
-		c := newCtl(t, func(cfg *Config) {
-			cfg.Seed = seed
-			cfg.PaceTicks = 64
-		})
-		forceLevel(c, LevelPace)
-		for id := uint32(1); id <= 100; id++ {
+		c := newCtl(t, func(cfg *Config) { cfg.Seed = seed })
+		var polls atomic.Int64
+		c.Bind(Actuators{Active: func() int64 {
+			if polls.Add(1)%4 == 0 {
+				return 0
+			}
+			return 2
+		}})
+		for id := uint32(1); id <= 50; id++ {
 			if err := c.Admit(context.Background(), id); err != nil {
 				t.Fatal(err)
 			}
+			c.Forget(id)
 		}
-		return c.State().PaceTicks
+		st := c.State()
+		if st.Gated != 50 {
+			t.Fatalf("seed %d: gated = %d, want 50", seed, st.Gated)
+		}
+		return st.GateTicks
 	}
 	a, b := run(42), run(42)
 	if a != b {
-		t.Errorf("same seed, different total pace: %d vs %d ticks", a, b)
+		t.Errorf("same seed, different total gate wait: %d vs %d ticks", a, b)
 	}
-	if a == 0 {
-		t.Error("pace level injected no delay")
+	if d := ctlParams().D; a < 150*d || a > 150*2*d {
+		t.Errorf("150 parks waited %d ticks, want each in [d, 2d] = [%d, %d]", a, d, 2*d)
 	}
 	if c := run(43); c == a {
-		t.Errorf("seeds 42 and 43 produced identical jitter (%d ticks over 100 admissions)", a)
-	}
-}
-
-// tickN runs n control ticks, each one Interval after the last on the
-// test clock, calling before ahead of each.
-func tickN(c *Controller, n int, before func()) {
-	for i := 0; i < n; i++ {
-		if before != nil {
-			before()
-		}
-		time.Sleep(time.Microsecond) // the 1ns-tick clock advances past any dwell
-		c.tick()
-	}
-}
-
-// TestTickSilentSessionStaysNormal is the regression test for the false
-// stall: a live session that has not written yet is not overload. Eight
-// windows with one active session and zero writes leave the pressure at
-// 0 and the ladder at normal.
-func TestTickSilentSessionStaysNormal(t *testing.T) {
-	c := newCtl(t, func(cfg *Config) {
-		cfg.Interval = 1
-		cfg.Dwell = 1
-	})
-	c.Bind(Actuators{Active: func() int64 { return 1 }})
-	tickN(c, 8, nil)
-	st := c.State()
-	if st.Ticks != 8 {
-		t.Fatalf("ticks = %d, want 8", st.Ticks)
-	}
-	if st.Pressure != 0 || st.Level != LevelNormal.String() {
-		t.Errorf("8 silent windows: level %s pressure %v, want normal/0", st.Level, st.Pressure)
-	}
-	if st.LevelDwellTicks[LevelNormal.String()] != 8 {
-		t.Errorf("dwell = %v, want all 8 ticks at normal", st.LevelDwellTicks)
-	}
-}
-
-// TestTickRefusedFramesReachRefuse: a refused-frame delta at the server
-// is overload by definition and still climbs the ladder, one rung per
-// dwell, to refuse; once refusals stop it walks back to normal.
-func TestTickRefusedFramesReachRefuse(t *testing.T) {
-	c := newCtl(t, func(cfg *Config) {
-		cfg.Interval = 1
-		cfg.Dwell = 1
-	})
-	c.Bind(Actuators{Active: func() int64 { return 1 }})
-	tickN(c, 4, func() { c.refused.Add(2 * 64) }) // pressure 2 per window at RefuseScale 64
-	st := c.State()
-	if st.Pressure != 2 || st.Level != LevelRefuse.String() {
-		t.Fatalf("4 refusing windows: level %s pressure %v, want refuse/2", st.Level, st.Pressure)
-	}
-	if err := c.Admit(context.Background(), 1); !errors.Is(err, session.ErrAdmissionRefused) {
-		t.Errorf("Admit after the climb: %v, want ErrAdmissionRefused", err)
-	}
-	tickN(c, 4, nil)
-	if st := c.State(); st.Pressure != 0 || st.Level != LevelNormal.String() {
-		t.Errorf("after refusals stop: level %s pressure %v, want normal/0", st.Level, st.Pressure)
+		t.Errorf("seeds 42 and 43 produced identical jitter (%d ticks over 150 parks)", a)
 	}
 }
 
 // TestTickActiveLockOrder is the lock-order regression test for the
-// controller↔server pair: the server holds its own lock while it calls
-// AdmitServer, and Server.ActiveCount takes that lock. A control tick
-// or an admission at the occupancy gate that called Active while
-// holding c.mu deadlocked against such a caller.
+// controller↔server pair: the server holds its own lock while it retires
+// a session, and retirement calls Forget; Server.ActiveCount takes that
+// same lock. An Admit whose poll tick called Active while holding the
+// controller's lock would deadlock against such a retirement.
 func TestTickActiveLockOrder(t *testing.T) {
-	c := newCtl(t, func(cfg *Config) { cfg.TargetSessions = 2 })
+	c := newCtl(t, nil)
 	var srvMu sync.Mutex // stands in for the server's lock
 	inActive := make(chan struct{}, 1)
 	c.Bind(Actuators{Active: func() int64 {
@@ -201,34 +247,74 @@ func TestTickActiveLockOrder(t *testing.T) {
 		return 1
 	}})
 
-	srvMu.Lock() // the server is routing a frame
-	ticked := make(chan struct{})
+	srvMu.Lock() // the server is retiring a session
+	admitted := make(chan struct{})
 	go func() {
-		c.tick()
 		if err := c.Admit(context.Background(), 2); err != nil {
 			t.Errorf("Admit below the occupancy target: %v", err)
 		}
-		close(ticked)
-	}()
-	<-inActive // the gate is waiting for the server's lock
-	admitted := make(chan struct{})
-	go func() {
-		c.AdmitServer(1) // still under the server's lock
-		srvMu.Unlock()
 		close(admitted)
 	}()
-	for _, ch := range []chan struct{}{admitted, ticked} {
+	<-inActive // the gate is waiting for the server's lock
+	forgot := make(chan struct{})
+	go func() {
+		c.Forget(1) // still under the server's lock
+		srvMu.Unlock()
+		close(forgot)
+	}()
+	for _, ch := range []chan struct{}{forgot, admitted} {
 		select {
 		case <-ch:
 		case <-time.After(5 * time.Second):
-			t.Fatal("AdmitServer deadlocked against the controller: Active was called under the controller's lock")
+			t.Fatal("Forget deadlocked against Admit: Active was called under the controller's lock")
 		}
 	}
 }
 
+// TestFailedStartLeavesNoPhantom: a Start that fails after Admit (an
+// input that is not a whole number of blocks) is forgotten, so with a
+// target of one session the next valid Start is admitted at once.
+func TestFailedStartLeavesNoPhantom(t *testing.T) {
+	p := ctlParams()
+	clock := transport.NewClock(20 * time.Microsecond)
+	mem := transport.NewMem(clock, transport.MemOptions{D: p.D})
+	defer mem.Close()
+	c := newCtl(t, func(cfg *Config) {
+		cfg.Clock = clock
+		cfg.TargetSessions = 1
+	})
+	defer c.Stop()
+	s, err := rstp.Beta(p, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dlr, err := session.NewDialer(session.Config{
+		Solution: s, Params: p, Transport: mem, Clock: clock, Admission: c,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dlr.Close()
+	x := make([]wire.Bit, 2*s.BlockBits)
+	if _, err := dlr.Start(context.Background(), x[:s.BlockBits+1]); err == nil {
+		t.Fatal("Start accepted an input that is not a whole number of blocks")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	conn, err := dlr.Start(ctx, x)
+	if err != nil {
+		t.Fatalf("valid Start after a failed one: %v (gate state %+v)", err, c.State())
+	}
+	conn.Close()
+	if st := c.State(); st.Gated != 0 {
+		t.Errorf("valid Start parked at the gate: %+v", st)
+	}
+}
+
 // TestStateAndMetricsExposed checks the introspection surface: the
-// "control" live hook and the rstp_control_* series rendered through
-// the registry's JSON snapshot.
+// "control" live hook and the two rstp_control_* gate series rendered
+// through the registry's JSON snapshot, and nothing of the deleted
+// ladder, pacing, refusal or k-selection.
 func TestStateAndMetricsExposed(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := newCtl(t, func(cfg *Config) { cfg.Registry = reg })
@@ -244,26 +330,16 @@ func TestStateAndMetricsExposed(t *testing.T) {
 	for name := range snap.Floats {
 		found[name] = true
 	}
-	for _, name := range []string{
-		"rstp_control_level", "rstp_control_pressure",
-		"rstp_control_ticks_total",
-		"rstp_control_paced_total", "rstp_control_pace_ticks_total",
-		"rstp_control_gated_total", "rstp_control_gate_ticks_total",
-		"rstp_control_dial_refused_total", "rstp_control_server_refused_total",
-		"rstp_control_dwell_normal_ticks_total", "rstp_control_dwell_pace_ticks_total",
-		"rstp_control_dwell_refuse_ticks_total",
-	} {
+	for _, name := range []string{"rstp_control_gated_total", "rstp_control_gate_ticks_total"} {
 		if !found[name] {
 			t.Errorf("metric %s not registered", name)
 		}
 	}
-	// The controller sheds load, never sessions, and selects no k: the
-	// series of the deleted rungs, family switch and k gauge are gone.
 	for _, name := range []string{
-		"rstp_control_k",
-		"rstp_control_evictions_total", "rstp_control_retires_total",
-		"rstp_control_family_switches_total", "rstp_control_dwell_evict_ticks_total",
-		"rstp_control_dwell_retire_ticks_total",
+		"rstp_control_k", "rstp_control_level", "rstp_control_pressure",
+		"rstp_control_ticks_total", "rstp_control_paced_total",
+		"rstp_control_pace_ticks_total", "rstp_control_dial_refused_total",
+		"rstp_control_server_refused_total", "rstp_control_dwell_normal_ticks_total",
 	} {
 		if found[name] {
 			t.Errorf("metric %s still registered", name)
@@ -281,36 +357,7 @@ func TestStateAndMetricsExposed(t *testing.T) {
 	if err := json.Unmarshal(raw, &fields); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := fields["level"]; !ok {
-		t.Errorf("/control JSON has no level: %s", raw)
-	}
-	for _, key := range []string{"k", "k_histogram", "candidates"} {
-		if _, ok := fields[key]; ok {
-			t.Errorf("/control JSON still carries %q: %s", key, raw)
-		}
-	}
-}
-
-// TestStartStopIdempotent: the lifecycle must survive double calls and
-// release a paced admission on Stop.
-func TestStartStopIdempotent(t *testing.T) {
-	c := newCtl(t, func(cfg *Config) { cfg.PaceTicks = 1 << 40 }) // pace would sleep ~forever
-	c.Start()
-	c.Start()
-	forceLevel(c, LevelPace)
-	done := make(chan error, 1)
-	go func() {
-		done <- c.Admit(context.Background(), 1)
-	}()
-	time.Sleep(10 * time.Millisecond)
-	c.Stop()
-	c.Stop()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("paced admission after Stop: %v, want released nil", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Stop left a paced admission sleeping")
+	if len(fields) != 2 || fields["gated"] == nil || fields["gate_ticks"] == nil {
+		t.Errorf("/control JSON = %s, want exactly gated and gate_ticks", raw)
 	}
 }

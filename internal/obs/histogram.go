@@ -83,8 +83,7 @@ func (h *Histogram) snapshotBuckets() []HistogramBucket {
 }
 
 // Snapshot captures the histogram's cumulative buckets, sum and count at
-// one instant — the same view the exporters render, exported so consumers
-// (e.g. the control plane) can window two snapshots with DeltaSnapshot.
+// one instant — the same view the exporters render.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Buckets: h.snapshotBuckets(),
@@ -95,39 +94,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	s.P50 = BucketQuantile(s, 0.50)
 	s.P99 = BucketQuantile(s, 0.99)
 	return s
-}
-
-// DeltaSnapshot subtracts an earlier snapshot of the same histogram from
-// a later one, yielding the distribution of only the samples observed in
-// between — the windowed view a control loop needs, since a lifetime-
-// cumulative histogram responds ever more sluggishly as it fills. The
-// snapshots must come from one histogram (same bucket layout); prev may
-// be the zero value (an empty window start). Counts are clamped at zero
-// so a racy read pair degrades to an empty window, never a negative one.
-func DeltaSnapshot(prev, cur HistogramSnapshot) HistogramSnapshot {
-	d := HistogramSnapshot{
-		Buckets: make([]HistogramBucket, len(cur.Buckets)),
-		Sum:     cur.Sum - prev.Sum,
-		Count:   cur.Count - prev.Count,
-	}
-	if d.Count < 0 {
-		d.Count = 0
-	}
-	for i, b := range cur.Buckets {
-		if i < len(prev.Buckets) {
-			b.Count -= prev.Buckets[i].Count
-		}
-		if b.Count < 0 {
-			b.Count = 0
-		}
-		d.Buckets[i] = b
-	}
-	if d.Count > 0 {
-		d.Mean = float64(d.Sum) / float64(d.Count)
-	}
-	d.P50 = BucketQuantile(d, 0.50)
-	d.P99 = BucketQuantile(d, 0.99)
-	return d
 }
 
 // Quantile returns the smallest finite bucket bound covering fraction q

@@ -15,7 +15,7 @@ func testRegistry() *Registry {
 	r.Histogram("rstp_margin_ticks", "deadline margin", MarginBuckets(4)).Observe(-2)
 	r.Live("sessions", func() any { return []int{1, 2, 3} })
 	r.Tracer().Enable(8, 8)
-	r.Tracer().Record(3, 42, EvShed, 0)
+	r.Tracer().Record(3, 42, EvWedge, 0)
 	return r
 }
 
@@ -61,11 +61,11 @@ func TestHandlerMetricsJSON(t *testing.T) {
 func TestHandlerTrace(t *testing.T) {
 	h := testRegistry().Handler()
 	code, body := get(t, h, "/trace")
-	if code != 200 || !strings.Contains(body, `"shed"`) {
+	if code != 200 || !strings.Contains(body, `"wedge"`) {
 		t.Fatalf("/trace = %d:\n%s", code, body)
 	}
 	code, body = get(t, h, "/trace?session=42")
-	if code != 200 || !strings.Contains(body, `"shed"`) {
+	if code != 200 || !strings.Contains(body, `"wedge"`) {
 		t.Fatalf("/trace?session=42 = %d:\n%s", code, body)
 	}
 	code, _ = get(t, h, "/trace?session=not-a-number")

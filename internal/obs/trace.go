@@ -9,7 +9,7 @@ import (
 // EventKind names one protocol transition in the trace ring. The set
 // covers the serving stack's lifecycle: frame movement (send/recv/write),
 // the reliability layers' recovery (retransmit, resync), and the mux's
-// session verdicts (evict/shed/wedge/refuse/late).
+// session verdicts (evict/wedge/refuse/late).
 type EventKind uint8
 
 const (
@@ -25,8 +25,6 @@ const (
 	EvResync
 	// EvEvict is an idle eviction of a session.
 	EvEvict
-	// EvShed is an overload-policy force-retire.
-	EvShed
 	// EvWedge is a watchdog force-retire (no output growth in the window).
 	EvWedge
 	// EvRefuse is a new session refused at the MaxSessions cap.
@@ -43,7 +41,6 @@ var eventKindNames = [...]string{
 	EvRetransmit: "retransmit",
 	EvResync:     "resync",
 	EvEvict:      "evict",
-	EvShed:       "shed",
 	EvWedge:      "wedge",
 	EvRefuse:     "refuse",
 	EvLate:       "late",

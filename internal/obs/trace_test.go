@@ -51,7 +51,7 @@ func TestTracerSessionCap(t *testing.T) {
 
 func TestEventKindNames(t *testing.T) {
 	kinds := []EventKind{
-		EvSend, EvRecv, EvWrite, EvRetransmit, EvResync, EvEvict, EvShed,
+		EvSend, EvRecv, EvWrite, EvRetransmit, EvResync, EvEvict,
 		EvWedge, EvRefuse, EvLate,
 	}
 	seen := map[string]bool{}

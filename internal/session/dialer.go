@@ -112,25 +112,32 @@ func (d *Dialer) open(ctx context.Context, id uint32, x []wire.Bit) (*Conn, erro
 	}
 	d.mu.Unlock()
 	// The control plane sees every admission after its slot and ID are
-	// settled: Admit may sleep (pacing) or refuse. Pacing while holding
-	// the slot is deliberate — a paced session is admitted work in
-	// flight, not a queue jump waiting to happen.
+	// settled: Admit may park at the occupancy gate. Parking while holding
+	// the slot is deliberate — a gated session is admitted work in
+	// flight, not a queue jump waiting to happen. From here on a failed
+	// open must both free the slot and drop the admission, or the gate
+	// would count a phantom in-flight session for good.
 	if d.cfg.Admission != nil {
 		if err := d.cfg.Admission.Admit(ctx, id); err != nil {
 			<-d.sem
 			return nil, err
 		}
 	}
-	t, _, err := buildPair(d.cfg, id, x)
-	if err != nil {
+	abort := func(err error) (*Conn, error) {
+		if d.cfg.Admission != nil {
+			d.cfg.Admission.Forget(id)
+		}
 		<-d.sem
 		return nil, err
+	}
+	t, _, err := buildPair(d.cfg, id, x)
+	if err != nil {
+		return abort(err)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed() {
-		<-d.sem
-		return nil, fmt.Errorf("session: dialer closed")
+		return abort(fmt.Errorf("session: dialer closed"))
 	}
 	ep := newEndpoint(&d.mux, id, t)
 	d.addLocked(ep)

@@ -24,7 +24,6 @@ type sessionMetrics struct {
 	sendErrs   *obs.Counter
 	evicted    *obs.Counter
 	wedged     *obs.Counter
-	shed       *obs.Counter
 	resyncs    *obs.Counter
 	refused    *obs.Counter
 	late       *obs.Counter
@@ -59,7 +58,6 @@ func newSessionMetrics(reg *obs.Registry, p rstp.Params, bound float64) *session
 		sendErrs:   reg.Counter("rstp_session_send_errors_total", "transport send failures (counted as channel loss)"),
 		evicted:    reg.Counter("rstp_sessions_evicted_total", "sessions torn down by the idle monitor"),
 		wedged:     reg.Counter("rstp_sessions_wedged_total", "sessions force-retired by the progress watchdog"),
-		shed:       reg.Counter("rstp_sessions_shed_total", "sessions force-retired by the overload policy"),
 		resyncs:    reg.Counter("rstp_session_resyncs_total", "watchdog-forced protocol resynchronizations"),
 		refused:    reg.Counter("rstp_server_frames_refused_total", "new-session frames dropped at the MaxSessions cap"),
 		late:       reg.Counter("rstp_server_frames_late_total", "in-flight frames of retired sessions dropped at the tombstone"),
@@ -147,14 +145,6 @@ func (m *sessionMetrics) onWedge(tick int64, id uint32, silentTicks int64) {
 	m.tracer.Record(tick, id, obs.EvWedge, silentTicks)
 }
 
-func (m *sessionMetrics) onShed(tick int64, id uint32) {
-	if m == nil {
-		return
-	}
-	m.shed.Inc()
-	m.tracer.Record(tick, id, obs.EvShed, 0)
-}
-
 func (m *sessionMetrics) onResync(tick int64, id uint32) {
 	if m == nil {
 		return
@@ -204,7 +194,7 @@ type LiveSession struct {
 }
 
 // instrument registers the Server's scrape-time views: the active-session
-// gauge, the refused/late/shed counters it already keeps, the live
+// gauge, the refused/late counters it already keeps, the live
 // per-session effort table, and the live effort mean/max floats.
 func (s *Server) instrument(m *sessionMetrics) {
 	if m == nil {

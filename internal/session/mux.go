@@ -187,7 +187,7 @@ func (m *mux) retireLocked(ep *endpoint) bool {
 }
 
 // parkLocked retires ep on the side's own initiative (idle eviction, the
-// watchdog, shedding, Close). On the receiver side the full report waits
+// watchdog, Close). On the receiver side the full report waits
 // in parked until Evict claims it. Past MaxSessions parked reports the
 // oldest degrades to its tombstone, so a side nobody evicts from holds
 // O(MaxSessions) traces, not one per session it ever ran.

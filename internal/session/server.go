@@ -15,7 +15,6 @@ type Server struct {
 	mux
 	refused int // frames of new sessions dropped at the MaxSessions cap
 	late    int // frames of already-finished sessions dropped at the tombstone
-	shed    int // sessions force-retired by the overload policy
 	// spawnWaits parks WaitWrites callers on sessions not spawned yet;
 	// spawnLocked closes and drops the entry of the ID it spawns.
 	spawnWaits map[uint32]*spawnWait
@@ -57,16 +56,10 @@ func (s *Server) admitLocked(f wire.Frame) *endpoint {
 		s.cfg.metrics.onLate(now, f.Session)
 		return nil
 	}
-	// The control plane's refuse gate runs before the capacity check: at
-	// the escalation ladder's refuse level, brand-new sessions are turned
-	// away even while slots remain, so the server sheds *load* before it
-	// ever has to shed *sessions*.
-	admit := s.cfg.Admission == nil || s.cfg.Admission.AdmitServer(f.Session)
-	if admit && len(s.active) >= s.cfg.MaxSessions {
-		admit = s.cfg.Shed == ShedEvictOldestIdle && s.shedOldestLocked()
-	}
+	// At the MaxSessions cap the newcomer is refused; its own
+	// retransmissions land once a slot frees.
 	var ep *endpoint
-	if admit {
+	if len(s.active) < s.cfg.MaxSessions {
 		ep = s.spawnLocked(f.Session)
 	}
 	if ep == nil {
@@ -109,28 +102,6 @@ func (s *Server) wakeSpawnWaitsLocked(id uint32) {
 		close(w.ch)
 		delete(s.spawnWaits, id)
 	}
-}
-
-// shedOldestLocked force-retires the active session that has gone
-// longest without traffic, freeing its slot for a newcomer. Sessions
-// whose tape save is still in flight are skipped: they are writing, so
-// not idle. Callers hold s.mu; returns false when there is nothing safe
-// to shed. The victim's in-flight frames drop as late at its tombstone.
-func (s *Server) shedOldestLocked() bool {
-	var victim *endpoint
-	for _, ep := range s.order {
-		if !ep.retired && !ep.saving && (victim == nil || ep.lastActivity < victim.lastActivity) {
-			victim = ep
-		}
-	}
-	if victim == nil {
-		return false
-	}
-	victim.shed = true
-	s.cfg.metrics.onShed(s.cfg.Clock.Now(), victim.id)
-	s.parkLocked(victim)
-	s.shed++
-	return true
 }
 
 // ActiveCount returns the number of currently live receiver sessions —
@@ -179,14 +150,6 @@ func (s *Server) Late() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.late
-}
-
-// Shed counts sessions force-retired by the overload policy to admit
-// newcomers.
-func (s *Server) Shed() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.shed
 }
 
 // WaitWrites blocks until session id has written at least n messages,
@@ -302,7 +265,7 @@ func (s *Server) Aggregate() Aggregate {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	agg := s.aggregateLocked()
-	agg.Refused, agg.Late, agg.Shed = s.refused, s.late, s.shed
+	agg.Refused, agg.Late = s.refused, s.late
 	return agg
 }
 
@@ -312,14 +275,12 @@ type Aggregate struct {
 	Proto, Transport string
 	// Sessions counts sessions ever seen; Active those still live;
 	// Evicted those torn down idle; Wedged those force-retired by the
-	// progress watchdog; SessionsShed those force-retired by the
-	// overload policy; Resyncs sums watchdog-forced resynchronizations.
-	Sessions, Active, Evicted, Wedged, SessionsShed, Resyncs int
+	// progress watchdog; Resyncs sums watchdog-forced resynchronizations.
+	Sessions, Active, Evicted, Wedged, Resyncs int
 	// Refused counts new-session frames dropped at the MaxSessions cap;
 	// Late counts in-flight frames of already-finished sessions dropped
-	// at the tombstone; Shed counts overload evictions performed (server
-	// side only).
-	Refused, Late, Shed int
+	// at the tombstone (server side only).
+	Refused, Late int
 	// Sends, Deliveries, Writes, Rejected and SendErrors sum the endpoint
 	// counters.
 	Sends, Deliveries, Writes, Rejected, SendErrors int
@@ -337,9 +298,6 @@ func (a *Aggregate) add(r Report) {
 	if r.Wedged {
 		a.Wedged++
 	}
-	if r.Shed {
-		a.SessionsShed++
-	}
 	a.Resyncs += r.Resyncs
 	a.Sends += r.Sends
 	a.Deliveries += r.Deliveries
@@ -350,7 +308,7 @@ func (a *Aggregate) add(r Report) {
 
 // String renders the aggregate as one report line.
 func (a Aggregate) String() string {
-	return fmt.Sprintf("%s over %s: %d sessions (%d active, %d evicted, %d wedged, %d shed, %d refused, %d late), %d sends (%d errored), %d deliveries, %d writes, %d rejected",
-		a.Proto, a.Transport, a.Sessions, a.Active, a.Evicted, a.Wedged, a.Shed, a.Refused, a.Late,
+	return fmt.Sprintf("%s over %s: %d sessions (%d active, %d evicted, %d wedged, %d refused, %d late), %d sends (%d errored), %d deliveries, %d writes, %d rejected",
+		a.Proto, a.Transport, a.Sessions, a.Active, a.Evicted, a.Wedged, a.Refused, a.Late,
 		a.Sends, a.SendErrors, a.Deliveries, a.Writes, a.Rejected)
 }

@@ -22,7 +22,7 @@
 //     drops a frame the transport delivered;
 //   - one mutex per side guarding every endpoint's counters and trace,
 //     snapshotted into immutable Reports for readers;
-//   - retirement (Conn.Close, Evict, shedding, the watchdog, Close) is
+//   - retirement (Conn.Close, Evict, idle eviction, the watchdog, Close) is
 //     synchronous under that mutex: before the call returns, the session
 //     ID is in the side's tombstone set and its counters are folded into
 //     the side's running sums. A retired session keeps nothing else,
@@ -97,61 +97,20 @@ type Resyncer interface {
 	ForceResync()
 }
 
-// ErrAdmissionRefused is returned by Dialer.Start when the configured
-// AdmissionController refuses the new session outright (the escalation
-// ladder's refuse level). It is load shaping, not failure: the
-// caller should back off and retry, exactly as it would on a full
-// semaphore.
-var ErrAdmissionRefused = errors.New("session: admission refused by control plane")
-
-// AdmissionController is the control plane's hook into the mux: it paces
-// or refuses new sessions. It never changes the protocol: both sides
-// build every session from Config.Solution.
+// AdmissionController is the control plane's hook into the mux: it
+// holds new transmitter-side sessions at the door. It never changes the
+// protocol: both sides build every session from Config.Solution.
 // internal/control.Controller implements it; nil disables every hook.
 type AdmissionController interface {
 	// Admit is consulted once per new transmitter-side session, after the
 	// backpressure slot is taken and the ID allocated, before any protocol
-	// state is built. It may sleep (admission pacing) and may return
-	// ErrAdmissionRefused; any error aborts the Start and releases the
-	// slot.
+	// state is built. It may park (the occupancy gate); an error aborts
+	// the Start and releases the slot.
 	Admit(ctx context.Context, id uint32) error
-	// AdmitServer reports whether the server should spawn receiver state
-	// for a brand-new session id right now. Sessions the controller
-	// admitted dialer-side are always accepted (their slot is spoken
-	// for); unknown IDs are refused while the escalation ladder is at its
-	// refuse level.
-	AdmitServer(id uint32) bool
-	// Forget drops the controller's per-session record once the session
-	// has retired on either side. Idempotent.
+	// Forget drops the controller's record of an admitted session once
+	// it has retired on either side, or its Start failed after Admit.
+	// Idempotent.
 	Forget(id uint32)
-}
-
-// ShedPolicy selects what the Server does with a brand-new session when
-// the active set already holds MaxSessions.
-type ShedPolicy int
-
-const (
-	// ShedRefuse drops the new session's frames (the pre-watchdog
-	// behavior): existing sessions keep their slots, newcomers wait for
-	// their own retransmissions to land after a slot frees.
-	ShedRefuse ShedPolicy = iota
-	// ShedEvictOldestIdle force-retires the active session that has gone
-	// longest without traffic and admits the newcomer into its slot. The
-	// victim's report is marked Shed; its in-flight frames are dropped as
-	// late at the tombstone.
-	ShedEvictOldestIdle
-)
-
-// String names the policy for flag values and summaries.
-func (p ShedPolicy) String() string {
-	switch p {
-	case ShedRefuse:
-		return "refuse"
-	case ShedEvictOldestIdle:
-		return "evict-oldest-idle"
-	default:
-		return fmt.Sprintf("shed(%d)", int(p))
-	}
 }
 
 // Config configures a Server, a Dialer, or a Pipe (which shares one
@@ -177,9 +136,6 @@ type Config struct {
 	// per-session statistics (default 8192 events; <0 disables tracing).
 	// Events past the cap are counted, not recorded.
 	TraceLimit int
-	// Shed selects the Server's overload policy at the MaxSessions
-	// high-water mark (default ShedRefuse).
-	Shed ShedPolicy
 	// WatchdogK enables the Server's per-session progress watchdog: a
 	// receiver session whose output tape grows by nothing for
 	// WatchdogK·δ1·c2 ticks is declared wedged and force-retired through
@@ -206,9 +162,8 @@ type Config struct {
 	// persistence. Implementations must be safe for concurrent use;
 	// internal/journal.Store is the durable one.
 	Store rstp.StateStore
-	// Admission is the optional control-plane hook: pacing/refusal of new
-	// sessions, driven by live metrics (see internal/control). nil
-	// disables it — admissions flow exactly as before.
+	// Admission is the optional control-plane hook: the occupancy gate
+	// on new dials (see internal/control). nil disables it.
 	Admission AdmissionController
 	// EffortLowerBound is the paper's per-message effort lower bound in
 	// ticks for the configured protocol (δ1·c2/log2 ζ_k(δ1) r-passive,
@@ -321,9 +276,6 @@ type Report struct {
 	// Wedged reports the endpoint was force-retired by the progress
 	// watchdog: no output growth within the wedge window.
 	Wedged bool
-	// Shed reports the endpoint was force-retired by the overload
-	// policy to make room for a new session.
-	Shed bool
 	// Resyncs counts watchdog-triggered ForceResync calls into the
 	// automaton (at most one per session).
 	Resyncs int
@@ -385,7 +337,6 @@ type endpoint struct {
 	traceDropped int
 	evicted      bool
 	wedged       bool
-	shed         bool
 	resyncs      int
 	retired      bool
 	saving       bool // a tape save is in flight: not stepped until it lands
@@ -570,7 +521,7 @@ func (e *endpoint) counters() Report {
 		SendErrors: e.sendErrs,
 		LastSend:   e.lastSend, LastWrite: e.lastWrite,
 		Resumed: e.resumed,
-		Evicted: e.evicted, Wedged: e.wedged, Shed: e.shed, Resyncs: e.resyncs,
+		Evicted: e.evicted, Wedged: e.wedged, Resyncs: e.resyncs,
 		Finished:     e.retired,
 		TraceDropped: e.traceDropped,
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -259,6 +260,67 @@ func TestDialerBackpressure(t *testing.T) {
 	c2.Close()
 }
 
+// countingAdmission is an AdmissionController that admits everything
+// and counts the Admit and Forget calls it sees.
+type countingAdmission struct {
+	mu              sync.Mutex
+	admits, forgets int
+}
+
+func (c *countingAdmission) Admit(context.Context, uint32) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.admits++
+	return nil
+}
+
+func (c *countingAdmission) Forget(uint32) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.forgets++
+}
+
+func (c *countingAdmission) counts() (admits, forgets int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.admits, c.forgets
+}
+
+// TestFailedStartForgetsAdmission pins the admission bookkeeping of a
+// Start that fails after Admit: an input that is not a whole number of
+// blocks, and a dialer closed under the caller. Each Admit is matched by
+// a Forget, so the occupancy gate never counts a phantom session.
+func TestFailedStartForgetsAdmission(t *testing.T) {
+	sol := mustBeta(t, 4)
+	cfg, mem := memConfig(t, sol, nil)
+	defer mem.Close()
+	adm := &countingAdmission{}
+	cfg.Admission = adm
+	d, err := NewDialer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := d.Start(ctx, inputFor(t, sol, 1, 1)[1:]); err == nil {
+		t.Fatal("Start accepted an input that is not a whole number of blocks")
+	}
+	if a, f := adm.counts(); a != 1 || f != 1 {
+		t.Fatalf("misaligned Start: %d admits, %d forgets, want 1/1", a, f)
+	}
+	conn, err := d.Start(ctx, inputFor(t, sol, 1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	d.Close()
+	if _, err := d.Start(ctx, inputFor(t, sol, 1, 3)); err == nil {
+		t.Fatal("Start succeeded on a closed dialer")
+	}
+	if a, f := adm.counts(); a != f {
+		t.Fatalf("after a session and a Start on a closed dialer: %d admits, %d forgets", a, f)
+	}
+}
+
 func TestServerIdleEviction(t *testing.T) {
 	sol := mustBeta(t, 4)
 	cfg, mem := memConfig(t, sol, nil)
@@ -332,6 +394,80 @@ func TestServerMaxSessionsRefusesNew(t *testing.T) {
 	}
 	if _, ok := srv.Snapshot(2); ok {
 		t.Fatal("session 2 spawned past MaxSessions = 1")
+	}
+}
+
+// TestCapRefusesNewcomerUntilSlotFrees pins the server's one overload
+// policy: at the MaxSessions cap a newcomer is refused and every
+// incumbent keeps its slot; once one retires, the newcomer's next frame
+// (a retransmission) is admitted into the freed slot.
+func TestCapRefusesNewcomerUntilSlotFrees(t *testing.T) {
+	sol := mustBeta(t, 4)
+	cfg, mem := memConfig(t, sol, nil)
+	cfg.MaxSessions = 2
+	cfg.IdleTicks = -1
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	defer mem.Close()
+	srv.route(wire.Frame{Session: 1, Dir: wire.TtoR, Seq: 1, P: wire.DataPacket(1)})
+	srv.route(wire.Frame{Session: 2, Dir: wire.TtoR, Seq: 2, P: wire.DataPacket(1)})
+	srv.route(wire.Frame{Session: 3, Dir: wire.TtoR, Seq: 3, P: wire.DataPacket(1)})
+	if srv.lookup(3) != nil || srv.Refused() != 1 {
+		t.Fatalf("newcomer at the cap: spawned=%v refused=%d, want refused once", srv.lookup(3) != nil, srv.Refused())
+	}
+	if srv.lookup(1) == nil || srv.lookup(2) == nil {
+		t.Fatal("an incumbent lost its slot to the newcomer")
+	}
+	if rep, ok := srv.Evict(1); !ok || !rep.Finished {
+		t.Fatalf("Evict(1) = %+v, %v; want its finished report", rep, ok)
+	}
+	srv.route(wire.Frame{Session: 3, Dir: wire.TtoR, Seq: 4, P: wire.DataPacket(1)})
+	if srv.lookup(3) == nil {
+		t.Fatal("newcomer's retransmission not admitted once a slot freed")
+	}
+	if srv.Refused() != 1 || srv.ActiveCount() != 2 {
+		t.Fatalf("refused=%d active=%d, want 1 and 2", srv.Refused(), srv.ActiveCount())
+	}
+}
+
+// TestEvictedFrameDroppedWhileRetiring pins the ghost window around a
+// retirement at the cap: Evict retires the session synchronously, so a
+// straggler routed right after it already meets the tombstone and drops
+// as late instead of respawning the session into the slot it just freed.
+func TestEvictedFrameDroppedWhileRetiring(t *testing.T) {
+	sol := mustBeta(t, 4)
+	cfg, mem := memConfig(t, sol, nil)
+	cfg.MaxSessions = 1
+	cfg.IdleTicks = -1
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	defer mem.Close()
+	srv.route(wire.Frame{Session: 1, Dir: wire.TtoR, Seq: 1, P: wire.DataPacket(1)})
+	if srv.lookup(1) == nil {
+		t.Fatal("session 1 not spawned by direct route")
+	}
+	if _, ok := srv.Evict(1); !ok {
+		t.Fatal("Evict(1) handed over no report")
+	}
+	srv.route(wire.Frame{Session: 1, Dir: wire.TtoR, Seq: 3, P: wire.DataPacket(1)})
+	if ep := srv.lookup(1); ep != nil {
+		t.Fatal("evicted session respawned by its straggler")
+	}
+	if srv.Late() != 1 {
+		t.Fatalf("late = %d, want 1 (the straggler)", srv.Late())
+	}
+	srv.route(wire.Frame{Session: 2, Dir: wire.TtoR, Seq: 2, P: wire.DataPacket(1)})
+	if srv.lookup(2) == nil {
+		t.Fatal("newcomer not admitted into the freed slot")
+	}
+	if srv.Refused() != 0 {
+		t.Fatalf("refused = %d, want 0", srv.Refused())
 	}
 }
 

@@ -386,25 +386,14 @@ type (
 )
 
 // Surviving a bad network: fault-injecting chaos middleware and the
-// server-side overload/watchdog knobs on ServeConfig (Shed, WatchdogK).
-// Loss recovery itself belongs to the protocol stack (the hardened
-// layer's retransmission, the rateless code). See DESIGN.md ("Surviving a bad network").
+// server-side progress watchdog (ServeConfig.WatchdogK). Loss recovery
+// itself belongs to the protocol stack (the hardened layer's
+// retransmission, the rateless code). See DESIGN.md ("Surviving a bad
+// network").
 type (
 	// ChaosTransport applies a seeded fault plan to any inner Transport —
 	// the chaos matrix over a real network path.
 	ChaosTransport = transport.Chaos
-	// ShedPolicy selects the server's overload behavior at the
-	// MaxSessions high-water mark.
-	ShedPolicy = session.ShedPolicy
-)
-
-// The server overload policies.
-const (
-	// ShedRefuse drops frames of new sessions at the cap (default).
-	ShedRefuse = session.ShedRefuse
-	// ShedEvictOldestIdle force-retires the longest-quiet session to
-	// admit the newcomer.
-	ShedEvictOldestIdle = session.ShedEvictOldestIdle
 )
 
 // NewChaosTransport wraps inner with a seeded fault plan applied at the
@@ -480,39 +469,34 @@ func Dial(cfg ServeConfig) (*Dialer, error) { return session.NewDialer(cfg) }
 // in-process serving harness used by cmd/rstpserve.
 func NewPipe(cfg ServeConfig) (*Pipe, error) { return session.NewPipe(cfg) }
 
-// Adaptive control plane (PR 7): a seeded, deterministic control loop
-// that senses the shared metrics registry and drives admission only —
-// an occupancy gate, and pacing and refusal on a normal → pace → refuse
-// ladder. Every session runs ServeConfig.Solution; the controller never
-// sheds an admitted session. Wire a Controller as
-// ServeConfig.Admission on both mux sides, Bind the server's occupancy
-// count, then Start. See DESIGN.md ("Closing the loop").
+// Admission control: an occupancy gate that parks new dials while the
+// receiver side holds its session target, with seeded poll jitter.
+// Every session runs ServeConfig.Solution, and the controller never ends
+// an admitted session. Wire a Controller as ServeConfig.Admission on
+// both mux sides and Bind the server's occupancy count; Stop releases
+// any dial still parked. See DESIGN.md ("Closing the loop").
 type (
 	// AdmissionController is the control plane's hook into the session
-	// mux: pacing/refusal of new sessions.
+	// mux: the occupancy gate on new dials.
 	AdmissionController = session.AdmissionController
 	// PairBuilder constructs the automaton pair for one session — what
 	// ServeConfig.Solution holds (every Solution, HardenedSolution and
 	// StabilizedSolution is one).
 	PairBuilder = session.PairBuilder
-	// ControlConfig configures the adaptive controller.
+	// ControlConfig configures the occupancy gate.
 	ControlConfig = control.Config
 	// ControlActuators are the mux-side hooks the controller reads —
 	// the server's occupancy count (late-bound via Controller.Bind).
 	ControlActuators = control.Actuators
-	// Controller is the adaptive overload controller.
+	// Controller is the occupancy gate.
 	Controller = control.Controller
 	// ControlState is the controller's introspection snapshot (the
 	// /control endpoint's payload).
 	ControlState = control.State
 )
 
-// ErrAdmissionRefused is returned by Dialer.Start when the control
-// plane refuses a new session at the ladder's refuse rung.
-var ErrAdmissionRefused = session.ErrAdmissionRefused
-
-// NewController builds the adaptive controller against a shared
-// registry and clock. The controller is inert until Start.
+// NewController builds the occupancy gate against a shared registry and
+// clock.
 func NewController(cfg ControlConfig) (*Controller, error) { return control.New(cfg) }
 
 // Rateless coded burst subsystem (PR 9): an LT-style fountain code over
