@@ -103,22 +103,22 @@ func matrixRows(full bool) []matrixRow {
 // matrixParent holds each fault-free mem row's allocs per write and mean
 // effort in ticks per message: the median of three
 // `go test -count=1 -run TestServeMatrix -v` runs on a 2-vCPU x86-64
-// Linux host (Intel Xeon, Go 1.24, GOMAXPROCS 2). Efforts, and
-// rateless4/mem/none/s64's allocs, date from commit f6965ed; the other
-// allocs were re-measured once the transport's delay line and the
-// endpoint's frame apply stopped allocating. The udp rows have no
-// ceiling: their effort is the kernel socket path's scheduling, and
-// under a parallel `go test ./...` on that host it read 3.2x the quiet
-// value with no code change.
+// Linux host (Intel Xeon, Go 1.24, GOMAXPROCS 2). Efforts date from
+// commit f6965ed; the allocs were re-measured once the core step stopped
+// allocating (a shared multiset codec table per (k, n), uint64 rank/unrank,
+// pre-boxed local actions). The udp rows have no ceiling: their effort
+// is the kernel socket path's scheduling, and under a parallel
+// `go test ./...` on that host it read 3.2x the quiet value with no code
+// change.
 var matrixParent = map[string]struct{ allocs, effort float64 }{
-	"alpha/mem/none/s1":      {allocs: 26.3, effort: 91.53},
-	"alpha/mem/none/s64":     {allocs: 25.9, effort: 52.56},
-	"beta4/mem/none/s1":      {allocs: 13.2, effort: 28.61},
-	"beta4/mem/none/s64":     {allocs: 13.0, effort: 8.35},
-	"gamma4/mem/none/s1":     {allocs: 13.6, effort: 20.96},
-	"gamma4/mem/none/s64":    {allocs: 15.2, effort: 9.14},
-	"rateless4/mem/none/s1":  {allocs: 18.2, effort: 15.50},
-	"rateless4/mem/none/s64": {allocs: 23.6, effort: 6.25},
+	"alpha/mem/none/s1":      {allocs: 5.0, effort: 91.53},
+	"alpha/mem/none/s64":     {allocs: 4.4, effort: 52.56},
+	"beta4/mem/none/s1":      {allocs: 2.9, effort: 28.61},
+	"beta4/mem/none/s64":     {allocs: 2.8, effort: 8.35},
+	"gamma4/mem/none/s1":     {allocs: 4.4, effort: 20.96},
+	"gamma4/mem/none/s64":    {allocs: 4.3, effort: 9.14},
+	"rateless4/mem/none/s1":  {allocs: 17.1, effort: 15.50},
+	"rateless4/mem/none/s64": {allocs: 18.7, effort: 6.25},
 }
 
 // TestServeMatrix is the served-stack benchmark grid: every row runs

@@ -123,41 +123,44 @@ func (c *Controller) Stop() {
 // (Active) and this controller's own in-flight admissions: a dial
 // released from the gate takes a whole channel round-trip to show up in
 // Active, and gating on Active alone would release every waiter into
-// that blind window at once. Active is called outside c.mu, because
+// that blind window at once. The in-flight count is checked and the ID
+// recorded under one hold of c.mu, so waiters released together cannot
+// all pass on the same count. Active is called outside c.mu, because
 // Server.ActiveCount takes the server's lock and the server calls Forget
-// (which takes c.mu) while holding it.
+// (which takes c.mu) while holding it. An Admit whose context has ended
+// records nothing and returns the context's error, even if the gate is
+// open.
 func (c *Controller) Admit(ctx context.Context, id uint32) error {
 	d := c.cfg.Params.D
+	released := false // Stop released the gate
 	for first := true; ; first = false {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		c.mu.Lock()
 		act := c.acts.Active
-		occ := int64(len(c.admitted))
 		c.mu.Unlock()
+		var active int64
 		if act != nil {
-			occ = max(occ, act())
-		}
-		if occ < int64(c.cfg.TargetSessions) {
-			break
+			active = act()
 		}
 		c.mu.Lock()
+		if released || max(int64(len(c.admitted)), active) < int64(c.cfg.TargetSessions) {
+			c.admitted[id] = struct{}{}
+			c.mu.Unlock()
+			return nil
+		}
 		if first {
 			c.gated++
 		}
 		wait := d + c.rng.Int63n(d+1)
 		c.gateTicks += wait
 		c.mu.Unlock()
-		stopped, err := c.sleepTicks(ctx, wait)
-		if err != nil {
+		var err error
+		if released, err = c.sleepTicks(ctx, wait); err != nil {
 			return err
 		}
-		if stopped {
-			break
-		}
 	}
-	c.mu.Lock()
-	c.admitted[id] = struct{}{}
-	c.mu.Unlock()
-	return nil
 }
 
 // sleepTicks blocks for the given tick count. It reports stopped=true

@@ -143,13 +143,17 @@ func (m Multiset) SubmultisetOf(other Multiset) bool {
 // paper's toseq_k(n) map: a sequence containing mult(j, m) occurrences of
 // each symbol j.
 func (m Multiset) ToSeq() []wire.Symbol {
-	out := make([]wire.Symbol, 0, m.size)
+	return m.appendSeq(make([]wire.Symbol, 0, m.size))
+}
+
+// appendSeq appends the ascending linearisation of m to dst.
+func (m Multiset) appendSeq(dst []wire.Symbol) []wire.Symbol {
 	for s, c := range m.counts {
 		for i := 0; i < c; i++ {
-			out = append(out, wire.Symbol(s))
+			dst = append(dst, wire.Symbol(s))
 		}
 	}
-	return out
+	return dst
 }
 
 // String renders the multiset as a sorted bag, e.g. "{0,0,3}".

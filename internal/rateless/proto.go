@@ -146,9 +146,9 @@ type Transmitter struct {
 	m   *ioa.Machine
 	met *metrics
 
-	k, n   int
-	blocks [][]wire.Symbol // per-block source symbol sequences, each length n
-	codes  []*Code         // per-block seeded codes
+	k, n  int
+	syms  []wire.Symbol // every block's n source symbols, back to back
+	codes []*Code       // per-block seeded codes
 
 	acked    uint32   // blocks [0, acked) are decode-acknowledged; only advances
 	sysBlock uint32   // systematic pass: current block (== nb when the pass is over)
@@ -166,19 +166,18 @@ func newTransmitter(b *Builder, x []wire.Bit) (*Transmitter, error) {
 	}
 	n := b.p.Delta1()
 	nb := len(x) / bits
-	blocks := make([][]wire.Symbol, 0, nb)
+	syms := make([]wire.Symbol, 0, nb*n)
 	codes := make([]*Code, 0, nb)
 	nextIdx := make([]uint32, nb)
 	for bi := 0; bi < nb; bi++ {
-		seq, err := b.codec.EncodeSeq(x[bi*bits : (bi+1)*bits])
-		if err != nil {
+		var err error
+		if syms, err = b.codec.AppendEncodeSeq(syms, x[bi*bits:(bi+1)*bits]); err != nil {
 			return nil, fmt.Errorf("rateless: block %d: %w", bi, err)
 		}
 		code, err := NewCode(b.k, n, BlockSeed(b.seed, uint32(bi)))
 		if err != nil {
 			return nil, err
 		}
-		blocks = append(blocks, seq)
 		codes = append(codes, code)
 		nextIdx[bi] = uint32(n) // repair indexes start past the systematic prefix
 	}
@@ -186,7 +185,7 @@ func newTransmitter(b *Builder, x []wire.Bit) (*Transmitter, error) {
 		met:     b.met,
 		k:       b.k,
 		n:       n,
-		blocks:  blocks,
+		syms:    syms,
 		codes:   codes,
 		nextIdx: nextIdx,
 	}
@@ -196,7 +195,7 @@ func newTransmitter(b *Builder, x []wire.Bit) (*Transmitter, error) {
 	return t, nil
 }
 
-func (t *Transmitter) nb() uint32 { return uint32(len(t.blocks)) }
+func (t *Transmitter) nb() uint32 { return uint32(len(t.codes)) }
 
 // pick returns the coded symbol the send command emits in the current
 // state — a pure function of the state, as Act requires.
@@ -205,7 +204,7 @@ func (t *Transmitter) pick() wire.CodedSymbol {
 	if t.sysBlock < t.nb() {
 		b, idx = t.sysBlock, t.sysIdx
 	}
-	return wire.CodedSymbol{Block: b, Index: idx, Value: t.codes[b].encode(t.blocks[b], idx)}
+	return wire.CodedSymbol{Block: b, Index: idx, Value: t.codes[b].encode(t.syms[int(b)*t.n:int(b+1)*t.n], idx)}
 }
 
 // advance moves past the just-sent symbol.
@@ -369,7 +368,7 @@ func (r *Receiver) initMachine() error {
 			Name:  "write",
 			Class: ioa.ClassOutput,
 			Pre:   func() bool { return r.wnext < len(r.queue) },
-			Act:   func() ioa.Action { return wire.Write{M: r.queue[r.wnext]} },
+			Act:   func() ioa.Action { return rstp.WriteAction(r.queue[r.wnext]) },
 			Eff:   func() { r.wnext++ },
 		},
 		{
@@ -393,7 +392,7 @@ func (r *Receiver) initMachine() error {
 			Name:  "idle_r",
 			Class: ioa.ClassInternal,
 			Pre:   func() bool { return true },
-			Act:   func() ioa.Action { return wire.Internal{Name: "idle_r"} },
+			Act:   func() ioa.Action { return rstp.IdleR },
 			Eff:   func() {},
 		},
 	})

@@ -16,6 +16,9 @@ import (
 //
 // Its effort is exactly ⌈d/c1⌉·c2 = δ1·c2 = d·c2/c1 when c1 | d.
 
+// alphaSends holds A^α's two data sends, one per message of M.
+var alphaSends = DataSends(2)
+
 // AlphaTransmitter is A^α's transmitter automaton At^α.
 type AlphaTransmitter struct {
 	m *ioa.Machine
@@ -56,14 +59,14 @@ func (t *AlphaTransmitter) initMachine() error {
 			Name:  "send",
 			Class: ioa.ClassOutput,
 			Pre:   func() bool { return t.j == 0 && t.i < len(t.x) },
-			Act:   func() ioa.Action { return wire.Send{Dir: wire.TtoR, P: wire.DataPacket(wire.Symbol(t.x[t.i]))} },
+			Act:   func() ioa.Action { return alphaSends[t.x[t.i]] },
 			Eff:   func() { t.j = 1 },
 		},
 		{
 			Name:  "wait_t",
 			Class: ioa.ClassInternal,
 			Pre:   func() bool { return t.j > 0 },
-			Act:   func() ioa.Action { return wire.Internal{Name: "wait_t"} },
+			Act:   func() ioa.Action { return WaitT },
 			Eff: func() {
 				t.j++
 				if t.j == t.s {
@@ -157,14 +160,14 @@ func (r *AlphaReceiver) initMachine() error {
 			Name:  "write",
 			Class: ioa.ClassOutput,
 			Pre:   func() bool { return r.k < len(r.y) },
-			Act:   func() ioa.Action { return wire.Write{M: r.y[r.k]} },
+			Act:   func() ioa.Action { return WriteAction(r.y[r.k]) },
 			Eff:   func() { r.k++ },
 		},
 		{
 			Name:  "idle_r",
 			Class: ioa.ClassInternal,
 			Pre:   func() bool { return true },
-			Act:   func() ioa.Action { return wire.Internal{Name: "idle_r"} },
+			Act:   func() ioa.Action { return IdleR },
 			Eff:   func() {},
 		},
 	})

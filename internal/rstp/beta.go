@@ -24,12 +24,14 @@ import (
 type BetaTransmitter struct {
 	m *ioa.Machine
 
-	blocks [][]wire.Symbol // per-round symbol sequences, each of length burst
-	bi     int             // current block index
-	c      int             // position within the round (paper's c)
-	burst  int             // δ1
-	wait   int             // ⌈d/c1⌉ idle steps per round
-	bits   int             // input bits per block
+	syms   []wire.Symbol // every round's burst of δ1 symbols, back to back
+	blocks int           // number of rounds
+	bi     int           // current block index
+	c      int           // position within the round (paper's c)
+	burst  int           // δ1
+	wait   int           // ⌈d/c1⌉ idle steps per round
+	bits   int           // input bits per block
+	sends  []ioa.Action  // shared pre-boxed send of each symbol
 }
 
 var _ ioa.Deterministic = (*BetaTransmitter)(nil)
@@ -46,19 +48,17 @@ func NewBetaTransmitter(p Params, k int, x []wire.Bit) (*BetaTransmitter, error)
 	if len(x)%bits != 0 {
 		return nil, fmt.Errorf("rstp: beta transmitter: |X| = %d is not a multiple of the block size %d", len(x), bits)
 	}
-	blocks := make([][]wire.Symbol, 0, len(x)/bits)
-	for off := 0; off < len(x); off += bits {
-		seq, err := codec.EncodeSeq(x[off : off+bits])
-		if err != nil {
-			return nil, fmt.Errorf("rstp: beta transmitter: block at bit %d: %w", off, err)
-		}
-		blocks = append(blocks, seq)
+	syms, err := encodeBlocks(codec, x)
+	if err != nil {
+		return nil, fmt.Errorf("rstp: beta transmitter: %w", err)
 	}
 	t := &BetaTransmitter{
-		blocks: blocks,
+		syms:   syms,
+		blocks: len(x) / bits,
 		burst:  p.Delta1(),
 		wait:   p.CeilSteps1(),
 		bits:   bits,
+		sends:  DataSends(k),
 	}
 	if err := t.initMachine(); err != nil {
 		return nil, err
@@ -73,17 +73,15 @@ func (t *BetaTransmitter) initMachine() error {
 		{
 			Name:  "send",
 			Class: ioa.ClassOutput,
-			Pre:   func() bool { return t.bi < len(t.blocks) && t.c < t.burst },
-			Act: func() ioa.Action {
-				return wire.Send{Dir: wire.TtoR, P: wire.DataPacket(t.blocks[t.bi][t.c])}
-			},
-			Eff: func() { t.c++ },
+			Pre:   func() bool { return t.bi < t.blocks && t.c < t.burst },
+			Act:   func() ioa.Action { return t.sends[t.syms[t.bi*t.burst+t.c]] },
+			Eff:   func() { t.c++ },
 		},
 		{
 			Name:  "wait_t",
 			Class: ioa.ClassInternal,
-			Pre:   func() bool { return t.bi < len(t.blocks) && t.c >= t.burst },
-			Act:   func() ioa.Action { return wire.Internal{Name: "wait_t"} },
+			Pre:   func() bool { return t.bi < t.blocks && t.c >= t.burst },
+			Act:   func() ioa.Action { return WaitT },
 			Eff: func() {
 				t.c++
 				if t.c == t.burst+t.wait {
@@ -104,12 +102,14 @@ func (t *BetaTransmitter) initMachine() error {
 // state-space exploration. The immutable encoded blocks are shared.
 func (t *BetaTransmitter) Fork() (*BetaTransmitter, error) {
 	c := &BetaTransmitter{
+		syms:   t.syms,
 		blocks: t.blocks,
 		bi:     t.bi,
 		c:      t.c,
 		burst:  t.burst,
 		wait:   t.wait,
 		bits:   t.bits,
+		sends:  t.sends,
 	}
 	if err := c.initMachine(); err != nil {
 		return nil, err
@@ -128,6 +128,20 @@ func betaCodec(p Params, k int) (*multiset.Codec, error) {
 		return nil, fmt.Errorf("rstp: beta needs a packet alphabet of size k >= 2, got %d", k)
 	}
 	return multiset.NewCodec(k, p.Delta1())
+}
+
+// encodeBlocks encodes x block by block (tomulti then toseq) into one
+// flat symbol sequence: len(x)/BlockBits bursts of N symbols each.
+func encodeBlocks(codec *multiset.Codec, x []wire.Bit) ([]wire.Symbol, error) {
+	bits := codec.BlockBits()
+	syms := make([]wire.Symbol, 0, len(x)/bits*codec.N())
+	for off := 0; off < len(x); off += bits {
+		var err error
+		if syms, err = codec.AppendEncodeSeq(syms, x[off:off+bits]); err != nil {
+			return nil, fmt.Errorf("block at bit %d: %w", off, err)
+		}
+	}
+	return syms, nil
 }
 
 // BetaBlockBits returns ⌊log2 μ_k(δ1)⌋, the number of input bits A^β(k)
@@ -166,7 +180,7 @@ func (t *BetaTransmitter) Apply(a ioa.Action) error { return t.m.Apply(a) }
 func (t *BetaTransmitter) DeterministicIOA() bool { return true }
 
 // Done reports whether every block has been sent and waited out.
-func (t *BetaTransmitter) Done() bool { return t.bi >= len(t.blocks) }
+func (t *BetaTransmitter) Done() bool { return t.bi >= t.blocks }
 
 // Burst returns the burst size δ1.
 func (t *BetaTransmitter) Burst() int { return t.burst }
@@ -212,14 +226,14 @@ func (r *BetaReceiver) initMachine() error {
 			Name:  "write",
 			Class: ioa.ClassOutput,
 			Pre:   func() bool { return r.next < len(r.queue) },
-			Act:   func() ioa.Action { return wire.Write{M: r.queue[r.next]} },
+			Act:   func() ioa.Action { return WriteAction(r.queue[r.next]) },
 			Eff:   func() { r.next++ },
 		},
 		{
 			Name:  "idle_r",
 			Class: ioa.ClassInternal,
 			Pre:   func() bool { return true },
-			Act:   func() ioa.Action { return wire.Internal{Name: "idle_r"} },
+			Act:   func() ioa.Action { return IdleR },
 			Eff:   func() {},
 		},
 	})
@@ -285,11 +299,11 @@ func (r *BetaReceiver) onInput(act ioa.Action) error {
 		return fmt.Errorf("rstp: beta receiver: %w", err)
 	}
 	if r.a.Size() == r.burst {
-		bits, err := r.codec.Decode(r.a)
+		q, err := r.codec.AppendDecode(r.queue, r.a)
 		if err != nil {
 			return fmt.Errorf("rstp: beta receiver: decode burst: %w", err)
 		}
-		r.queue = append(r.queue, bits...)
+		r.queue = q
 		r.a.Clear()
 	}
 	return nil

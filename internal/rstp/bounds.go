@@ -94,11 +94,10 @@ func ActiveTightness(p Params, k int) float64 {
 // EffortRow pairs one transmitter alphabet size k with the paper's effort
 // bounds for it: the protocol-family upper bound (what A^β(k)/A^γ(k) is
 // guaranteed to achieve) and the matching lower bound (what Theorems 5.3
-// and 5.6 prove any solution of that family must spend). Rows are the
-// unit the adaptive control plane selects k from: effort falls like
-// 1/log k while the packet alphabet — and hence packet size — grows
-// with k, so "the right k" depends on how much effort the live system
-// can currently afford.
+// and 5.6 prove any solution of that family must spend). A stack reads
+// the row for its own k to report the bounds a served run is scored
+// against; effort falls like 1/log k while the packet alphabet — and
+// hence packet size — grows with k.
 type EffortRow struct {
 	// K is the transmitter packet alphabet size |P^tr|.
 	K int

@@ -26,12 +26,14 @@ import (
 type GammaTransmitter struct {
 	m *ioa.Machine
 
-	blocks [][]wire.Symbol
-	bi     int // current block
-	c      int // packets sent in the current block (paper's c)
-	a      int // acks received in the current block (paper's a)
-	burst  int // δ2
+	syms   []wire.Symbol // every burst's δ2 symbols, back to back
+	blocks int           // number of bursts
+	bi     int           // current block
+	c      int           // packets sent in the current block (paper's c)
+	a      int           // acks received in the current block (paper's a)
+	burst  int           // δ2
 	bits   int
+	sends  []ioa.Action // shared pre-boxed send of each symbol
 }
 
 var _ ioa.Deterministic = (*GammaTransmitter)(nil)
@@ -47,18 +49,16 @@ func NewGammaTransmitter(p Params, k int, x []wire.Bit) (*GammaTransmitter, erro
 	if len(x)%bits != 0 {
 		return nil, fmt.Errorf("rstp: gamma transmitter: |X| = %d is not a multiple of the block size %d", len(x), bits)
 	}
-	blocks := make([][]wire.Symbol, 0, len(x)/bits)
-	for off := 0; off < len(x); off += bits {
-		seq, err := codec.EncodeSeq(x[off : off+bits])
-		if err != nil {
-			return nil, fmt.Errorf("rstp: gamma transmitter: block at bit %d: %w", off, err)
-		}
-		blocks = append(blocks, seq)
+	syms, err := encodeBlocks(codec, x)
+	if err != nil {
+		return nil, fmt.Errorf("rstp: gamma transmitter: %w", err)
 	}
 	t := &GammaTransmitter{
-		blocks: blocks,
+		syms:   syms,
+		blocks: len(x) / bits,
 		burst:  p.Delta2(),
 		bits:   bits,
+		sends:  DataSends(k),
 	}
 	if err := t.initMachine(); err != nil {
 		return nil, err
@@ -73,17 +73,15 @@ func (t *GammaTransmitter) initMachine() error {
 		{
 			Name:  "send",
 			Class: ioa.ClassOutput,
-			Pre:   func() bool { return t.bi < len(t.blocks) && t.c < t.burst },
-			Act: func() ioa.Action {
-				return wire.Send{Dir: wire.TtoR, P: wire.DataPacket(t.blocks[t.bi][t.c])}
-			},
-			Eff: func() { t.c++ },
+			Pre:   func() bool { return t.bi < t.blocks && t.c < t.burst },
+			Act:   func() ioa.Action { return t.sends[t.syms[t.bi*t.burst+t.c]] },
+			Eff:   func() { t.c++ },
 		},
 		{
 			Name:  "idle_t",
 			Class: ioa.ClassInternal,
-			Pre:   func() bool { return t.bi < len(t.blocks) && t.c == t.burst },
-			Act:   func() ioa.Action { return wire.Internal{Name: "idle_t"} },
+			Pre:   func() bool { return t.bi < t.blocks && t.c == t.burst },
+			Act:   func() ioa.Action { return actIdleT },
 			Eff:   func() {},
 		},
 	})
@@ -99,12 +97,14 @@ func (t *GammaTransmitter) initMachine() error {
 // shared.
 func (t *GammaTransmitter) Fork() (*GammaTransmitter, error) {
 	c := &GammaTransmitter{
-		blocks: t.blocks, // immutable after construction
+		syms:   t.syms, // immutable after construction
+		blocks: t.blocks,
 		bi:     t.bi,
 		c:      t.c,
 		a:      t.a,
 		burst:  t.burst,
 		bits:   t.bits,
+		sends:  t.sends,
 	}
 	if err := c.initMachine(); err != nil {
 		return nil, err
@@ -181,7 +181,7 @@ func (t *GammaTransmitter) Apply(a ioa.Action) error { return t.m.Apply(a) }
 func (t *GammaTransmitter) DeterministicIOA() bool { return true }
 
 // Done reports whether every block has been sent and fully acknowledged.
-func (t *GammaTransmitter) Done() bool { return t.bi >= len(t.blocks) }
+func (t *GammaTransmitter) Done() bool { return t.bi >= t.blocks }
 
 // Burst returns the burst size δ2.
 func (t *GammaTransmitter) Burst() int { return t.burst }
@@ -230,21 +230,21 @@ func (r *GammaReceiver) initMachine() error {
 			Name:  "send_ack",
 			Class: ioa.ClassOutput,
 			Pre:   func() bool { return r.j > 0 },
-			Act:   func() ioa.Action { return wire.Send{Dir: wire.RtoT, P: wire.AckPacket()} },
+			Act:   func() ioa.Action { return actAckRT },
 			Eff:   func() { r.j-- },
 		},
 		{
 			Name:  "write",
 			Class: ioa.ClassOutput,
 			Pre:   func() bool { return r.next < len(r.queue) },
-			Act:   func() ioa.Action { return wire.Write{M: r.queue[r.next]} },
+			Act:   func() ioa.Action { return WriteAction(r.queue[r.next]) },
 			Eff:   func() { r.next++ },
 		},
 		{
 			Name:  "idle_r",
 			Class: ioa.ClassInternal,
 			Pre:   func() bool { return true },
-			Act:   func() ioa.Action { return wire.Internal{Name: "idle_r"} },
+			Act:   func() ioa.Action { return IdleR },
 			Eff:   func() {},
 		},
 	})
@@ -316,11 +316,11 @@ func (r *GammaReceiver) onInput(act ioa.Action) error {
 		return fmt.Errorf("rstp: gamma receiver: %w", err)
 	}
 	if r.a.Size() == r.burst {
-		bits, err := r.codec.Decode(r.a)
+		q, err := r.codec.AppendDecode(r.queue, r.a)
 		if err != nil {
 			return fmt.Errorf("rstp: gamma receiver: decode burst: %w", err)
 		}
-		r.queue = append(r.queue, bits...)
+		r.queue = q
 		r.a.Clear()
 	}
 	return nil

@@ -242,7 +242,7 @@ func (h *hardEnd) NextLocal() (ioa.Action, bool) {
 			if len(h.outstanding) < h.window {
 				return wire.Send{Dir: h.outDir, P: hardWrap(h.nextSeq, s.P, h.outDir)}, true
 			}
-			return wire.Internal{Name: "idle_h"}, true
+			return actIdleH, true
 		}
 		return act, true
 	}
@@ -250,7 +250,7 @@ func (h *hardEnd) NextLocal() (ioa.Action, bool) {
 		return wire.Send{Dir: h.outDir, P: hardAckPacket(h.expected, h.outDir)}, true
 	}
 	if len(h.outstanding) > 0 {
-		return wire.Internal{Name: "idle_h"}, true
+		return actIdleH, true
 	}
 	return nil, false
 }

@@ -69,7 +69,8 @@ func Alpha(p Params) (Solution, error) {
 
 // Beta returns the A^β(k) solution.
 func Beta(p Params, k int) (Solution, error) {
-	if _, err := betaCodec(p, k); err != nil {
+	codec, err := betaCodec(p, k)
+	if err != nil {
 		return Solution{}, err
 	}
 	return Solution{
@@ -77,7 +78,7 @@ func Beta(p Params, k int) (Solution, error) {
 		Params:    p,
 		K:         k,
 		Passive:   true,
-		BlockBits: BetaBlockBits(p, k),
+		BlockBits: codec.BlockBits(),
 		newPair: func(x []wire.Bit) (ioa.Automaton, ioa.Automaton, error) {
 			t, err := NewBetaTransmitter(p, k, x)
 			if err != nil {
@@ -94,7 +95,8 @@ func Beta(p Params, k int) (Solution, error) {
 
 // Gamma returns the A^γ(k) solution.
 func Gamma(p Params, k int) (Solution, error) {
-	if _, err := gammaCodec(p, k); err != nil {
+	codec, err := gammaCodec(p, k)
+	if err != nil {
 		return Solution{}, err
 	}
 	return Solution{
@@ -102,7 +104,7 @@ func Gamma(p Params, k int) (Solution, error) {
 		Params:    p,
 		K:         k,
 		Passive:   false,
-		BlockBits: GammaBlockBits(p, k),
+		BlockBits: codec.BlockBits(),
 		newPair: func(x []wire.Bit) (ioa.Automaton, ioa.Automaton, error) {
 			t, err := NewGammaTransmitter(p, k, x)
 			if err != nil {

@@ -496,13 +496,13 @@ func (e *stableEnd) NextLocal() (ioa.Action, bool) {
 			if e.due() {
 				return wire.Send{Dir: e.outDir, P: stCtrlPacket(stResync, e.epoch, 0, e.outDir)}, true
 			}
-			return wire.Internal{Name: "idle_s"}, true
+			return actIdleS, true
 		}
 		if !e.synced { // awaiting READY
 			if e.due() {
 				return wire.Send{Dir: e.outDir, P: stCtrlPacket(stRewind, e.epoch, e.base, e.outDir)}, true
 			}
-			return wire.Internal{Name: "idle_s"}, true
+			return actIdleS, true
 		}
 	} else {
 		if e.pending {
@@ -512,7 +512,7 @@ func (e *stableEnd) NextLocal() (ioa.Action, bool) {
 			if e.due() {
 				return wire.Send{Dir: e.outDir, P: stCtrlPacket(stReport, e.epoch, e.writes, e.outDir)}, true
 			}
-			return wire.Internal{Name: "idle_s"}, true
+			return actIdleS, true
 		}
 	}
 	act, ok := e.inner.NextLocal()
@@ -523,7 +523,7 @@ func (e *stableEnd) NextLocal() (ioa.Action, bool) {
 		return wire.Send{Dir: e.outDir, P: stWrapPayload(e.epoch, s.P)}, true
 	}
 	if _, isWrite := act.(wire.Write); isWrite && e.suppress > 0 {
-		return wire.Internal{Name: "skip_w"}, true
+		return actSkipW, true
 	}
 	return act, true
 }

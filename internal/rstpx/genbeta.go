@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/ioa"
 	"repro/internal/multiset"
+	"repro/internal/rstp"
 	"repro/internal/wire"
 )
 
@@ -48,11 +49,13 @@ func GenBetaBlockBits(k, burst int) int { return multiset.BlockBits(k, burst) }
 type GenBetaTransmitter struct {
 	m *ioa.Machine
 
-	blocks [][]wire.Symbol
+	syms   []wire.Symbol // every block's burst, back to back
+	blocks int
 	bi     int
 	c      int
 	burst  int
 	wait   int
+	sends  []ioa.Action // shared pre-boxed send of each symbol
 }
 
 var _ ioa.Deterministic = (*GenBetaTransmitter)(nil)
@@ -68,18 +71,18 @@ func NewGenBetaTransmitter(p GenParams, k, burst int, x []wire.Bit) (*GenBetaTra
 	if len(x)%bits != 0 {
 		return nil, fmt.Errorf("rstpx: |X| = %d not a multiple of block size %d", len(x), bits)
 	}
-	blocks := make([][]wire.Symbol, 0, len(x)/bits)
+	syms := make([]wire.Symbol, 0, len(x)/bits*burst)
 	for off := 0; off < len(x); off += bits {
-		seq, err := codec.EncodeSeq(x[off : off+bits])
-		if err != nil {
+		if syms, err = codec.AppendEncodeSeq(syms, x[off:off+bits]); err != nil {
 			return nil, fmt.Errorf("rstpx: block at bit %d: %w", off, err)
 		}
-		blocks = append(blocks, seq)
 	}
 	t := &GenBetaTransmitter{
-		blocks: blocks,
+		syms:   syms,
+		blocks: len(x) / bits,
 		burst:  burst,
 		wait:   p.WaitSteps(),
+		sends:  rstp.DataSends(k),
 	}
 	if err := t.initMachine(); err != nil {
 		return nil, err
@@ -94,10 +97,8 @@ func (t *GenBetaTransmitter) initMachine() error {
 		{
 			Name:  "send",
 			Class: ioa.ClassOutput,
-			Pre:   func() bool { return t.bi < len(t.blocks) && t.c < t.burst },
-			Act: func() ioa.Action {
-				return wire.Send{Dir: wire.TtoR, P: wire.DataPacket(t.blocks[t.bi][t.c])}
-			},
+			Pre:   func() bool { return t.bi < t.blocks && t.c < t.burst },
+			Act:   func() ioa.Action { return t.sends[t.syms[t.bi*t.burst+t.c]] },
 			Eff: func() {
 				t.c++
 				// No wait configured: roll straight into the next block.
@@ -110,8 +111,8 @@ func (t *GenBetaTransmitter) initMachine() error {
 		{
 			Name:  "wait_t",
 			Class: ioa.ClassInternal,
-			Pre:   func() bool { return t.bi < len(t.blocks) && t.c >= t.burst },
-			Act:   func() ioa.Action { return wire.Internal{Name: "wait_t"} },
+			Pre:   func() bool { return t.bi < t.blocks && t.c >= t.burst },
+			Act:   func() ioa.Action { return rstp.WaitT },
 			Eff: func() {
 				t.c++
 				if t.c == t.burst+t.wait {
@@ -132,7 +133,9 @@ func (t *GenBetaTransmitter) initMachine() error {
 // state-space exploration. The immutable encoded blocks are shared.
 func (t *GenBetaTransmitter) Fork() (*GenBetaTransmitter, error) {
 	c := &GenBetaTransmitter{
+		syms:   t.syms,
 		blocks: t.blocks,
+		sends:  t.sends,
 		bi:     t.bi,
 		c:      t.c,
 		burst:  t.burst,
@@ -190,7 +193,7 @@ func (t *GenBetaTransmitter) Apply(a ioa.Action) error { return t.m.Apply(a) }
 func (t *GenBetaTransmitter) DeterministicIOA() bool { return true }
 
 // Done reports whether every block is sent and waited out.
-func (t *GenBetaTransmitter) Done() bool { return t.bi >= len(t.blocks) }
+func (t *GenBetaTransmitter) Done() bool { return t.bi >= t.blocks }
 
 // GenBetaReceiver is the generalised burst receiver; identical decoding
 // logic, parameterised burst.
@@ -233,14 +236,14 @@ func (r *GenBetaReceiver) initMachine() error {
 			Name:  "write",
 			Class: ioa.ClassOutput,
 			Pre:   func() bool { return r.next < len(r.queue) },
-			Act:   func() ioa.Action { return wire.Write{M: r.queue[r.next]} },
+			Act:   func() ioa.Action { return rstp.WriteAction(r.queue[r.next]) },
 			Eff:   func() { r.next++ },
 		},
 		{
 			Name:  "idle_r",
 			Class: ioa.ClassInternal,
 			Pre:   func() bool { return true },
-			Act:   func() ioa.Action { return wire.Internal{Name: "idle_r"} },
+			Act:   func() ioa.Action { return rstp.IdleR },
 			Eff:   func() {},
 		},
 	})
@@ -304,11 +307,11 @@ func (r *GenBetaReceiver) onInput(act ioa.Action) error {
 		return fmt.Errorf("rstpx: receiver: %w", err)
 	}
 	if r.a.Size() == r.burst {
-		bits, err := r.codec.Decode(r.a)
+		q, err := r.codec.AppendDecode(r.queue, r.a)
 		if err != nil {
 			return fmt.Errorf("rstpx: receiver: decode burst: %w", err)
 		}
-		r.queue = append(r.queue, bits...)
+		r.queue = q
 		r.a.Clear()
 	}
 	return nil

@@ -93,8 +93,15 @@ func (d *Dialer) open(ctx context.Context, id uint32, x []wire.Bit) (*Conn, erro
 	case <-d.done:
 		return nil, fmt.Errorf("session: dialer closed")
 	}
+	// select picks at random among ready cases: a free slot does not
+	// outrank a context that has already ended.
+	if err := ctx.Err(); err != nil {
+		<-d.sem
+		return nil, err
+	}
 	d.mu.Lock()
-	if id == 0 {
+	auto := id == 0
+	if auto {
 		d.nextID++
 		id = d.nextID
 	} else {
@@ -103,7 +110,7 @@ func (d *Dialer) open(ctx context.Context, id uint32, x []wire.Bit) (*Conn, erro
 		// its frames at the tombstone, so a second session under it could
 		// never complete.
 		_, live := d.active[id]
-		_, used := d.finished[id]
+		used := d.finished.has(id)
 		if live || used {
 			d.mu.Unlock()
 			<-d.sem
@@ -117,30 +124,46 @@ func (d *Dialer) open(ctx context.Context, id uint32, x []wire.Bit) (*Conn, erro
 	// flight, not a queue jump waiting to happen. From here on a failed
 	// open must both free the slot and drop the admission, or the gate
 	// would count a phantom in-flight session for good.
-	if d.cfg.Admission != nil {
-		if err := d.cfg.Admission.Admit(ctx, id); err != nil {
-			<-d.sem
-			return nil, err
-		}
-	}
+	//
+	// An allocated ID that opens no session is tombstoned all the same:
+	// the tombstone set is a watermark over IDs handed out in order, and
+	// an ID that never finished would hold it back for good.
+	admitted := false
 	abort := func(err error) (*Conn, error) {
-		if d.cfg.Admission != nil {
+		if admitted {
 			d.cfg.Admission.Forget(id)
+		}
+		if auto {
+			d.mu.Lock()
+			d.finished.add(id)
+			d.mu.Unlock()
 		}
 		<-d.sem
 		return nil, err
+	}
+	if d.cfg.Admission != nil {
+		if err := d.cfg.Admission.Admit(ctx, id); err != nil {
+			return abort(err)
+		}
+		admitted = true
+	}
+	// Admit's own wait is a select too; work must not start for a
+	// caller that has gone.
+	if err := ctx.Err(); err != nil {
+		return abort(err)
 	}
 	t, _, err := buildPair(d.cfg, id, x)
 	if err != nil {
 		return abort(err)
 	}
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.closed() {
+		d.mu.Unlock()
 		return abort(fmt.Errorf("session: dialer closed"))
 	}
 	ep := newEndpoint(&d.mux, id, t)
 	d.addLocked(ep)
+	d.mu.Unlock()
 	return &Conn{d: d, ep: ep, x: append([]wire.Bit(nil), x...)}, nil
 }
 

@@ -39,7 +39,7 @@ type mux struct {
 	// finished is the tombstone set: the ID of every retired session, and
 	// on the server of every session evicted before it spawned. A
 	// finished ID is never reused (StartID) nor respawned (admitLocked).
-	finished map[uint32]struct{}
+	finished tombstones
 	// retired sums the counters of every retired endpoint, folded in at
 	// retirement; Aggregate adds the live ones.
 	retired Aggregate
@@ -64,7 +64,6 @@ func (m *mux) init(cfg Config, role string) {
 	m.done = make(chan struct{})
 	m.landed.L = &m.mu
 	m.active = make(map[uint32]*endpoint)
-	m.finished = make(map[uint32]struct{})
 }
 
 func (m *mux) start() {
@@ -174,7 +173,7 @@ func (m *mux) retireLocked(ep *endpoint) bool {
 	}
 	ep.retired = true
 	delete(m.active, ep.id)
-	m.finished[ep.id] = struct{}{}
+	m.finished.add(ep.id)
 	m.retired.add(ep.counters())
 	ep.wake()
 	if m.cfg.Admission != nil {
@@ -251,3 +250,43 @@ func (m *mux) Close() error {
 	})
 	return nil
 }
+
+// tombstones is a set of finished session IDs. IDs are handed out in
+// increasing order and sessions finish close to that order, so the set
+// is a watermark (every ID in [1, low] has finished) plus the finished
+// IDs above it: it holds O(sessions out of order), not one entry per
+// session ever run.
+type tombstones struct {
+	low   uint32
+	above map[uint32]struct{}
+}
+
+func (t *tombstones) has(id uint32) bool {
+	if id != 0 && id <= t.low {
+		return true
+	}
+	_, ok := t.above[id]
+	return ok
+}
+
+func (t *tombstones) add(id uint32) {
+	if t.has(id) {
+		return
+	}
+	if id == 0 || id != t.low+1 {
+		if t.above == nil {
+			t.above = make(map[uint32]struct{})
+		}
+		t.above[id] = struct{}{}
+		return
+	}
+	for t.low++; t.low != ^uint32(0); t.low++ {
+		if _, ok := t.above[t.low+1]; !ok {
+			break
+		}
+		delete(t.above, t.low+1)
+	}
+}
+
+// len returns the number of finished IDs.
+func (t *tombstones) len() int { return int(t.low) + len(t.above) }

@@ -39,7 +39,7 @@ func TestFinishedSessionHoldsNoTrace(t *testing.T) {
 		m.mu.Lock()
 		_, live := m.active[res.ID]
 		parked := m.parkedIndex(res.ID) >= 0
-		_, tomb := m.finished[res.ID]
+		tomb := m.finished.has(res.ID)
 		m.mu.Unlock()
 		if live || parked || !tomb {
 			t.Fatalf("%s side after Transfer: active=%v parked=%v tombstone=%v, want a tombstone only", m.role, live, parked, tomb)

@@ -51,7 +51,7 @@ func (s *Server) admitLocked(f wire.Frame) *endpoint {
 	// MaxSessions slot until idle eviction (forever with IdleTicks
 	// disabled) and count as a second session. They drop at the
 	// tombstone.
-	if _, done := s.finished[f.Session]; done {
+	if s.finished.has(f.Session) {
 		s.late++
 		s.cfg.metrics.onLate(now, f.Session)
 		return nil
@@ -130,7 +130,7 @@ func (s *Server) retiredLocked(id uint32) (Report, bool) {
 	if i := s.parkedIndex(id); i >= 0 {
 		return s.parked[i], true
 	}
-	if _, ok := s.finished[id]; ok {
+	if s.finished.has(id) {
 		return Report{ID: id, Role: s.role, Finished: true}, true
 	}
 	return Report{}, false
@@ -251,7 +251,7 @@ func (s *Server) Evict(id uint32) (Report, bool) {
 	}
 	i := s.parkedIndex(id)
 	if i < 0 {
-		s.finished[id] = struct{}{}
+		s.finished.add(id)
 		s.wakeSpawnWaitsLocked(id)
 		return Report{}, false
 	}

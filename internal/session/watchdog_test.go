@@ -175,7 +175,7 @@ func TestCloseDuringWatchdogRetire(t *testing.T) {
 	// active. A second Close must be a cheap no-op.
 	agg := srv.Aggregate()
 	srv.mu.Lock()
-	spawned := len(srv.finished)
+	spawned := srv.finished.len()
 	srv.mu.Unlock()
 	if agg.Sessions != spawned {
 		t.Fatalf("aggregate counts %d sessions, %d were spawned", agg.Sessions, spawned)
