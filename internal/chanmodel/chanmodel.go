@@ -50,6 +50,8 @@ type Arrival struct {
 type Mutator interface {
 	DelayPolicy
 	// ArrivalsMut is Arrivals with the delivered packets made explicit.
+	// The result is valid only until the next call: a policy may reuse
+	// one slice for every packet, so a caller copies out what it keeps.
 	ArrivalsMut(dirSeq int64, sendTime int64, dir wire.Dir, p wire.Packet) []Arrival
 }
 

@@ -103,11 +103,16 @@ func (f Fault) String() string {
 // only for packets inside a probabilistic clause's window, in send order —
 // with a deterministic simulator the full fault pattern is a function of
 // (seed, faults, workload).
+//
+// A Plan is not safe for concurrent use: like its rng, the scratch slice
+// ArrivalsMut returns is the plan's own, so callers serialise their calls
+// (the transports' delay line holds its lock across each one).
 type Plan struct {
-	inner  chanmodel.DelayPolicy
-	faults []Fault
-	seed   int64
-	rng    *rand.Rand
+	inner   chanmodel.DelayPolicy
+	faults  []Fault
+	seed    int64
+	rng     *rand.Rand
+	scratch []chanmodel.Arrival // ArrivalsMut's result, reused per call
 
 	injected injectionStats
 }
@@ -171,13 +176,15 @@ func (p *Plan) Arrivals(dirSeq int64, sendTime int64, dir wire.Dir, pkt wire.Pac
 }
 
 // ArrivalsMut implements chanmodel.Mutator: the inner policy's schedule
-// with every active fault clause applied in declaration order.
+// with every active fault clause applied in declaration order. The
+// result is the plan's scratch slice, valid until the next call.
 func (p *Plan) ArrivalsMut(dirSeq int64, sendTime int64, dir wire.Dir, pkt wire.Packet) []chanmodel.Arrival {
 	times := p.inner.Arrivals(dirSeq, sendTime, dir, pkt)
-	out := make([]chanmodel.Arrival, 0, len(times)+1)
+	out := p.scratch[:0]
 	for _, at := range times {
 		out = append(out, chanmodel.Arrival{At: at, P: pkt})
 	}
+	p.scratch = out
 	for _, f := range p.faults {
 		if !f.active(sendTime, dir) {
 			continue
@@ -194,6 +201,7 @@ func (p *Plan) ArrivalsMut(dirSeq int64, sendTime int64, dir wire.Dir, pkt wire.
 		if f.Dup > 0 && p.rng.Float64() < f.Dup && len(out) > 0 {
 			p.injected.Duplicated++
 			out = append(out, out[0])
+			p.scratch = out
 		}
 		if f.Corrupt > 0 && p.rng.Float64() < f.Corrupt {
 			p.injected.Corrupted++

@@ -87,28 +87,34 @@ func (c *Code) N() int { return c.n }
 // Neighbors returns the source-symbol positions coded symbol index is
 // the sum of. It is a pure function of (seed, index).
 func (c *Code) Neighbors(index uint32) []int {
+	return c.appendNeighbors(nil, index)
+}
+
+// appendNeighbors appends Neighbors(index) to dst: the encoder and the
+// peeler walk a neighbour set in a buffer they own, allocating nothing.
+func (c *Code) appendNeighbors(dst []int, index uint32) []int {
 	if index < uint32(c.n) {
-		return []int{int(index)}
+		return append(dst, int(index))
 	}
 	rng := prng{state: mix(c.seed ^ uint64(index))}
 	deg := c.solitonDegree(&rng)
 	// n is δ1-sized (single digits at the paper's defaults), so a
 	// rejection loop beats shuffling machinery.
-	neigh := make([]int, 0, deg)
-	for len(neigh) < deg {
+	start := len(dst)
+	for len(dst)-start < deg {
 		cand := int(rng.next() % uint64(c.n))
 		dup := false
-		for _, have := range neigh {
+		for _, have := range dst[start:] {
 			if have == cand {
 				dup = true
 				break
 			}
 		}
 		if !dup {
-			neigh = append(neigh, cand)
+			dst = append(dst, cand)
 		}
 	}
-	return neigh
+	return dst
 }
 
 // solitonDegree samples the ideal soliton distribution
@@ -146,12 +152,22 @@ func (c *Code) Encode(src []wire.Symbol, index uint32) (wire.Symbol, error) {
 // encode is Encode without the per-call validation; the automata
 // validate each block once at construction.
 func (c *Code) encode(src []wire.Symbol, index uint32) wire.Symbol {
+	var buf [stackDegree]int
 	sum := 0
-	for _, pos := range c.Neighbors(index) {
+	for _, pos := range c.appendNeighbors(buf[:0], index) {
 		sum += int(src[pos])
 	}
 	return wire.Symbol(sum % c.k)
 }
+
+// stackDegree is the neighbour-set size the encoder keeps on its stack;
+// a larger degree (n > stackDegree) spills to the heap, correctly.
+const stackDegree = 64
+
+// seenWords caps the decoder's bitset of seen coded indexes at 64 Ki
+// indexes (8 KiB); a block still undecoded past that many repair symbols
+// records the rest in a map.
+const seenWords = 1 << 10
 
 // equation is one unresolved coded symbol: value = Σ src[neighbors] mod k,
 // already reduced by every source symbol known at insertion time.
@@ -160,28 +176,53 @@ type equation struct {
 	value     int
 }
 
+// found is one recovered source symbol awaiting propagation.
+type found struct {
+	pos   int
+	value wire.Symbol
+}
+
 // Decoder peels one block's coded-symbol stream back into its source
 // symbols. Add symbols in any order, with duplicates and reordering
 // tolerated; Done reports completion and Source yields the block.
+//
+// Its buffers are kept across reset, so a receiver that recycles the
+// decoder of a drained block decodes the next one without allocating.
 type Decoder struct {
-	code     *Code
+	code     Code
 	src      []wire.Symbol
 	have     []bool
 	missing  int
 	pending  []equation
-	seen     map[uint32]bool
+	arena    []int           // backing store of pending equations' neighbours
+	work     []found         // resolve's worklist
+	seen     []uint64        // bitset of absorbed indexes below 64·seenWords
+	seenFar  map[uint32]bool // absorbed indexes past the bitset
 	received int
 }
 
 // NewDecoder returns a fresh decoder for one block of the given code.
 func NewDecoder(code *Code) *Decoder {
 	return &Decoder{
-		code:    code,
+		code:    *code,
 		src:     make([]wire.Symbol, code.n),
 		have:    make([]bool, code.n),
 		missing: code.n,
-		seen:    make(map[uint32]bool),
+		seen:    make([]uint64, (code.n+63)/64),
 	}
+}
+
+// reset readies the decoder for another block of the same k and n,
+// keeping every buffer's capacity.
+func (d *Decoder) reset(seed uint64) {
+	d.code.seed = seed
+	clear(d.have)
+	d.missing = d.code.n
+	d.pending = d.pending[:0]
+	d.arena = d.arena[:0]
+	clear(d.seen)
+	d.seenFar = nil
+	d.received = 0
 }
 
 // Received returns how many distinct coded symbols have been absorbed.
@@ -200,6 +241,29 @@ func (d *Decoder) Source() []wire.Symbol {
 	return out
 }
 
+// markSeen records index as absorbed and reports whether it already was.
+func (d *Decoder) markSeen(index uint32) bool {
+	w, bit := int(index/64), uint64(1)<<(index%64)
+	if w >= seenWords {
+		if d.seenFar[index] {
+			return true
+		}
+		if d.seenFar == nil {
+			d.seenFar = make(map[uint32]bool)
+		}
+		d.seenFar[index] = true
+		return false
+	}
+	if w >= len(d.seen) {
+		d.seen = append(d.seen, make([]uint64, w+1-len(d.seen))...)
+	}
+	if d.seen[w]&bit != 0 {
+		return true
+	}
+	d.seen[w] |= bit
+	return false
+}
+
 // Add absorbs coded symbol (index, value). Duplicate indexes are
 // ignored; a value outside [0, k) is rejected as corruption. It
 // returns whether the block became fully decoded by this symbol.
@@ -207,30 +271,39 @@ func (d *Decoder) Add(index uint32, value wire.Symbol) (bool, error) {
 	if int(value) < 0 || int(value) >= d.code.k {
 		return false, fmt.Errorf("rateless: coded value %d outside alphabet [0,%d)", int(value), d.code.k)
 	}
-	if d.Done() || d.seen[index] {
+	if d.Done() || d.markSeen(index) {
 		return false, nil
 	}
-	d.seen[index] = true
 	d.received++
 
+	// The neighbour set goes straight into the arena; the unknown
+	// positions are compacted in place and stay there as the equation's
+	// neighbours, or are truncated away if it resolves at once.
+	start := len(d.arena)
+	d.arena = d.code.appendNeighbors(d.arena, index)
 	eq := equation{value: int(value)}
-	for _, pos := range d.code.Neighbors(index) {
+	unknown := d.arena[start:start]
+	for _, pos := range d.arena[start:] {
 		if d.have[pos] {
 			eq.value = ((eq.value-int(d.src[pos]))%d.code.k + d.code.k) % d.code.k
 		} else {
-			eq.neighbors = append(eq.neighbors, pos)
+			unknown = append(unknown, pos)
 		}
 	}
-	switch len(eq.neighbors) {
+	switch len(unknown) {
 	case 0:
 		// Fully redundant with what we already know; a mismatch would
 		// mean a corrupt-but-checksummed symbol, which the wire layer
 		// already screens out, so it is simply dropped.
+		d.arena = d.arena[:start]
 		return false, nil
 	case 1:
-		d.resolve(eq.neighbors[0], wire.Symbol(eq.value))
+		d.arena = d.arena[:start]
+		d.resolve(unknown[0], wire.Symbol(eq.value))
 		return d.Done(), nil
 	default:
+		d.arena = d.arena[:start+len(unknown)]
+		eq.neighbors = unknown[:len(unknown):len(unknown)]
 		d.pending = append(d.pending, eq)
 		return false, nil
 	}
@@ -241,11 +314,7 @@ func (d *Decoder) Add(index uint32, value wire.Symbol) (bool, error) {
 // degree one.
 func (d *Decoder) resolve(pos int, value wire.Symbol) {
 	// Iterative worklist: δ1-sized blocks keep it tiny, but no recursion.
-	type found struct {
-		pos   int
-		value wire.Symbol
-	}
-	work := []found{{pos, value}}
+	work := append(d.work[:0], found{pos, value})
 	for len(work) > 0 {
 		f := work[len(work)-1]
 		work = work[:len(work)-1]
@@ -280,4 +349,5 @@ func (d *Decoder) resolve(pos int, value wire.Symbol) {
 		}
 		d.pending = kept
 	}
+	d.work = work
 }

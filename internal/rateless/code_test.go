@@ -6,7 +6,7 @@ import (
 	"repro/internal/wire"
 )
 
-func testBlock(t *testing.T, k, n int, seed uint64) (*Code, []wire.Symbol) {
+func testBlock(t testing.TB, k, n int, seed uint64) (*Code, []wire.Symbol) {
 	t.Helper()
 	code, err := NewCode(k, n, seed)
 	if err != nil {

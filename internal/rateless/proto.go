@@ -3,6 +3,7 @@ package rateless
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/ioa"
 	"repro/internal/multiset"
@@ -45,6 +46,11 @@ type Builder struct {
 
 	codec *multiset.Codec
 	met   *metrics
+
+	// decoders recycles drained blocks' decoders across every receiver
+	// the builder spawns: a session opens most of its blocks' decoders
+	// at once, so reuse within one receiver would save little.
+	decoders sync.Pool
 }
 
 // NewBuilder validates the options and returns a pair builder. All pairs
@@ -148,13 +154,19 @@ type Transmitter struct {
 
 	k, n  int
 	syms  []wire.Symbol // every block's n source symbols, back to back
-	codes []*Code       // per-block seeded codes
+	codes []Code        // per-block seeded codes
 
 	acked    uint32   // blocks [0, acked) are decode-acknowledged; only advances
 	sysBlock uint32   // systematic pass: current block (== nb when the pass is over)
 	sysIdx   uint32   // systematic pass: next index within sysBlock
 	cursor   uint32   // repair phase: round-robin position in [acked, nb)
 	nextIdx  []uint32 // repair phase: next fresh coded index per block
+
+	// sent memoizes the boxed send of coded symbol (sentBlock, sentIdx),
+	// which is a pure function of that pair: Machine calls Act in both
+	// NextLocal and Apply, and the second call reuses the first's box.
+	sent               ioa.Action
+	sentBlock, sentIdx uint32
 }
 
 var _ ioa.Deterministic = (*Transmitter)(nil)
@@ -167,18 +179,15 @@ func newTransmitter(b *Builder, x []wire.Bit) (*Transmitter, error) {
 	n := b.p.Delta1()
 	nb := len(x) / bits
 	syms := make([]wire.Symbol, 0, nb*n)
-	codes := make([]*Code, 0, nb)
+	codes := make([]Code, 0, nb)
 	nextIdx := make([]uint32, nb)
 	for bi := 0; bi < nb; bi++ {
 		var err error
 		if syms, err = b.codec.AppendEncodeSeq(syms, x[bi*bits:(bi+1)*bits]); err != nil {
 			return nil, fmt.Errorf("rateless: block %d: %w", bi, err)
 		}
-		code, err := NewCode(b.k, n, BlockSeed(b.seed, uint32(bi)))
-		if err != nil {
-			return nil, err
-		}
-		codes = append(codes, code)
+		// NewBuilder validated k, and n = δ1 >= 1.
+		codes = append(codes, Code{k: b.k, n: n, seed: BlockSeed(b.seed, uint32(bi))})
 		nextIdx[bi] = uint32(n) // repair indexes start past the systematic prefix
 	}
 	t := &Transmitter{
@@ -197,14 +206,33 @@ func newTransmitter(b *Builder, x []wire.Bit) (*Transmitter, error) {
 
 func (t *Transmitter) nb() uint32 { return uint32(len(t.codes)) }
 
-// pick returns the coded symbol the send command emits in the current
-// state — a pure function of the state, as Act requires.
-func (t *Transmitter) pick() wire.CodedSymbol {
-	b, idx := t.cursor, t.nextIdx[t.cursor]
+// pick returns the (block, index) of the coded symbol the send command
+// emits in the current state — a pure function of the state, as Act
+// requires.
+func (t *Transmitter) pick() (block, index uint32) {
 	if t.sysBlock < t.nb() {
-		b, idx = t.sysBlock, t.sysIdx
+		return t.sysBlock, t.sysIdx
 	}
-	return wire.CodedSymbol{Block: b, Index: idx, Value: t.codes[b].encode(t.syms[int(b)*t.n:int(b+1)*t.n], idx)}
+	return t.cursor, t.nextIdx[t.cursor]
+}
+
+// sendAction returns the boxed send of the coded symbol pick chooses,
+// building it only when the pair differs from the memoized one. The
+// record is encoded on the stack; the payload string is its one copy.
+func (t *Transmitter) sendAction() ioa.Action {
+	b, idx := t.pick()
+	if t.sent != nil && t.sentBlock == b && t.sentIdx == idx {
+		return t.sent
+	}
+	cs := wire.CodedSymbol{Block: b, Index: idx, Value: t.codes[b].encode(t.syms[int(b)*t.n:int(b+1)*t.n], idx)}
+	var rec [wire.CodedSymbolLen]byte
+	t.sent = wire.Send{
+		Dir:     wire.TtoR,
+		P:       wire.CodedPacket(cs),
+		Payload: string(wire.AppendCodedSymbol(rec[:0], cs)),
+	}
+	t.sentBlock, t.sentIdx = b, idx
+	return t.sent
 }
 
 // advance moves past the just-sent symbol.
@@ -242,14 +270,7 @@ func (t *Transmitter) initMachine() error {
 			Name:  "send_coded",
 			Class: ioa.ClassOutput,
 			Pre:   func() bool { return t.acked < t.nb() },
-			Act: func() ioa.Action {
-				cs := t.pick()
-				return wire.Send{
-					Dir:     wire.TtoR,
-					P:       wire.CodedPacket(cs),
-					Payload: string(wire.AppendCodedSymbol(nil, cs)),
-				}
-			},
+			Act:   t.sendAction,
 			Eff: func() {
 				t.advance()
 				t.met.onSymbolSent()
@@ -330,16 +351,23 @@ type Receiver struct {
 	m     *ioa.Machine
 	met   *metrics
 	codec *multiset.Codec
+	pool  *sync.Pool // the builder's recycled decoders
 
 	k, n int
 	seed int64
 
 	next       uint32              // first undecoded block
 	decs       map[uint32]*Decoder // open decoders for blocks >= next
+	block      multiset.Multiset   // the drained block's symbols, for the codec
 	queue      []wire.Bit          // decoded bits awaiting write
 	wnext      int                 // next bit to write
 	skip       int64               // resume: bits of block `next` already on the durable tape
 	pendingAck bool
+
+	// ack memoizes the boxed ack of block ackNext, as the transmitter
+	// memoizes its sends.
+	ack     ioa.Action
+	ackNext uint32
 }
 
 var _ ioa.Deterministic = (*Receiver)(nil)
@@ -348,10 +376,12 @@ func newReceiver(b *Builder) (*Receiver, error) {
 	r := &Receiver{
 		met:   b.met,
 		codec: b.codec,
+		pool:  &b.decoders,
 		k:     b.k,
 		n:     b.p.Delta1(),
 		seed:  b.seed,
 		decs:  make(map[uint32]*Decoder),
+		block: multiset.New(b.k),
 	}
 	if err := r.initMachine(); err != nil {
 		return nil, err
@@ -375,14 +405,7 @@ func (r *Receiver) initMachine() error {
 			Name:  "send_ack",
 			Class: ioa.ClassOutput,
 			Pre:   func() bool { return r.pendingAck },
-			Act: func() ioa.Action {
-				ack := wire.DecodeAckMsg{Next: r.next}
-				return wire.Send{
-					Dir:     wire.RtoT,
-					P:       wire.DecodeAckPacket(ack),
-					Payload: string(wire.AppendDecodeAck(nil, ack)),
-				}
-			},
+			Act:   r.ackAction,
 			Eff: func() {
 				r.pendingAck = false
 				r.met.onAckSent()
@@ -401,6 +424,23 @@ func (r *Receiver) initMachine() error {
 	}
 	r.m = m
 	return nil
+}
+
+// ackAction returns the boxed cumulative ack of r.next, built only when
+// r.next differs from the memoized ack's.
+func (r *Receiver) ackAction() ioa.Action {
+	if r.ack != nil && r.ackNext == r.next {
+		return r.ack
+	}
+	ack := wire.DecodeAckMsg{Next: r.next}
+	var rec [wire.DecodeAckLen]byte
+	r.ack = wire.Send{
+		Dir:     wire.RtoT,
+		P:       wire.DecodeAckPacket(ack),
+		Payload: string(wire.AppendDecodeAck(rec[:0], ack)),
+	}
+	r.ackNext = r.next
+	return r.ack
 }
 
 func (r *Receiver) classify(a ioa.Action) ioa.Class {
@@ -455,11 +495,7 @@ func (r *Receiver) onInput(act ioa.Action) error {
 	}
 	dec := r.decs[cs.Block]
 	if dec == nil {
-		code, err := NewCode(r.k, r.n, BlockSeed(r.seed, cs.Block))
-		if err != nil {
-			return fmt.Errorf("rateless: receiver: block %d: %w", cs.Block, err)
-		}
-		dec = NewDecoder(code)
+		dec = r.openDecoder(cs.Block)
 		r.decs[cs.Block] = dec
 	}
 	before := dec.Received()
@@ -477,6 +513,18 @@ func (r *Receiver) onInput(act ioa.Action) error {
 	return r.drain()
 }
 
+// openDecoder returns a decoder for block b, recycling a drained one
+// when the pool has one.
+func (r *Receiver) openDecoder(b uint32) *Decoder {
+	seed := BlockSeed(r.seed, b)
+	if dec, ok := r.pool.Get().(*Decoder); ok {
+		dec.reset(seed)
+		return dec
+	}
+	// NewBuilder validated k, and n = δ1 >= 1.
+	return NewDecoder(&Code{k: r.k, n: r.n, seed: seed})
+}
+
 // drain consumes consecutively decoded blocks starting at next, queueing
 // their bits for the write command, and schedules a cumulative ack when
 // the frontier moved.
@@ -487,24 +535,29 @@ func (r *Receiver) drain() error {
 		if dec == nil || !dec.Done() {
 			break
 		}
-		bits, err := r.codec.DecodeSeq(dec.Source())
+		r.block.Clear()
+		for _, s := range dec.src {
+			if err := r.block.Add(s); err != nil {
+				return fmt.Errorf("rateless: receiver: block %d: %w", r.next, err)
+			}
+		}
+		head := len(r.queue)
+		q, err := r.codec.AppendDecode(r.queue, r.block)
 		if err != nil {
 			// Unreachable with checksummed symbols: the decoder's output
 			// is the transmitter's EncodeSeq, always a codeword.
 			return fmt.Errorf("rateless: receiver: block %d: %w", r.next, err)
 		}
+		r.queue = q
 		if r.skip > 0 {
 			// Resume: the head of this block is already on the durable
 			// tape from a previous incarnation; only the tail is new.
-			drop := r.skip
-			if drop > int64(len(bits)) {
-				drop = int64(len(bits))
-			}
-			bits = bits[drop:]
+			drop := int(min(r.skip, int64(len(q)-head)))
+			r.queue = append(q[:head], q[head+drop:]...)
 			r.skip = 0
 		}
-		r.queue = append(r.queue, bits...)
 		delete(r.decs, r.next)
+		r.pool.Put(dec)
 		r.next++
 		advanced = true
 	}

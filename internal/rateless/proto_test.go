@@ -1,6 +1,7 @@
 package rateless
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/ioa"
@@ -361,5 +362,35 @@ func TestBounds(t *testing.T) {
 		if lo := LowerBound(testParams, k); up < lo {
 			t.Fatalf("k=%d: rateless upper %.3f below active lower bound %.3f", k, up, lo)
 		}
+	}
+}
+
+// TestDecoderPoolSharedAcrossGoroutines runs lossy transfers of
+// different inputs from one Builder on several goroutines at once, as
+// receivers served by different muxes do: the builder's decoder pool
+// hands drained decoders from one receiver to another, and every
+// transfer must still write exactly its own input (run it under -race).
+func TestDecoderPoolSharedAcrossGoroutines(t *testing.T) {
+	o := testOptions(37)
+	b, err := NewBuilder(o)
+	if err != nil {
+		t.Fatalf("NewBuilder: %v", err)
+	}
+	for g := 0; g < 4; g++ {
+		t.Run(fmt.Sprint(g), func(t *testing.T) {
+			t.Parallel()
+			rng := prng{state: mix(uint64(g) + 100)}
+			x := wire.RandomBits(20*b.BlockBits(), rng.next)
+			tx, rx, err := b.NewPair(x)
+			if err != nil {
+				t.Fatalf("NewPair: %v", err)
+			}
+			got := runPair(t, tx.(*Transmitter), rx.(*Receiver), chanOpts{
+				dropSym: func(int) bool { return rng.next()%100 < 20 },
+			}, 100_000)
+			if !bitsEqual(got, x) {
+				t.Fatalf("wrote %s, want %s", wire.BitsToString(got), wire.BitsToString(x))
+			}
+		})
 	}
 }

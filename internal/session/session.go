@@ -409,7 +409,7 @@ func (e *endpoint) checkProgress(now, window int64) bool {
 func (e *endpoint) apply(f wire.Frame) {
 	now := e.m.cfg.Clock.Now()
 	// Boxed once: Classify, Apply and record all take the same value.
-	var act ioa.Action = wire.Recv{Dir: f.Dir, P: f.P, Payload: string(f.Payload)}
+	var act ioa.Action = wire.Recv{Dir: f.Dir, P: f.P, Payload: f.Payload}
 	e.lastActivity = now
 	if e.auto.Classify(act) != ioa.ClassInput || e.auto.Apply(act) != nil {
 		e.rejected++
@@ -442,7 +442,7 @@ func (e *endpoint) step() bool {
 	case wire.Send:
 		m.seq++
 		pktSeq := m.seq*2 + m.parity // disjoint seq ranges per side
-		err := m.cfg.Transport.Send(wire.Frame{Session: e.id, Dir: a.Dir, Seq: pktSeq, P: a.P, Payload: []byte(a.Payload)})
+		err := m.cfg.Transport.Send(wire.Frame{Session: e.id, Dir: a.Dir, Seq: pktSeq, P: a.P, Payload: a.Payload})
 		e.sends++
 		e.lastSend = now
 		e.record(now, e.auto.Name(), act, pktSeq)

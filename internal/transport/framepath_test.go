@@ -1,12 +1,13 @@
 package transport
 
 import (
-	"bytes"
 	"container/heap"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/chanmodel"
 	"repro/internal/wire"
@@ -74,12 +75,12 @@ func TestPendingHeapPopZeroesSlot(t *testing.T) {
 	var h pendingHeap
 	for i := int64(0); i < 4; i++ {
 		f := testFrame(i)
-		f.Payload = []byte{byte(i)}
+		f.Payload = string([]byte{byte(i)})
 		h.push(pending{at: i, tie: i, f: f})
 	}
 	for len(h) > 0 {
 		h.pop()
-		if vacated := h[:len(h)+1][len(h)]; vacated.f.Payload != nil {
+		if vacated := h[:len(h)+1][len(h)]; vacated.f.Payload != "" {
 			t.Fatalf("vacated slot still holds frame %d's payload", vacated.f.Seq)
 		}
 	}
@@ -209,6 +210,35 @@ func TestMemFramePathNoAlloc(t *testing.T) {
 	}
 }
 
+// TestMemPayloadFrameNoExtraAlloc checks that a frame's payload rides
+// through Mem by reference: sending and delivering a frame that carries
+// a coded-symbol-sized payload allocates no more than a payload-free
+// frame, and the delivered payload is the sent string itself.
+func TestMemPayloadFrameNoExtraAlloc(t *testing.T) {
+	delays := make([]int64, 4096)
+	policy := &scripted{delays: delays, at: make([]int64, len(delays))}
+	m := NewMem(NewClock(20*time.Microsecond), MemOptions{D: 1, Delay: policy})
+	defer m.Close()
+	bare := testFrame(1)
+	loaded := testFrame(2)
+	loaded.Payload = strings.Repeat("c", wire.CodedSymbolLen)
+	for i := 0; i < 100; i++ {
+		memSendDeliver(t, m, bare)
+		memSendDeliver(t, m, loaded)
+	}
+	without := testing.AllocsPerRun(1000, func() { memSendDeliver(t, m, bare) })
+	with := testing.AllocsPerRun(1000, func() { memSendDeliver(t, m, loaded) })
+	if with > without {
+		t.Fatalf("Mem send→deliver allocates %.1f per payload frame, %.1f per payload-free frame", with, without)
+	}
+	if err := m.Send(loaded); err != nil {
+		t.Fatal(err)
+	}
+	if got := <-m.Deliveries(wire.TtoR); unsafe.StringData(got.Payload) != unsafe.StringData(loaded.Payload) {
+		t.Fatal("Mem delivered a copy of the payload, not the sent string")
+	}
+}
+
 // BenchmarkMemSendDeliver is one frame through the in-memory transport:
 // Send under the library's zero-delay policy, the delay line, the
 // scheduler goroutine and the delivery channel. Its one alloc/op is
@@ -276,7 +306,7 @@ func TestUDPConcurrentSendsIntact(t *testing.T) {
 			dir := []wire.Dir{wire.TtoR, wire.RtoT}[g%2]
 			for i := 0; i < perSender; i++ {
 				seq := int64(g*perSender + i + 1)
-				f := wire.Frame{Session: uint32(g), Dir: dir, Seq: seq, P: wire.DataPacket(1), Payload: bytes.Repeat([]byte{byte(seq)}, g+1)}
+				f := wire.Frame{Session: uint32(g), Dir: dir, Seq: seq, P: wire.DataPacket(1), Payload: strings.Repeat(string([]byte{byte(seq)}), g+1)}
 				if err := u.Send(f); err != nil {
 					t.Error(err)
 					return
@@ -295,7 +325,7 @@ func TestUDPConcurrentSendsIntact(t *testing.T) {
 				got++
 				g := int(f.Session)
 				if f.Seq <= int64(g*perSender) || f.Seq > int64((g+1)*perSender) ||
-					!bytes.Equal(f.Payload, bytes.Repeat([]byte{byte(f.Seq)}, g+1)) {
+					f.Payload != strings.Repeat(string([]byte{byte(f.Seq)}), g+1) {
 					t.Fatalf("frame mixed across senders: session %d seq %d payload %v", f.Session, f.Seq, f.Payload)
 				}
 			case <-timeout: // loopback may drop under a burst; what arrived must be intact

@@ -234,7 +234,7 @@ func TestUDPMalformedDatagramIgnored(t *testing.T) {
 		t.Skipf("udp loopback unavailable: %v", err)
 	}
 	defer u.Close()
-	raw, err := wire.EncodeFrame(wire.Frame{Session: 1, Dir: wire.TtoR, Seq: 1, P: wire.DataPacket(1), Payload: []byte{1, 2, 3}})
+	raw, err := wire.EncodeFrame(wire.Frame{Session: 1, Dir: wire.TtoR, Seq: 1, P: wire.DataPacket(1), Payload: "\x01\x02\x03"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,11 +277,11 @@ func TestUDPSendRejectsOversizedPayload(t *testing.T) {
 		t.Skipf("udp loopback unavailable: %v", err)
 	}
 	defer u.Close()
-	f := wire.Frame{Session: 1, Dir: wire.TtoR, Seq: 1, P: wire.DataPacket(1), Payload: make([]byte, MaxUDPPayload+1)}
+	f := wire.Frame{Session: 1, Dir: wire.TtoR, Seq: 1, P: wire.DataPacket(1), Payload: string(make([]byte, MaxUDPPayload+1))}
 	if err := u.Send(f); err == nil {
 		t.Fatal("frame over the datagram bound accepted")
 	}
-	f.Payload = make([]byte, MaxUDPPayload)
+	f.Payload = string(make([]byte, MaxUDPPayload))
 	if err := u.Send(f); err != nil {
 		t.Fatalf("max-size frame rejected: %v", err)
 	}

@@ -106,7 +106,7 @@ func TestCodedPacketMirrors(t *testing.T) {
 
 func TestFrameCarriesCodedKinds(t *testing.T) {
 	payload := AppendCodedSymbol(nil, CodedSymbol{Block: 1, Index: 2, Value: 3})
-	f := Frame{Session: 8, Dir: TtoR, Seq: 17, P: CodedPacket(CodedSymbol{Block: 1, Index: 2, Value: 3}), Payload: payload}
+	f := Frame{Session: 8, Dir: TtoR, Seq: 17, P: CodedPacket(CodedSymbol{Block: 1, Index: 2, Value: 3}), Payload: string(payload)}
 	buf, err := EncodeFrame(f)
 	if err != nil {
 		t.Fatalf("EncodeFrame: %v", err)
@@ -118,7 +118,7 @@ func TestFrameCarriesCodedKinds(t *testing.T) {
 	if got.P.Kind != Coded {
 		t.Fatalf("kind %v, want %v", got.P.Kind, Coded)
 	}
-	cs, err := ParseCodedSymbol(got.Payload)
+	cs, err := ParseCodedSymbol([]byte(got.Payload))
 	if err != nil {
 		t.Fatalf("ParseCodedSymbol of frame payload: %v", err)
 	}

@@ -16,8 +16,12 @@ import (
 // sequence X; a Frame wraps a single protocol packet *on the channel*.
 //
 // Payload is an opaque extension area (unused by the RSTP protocols;
-// reserved for wrappers that piggyback data on packets). Its length is
-// declared on the wire and strictly validated on parse.
+// the rateless subsystem rides its coded-symbol records on it). Its
+// length is declared on the wire and strictly validated on parse. It is
+// an immutable string, the same type as Send.Payload and Recv.Payload,
+// so one payload value travels from the sender's action to the
+// receiver's by reference: only a byte-level transport copies it, once,
+// in ParseFrame.
 type Frame struct {
 	// Session identifies the RSTP session the packet belongs to.
 	Session uint32
@@ -30,7 +34,7 @@ type Frame struct {
 	// P is the protocol packet the frame carries.
 	P Packet
 	// Payload is opaque extension data riding along with the packet.
-	Payload []byte
+	Payload string
 }
 
 // Frame wire format (big-endian):
@@ -136,7 +140,7 @@ func ParseFrame(buf []byte) (Frame, error) {
 		},
 	}
 	if declared > 0 {
-		f.Payload = append([]byte(nil), buf[FrameHeaderLen:FrameHeaderLen+declared]...)
+		f.Payload = string(buf[FrameHeaderLen : FrameHeaderLen+declared])
 	}
 	return f, nil
 }

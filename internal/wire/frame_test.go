@@ -13,7 +13,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Session: 7, Dir: TtoR, Seq: 42, P: DataPacket(3)},
 		{Session: 1 << 30, Dir: RtoT, Seq: 9, P: AckPacket()},
 		{Session: 5, Dir: RtoT, Seq: 2, P: Packet{Kind: Data, Symbol: -4, Tag: 11}},
-		{Session: 6, Dir: TtoR, Seq: 3, P: DataPacket(1), Payload: []byte("hello")},
+		{Session: 6, Dir: TtoR, Seq: 3, P: DataPacket(1), Payload: "hello"},
 	}
 	for _, f := range frames {
 		buf, err := EncodeFrame(f)
@@ -37,7 +37,7 @@ func TestFrameRoundTrip(t *testing.T) {
 // length-validation fix: a frame declaring more payload than the buffer
 // holds must produce an error, never a slice-bounds panic.
 func TestFrameRejectsOverDeclaredLength(t *testing.T) {
-	buf, err := EncodeFrame(Frame{Session: 1, Dir: TtoR, Seq: 1, P: DataPacket(2), Payload: []byte{1, 2, 3}})
+	buf, err := EncodeFrame(Frame{Session: 1, Dir: TtoR, Seq: 1, P: DataPacket(2), Payload: "\x01\x02\x03"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestFrameRejectsMalformed(t *testing.T) {
 }
 
 func TestAppendFrameRejectsOversizePayload(t *testing.T) {
-	_, err := EncodeFrame(Frame{Dir: TtoR, P: DataPacket(1), Payload: make([]byte, MaxFramePayload+1)})
+	_, err := EncodeFrame(Frame{Dir: TtoR, P: DataPacket(1), Payload: string(make([]byte, MaxFramePayload+1))})
 	if err == nil {
 		t.Fatal("oversize payload accepted")
 	}
@@ -94,7 +94,7 @@ func TestFrameString(t *testing.T) {
 	if got := f.String(); got != "frame[s=3 t->r #7 data(2)]" {
 		t.Errorf("String() = %q", got)
 	}
-	f.Payload = []byte{1, 2}
+	f.Payload = "\x01\x02"
 	if got := f.String(); !strings.Contains(got, "+2B") {
 		t.Errorf("String() with payload = %q", got)
 	}

@@ -35,7 +35,7 @@ func FuzzParseFrame(f *testing.F) {
 	for _, fr := range []Frame{
 		{Session: 1, Dir: TtoR, Seq: 1, P: DataPacket(3)},
 		{Session: 9, Dir: RtoT, Seq: 7, P: AckPacket()},
-		{Session: 2, Dir: TtoR, Seq: 2, P: DataPacket(0), Payload: []byte("xy")},
+		{Session: 2, Dir: TtoR, Seq: 2, P: DataPacket(0), Payload: "xy"},
 	} {
 		buf, err := EncodeFrame(fr)
 		if err != nil {
@@ -46,7 +46,7 @@ func FuzzParseFrame(f *testing.F) {
 	// Regression seed: declared payload length exceeds the buffered bytes.
 	// Before length validation this class of input hit a slice-bounds
 	// panic; it must now be rejected as a parse error.
-	over, err := EncodeFrame(Frame{Session: 1, Dir: TtoR, Seq: 1, P: DataPacket(2), Payload: []byte{1, 2, 3}})
+	over, err := EncodeFrame(Frame{Session: 1, Dir: TtoR, Seq: 1, P: DataPacket(2), Payload: "\x01\x02\x03"})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func FuzzParseFrame(f *testing.F) {
 	// flip any wire byte; every such mutation must parse or error, never
 	// panic. Flips in magic, version, dir, kind, or the length field land
 	// in the malformed bucket.
-	base, err := EncodeFrame(Frame{Session: 9, Dir: TtoR, Seq: 4, P: DataPacket(2), Payload: []byte("chaos payload")})
+	base, err := EncodeFrame(Frame{Session: 9, Dir: TtoR, Seq: 4, P: DataPacket(2), Payload: "chaos payload"})
 	if err != nil {
 		f.Fatal(err)
 	}

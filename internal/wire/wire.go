@@ -139,7 +139,7 @@ const (
 // Send is the action send(p): an output of the sending process and an input
 // of the channel.
 //
-// Payload is opaque extension data the serving layer copies into the
+// Payload is opaque extension data the serving layer hands to the
 // outgoing Frame.Payload (and back out on Recv) — the rateless subsystem
 // rides its coded-symbol records on it. It is a string rather than a
 // []byte so actions stay comparable (the channel model pairs sends with
