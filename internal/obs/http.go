@@ -14,9 +14,6 @@ import (
 //	GET /metrics.json  JSON snapshot (counters, gauges, histograms, live)
 //	GET /trace         recorded per-session trace rings (JSON)
 //	GET /trace?session=N  one session's ring
-//	GET /control       the adaptive control plane's live state (JSON;
-//	                   404 unless a controller registered the "control"
-//	                   live hook)
 //	/debug/pprof/...   the standard pprof handlers
 //
 // The handler is safe for concurrent use with live traffic — every
@@ -47,19 +44,6 @@ func (r *Registry) Handler() http.Handler {
 			return
 		}
 		enc.Encode(r.Tracer().Snapshot())
-	})
-	mux.HandleFunc("/control", func(w http.ResponseWriter, _ *http.Request) {
-		r.mu.RLock()
-		fn := r.live["control"]
-		r.mu.RUnlock()
-		if fn == nil {
-			http.Error(w, "no control plane registered", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(fn())
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

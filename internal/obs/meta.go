@@ -11,7 +11,7 @@ import (
 // Meta stamps a benchmark artifact with enough provenance to compare it
 // against any other run: which commit produced it, on what Go toolchain,
 // at what parallelism, and when. It is shared by every BENCH_*.json
-// emitter in the repo (the obs/journal/control bench guards) and by
+// emitter in the repo (the obs and journal bench guards) and by
 // rstpserve's JSON summary, so all committed snapshots are attributable
 // to a commit.
 type Meta struct {

@@ -7,10 +7,17 @@ import (
 	"repro/internal/wire"
 )
 
-// Dialer is the transmitter side of the mux: Start opens a session —
-// blocking on the MaxSessions semaphore for backpressure — and drives a
-// fresh transmitter automaton over the shared transport. r->t frames
-// (acks, control traffic) are demultiplexed back to their session.
+// Dialer is the transmitter side of the mux: Start opens a session and
+// drives a fresh transmitter automaton over the shared transport. r->t
+// frames (acks, control traffic) are demultiplexed back to their
+// session.
+//
+// The MaxSessions semaphore is the serving stack's admission mechanism.
+// Start parks while every slot is held; the semaphore is a buffered
+// channel, so a freed slot goes to the longest-parked Start and no dial
+// waits behind later ones. A Dialer capped at its Server's MaxSessions
+// keeps excess load queued before it sends a frame, which holds a
+// congested link inside the delay bound d the effort bounds rest on.
 type Dialer struct {
 	mux
 	nextID uint32 // last allocated session ID
@@ -66,8 +73,9 @@ func (c *Conn) Close() {
 }
 
 // Start opens a new session for input x. It blocks while MaxSessions
-// sessions are already open — the backpressure contract — until a slot
-// frees, the context is done, or the dialer closes.
+// sessions are already open — the admission contract — until a slot
+// frees (to the longest-blocked Start first), the context is done, or
+// the dialer closes.
 func (d *Dialer) Start(ctx context.Context, x []wire.Bit) (*Conn, error) {
 	return d.open(ctx, 0, x)
 }
@@ -118,21 +126,12 @@ func (d *Dialer) open(ctx context.Context, id uint32, x []wire.Bit) (*Conn, erro
 		}
 	}
 	d.mu.Unlock()
-	// The control plane sees every admission after its slot and ID are
-	// settled: Admit may park at the occupancy gate. Parking while holding
-	// the slot is deliberate — a gated session is admitted work in
-	// flight, not a queue jump waiting to happen. From here on a failed
-	// open must both free the slot and drop the admission, or the gate
-	// would count a phantom in-flight session for good.
-	//
-	// An allocated ID that opens no session is tombstoned all the same:
-	// the tombstone set is a watermark over IDs handed out in order, and
-	// an ID that never finished would hold it back for good.
-	admitted := false
+	// From here on a failed open must free the slot, or the cap would
+	// count a phantom session for good. An allocated ID that opens no
+	// session is tombstoned all the same: the tombstone set is a
+	// watermark over IDs handed out in order, and an ID that never
+	// finished would hold it back for good.
 	abort := func(err error) (*Conn, error) {
-		if admitted {
-			d.cfg.Admission.Forget(id)
-		}
 		if auto {
 			d.mu.Lock()
 			d.finished.add(id)
@@ -140,17 +139,6 @@ func (d *Dialer) open(ctx context.Context, id uint32, x []wire.Bit) (*Conn, erro
 		}
 		<-d.sem
 		return nil, err
-	}
-	if d.cfg.Admission != nil {
-		if err := d.cfg.Admission.Admit(ctx, id); err != nil {
-			return abort(err)
-		}
-		admitted = true
-	}
-	// Admit's own wait is a select too; work must not start for a
-	// caller that has gone.
-	if err := ctx.Err(); err != nil {
-		return abort(err)
 	}
 	t, _, err := buildPair(d.cfg, id, x)
 	if err != nil {

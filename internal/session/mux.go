@@ -176,9 +176,6 @@ func (m *mux) retireLocked(ep *endpoint) bool {
 	m.finished.add(ep.id)
 	m.retired.add(ep.counters())
 	ep.wake()
-	if m.cfg.Admission != nil {
-		m.cfg.Admission.Forget(ep.id)
-	}
 	if m.sem != nil {
 		<-m.sem
 	}

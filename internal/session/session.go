@@ -35,15 +35,15 @@
 //     (see Config.Store); its goroutine is counted in the side's
 //     WaitGroup, so Close waits for it.
 //
-// Backpressure is a Dialer-side semaphore of MaxSessions slots (Start
-// blocks until a slot frees or the context is done); the Server
+// New sessions are admitted through a Dialer-side semaphore of
+// MaxSessions slots (Start blocks until a slot frees or the context is
+// done, and a freed slot goes to the longest-blocked Start); the Server
 // additionally refuses to spawn receiver state beyond its own
 // MaxSessions, dropping frames of over-limit sessions. Idle receiver
 // sessions are evicted after IdleTicks without traffic.
 package session
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -97,22 +97,6 @@ type Resyncer interface {
 	ForceResync()
 }
 
-// AdmissionController is the control plane's hook into the mux: it
-// holds new transmitter-side sessions at the door. It never changes the
-// protocol: both sides build every session from Config.Solution.
-// internal/control.Controller implements it; nil disables every hook.
-type AdmissionController interface {
-	// Admit is consulted once per new transmitter-side session, after the
-	// backpressure slot is taken and the ID allocated, before any protocol
-	// state is built. It may park (the occupancy gate); an error aborts
-	// the Start and releases the slot.
-	Admit(ctx context.Context, id uint32) error
-	// Forget drops the controller's record of an admitted session once
-	// it has retired on either side, or its Start failed after Admit.
-	// Idempotent.
-	Forget(id uint32)
-}
-
 // Config configures a Server, a Dialer, or a Pipe (which shares one
 // Config across both). Transport, Clock, Solution and Params are
 // required; everything else has serving defaults.
@@ -127,7 +111,12 @@ type Config struct {
 	// Clock is the shared tick source.
 	Clock *transport.Clock
 	// MaxSessions bounds concurrently live sessions per side (default
-	// 1024). Dial blocks on it; the Server refuses receiver state past it.
+	// 1024). On the Dialer it is the admission mechanism: Start parks
+	// while MaxSessions sessions are open, and a freed slot goes to the
+	// longest-parked Start (FIFO), so no dial waits behind later ones. A
+	// Dialer capped at the Server's MaxSessions keeps a congested link's
+	// excess load queued before it sends a frame. The Server refuses
+	// receiver state past it.
 	MaxSessions int
 	// IdleTicks evicts a receiver session after this many ticks without
 	// traffic (default 64·D; <0 disables eviction).
@@ -162,9 +151,6 @@ type Config struct {
 	// persistence. Implementations must be safe for concurrent use;
 	// internal/journal.Store is the durable one.
 	Store rstp.StateStore
-	// Admission is the optional control-plane hook: the occupancy gate
-	// on new dials (see internal/control). nil disables it.
-	Admission AdmissionController
 	// EffortLowerBound is the paper's per-message effort lower bound in
 	// ticks for the configured protocol (δ1·c2/log2 ζ_k(δ1) r-passive,
 	// d/log2 ζ_k(δ2) active — Thms 5.3 and 5.6), supplied by the caller

@@ -260,42 +260,71 @@ func TestDialerBackpressure(t *testing.T) {
 	c2.Close()
 }
 
-// countingAdmission is an AdmissionController that admits everything
-// and counts the Admit and Forget calls it sees.
-type countingAdmission struct {
-	mu              sync.Mutex
-	admits, forgets int
-}
-
-func (c *countingAdmission) Admit(context.Context, uint32) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.admits++
-	return nil
-}
-
-func (c *countingAdmission) Forget(uint32) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.forgets++
-}
-
-func (c *countingAdmission) counts() (admits, forgets int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.admits, c.forgets
-}
-
-// TestFailedStartForgetsAdmission pins the admission bookkeeping of a
-// Start that fails after Admit: an input that is not a whole number of
-// blocks, and a dialer closed under the caller. Each Admit is matched by
-// a Forget, so the occupancy gate never counts a phantom session.
-func TestFailedStartForgetsAdmission(t *testing.T) {
+// TestDialerSlotHandoffIsFIFO: a freed slot goes to the Start that has
+// been parked longest. With MaxSessions = 1 and five Starts parked one
+// after another, each Close must hand the slot to the next in arrival
+// order, so no dial waits behind a later one.
+func TestDialerSlotHandoffIsFIFO(t *testing.T) {
 	sol := mustBeta(t, 4)
 	cfg, mem := memConfig(t, sol, nil)
 	defer mem.Close()
-	adm := &countingAdmission{}
-	cfg.Admission = adm
+	cfg.MaxSessions = 1
+	d, err := NewDialer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	x := inputFor(t, sol, 1, 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	holder, err := d.Start(ctx, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const parked = 5
+	var mu sync.Mutex
+	var order []int
+	var wg sync.WaitGroup
+	for i := 0; i < parked; i++ {
+		began := make(chan struct{})
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			close(began)
+			conn, err := d.Start(ctx, x)
+			if err != nil {
+				t.Errorf("parked Start %d: %v", i, err)
+				return
+			}
+			mu.Lock()
+			order = append(order, i)
+			mu.Unlock()
+			conn.Close() // hands the slot to the next parked Start
+		}(i)
+		<-began
+		time.Sleep(20 * time.Millisecond) // let Start reach the semaphore
+	}
+	holder.Close()
+	wg.Wait()
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("slots handed out in order %v, want arrival order 0..%d", order, parked-1)
+		}
+	}
+	if len(order) != parked {
+		t.Fatalf("%d of %d parked Starts got a slot", len(order), parked)
+	}
+}
+
+// TestFailedStartReleasesSlot: a Start that fails after taking its slot
+// (an input that is not a whole number of blocks, a dialer closed under
+// the caller) gives the slot back. With MaxSessions = 1 the next Start
+// gets it at once, and a closed dialer holds no slot.
+func TestFailedStartReleasesSlot(t *testing.T) {
+	sol := mustBeta(t, 4)
+	cfg, mem := memConfig(t, sol, nil)
+	defer mem.Close()
+	cfg.MaxSessions = 1
 	d, err := NewDialer(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -304,20 +333,19 @@ func TestFailedStartForgetsAdmission(t *testing.T) {
 	if _, err := d.Start(ctx, inputFor(t, sol, 1, 1)[1:]); err == nil {
 		t.Fatal("Start accepted an input that is not a whole number of blocks")
 	}
-	if a, f := adm.counts(); a != 1 || f != 1 {
-		t.Fatalf("misaligned Start: %d admits, %d forgets, want 1/1", a, f)
-	}
-	conn, err := d.Start(ctx, inputFor(t, sol, 1, 2))
+	short, cancel := context.WithTimeout(ctx, time.Second)
+	defer cancel()
+	conn, err := d.Start(short, inputFor(t, sol, 1, 2))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("the misaligned Start kept its slot: %v", err)
 	}
 	conn.Close()
 	d.Close()
 	if _, err := d.Start(ctx, inputFor(t, sol, 1, 3)); err == nil {
 		t.Fatal("Start succeeded on a closed dialer")
 	}
-	if a, f := adm.counts(); a != f {
-		t.Fatalf("after a session and a Start on a closed dialer: %d admits, %d forgets", a, f)
+	if n := len(d.sem); n != 0 {
+		t.Fatalf("%d slots held after a Start on a closed dialer", n)
 	}
 }
 

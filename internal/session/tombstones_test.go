@@ -2,7 +2,6 @@ package session
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"testing"
 )
@@ -45,27 +44,14 @@ func TestTombstonesMatchSet(t *testing.T) {
 	}
 }
 
-// refuseID admits every session but one.
-type refuseID uint32
-
-func (r refuseID) Admit(_ context.Context, id uint32) error {
-	if id == uint32(r) {
-		return errors.New("refused")
-	}
-	return nil
-}
-
-func (refuseID) Forget(uint32) {}
-
 // TestFailedStartsKeepWatermark: a Start that fails after its ID was
-// allocated (a refused admission, an input buildPair rejects) must still
-// tombstone the ID, or the watermark would stop there and every later
-// retirement would land in the overflow set.
+// allocated (an input buildPair rejects) must still tombstone the ID,
+// or the watermark would stop there and every later retirement would
+// land in the overflow set.
 func TestFailedStartsKeepWatermark(t *testing.T) {
 	sol := mustBeta(t, 4)
 	cfg, mem := memConfig(t, sol, nil)
 	defer mem.Close()
-	cfg.Admission = refuseID(7)
 	d, err := NewDialer(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +65,7 @@ func TestFailedStartsKeepWatermark(t *testing.T) {
 			in = x[:len(x)-1] // not a whole block: buildPair fails
 		}
 		conn, err := d.Start(context.Background(), in)
-		if (err != nil) != (i == 7 || i == 100) {
+		if (err != nil) != (i == 100) {
 			t.Fatalf("Start %d: %v", i, err)
 		}
 		if conn != nil {
@@ -90,6 +76,6 @@ func TestFailedStartsKeepWatermark(t *testing.T) {
 	low, above := d.finished.low, len(d.finished.above)
 	d.mu.Unlock()
 	if low != sessions || above != 0 {
-		t.Fatalf("after %d Starts (2 failed): watermark %d with %d above, want %d with 0", sessions, low, above, sessions)
+		t.Fatalf("after %d Starts (1 failed): watermark %d with %d above, want %d with 0", sessions, low, above, sessions)
 	}
 }

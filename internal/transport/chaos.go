@@ -56,7 +56,7 @@ func (c *Chaos) Name() string {
 // the delay line until their extra delay elapses. Frames due now go
 // straight through, with no scheduler latency on the fault-free path.
 func (c *Chaos) Send(f wire.Frame) error {
-	due, err := c.line.push(f, c.line.clock.Now(), true)
+	due, err := c.line.push(f, true)
 	for _, df := range due {
 		if e := c.inner.Send(df); e != nil && err == nil {
 			err = e

@@ -110,16 +110,22 @@ func (l *delayLine) start(clock *Clock, policy chanmodel.DelayPolicy, release fu
 	go l.run()
 }
 
-// push runs f, sent at tick now, through the policy and heaps its
-// arrivals. With bypass set, arrivals already due at now are returned
-// for the caller to pass on directly instead of waiting for the
-// scheduler.
-func (l *delayLine) push(f wire.Frame, now int64, bypass bool) (due []wire.Frame, err error) {
+// push runs f through the policy and heaps its arrivals. With bypass
+// set, arrivals already due are returned for the caller to pass on
+// directly instead of waiting for the scheduler.
+//
+// The send tick is read under mu, the lock the scheduler pops under, so
+// a frame is never stamped with a tick older than a release that has
+// already happened: a sender stalled between reading the clock and
+// taking the lock could otherwise heap an arrival earlier than a frame
+// already handed on.
+func (l *delayLine) push(f wire.Frame, bypass bool) (due []wire.Frame, err error) {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return nil, ErrClosed
 	}
+	now := l.clock.Now()
 	di := 0
 	if f.Dir == wire.RtoT {
 		di = 1

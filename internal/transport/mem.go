@@ -79,7 +79,7 @@ func (m *Mem) Name() string { return fmt.Sprintf("mem(d=%d)/%s", m.opt.D, m.opt.
 // Send computes the frame's arrival schedule under the delay policy and
 // queues the deliveries.
 func (m *Mem) Send(f wire.Frame) error {
-	if _, err := m.line.push(f, m.line.clock.Now(), false); err != nil {
+	if _, err := m.line.push(f, false); err != nil {
 		return err
 	}
 	m.sends.Add(1)

@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"repro/internal/chanmodel"
-	"repro/internal/control"
 	"repro/internal/faults"
 	"repro/internal/frame"
 	"repro/internal/journal"
@@ -469,35 +468,10 @@ func Dial(cfg ServeConfig) (*Dialer, error) { return session.NewDialer(cfg) }
 // in-process serving harness used by cmd/rstpserve.
 func NewPipe(cfg ServeConfig) (*Pipe, error) { return session.NewPipe(cfg) }
 
-// Admission control: an occupancy gate that parks new dials while the
-// receiver side holds its session target, with seeded poll jitter.
-// Every session runs ServeConfig.Solution, and the controller never ends
-// an admitted session. Wire a Controller as ServeConfig.Admission on
-// both mux sides and Bind the server's occupancy count; Stop releases
-// any dial still parked. See DESIGN.md ("Closing the loop").
-type (
-	// AdmissionController is the control plane's hook into the session
-	// mux: the occupancy gate on new dials.
-	AdmissionController = session.AdmissionController
-	// PairBuilder constructs the automaton pair for one session — what
-	// ServeConfig.Solution holds (every Solution, HardenedSolution and
-	// StabilizedSolution is one).
-	PairBuilder = session.PairBuilder
-	// ControlConfig configures the occupancy gate.
-	ControlConfig = control.Config
-	// ControlActuators are the mux-side hooks the controller reads —
-	// the server's occupancy count (late-bound via Controller.Bind).
-	ControlActuators = control.Actuators
-	// Controller is the occupancy gate.
-	Controller = control.Controller
-	// ControlState is the controller's introspection snapshot (the
-	// /control endpoint's payload).
-	ControlState = control.State
-)
-
-// NewController builds the occupancy gate against a shared registry and
-// clock.
-func NewController(cfg ControlConfig) (*Controller, error) { return control.New(cfg) }
+// PairBuilder constructs the automaton pair for one session — what
+// ServeConfig.Solution holds (every Solution, HardenedSolution and
+// StabilizedSolution is one).
+type PairBuilder = session.PairBuilder
 
 // Rateless coded burst subsystem (PR 9): an LT-style fountain code over
 // each block's packet multiset replaces exact-packet retransmission.
