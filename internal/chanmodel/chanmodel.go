@@ -30,6 +30,8 @@ type DelayPolicy interface {
 	// sendTime. dirSeq counts packets per direction (0-based). An empty
 	// result drops the packet; multiple entries duplicate it. Well-behaved
 	// policies return exactly one time in [sendTime, sendTime+d].
+	// The result is valid only until the next call: a policy may reuse
+	// one slice for every packet, so a caller copies out what it keeps.
 	Arrivals(dirSeq int64, sendTime int64, dir wire.Dir, p wire.Packet) []int64
 }
 
@@ -107,11 +109,15 @@ func (f FixedDelay) Arrivals(_ int64, sendTime int64, _ wire.Dir, _ wire.Packet)
 }
 
 // UniformRandom delays each packet independently and uniformly in [0, D].
+// Like its Rand, the slice Arrivals returns is the policy's own, so it
+// is not safe for concurrent use.
 type UniformRandom struct {
 	// D is the delay bound.
 	D int64
 	// Rand is the randomness source.
 	Rand *rand.Rand
+
+	at [1]int64 // Arrivals' result, reused per call
 }
 
 var _ DelayPolicy = (*UniformRandom)(nil)
@@ -124,7 +130,8 @@ func (u *UniformRandom) Arrivals(_ int64, sendTime int64, _ wire.Dir, _ wire.Pac
 	if u.Rand == nil {
 		u.Rand = defaultRand()
 	}
-	return []int64{sendTime + u.Rand.Int63n(u.D+1)}
+	u.at[0] = sendTime + u.Rand.Int63n(u.D+1)
+	return u.at[:]
 }
 
 // ReverseBurst reverses the arrival order of each burst of Burst

@@ -287,3 +287,31 @@ func TestUntimedChannelAutomaton(t *testing.T) {
 		t.Error("write should be rejected")
 	}
 }
+
+// TestUniformRandomArrivalsNoAlloc is UniformRandom's allocation guard:
+// Arrivals returns a one-element slice the policy owns, so it allocates
+// nothing. The seeded delays, each read before the next call reuses the
+// slice, are pinned to the ones the policy drew when it returned a fresh
+// slice per packet, so the reuse changes no draw.
+func TestUniformRandomArrivalsNoAlloc(t *testing.T) {
+	u := &UniformRandom{D: 12, Rand: rand.New(rand.NewSource(7))}
+	want := []int64{6, 0, 1, 12, 7, 4, 12, 5, 11, 1, 8, 4, 0, 0, 12, 12, 0, 12, 5, 7, 9, 7, 0, 2, 9, 11, 8, 8, 5, 10, 8, 5}
+	for i, w := range want {
+		send := int64(100 * i)
+		at := u.Arrivals(int64(i), send, wire.TtoR, wire.DataPacket(0))
+		if len(at) != 1 || at[0]-send != w {
+			t.Fatalf("packet %d: arrivals %v after send %d, want one at +%d", i, at, send, w)
+		}
+	}
+	var sum int64
+	allocs := testing.AllocsPerRun(999, func() {
+		sum += u.Arrivals(0, 0, wire.TtoR, wire.DataPacket(0))[0]
+	})
+	if allocs != 0 {
+		t.Fatalf("Arrivals allocates %.1f per packet, want 0", allocs)
+	}
+	// What the fresh-slice policy drew over the next 1000 packets.
+	if sum != 5986 {
+		t.Fatalf("next 1000 delays sum to %d, want 5986", sum)
+	}
+}

@@ -57,3 +57,38 @@ func DataSends(k int) []ioa.Action {
 	}
 	return tab
 }
+
+// recvBound is the data-symbol bound of RecvAction's table: it covers
+// every alphabet the stacks build and the symbols a corruption fault
+// shifts past k.
+const recvBound = 256
+
+// recvActs holds the pre-boxed payload-free, untagged recvs, indexed by
+// direction (TtoR, RtoT) and then by symbol, with the ack at recvBound.
+var recvActs = func() (tab [2][recvBound + 1]ioa.Action) {
+	for d := range tab {
+		dir := wire.TtoR + wire.Dir(d)
+		for s := 0; s < recvBound; s++ {
+			tab[d][s] = wire.Recv{Dir: dir, P: wire.DataPacket(wire.Symbol(s))}
+		}
+		tab[d][recvBound] = wire.Recv{Dir: dir, P: wire.AckPacket()}
+	}
+	return tab
+}()
+
+// RecvAction returns recv[dir](p) carrying payload, equal (==) to the
+// freshly boxed wire.Recv{Dir: dir, P: p, Payload: payload}. A
+// payload-free, untagged ack or data symbol below 256 comes pre-boxed
+// from a table built once per process, so delivering it allocates
+// nothing; anything else is boxed fresh.
+func RecvAction(dir wire.Dir, p wire.Packet, payload string) ioa.Action {
+	if payload == "" && p.Tag == 0 && (dir == wire.TtoR || dir == wire.RtoT) {
+		switch {
+		case p.Kind == wire.Data && p.Symbol >= 0 && p.Symbol < recvBound:
+			return recvActs[dir-wire.TtoR][p.Symbol]
+		case p == wire.AckPacket():
+			return recvActs[dir-wire.TtoR][recvBound]
+		}
+	}
+	return wire.Recv{Dir: dir, P: p, Payload: payload}
+}

@@ -135,8 +135,8 @@ func (o HardenOptions) withDefaults(p Params) HardenOptions {
 // hardOut is one unacknowledged payload send awaiting its cumulative ack.
 type hardOut struct {
 	seq      int64
-	pkt      wire.Packet
-	lastSent int64 // in local steps
+	act      ioa.Action // the boxed send, reused by every retransmission
+	lastSent int64      // in local steps
 	attempt  int
 }
 
@@ -162,6 +162,10 @@ type hardEnd struct {
 	buffer     map[int64]wire.Packet
 	ackPending bool
 	lastWasAck bool // fairness gate: never two acks back to back
+	// ackAct is the boxed coalesced ack for cumulative value ackFor,
+	// reused until expected moves on.
+	ackAct ioa.Action
+	ackFor int64
 
 	// Diagnostics.
 	rejected int // checksum failures dropped
@@ -229,12 +233,12 @@ func (h *hardEnd) Classify(act ioa.Action) ioa.Class {
 // (5) an internal idle step to keep the retransmission clock ticking.
 func (h *hardEnd) NextLocal() (ioa.Action, bool) {
 	if h.ackPending && !h.lastWasAck {
-		return wire.Send{Dir: h.outDir, P: hardAckPacket(h.expected, h.outDir)}, true
+		return h.ackAction(), true
 	}
 	if len(h.outstanding) > 0 {
 		o := h.outstanding[0]
 		if h.steps-o.lastSent >= h.rto(o.attempt) {
-			return wire.Send{Dir: h.outDir, P: o.pkt}, true
+			return o.act, true
 		}
 	}
 	if act, ok := h.inner.NextLocal(); ok {
@@ -247,12 +251,23 @@ func (h *hardEnd) NextLocal() (ioa.Action, bool) {
 		return act, true
 	}
 	if h.ackPending {
-		return wire.Send{Dir: h.outDir, P: hardAckPacket(h.expected, h.outDir)}, true
+		return h.ackAction(), true
 	}
 	if len(h.outstanding) > 0 {
 		return actIdleH, true
 	}
 	return nil, false
+}
+
+// ackAction returns the coalesced ack for the current expected value.
+// The box is memoised, not the state: a new expected value gets a new
+// box, so an action NextLocal returned earlier keeps its value.
+func (h *hardEnd) ackAction() ioa.Action {
+	if h.ackAct == nil || h.ackFor != h.expected {
+		h.ackAct = wire.Send{Dir: h.outDir, P: hardAckPacket(h.expected, h.outDir)}
+		h.ackFor = h.expected
+	}
+	return h.ackAct
 }
 
 // Apply performs one transition: inputs go through the layer's receive
@@ -271,7 +286,7 @@ func (h *hardEnd) Apply(act ioa.Action) error {
 		}
 	case wire.Send:
 		if a.Dir == h.outDir {
-			return h.onLocalSend(a)
+			return h.onLocalSend(a, act)
 		}
 	}
 	h.steps++
@@ -279,8 +294,9 @@ func (h *hardEnd) Apply(act ioa.Action) error {
 	return h.inner.Apply(act)
 }
 
-// onLocalSend commits one of the layer's own send actions.
-func (h *hardEnd) onLocalSend(s wire.Send) error {
+// onLocalSend commits one of the layer's own send actions; act is s
+// boxed, kept for retransmission.
+func (h *hardEnd) onLocalSend(s wire.Send, act ioa.Action) error {
 	h.steps++
 	val, ctrl, ok := hardDecode(s.P, h.outDir)
 	if !ok {
@@ -313,7 +329,7 @@ func (h *hardEnd) onLocalSend(s wire.Send) error {
 	if err := h.inner.Apply(inner); err != nil {
 		return err
 	}
-	h.outstanding = append(h.outstanding, hardOut{seq: val, pkt: s.P, lastSent: h.steps})
+	h.outstanding = append(h.outstanding, hardOut{seq: val, act: act, lastSent: h.steps})
 	h.nextSeq = val + 1
 	return nil
 }
@@ -328,9 +344,16 @@ func (h *hardEnd) onRecv(p wire.Packet) error {
 		return nil
 	}
 	if ctrl {
-		for len(h.outstanding) > 0 && h.outstanding[0].seq < val {
-			h.outstanding = h.outstanding[1:]
+		acked := 0
+		for acked < len(h.outstanding) && h.outstanding[acked].seq < val {
+			acked++
 		}
+		// Shift the survivors down instead of reslicing past the acked
+		// head, so the queue keeps its backing array and a send appends
+		// without allocating.
+		kept := copy(h.outstanding, h.outstanding[acked:])
+		clear(h.outstanding[kept:])
+		h.outstanding = h.outstanding[:kept]
 		return nil
 	}
 	// Every payload arrival re-arms the ack — a duplicate usually means
@@ -349,7 +372,7 @@ func (h *hardEnd) onRecv(p wire.Packet) error {
 	}
 	// In-order head: deliver it and any buffered successors.
 	for {
-		if err := h.inner.Apply(wire.Recv{Dir: h.inDir, P: unwrapped}); err != nil {
+		if err := h.inner.Apply(RecvAction(h.inDir, unwrapped, "")); err != nil {
 			return fmt.Errorf("rstp: hardened %s: inner rejected payload #%d: %w", h.inner.Name(), h.expected, err)
 		}
 		h.expected++

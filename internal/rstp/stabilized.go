@@ -717,7 +717,7 @@ func (e *stableEnd) onRecv(p wire.Packet) error {
 	}
 	e.mismatches = 0
 	e.lastLive = e.steps
-	return e.inner.Apply(wire.Recv{Dir: e.inDir, P: inner})
+	return e.inner.Apply(RecvAction(e.inDir, inner, ""))
 }
 
 // StabilizedSolution is a protocol stack wrapped in the stabilizing layer

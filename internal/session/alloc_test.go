@@ -3,6 +3,7 @@ package session
 import (
 	"testing"
 
+	"repro/internal/ioa"
 	"repro/internal/rstp"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -31,9 +32,9 @@ func betaFrame(n int) wire.Frame {
 	return wire.Frame{Session: 1, Dir: wire.TtoR, Seq: int64(2*n + 1), P: wire.DataPacket(wire.Symbol(n % 4))}
 }
 
-// TestEndpointApplyAllocs is the endpoint's allocation guard: applying
-// a delivered bare-β frame boxes its recv action once and allocates
-// nothing else.
+// TestEndpointApplyAllocs is the endpoint's allocation guard: a
+// delivered bare-β frame's recv action comes pre-boxed
+// (rstp.RecvAction), so applying it allocates nothing.
 func TestEndpointApplyAllocs(t *testing.T) {
 	e := applyEndpoint(t)
 	n := 0
@@ -45,8 +46,62 @@ func TestEndpointApplyAllocs(t *testing.T) {
 	if e.deliveries != n || e.rejected != 0 {
 		t.Fatalf("applied %d frames: %d delivered, %d rejected", n, e.deliveries, e.rejected)
 	}
-	if allocs > 1 {
-		t.Fatalf("endpoint.apply allocates %.1f per frame, want at most 1", allocs)
+	if allocs != 0 {
+		t.Fatalf("endpoint.apply allocates %.1f per frame, want 0", allocs)
+	}
+}
+
+// acceptAll is a receiver automaton that takes every recv as an input
+// and keeps the last one it applied.
+type acceptAll struct{ last ioa.Action }
+
+func (a *acceptAll) Name() string { return "r" }
+
+func (a *acceptAll) Classify(act ioa.Action) ioa.Class {
+	if _, ok := act.(wire.Recv); ok {
+		return ioa.ClassInput
+	}
+	return ioa.ClassNone
+}
+
+func (a *acceptAll) NextLocal() (ioa.Action, bool) { return nil, false }
+
+func (a *acceptAll) Apply(act ioa.Action) error {
+	a.last = act
+	return nil
+}
+
+// TestEndpointApplyRecordsFreshRecv: frames off the pre-boxed table (a
+// tagged packet, a payload, symbols outside [0, 256), a tagged ack)
+// still apply, and the automaton and the trace see the same recv as
+// a freshly boxed one, as do the table's own bare data and ack frames.
+func TestEndpointApplyRecordsFreshRecv(t *testing.T) {
+	auto := &acceptAll{}
+	m := &mux{}
+	m.init(Config{Params: applyParams, Clock: transport.NewClock(0), TraceLimit: 64}, "receiver")
+	e := newEndpoint(m, 1, auto)
+	frames := []wire.Frame{
+		{Dir: wire.TtoR, P: wire.DataPacket(3)},
+		{Dir: wire.RtoT, P: wire.AckPacket()},
+		{Dir: wire.TtoR, P: wire.Packet{Kind: wire.Data, Symbol: 3, Tag: 5 << 5}},
+		{Dir: wire.TtoR, P: wire.DataPacket(2), Payload: "coded"},
+		{Dir: wire.TtoR, P: wire.DataPacket(300)},
+		{Dir: wire.TtoR, P: wire.DataPacket(-1)},
+		{Dir: wire.RtoT, P: wire.Packet{Kind: wire.Ack, Tag: 1}},
+	}
+	for i, f := range frames {
+		f.Session, f.Seq = 1, int64(2*i+1)
+		e.apply(f)
+		want := wire.Recv{Dir: f.Dir, P: f.P, Payload: f.Payload}
+		if e.deliveries != i+1 {
+			t.Fatalf("frame %v: %d deliveries, want %d", f, e.deliveries, i+1)
+		}
+		if auto.last != ioa.Action(want) {
+			t.Errorf("frame %v: automaton applied %#v, want %#v", f, auto.last, want)
+		}
+		if ev := e.trace[len(e.trace)-1]; ev.Action != ioa.Action(want) || ev.PacketSeq != f.Seq || ev.Actor != "chan" {
+			t.Errorf("frame %v: trace recorded %+v, want %v from chan", f, ev, want)
+		}
 	}
 }
 

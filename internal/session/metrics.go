@@ -261,7 +261,7 @@ func (s *Server) LiveSessions() []LiveSession {
 			ID: ep.id, Role: s.role,
 			Sends: ep.sends, Writes: ep.writes,
 			EffortTicks: Report{Start: ep.start, LastSend: ep.lastSend, Writes: ep.writes}.Effort(),
-			IdleTicks:   now - ep.lastActivity,
+			IdleTicks:   ep.idle(now),
 			Resyncs:     ep.resyncs,
 		}
 		if b := s.cfg.EffortLowerBound; b > 0 && ls.EffortTicks > 0 {

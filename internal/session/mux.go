@@ -36,6 +36,9 @@ type mux struct {
 	seq    int64
 	active map[uint32]*endpoint
 	order  []*endpoint // active endpoints in spawn order, retired ones compacted out each tick
+	// lastNow is the loop's previous clock reading and stalled the sum
+	// of its stalls (see now), which idle eviction does not charge.
+	lastNow, stalled int64
 	// finished is the tombstone set: the ID of every retired session, and
 	// on the server of every session evicted before it spawned. A
 	// finished ID is never reused (StartID) nor respawned (admitLocked).
@@ -121,6 +124,7 @@ func (m *mux) deliverLocked(f wire.Frame) {
 // endpoint whose tape save is still in flight is skipped whole: it is
 // neither stepped nor judged idle or wedged until the save lands.
 func (m *mux) tickLocked() {
+	m.now()
 	live := m.order[:0]
 	for _, ep := range m.order {
 		if ep.retired {
@@ -147,13 +151,28 @@ func (m *mux) advance(ep *endpoint) bool {
 	if m.role == "transmitter" || ep.saving {
 		return true
 	}
-	now := m.cfg.Clock.Now()
-	if m.cfg.IdleTicks > 0 && now-ep.lastActivity > m.cfg.IdleTicks {
+	now := m.now()
+	if m.cfg.IdleTicks > 0 && ep.idle(now) > m.cfg.IdleTicks {
 		ep.evicted = true
 		m.cfg.metrics.onEvict(now, ep.id)
 		return false
 	}
 	return m.watchdog <= 0 || ep.checkProgress(now, m.watchdog)
+}
+
+// now reads the clock for the loop, under mu, and books a stall: a gap
+// since the loop's previous reading longer than a step plus the channel
+// bound d means the loop itself did not run, as under a host stall, and
+// the frames due in that gap may not be released yet. The excess is
+// added to stalled, so the stall is not charged to any endpoint as idle
+// time.
+func (m *mux) now() int64 {
+	now := m.cfg.Clock.Now()
+	if gap := now - m.lastNow - m.cfg.Params.C2 - m.cfg.Params.D; m.lastNow > 0 && gap > 0 {
+		m.stalled += gap
+	}
+	m.lastNow = now
+	return now
 }
 
 // addLocked makes ep active and schedules it for stepping.

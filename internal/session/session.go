@@ -316,6 +316,7 @@ type endpoint struct {
 	lastSend     int64
 	lastWrite    int64
 	lastActivity int64
+	stallMark    int64 // m.stalled at lastActivity
 	lastProgress int64 // tick of the last output write (watchdog clock)
 	y            []wire.Bit
 	resumed      int // messages preloaded from a persisted tape at spawn
@@ -335,7 +336,13 @@ type endpoint struct {
 
 func newEndpoint(m *mux, id uint32, auto ioa.Automaton) *endpoint {
 	now := m.cfg.Clock.Now()
-	return &endpoint{id: id, auto: auto, m: m, start: now, lastActivity: now, lastProgress: now}
+	return &endpoint{id: id, auto: auto, m: m, start: now, lastActivity: now, stallMark: m.stalled, lastProgress: now}
+}
+
+// idle is the ticks since the endpoint's last arrival, less the loop
+// stalls booked since (mux.now).
+func (e *endpoint) idle(now int64) int64 {
+	return now - e.lastActivity - (e.m.stalled - e.stallMark)
 }
 
 // resumeTape seeds a freshly spawned receiver endpoint with the output
@@ -394,9 +401,10 @@ func (e *endpoint) checkProgress(now, window int64) bool {
 // signature accepts it.
 func (e *endpoint) apply(f wire.Frame) {
 	now := e.m.cfg.Clock.Now()
-	// Boxed once: Classify, Apply and record all take the same value.
-	var act ioa.Action = wire.Recv{Dir: f.Dir, P: f.P, Payload: f.Payload}
-	e.lastActivity = now
+	// Classify, Apply and record all take the same value, pre-boxed for
+	// a bare frame of the k-ary alphabet.
+	act := rstp.RecvAction(f.Dir, f.P, f.Payload)
+	e.lastActivity, e.stallMark = now, e.m.stalled
 	if e.auto.Classify(act) != ioa.ClassInput || e.auto.Apply(act) != nil {
 		e.rejected++
 		e.m.cfg.metrics.onReject()

@@ -242,7 +242,8 @@ func TestMemPayloadFrameNoExtraAlloc(t *testing.T) {
 // BenchmarkMemSendDeliver is one frame through the in-memory transport:
 // Send under the library's zero-delay policy, the delay line, the
 // scheduler goroutine and the delivery channel. Its one alloc/op is
-// chanmodel.Zero's Arrivals result.
+// chanmodel.Zero's Arrivals result: a value-type policy boxes a fresh
+// slice, where Mem's default UniformRandom reuses one it owns.
 func BenchmarkMemSendDeliver(b *testing.B) {
 	m := NewMem(NewClock(0), MemOptions{Delay: chanmodel.Zero{}})
 	defer m.Close()

@@ -146,12 +146,14 @@ func RandomDelay(d int64, rnd interface{ Int63n(int64) int64 }) DelayPolicy {
 type randomDelay struct {
 	d   int64
 	rnd interface{ Int63n(int64) int64 }
+	at  [1]int64 // Arrivals' result, reused per call
 }
 
 func (r *randomDelay) Name() string { return "uniform-random(public)" }
 
 func (r *randomDelay) Arrivals(_ int64, sendTime int64, _ wire.Dir, _ wire.Packet) []int64 {
-	return []int64{sendTime + r.rnd.Int63n(r.d+1)}
+	r.at[0] = sendTime + r.rnd.Int63n(r.d+1)
+	return r.at[:]
 }
 
 // ReverseBurstDelay reverses each burst's arrival order while respecting

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/wire"
 )
 
 // TestPublicAPIRoundTrip exercises the documented quickstart flow through
@@ -203,5 +204,23 @@ func TestPublicSchedulesAndDelays(t *testing.T) {
 				t.Fatalf("%s/%s: %v", sched.Name(), delay.Name(), v[0])
 			}
 		}
+	}
+}
+
+// TestRandomDelayNoAlloc: the facade's RandomDelay returns one arrival
+// in [send, send+d] from a slice it owns, so a send allocates nothing.
+func TestRandomDelayNoAlloc(t *testing.T) {
+	const d = 12
+	delay := repro.RandomDelay(d, rand.New(rand.NewSource(5)))
+	var send int64
+	allocs := testing.AllocsPerRun(100, func() {
+		send += 7
+		at := delay.Arrivals(send, send, wire.TtoR, wire.DataPacket(1))
+		if len(at) != 1 || at[0] < send || at[0] > send+d {
+			t.Fatalf("send %d: arrivals %v, want one in [%d, %d]", send, at, send, send+d)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("RandomDelay allocates %.1f per packet, want 0", allocs)
 	}
 }
