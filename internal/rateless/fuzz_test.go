@@ -24,8 +24,15 @@ func FuzzRatelessDecode(f *testing.F) {
 	} {
 		f.Add(wire.AppendCodedSymbol(nil, cs))
 	}
-	f.Add(wire.AppendDecodeAck(nil, wire.DecodeAckMsg{Next: 0}))
-	f.Add(wire.AppendDecodeAck(nil, wire.DecodeAckMsg{Next: 7}))
+	for _, a := range []wire.DecodeAckMsg{
+		{Next: 0},
+		{Next: 7},
+		{Next: 7, Mask: 0b1101},
+		{Next: 2, Mask: 1 << 63},
+		{Next: ^uint32(0), Mask: 1<<64 - 1},
+	} {
+		f.Add(wire.AppendDecodeAck(nil, a))
+	}
 	// Truncations and junk.
 	f.Add([]byte{})
 	f.Add([]byte{'C', 1})

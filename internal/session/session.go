@@ -46,6 +46,7 @@ package session
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/ioa"
@@ -355,6 +356,14 @@ func (e *endpoint) resumeTape(y []wire.Bit) {
 	e.resumed = len(y)
 	if tr, ok := e.auto.(TapeResumer); ok {
 		tr.ResumeTape(int64(len(y)))
+	}
+}
+
+// sizeTape gives the output tape room for n messages in one allocation,
+// so a transfer whose length is known never grows it write by write.
+func (e *endpoint) sizeTape(n int) {
+	if n > cap(e.y) {
+		e.y = slices.Grow(e.y, n-len(e.y))
 	}
 }
 

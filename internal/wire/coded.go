@@ -14,7 +14,8 @@ import (
 // hostile channel) corrupts: the receiver cross-checks Packet.Symbol
 // against the payload's Value and drops mismatches as loss. A DecodeAck
 // frame carries the receiver's cut-the-stream signal: the index of the
-// next block it needs.
+// next block it needs, and a selective mask of the blocks past it that
+// it has already decoded.
 //
 // Both records are fixed-length and strictly validated: wrong length,
 // wrong magic/version or a failed checksum is a CodedError, never a
@@ -41,6 +42,11 @@ type CodedSymbol struct {
 type DecodeAckMsg struct {
 	// Next is the index of the first block the receiver still needs.
 	Next uint32
+	// Mask selectively acknowledges the 64 blocks past Next: bit i set
+	// means block Next+1+i is already decoded. It is a hint for the
+	// transmitter's repair order, never a promise: a restarted receiver
+	// forgets the blocks it held past Next.
+	Mask uint64
 }
 
 // Coded payload wire format (big-endian):
@@ -57,17 +63,22 @@ type DecodeAckMsg struct {
 //
 //	offset  size  field
 //	0       1     magic 'K'
-//	1       1     version (1)
+//	1       1     version (2)
 //	2       4     next block
-//	6       4     FNV-32a over bytes [0, 6)
+//	6       8     mask: bit i = block next+1+i decoded
+//	14      4     FNV-32a over bytes [0, 14)
+//
+// Version 1 of the ack was 10 bytes (no mask); it fails both the length
+// and the version check.
 const (
 	codedMagic   = 'C'
 	ackMagic     = 'K'
 	codedVersion = 1
+	ackVersion   = 2
 	// CodedSymbolLen is the exact coded-symbol payload length in bytes.
 	CodedSymbolLen = 22
 	// DecodeAckLen is the exact decode-ack payload length in bytes.
-	DecodeAckLen = 10
+	DecodeAckLen = 18
 )
 
 // CodedError describes a malformed coded-symbol or decode-ack payload.
@@ -133,9 +144,10 @@ func ParseCodedSymbol(buf []byte) (CodedSymbol, error) {
 func AppendDecodeAck(dst []byte, a DecodeAckMsg) []byte {
 	var buf [DecodeAckLen]byte
 	buf[0] = ackMagic
-	buf[1] = codedVersion
+	buf[1] = ackVersion
 	binary.BigEndian.PutUint32(buf[2:6], a.Next)
-	binary.BigEndian.PutUint32(buf[6:10], fnv32(buf[:6]))
+	binary.BigEndian.PutUint64(buf[6:14], a.Mask)
+	binary.BigEndian.PutUint32(buf[14:18], fnv32(buf[:14]))
 	return append(dst, buf[:]...)
 }
 
@@ -148,13 +160,16 @@ func ParseDecodeAck(buf []byte) (DecodeAckMsg, error) {
 	if buf[0] != ackMagic {
 		return DecodeAckMsg{}, codedErrf("magic 0x%02x, want 0x%02x", buf[0], ackMagic)
 	}
-	if buf[1] != codedVersion {
-		return DecodeAckMsg{}, codedErrf("version %d, want %d", buf[1], codedVersion)
+	if buf[1] != ackVersion {
+		return DecodeAckMsg{}, codedErrf("version %d, want %d", buf[1], ackVersion)
 	}
-	if got, want := binary.BigEndian.Uint32(buf[6:10]), fnv32(buf[:6]); got != want {
+	if got, want := binary.BigEndian.Uint32(buf[14:18]), fnv32(buf[:14]); got != want {
 		return DecodeAckMsg{}, codedErrf("checksum %08x, want %08x", got, want)
 	}
-	return DecodeAckMsg{Next: binary.BigEndian.Uint32(buf[2:6])}, nil
+	return DecodeAckMsg{
+		Next: binary.BigEndian.Uint32(buf[2:6]),
+		Mask: binary.BigEndian.Uint64(buf[6:14]),
+	}, nil
 }
 
 // CodedPacket returns the header packet paired with a coded-symbol

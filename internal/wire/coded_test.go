@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 )
@@ -28,7 +29,11 @@ func TestCodedSymbolRoundTrip(t *testing.T) {
 }
 
 func TestDecodeAckRoundTrip(t *testing.T) {
-	for _, a := range []DecodeAckMsg{{}, {Next: 1}, {Next: 1<<32 - 1}} {
+	for _, a := range []DecodeAckMsg{
+		{}, {Next: 1}, {Next: 1<<32 - 1},
+		{Next: 3, Mask: 1}, {Next: 3, Mask: 1 << 63}, {Next: 9, Mask: 0b1011_0000},
+		{Next: 0, Mask: 1<<64 - 1}, {Next: 1<<32 - 1, Mask: 1<<64 - 1},
+	} {
 		buf := AppendDecodeAck(nil, a)
 		if len(buf) != DecodeAckLen {
 			t.Fatalf("encoded %v to %d bytes, want %d", a, len(buf), DecodeAckLen)
@@ -71,7 +76,7 @@ func TestParseCodedSymbolRejects(t *testing.T) {
 }
 
 func TestParseDecodeAckRejects(t *testing.T) {
-	valid := AppendDecodeAck(nil, DecodeAckMsg{Next: 5})
+	valid := AppendDecodeAck(nil, DecodeAckMsg{Next: 5, Mask: 0x8000_0000_0000_0005})
 
 	check := func(name string, buf []byte) {
 		t.Helper()
@@ -89,6 +94,41 @@ func TestParseDecodeAckRejects(t *testing.T) {
 		mut := append([]byte(nil), valid...)
 		mut[i] ^= 0x41
 		check("bitflip", mut)
+	}
+}
+
+// v1Ack encodes the mask-less version-1 ack: magic, version 1, next,
+// then FNV-32a over the first six bytes, 10 bytes in all.
+func v1Ack(next uint32) []byte {
+	buf := []byte{ackMagic, 1, 0, 0, 0, 0}
+	binary.BigEndian.PutUint32(buf[2:6], next)
+	return binary.BigEndian.AppendUint32(buf, fnv32(buf))
+}
+
+// TestDecodeAckRejectsV1: a version-1 ack fails the length check as it
+// stands, and the version check once padded to the version-2 length
+// with a valid checksum.
+func TestDecodeAckRejectsV1(t *testing.T) {
+	old := v1Ack(5)
+	if len(old) != 10 {
+		t.Fatalf("v1 ack is %d bytes, want 10", len(old))
+	}
+	if _, err := ParseDecodeAck(old); err == nil {
+		t.Fatal("accepted a 10-byte v1 ack")
+	}
+	padded := append(old[:6:6], make([]byte, 8)...)
+	padded = binary.BigEndian.AppendUint32(padded, fnv32(padded))
+	if len(padded) != DecodeAckLen {
+		t.Fatalf("padded v1 ack is %d bytes, want %d", len(padded), DecodeAckLen)
+	}
+	var ce *CodedError
+	if _, err := ParseDecodeAck(padded); !errors.As(err, &ce) {
+		t.Fatalf("padded v1 ack: error %v, want a *CodedError", err)
+	}
+	padded[1] = ackVersion
+	binary.BigEndian.PutUint32(padded[14:], fnv32(padded[:14]))
+	if a, err := ParseDecodeAck(padded); err != nil || a != (DecodeAckMsg{Next: 5}) {
+		t.Fatalf("the same record as version 2: %v, %v", a, err)
 	}
 }
 

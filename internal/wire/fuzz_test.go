@@ -36,6 +36,12 @@ func FuzzParseFrame(f *testing.F) {
 		{Session: 1, Dir: TtoR, Seq: 1, P: DataPacket(3)},
 		{Session: 9, Dir: RtoT, Seq: 7, P: AckPacket()},
 		{Session: 2, Dir: TtoR, Seq: 2, P: DataPacket(0), Payload: "xy"},
+		{Session: 3, Dir: TtoR, Seq: 5, P: CodedPacket(CodedSymbol{Block: 2, Index: 7, Value: 1}),
+			Payload: string(AppendCodedSymbol(nil, CodedSymbol{Block: 2, Index: 7, Value: 1}))},
+		{Session: 3, Dir: RtoT, Seq: 6, P: DecodeAckPacket(DecodeAckMsg{Next: 2, Mask: 0b101}),
+			Payload: string(AppendDecodeAck(nil, DecodeAckMsg{Next: 2, Mask: 0b101}))},
+		{Session: 4, Dir: RtoT, Seq: 1, P: DecodeAckPacket(DecodeAckMsg{Next: 0, Mask: 1<<64 - 1}),
+			Payload: string(AppendDecodeAck(nil, DecodeAckMsg{Next: 0, Mask: 1<<64 - 1}))},
 	} {
 		buf, err := EncodeFrame(fr)
 		if err != nil {

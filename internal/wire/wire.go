@@ -72,7 +72,8 @@ const (
 	Coded
 	// DecodeAck packets are the rateless receiver's decode acknowledgement:
 	// Symbol holds the next block it needs and the frame payload the
-	// checksummed record (see AppendDecodeAck).
+	// checksummed record, with its mask of blocks decoded past that one
+	// (see AppendDecodeAck).
 	DecodeAck
 )
 

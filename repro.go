@@ -478,7 +478,8 @@ type PairBuilder = session.PairBuilder
 // Rateless coded burst subsystem (PR 9): an LT-style fountain code over
 // each block's packet multiset replaces exact-packet retransmission.
 // The transmitter streams deterministic, per-block-seeded coded symbols
-// until the receiver's cumulative decode ack cuts the stream; loss
+// until the receiver's cumulative decode ack cuts the stream (its
+// selective mask stops repairs of blocks decoded out of order); loss
 // costs a few extra symbols per block instead of a round trip. The
 // builder satisfies PairBuilder, so the subsystem is selectable
 // anywhere the hardened β/γ stacks are — ServeConfig.Solution,
