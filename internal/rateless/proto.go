@@ -170,11 +170,9 @@ type Transmitter struct {
 	cursor   uint32   // repair phase: round-robin position in [acked, nb)
 	nextIdx  []uint32 // repair phase: next fresh coded index per block, | sacked once a mask reported it decoded
 
-	// arena holds the coded records sent so far: each new symbol's
-	// payload is a substring of it, and it is replaced by a fresh one
-	// grown for arenaRecords records when full. Sent records stay
-	// immutable, so payloads still in flight keep their bytes.
-	arena strings.Builder
+	// arena holds the coded records sent so far (arenaRecords per
+	// backing array); each new symbol's payload is a substring of it.
+	arena recordArena
 
 	// sent memoizes the boxed send of coded symbol (sentBlock, sentIdx),
 	// which is a pure function of that pair: Machine calls Act in both
@@ -189,9 +187,33 @@ const (
 	// sacked flags a block in nextIdx that an ack's mask reported
 	// decoded. A block's index would need 2³¹ sends to reach it.
 	sacked = 1 << 31
-	// arenaRecords is the number of coded records one arena holds.
+	// arenaRecords is the number of coded records one transmitter
+	// arena holds.
 	arenaRecords = 64
+	// ackArenaRecords is the number of ack records one receiver arena
+	// holds. A receiver sends about one new ack per decoded block, so
+	// one arena covers a short session.
+	ackArenaRecords = 16
 )
+
+// recordArena hands out payload strings as substrings of one
+// strings.Builder, so a new record costs no allocation of its own. When
+// the builder is full it is replaced by a fresh one grown for the given
+// number of records. Records already handed out stay immutable, so
+// payloads still in flight keep their bytes.
+type recordArena struct{ b strings.Builder }
+
+// add appends rec and returns it as a substring of the arena, growing a
+// fresh backing array for records records of rec's length when full.
+func (a *recordArena) add(rec []byte, records int) string {
+	if a.b.Cap()-a.b.Len() < len(rec) {
+		a.b.Reset()
+		a.b.Grow(records * len(rec))
+	}
+	a.b.Write(rec)
+	all := a.b.String()
+	return all[len(all)-len(rec):]
+}
 
 func newTransmitter(b *Builder, x []wire.Bit) (*Transmitter, error) {
 	bits := b.codec.BlockBits()
@@ -240,25 +262,19 @@ func (t *Transmitter) pick() (block, index uint32) {
 
 // sendAction returns the boxed send of the coded symbol pick chooses,
 // building it only when the pair differs from the memoized one. The
-// record is encoded on the stack and written to the arena; the payload
-// is the arena's substring, so a new symbol allocates only its box.
+// record is encoded on the stack and its payload is taken from the
+// arena, so a new symbol allocates only its box.
 func (t *Transmitter) sendAction() ioa.Action {
 	b, idx := t.pick()
 	if t.sent != nil && t.sentBlock == b && t.sentIdx == idx {
 		return t.sent
 	}
 	cs := wire.CodedSymbol{Block: b, Index: idx, Value: t.codes[b].encode(t.syms[int(b)*t.n:int(b+1)*t.n], idx)}
-	if t.arena.Cap()-t.arena.Len() < wire.CodedSymbolLen {
-		t.arena.Reset()
-		t.arena.Grow(arenaRecords * wire.CodedSymbolLen)
-	}
 	var rec [wire.CodedSymbolLen]byte
-	t.arena.Write(wire.AppendCodedSymbol(rec[:0], cs))
-	records := t.arena.String()
 	t.sent = wire.Send{
 		Dir:     wire.TtoR,
 		P:       wire.CodedPacket(cs),
-		Payload: records[len(records)-wire.CodedSymbolLen:],
+		Payload: t.arena.add(wire.AppendCodedSymbol(rec[:0], cs), arenaRecords),
 	}
 	t.sentBlock, t.sentIdx = b, idx
 	return t.sent
@@ -424,10 +440,11 @@ type Receiver struct {
 	pendingAck bool
 
 	// ack memoizes the boxed ack of (ackNext, ackMask), as the
-	// transmitter memoizes its sends.
-	ack     ioa.Action
-	ackNext uint32
-	ackMask uint64
+	// transmitter memoizes its sends; its payload comes from ackArena.
+	ack      ioa.Action
+	ackNext  uint32
+	ackMask  uint64
+	ackArena recordArena
 }
 
 var _ ioa.Deterministic = (*Receiver)(nil)
@@ -487,7 +504,8 @@ func (r *Receiver) initMachine() error {
 }
 
 // ackAction returns the boxed ack of (r.next, r.mask), built only when
-// either differs from the memoized ack's.
+// either differs from the memoized ack's. Its payload is a substring of
+// the receiver's ack arena, so a new ack allocates only its box.
 func (r *Receiver) ackAction() ioa.Action {
 	if r.ack != nil && r.ackNext == r.next && r.ackMask == r.mask {
 		return r.ack
@@ -497,7 +515,7 @@ func (r *Receiver) ackAction() ioa.Action {
 	r.ack = wire.Send{
 		Dir:     wire.RtoT,
 		P:       wire.DecodeAckPacket(ack),
-		Payload: string(wire.AppendDecodeAck(rec[:0], ack)),
+		Payload: r.ackArena.add(wire.AppendDecodeAck(rec[:0], ack), ackArenaRecords),
 	}
 	r.ackNext, r.ackMask = r.next, r.mask
 	return r.ack

@@ -2,6 +2,7 @@ package rstp
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/ioa"
 	"repro/internal/wire"
@@ -79,11 +80,18 @@ var recvActs = func() (tab [2][recvBound + 1]ioa.Action) {
 // RecvAction returns recv[dir](p) carrying payload, equal (==) to the
 // freshly boxed wire.Recv{Dir: dir, P: p, Payload: payload}. A
 // payload-free, untagged ack or data symbol below 256 comes pre-boxed
-// from a table built once per process, so delivering it allocates
-// nothing; anything else is boxed fresh.
+// from a table built once per process, and a payload-free tagged packet
+// this process has sent comes from the tagged-action intern, so
+// delivering either allocates nothing; anything else is boxed fresh.
+// RecvAction only reads the intern: a frame off the wire never adds an
+// entry.
 func RecvAction(dir wire.Dir, p wire.Packet, payload string) ioa.Action {
-	if payload == "" && p.Tag == 0 && (dir == wire.TtoR || dir == wire.RtoT) {
+	if payload == "" && (dir == wire.TtoR || dir == wire.RtoT) {
 		switch {
+		case p.Tag != 0:
+			if e := tagged.lookup(dir, p); e != nil {
+				return e.recv
+			}
 		case p.Kind == wire.Data && p.Symbol >= 0 && p.Symbol < recvBound:
 			return recvActs[dir-wire.TtoR][p.Symbol]
 		case p == wire.AckPacket():
@@ -91,4 +99,107 @@ func RecvAction(dir wire.Dir, p wire.Packet, payload string) ioa.Action {
 		}
 	}
 	return wire.Recv{Dir: dir, P: p, Payload: payload}
+}
+
+// Tagged-action intern. The hardened layer extends the automata's
+// alphabet with a sequence number and a checksum in Packet.Tag, so its
+// packets are not in the fixed tables above. But a hardened packet is a
+// pure function of (direction, sequence number, symbol), and every
+// session numbers its packets from 0, so every session sends and
+// receives the same values: one process-wide set of boxes serves them
+// all.
+//
+// An entry holds the pair send[dir](p) and recv[dir](p), keyed by
+// (dir, p); the send/recv half of the key picks the field. Only local
+// sends insert (internTable.send, which also boxes the recv the peer
+// will build), and RecvAction only looks up, so nothing a frame off the
+// wire carries (a corrupted tag, a stabilizing-layer tag, junk) can grow
+// the table. Reads take no lock: the table is a fixed open-addressed
+// array of atomic pointers to immutable entries, filled by CAS and never
+// emptied, and a lookup probes at most internProbe slots from the key's
+// hash, stopping at the first empty one.
+//
+// Memory is bounded: at most internMax entries (half the slots, so
+// probes stay short), each 64 bytes plus its two 48-byte boxes, which is
+// internMax·160 B = 1.25 MiB of heap, on top of the slot array's static
+// internSlots·8 B = 128 KiB. Past the cap, or when a key's probe window
+// is full, send boxes fresh exactly as an un-interned send would.
+const (
+	internBits  = 14
+	internSlots = 1 << internBits
+	internMax   = internSlots / 2
+	internProbe = 16
+)
+
+// internEntry is one interned (dir, p): its boxed send and recv.
+type internEntry struct {
+	dir  wire.Dir
+	p    wire.Packet
+	send ioa.Action
+	recv ioa.Action
+}
+
+// internTable is the intern's storage; the zero value is empty.
+type internTable struct {
+	slots [internSlots]atomic.Pointer[internEntry]
+	n     atomic.Int32 // entries inserted, never above internMax
+}
+
+// tagged is the process-wide intern every hardened endpoint shares.
+var tagged internTable
+
+// internHash places (dir, p) in the table (Fibonacci hashing).
+func internHash(dir wire.Dir, p wire.Packet) uint64 {
+	h := uint64(p.Tag)*0x9E3779B97F4A7C15 ^ uint64(p.Symbol)<<16 ^ uint64(p.Kind)<<8 ^ uint64(dir)
+	return (h * 0x9E3779B97F4A7C15) >> (64 - internBits)
+}
+
+// lookup returns the entry for (dir, p), or nil if there is none.
+func (t *internTable) lookup(dir wire.Dir, p wire.Packet) *internEntry {
+	h := internHash(dir, p)
+	for i := uint64(0); i < internProbe; i++ {
+		e := t.slots[(h+i)&(internSlots-1)].Load()
+		if e == nil {
+			return nil
+		}
+		if e.dir == dir && e.p == p {
+			return e
+		}
+	}
+	return nil
+}
+
+// send returns send[dir](p), interning it and the matching recv if the
+// table has room; either way the result is == the fresh wire.Send.
+func (t *internTable) send(dir wire.Dir, p wire.Packet) ioa.Action {
+	h := internHash(dir, p)
+	var fresh *internEntry
+	for i := uint64(0); i < internProbe; i++ {
+		slot := &t.slots[(h+i)&(internSlots-1)]
+		e := slot.Load()
+		if e == nil {
+			if fresh == nil {
+				if t.n.Add(1) > internMax {
+					t.n.Add(-1)
+					break
+				}
+				fresh = &internEntry{dir: dir, p: p, send: wire.Send{Dir: dir, P: p}, recv: wire.Recv{Dir: dir, P: p}}
+			}
+			if slot.CompareAndSwap(nil, fresh) {
+				return fresh.send
+			}
+			e = slot.Load() // another sender filled the slot first
+		}
+		if e.dir == dir && e.p == p {
+			if fresh != nil {
+				t.n.Add(-1)
+			}
+			return e.send
+		}
+	}
+	if fresh != nil {
+		t.n.Add(-1)
+		return fresh.send
+	}
+	return wire.Send{Dir: dir, P: p}
 }

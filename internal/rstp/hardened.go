@@ -157,15 +157,13 @@ type hardEnd struct {
 	steps       int64 // local step counter — the layer's proxy clock
 
 	// Receiver role: in-order exactly-once reassembly of incoming
-	// payloads, plus the coalesced cumulative ack.
+	// payloads, plus the coalesced cumulative ack. buffer holds the
+	// payloads that arrived ahead of expected; it is made on the first
+	// such arrival, so an in-order channel never allocates it.
 	expected   int64
 	buffer     map[int64]wire.Packet
 	ackPending bool
 	lastWasAck bool // fairness gate: never two acks back to back
-	// ackAct is the boxed coalesced ack for cumulative value ackFor,
-	// reused until expected moves on.
-	ackAct ioa.Action
-	ackFor int64
 
 	// Diagnostics.
 	rejected int // checksum failures dropped
@@ -184,7 +182,6 @@ func newHardEnd(inner ioa.Automaton, outDir, inDir wire.Dir, o HardenOptions) *h
 		window:     o.Window,
 		rtoBase:    o.RTOSteps,
 		backoffCap: o.BackoffCap,
-		buffer:     make(map[int64]wire.Packet),
 		obs:        o.Observer,
 	}
 }
@@ -244,7 +241,7 @@ func (h *hardEnd) NextLocal() (ioa.Action, bool) {
 	if act, ok := h.inner.NextLocal(); ok {
 		if s, isSend := act.(wire.Send); isSend && s.Dir == h.outDir {
 			if len(h.outstanding) < h.window {
-				return wire.Send{Dir: h.outDir, P: hardWrap(h.nextSeq, s.P, h.outDir)}, true
+				return tagged.send(h.outDir, hardWrap(h.nextSeq, s.P, h.outDir)), true
 			}
 			return actIdleH, true
 		}
@@ -259,15 +256,10 @@ func (h *hardEnd) NextLocal() (ioa.Action, bool) {
 	return nil, false
 }
 
-// ackAction returns the coalesced ack for the current expected value.
-// The box is memoised, not the state: a new expected value gets a new
-// box, so an action NextLocal returned earlier keeps its value.
+// ackAction returns the coalesced ack for the current expected value,
+// boxed once per process by the tagged-action intern.
 func (h *hardEnd) ackAction() ioa.Action {
-	if h.ackAct == nil || h.ackFor != h.expected {
-		h.ackAct = wire.Send{Dir: h.outDir, P: hardAckPacket(h.expected, h.outDir)}
-		h.ackFor = h.expected
-	}
-	return h.ackAct
+	return tagged.send(h.outDir, hardAckPacket(h.expected, h.outDir))
 }
 
 // Apply performs one transition: inputs go through the layer's receive
@@ -367,6 +359,9 @@ func (h *hardEnd) onRecv(p wire.Packet) error {
 	unwrapped := p
 	unwrapped.Tag = 0
 	if val != h.expected {
+		if h.buffer == nil {
+			h.buffer = make(map[int64]wire.Packet)
+		}
 		h.buffer[val] = unwrapped
 		return nil
 	}

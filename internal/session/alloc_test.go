@@ -22,9 +22,49 @@ func applyEndpoint(tb testing.TB) *endpoint {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	return receiverEndpoint(r)
+}
+
+// receiverEndpoint is a receiver-side endpoint over auto, with tracing
+// and metrics off.
+func receiverEndpoint(auto ioa.Automaton) *endpoint {
 	m := &mux{}
 	m.init(Config{Params: applyParams, Clock: transport.NewClock(0), TraceLimit: -1}, "receiver")
-	return newEndpoint(m, 1, r)
+	return newEndpoint(m, 1, auto)
+}
+
+// hardenedFrames steps a hardened β(4) transmitter through its first n
+// tagged data sends and returns them as delivered t→r frames, together
+// with the matching hardened receiver. Each send interns its recv in
+// rstp's process-wide table as it would in a served session.
+func hardenedFrames(tb testing.TB, n int) ([]wire.Frame, ioa.Automaton) {
+	tb.Helper()
+	b, err := rstp.Beta(applyParams, 4)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	x := make([]wire.Bit, b.BlockBits*(n/applyParams.Delta1()+2))
+	for i := range x {
+		x[i] = wire.Bit(i % 3 % 2)
+	}
+	tx, rx, err := rstp.Harden(b, rstp.HardenOptions{}).NewPair(x)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var frames []wire.Frame
+	for len(frames) < n {
+		act, ok := tx.NextLocal()
+		if !ok {
+			tb.Fatalf("transmitter stopped after %d sends", len(frames))
+		}
+		if err := tx.Apply(act); err != nil {
+			tb.Fatal(err)
+		}
+		if s, send := act.(wire.Send); send {
+			frames = append(frames, wire.Frame{Session: 1, Dir: s.Dir, Seq: int64(2*len(frames) + 1), P: s.P})
+		}
+	}
+	return frames, rx
 }
 
 // betaFrame is the n-th delivered t→r frame of a bare β(4) session.
@@ -34,7 +74,8 @@ func betaFrame(n int) wire.Frame {
 
 // TestEndpointApplyAllocs is the endpoint's allocation guard: a
 // delivered bare-β frame's recv action comes pre-boxed
-// (rstp.RecvAction), so applying it allocates nothing.
+// (rstp.RecvAction), and so does a hardened frame's tagged recv once the
+// peer's send has interned it, so applying either allocates nothing.
 func TestEndpointApplyAllocs(t *testing.T) {
 	e := applyEndpoint(t)
 	n := 0
@@ -48,6 +89,20 @@ func TestEndpointApplyAllocs(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("endpoint.apply allocates %.1f per frame, want 0", allocs)
+	}
+
+	frames, rx := hardenedFrames(t, applyParams.Delta1()-1)
+	he := receiverEndpoint(rx)
+	n = 0
+	allocs = testing.AllocsPerRun(len(frames)-1, func() {
+		he.apply(frames[n])
+		n++
+	})
+	if he.deliveries != n || he.rejected != 0 {
+		t.Fatalf("applied %d hardened frames: %d delivered, %d rejected", n, he.deliveries, he.rejected)
+	}
+	if allocs != 0 {
+		t.Fatalf("endpoint.apply allocates %.1f per hardened frame, want 0", allocs)
 	}
 }
 
