@@ -14,8 +14,6 @@ import (
 // identical profiles — so no receiver can tell permutations of a window
 // apart, and the protocol is provably not a solution to RSTP.
 type NaiveTransmitter struct {
-	m *ioa.Machine
-
 	x []wire.Bit
 	i int
 }
@@ -29,24 +27,25 @@ func NewNaiveTransmitter(x []wire.Bit) (*NaiveTransmitter, error) {
 			return nil, fmt.Errorf("adversary: naive transmitter: invalid bit at %d", idx)
 		}
 	}
-	t := &NaiveTransmitter{x: append([]wire.Bit(nil), x...)}
-	m, err := ioa.NewMachine("t", t.classify, nil, []ioa.Command{
+	return &NaiveTransmitter{x: append([]wire.Bit(nil), x...)}, nil
+}
+
+// naiveTransmitterTable is the strawman transmitter's program.
+var naiveTransmitterTable = ioa.MustTable(ioa.Table[NaiveTransmitter]{
+	Name:     "t",
+	Classify: (*NaiveTransmitter).classify,
+	Cmds: []ioa.Cmd[NaiveTransmitter]{
 		{
 			Name:  "send",
 			Class: ioa.ClassOutput,
-			Pre:   func() bool { return t.i < len(t.x) },
-			Act: func() ioa.Action {
+			Pre:   func(t *NaiveTransmitter) bool { return t.i < len(t.x) },
+			Act: func(t *NaiveTransmitter) ioa.Action {
 				return wire.Send{Dir: wire.TtoR, P: wire.DataPacket(wire.Symbol(t.x[t.i]))}
 			},
-			Eff: func() { t.i++ },
+			Eff: func(t *NaiveTransmitter) { t.i++ },
 		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.m = m
-	return t, nil
-}
+	},
+})
 
 func (t *NaiveTransmitter) classify(a ioa.Action) ioa.Class {
 	if s, ok := a.(wire.Send); ok && s.Dir == wire.TtoR && s.P.Kind == wire.Data {
@@ -56,16 +55,16 @@ func (t *NaiveTransmitter) classify(a ioa.Action) ioa.Class {
 }
 
 // Name returns "t".
-func (t *NaiveTransmitter) Name() string { return t.m.Name() }
+func (t *NaiveTransmitter) Name() string { return naiveTransmitterTable.Name }
 
 // Classify places an action in the signature.
-func (t *NaiveTransmitter) Classify(a ioa.Action) ioa.Class { return t.m.Classify(a) }
+func (t *NaiveTransmitter) Classify(a ioa.Action) ioa.Class { return t.classify(a) }
 
 // NextLocal returns the unique enabled local action.
-func (t *NaiveTransmitter) NextLocal() (ioa.Action, bool) { return t.m.NextLocal() }
+func (t *NaiveTransmitter) NextLocal() (ioa.Action, bool) { return naiveTransmitterTable.NextLocal(t) }
 
 // Apply performs a transition.
-func (t *NaiveTransmitter) Apply(a ioa.Action) error { return t.m.Apply(a) }
+func (t *NaiveTransmitter) Apply(a ioa.Action) error { return naiveTransmitterTable.Apply(t, a) }
 
 // DeterministicIOA marks the automaton deterministic.
 func (t *NaiveTransmitter) DeterministicIOA() bool { return true }
@@ -73,8 +72,6 @@ func (t *NaiveTransmitter) DeterministicIOA() bool { return true }
 // NaiveReceiver writes arriving symbols directly, in arrival order — the
 // best a receiver can do for the naive transmitter.
 type NaiveReceiver struct {
-	m *ioa.Machine
-
 	y []wire.Bit
 	k int
 }
@@ -83,29 +80,31 @@ var _ ioa.Deterministic = (*NaiveReceiver)(nil)
 
 // NewNaiveReceiver builds the strawman receiver.
 func NewNaiveReceiver() (*NaiveReceiver, error) {
-	r := &NaiveReceiver{}
-	m, err := ioa.NewMachine("r", r.classify, r.onInput, []ioa.Command{
+	return &NaiveReceiver{}, nil
+}
+
+// naiveReceiverTable is the strawman receiver's program.
+var naiveReceiverTable = ioa.MustTable(ioa.Table[NaiveReceiver]{
+	Name:     "r",
+	Classify: (*NaiveReceiver).classify,
+	OnInput:  (*NaiveReceiver).onInput,
+	Cmds: []ioa.Cmd[NaiveReceiver]{
 		{
 			Name:  "write",
 			Class: ioa.ClassOutput,
-			Pre:   func() bool { return r.k < len(r.y) },
-			Act:   func() ioa.Action { return wire.Write{M: r.y[r.k]} },
-			Eff:   func() { r.k++ },
+			Pre:   func(r *NaiveReceiver) bool { return r.k < len(r.y) },
+			Act:   func(r *NaiveReceiver) ioa.Action { return wire.Write{M: r.y[r.k]} },
+			Eff:   func(r *NaiveReceiver) { r.k++ },
 		},
 		{
 			Name:  "idle_r",
 			Class: ioa.ClassInternal,
-			Pre:   func() bool { return true },
-			Act:   func() ioa.Action { return wire.Internal{Name: "idle_r"} },
-			Eff:   func() {},
+			Pre:   func(*NaiveReceiver) bool { return true },
+			Act:   func(*NaiveReceiver) ioa.Action { return wire.Internal{Name: "idle_r"} },
+			Eff:   func(*NaiveReceiver) {},
 		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	r.m = m
-	return r, nil
-}
+	},
+})
 
 func (r *NaiveReceiver) classify(a ioa.Action) ioa.Class {
 	switch act := a.(type) {
@@ -133,16 +132,16 @@ func (r *NaiveReceiver) onInput(a ioa.Action) error {
 }
 
 // Name returns "r".
-func (r *NaiveReceiver) Name() string { return r.m.Name() }
+func (r *NaiveReceiver) Name() string { return naiveReceiverTable.Name }
 
 // Classify places an action in the signature.
-func (r *NaiveReceiver) Classify(a ioa.Action) ioa.Class { return r.m.Classify(a) }
+func (r *NaiveReceiver) Classify(a ioa.Action) ioa.Class { return r.classify(a) }
 
 // NextLocal returns the unique enabled local action.
-func (r *NaiveReceiver) NextLocal() (ioa.Action, bool) { return r.m.NextLocal() }
+func (r *NaiveReceiver) NextLocal() (ioa.Action, bool) { return naiveReceiverTable.NextLocal(r) }
 
 // Apply performs a transition.
-func (r *NaiveReceiver) Apply(a ioa.Action) error { return r.m.Apply(a) }
+func (r *NaiveReceiver) Apply(a ioa.Action) error { return naiveReceiverTable.Apply(r, a) }
 
 // DeterministicIOA marks the automaton deterministic.
 func (r *NaiveReceiver) DeterministicIOA() bool { return true }

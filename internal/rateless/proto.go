@@ -157,7 +157,6 @@ func LowerBound(p rstp.Params, k int) float64 {
 // waits between blocks — the (block, index) identity in each record
 // replaces A^β's burst-delimiting idle steps.
 type Transmitter struct {
-	m   *ioa.Machine
 	met *metrics
 
 	k, n  int
@@ -175,7 +174,7 @@ type Transmitter struct {
 	arena recordArena
 
 	// sent memoizes the boxed send of coded symbol (sentBlock, sentIdx),
-	// which is a pure function of that pair: Machine calls Act in both
+	// which is a pure function of that pair: the table calls Act in both
 	// NextLocal and Apply, and the second call reuses the first's box.
 	sent               ioa.Action
 	sentBlock, sentIdx uint32
@@ -234,18 +233,14 @@ func newTransmitter(b *Builder, x []wire.Bit) (*Transmitter, error) {
 		codes = append(codes, Code{k: b.k, n: n, seed: BlockSeed(b.seed, uint32(bi))})
 		nextIdx[bi] = uint32(n) // repair indexes start past the systematic prefix
 	}
-	t := &Transmitter{
+	return &Transmitter{
 		met:     b.met,
 		k:       b.k,
 		n:       n,
 		syms:    syms,
 		codes:   codes,
 		nextIdx: nextIdx,
-	}
-	if err := t.initMachine(); err != nil {
-		return nil, err
-	}
-	return t, nil
+	}, nil
 }
 
 func (t *Transmitter) nb() uint32 { return uint32(len(t.codes)) }
@@ -331,25 +326,25 @@ func (t *Transmitter) normalize() {
 	}
 }
 
-func (t *Transmitter) initMachine() error {
-	m, err := ioa.NewMachine(rstp.TransmitterName, t.classify, t.onInput, []ioa.Command{
+// transmitterTable is the transmitter's program: one command, sending
+// the next coded symbol until every block is acked.
+var transmitterTable = ioa.MustTable(ioa.Table[Transmitter]{
+	Name:     rstp.TransmitterName,
+	Classify: (*Transmitter).classify,
+	OnInput:  (*Transmitter).onInput,
+	Cmds: []ioa.Cmd[Transmitter]{
 		{
 			Name:  "send_coded",
 			Class: ioa.ClassOutput,
-			Pre:   func() bool { return t.acked < t.nb() },
-			Act:   t.sendAction,
-			Eff: func() {
+			Pre:   func(t *Transmitter) bool { return t.acked < t.nb() },
+			Act:   (*Transmitter).sendAction,
+			Eff: func(t *Transmitter) {
 				t.advance()
 				t.met.onSymbolSent()
 			},
 		},
-	})
-	if err != nil {
-		return err
-	}
-	t.m = m
-	return nil
-}
+	},
+})
 
 func (t *Transmitter) classify(a ioa.Action) ioa.Class {
 	switch act := a.(type) {
@@ -394,17 +389,17 @@ func (t *Transmitter) onInput(act ioa.Action) error {
 }
 
 // Name returns "t".
-func (t *Transmitter) Name() string { return t.m.Name() }
+func (t *Transmitter) Name() string { return transmitterTable.Name }
 
 // Classify places an action in the signature.
-func (t *Transmitter) Classify(a ioa.Action) ioa.Class { return t.m.Classify(a) }
+func (t *Transmitter) Classify(a ioa.Action) ioa.Class { return t.classify(a) }
 
 // NextLocal returns the unique enabled local action; none once every
 // block is acked (the quiesced transmitter keeps serving inputs).
-func (t *Transmitter) NextLocal() (ioa.Action, bool) { return t.m.NextLocal() }
+func (t *Transmitter) NextLocal() (ioa.Action, bool) { return transmitterTable.NextLocal(t) }
 
 // Apply performs a transition.
-func (t *Transmitter) Apply(a ioa.Action) error { return t.m.Apply(a) }
+func (t *Transmitter) Apply(a ioa.Action) error { return transmitterTable.Apply(t, a) }
 
 // DeterministicIOA marks the automaton deterministic.
 func (t *Transmitter) DeterministicIOA() bool { return true }
@@ -422,7 +417,6 @@ func (t *Transmitter) Acked() uint32 { return t.acked }
 // already-decoded block the ack can name (below the frontier or within
 // the mask) triggers a re-ack, which heals lost acks without timers.
 type Receiver struct {
-	m     *ioa.Machine
 	met   *metrics
 	codec *multiset.Codec
 	pool  *sync.Pool // the builder's recycled decoders
@@ -450,7 +444,7 @@ type Receiver struct {
 var _ ioa.Deterministic = (*Receiver)(nil)
 
 func newReceiver(b *Builder) (*Receiver, error) {
-	r := &Receiver{
+	return &Receiver{
 		met:   b.met,
 		codec: b.codec,
 		pool:  &b.decoders,
@@ -459,49 +453,38 @@ func newReceiver(b *Builder) (*Receiver, error) {
 		seed:  b.seed,
 		decs:  make(map[uint32]*Decoder),
 		block: multiset.New(b.k),
-	}
-	if err := r.initMachine(); err != nil {
-		return nil, err
-	}
-	return r, nil
+	}, nil
 }
 
-func (r *Receiver) initMachine() error {
-	// Priority: pending writes beat the ack (the real-time obligation is
-	// delivery; an ack delayed a few steps only costs the transmitter a
-	// handful of stale repair symbols), and both beat the idle step.
-	m, err := ioa.NewMachine(rstp.ReceiverName, r.classify, r.onInput, []ioa.Command{
+// receiverTable is the receiver's program. Priority: pending writes beat
+// the ack (the real-time obligation is delivery; an ack delayed a few
+// steps only costs the transmitter a handful of stale repair symbols),
+// and both beat the idle step.
+var receiverTable = ioa.MustTable(ioa.Table[Receiver]{
+	Name:     rstp.ReceiverName,
+	Classify: (*Receiver).classify,
+	OnInput:  (*Receiver).onInput,
+	Cmds: []ioa.Cmd[Receiver]{
 		{
 			Name:  "write",
 			Class: ioa.ClassOutput,
-			Pre:   func() bool { return r.wnext < len(r.queue) },
-			Act:   func() ioa.Action { return rstp.WriteAction(r.queue[r.wnext]) },
-			Eff:   func() { r.wnext++ },
+			Pre:   func(r *Receiver) bool { return r.wnext < len(r.queue) },
+			Act:   func(r *Receiver) ioa.Action { return rstp.WriteAction(r.queue[r.wnext]) },
+			Eff:   func(r *Receiver) { r.wnext++ },
 		},
 		{
 			Name:  "send_ack",
 			Class: ioa.ClassOutput,
-			Pre:   func() bool { return r.pendingAck },
-			Act:   r.ackAction,
-			Eff: func() {
+			Pre:   func(r *Receiver) bool { return r.pendingAck },
+			Act:   (*Receiver).ackAction,
+			Eff: func(r *Receiver) {
 				r.pendingAck = false
 				r.met.onAckSent()
 			},
 		},
-		{
-			Name:  "idle_r",
-			Class: ioa.ClassInternal,
-			Pre:   func() bool { return true },
-			Act:   func() ioa.Action { return rstp.IdleR },
-			Eff:   func() {},
-		},
-	})
-	if err != nil {
-		return err
-	}
-	r.m = m
-	return nil
-}
+		rstp.IdleRCmd[Receiver](),
+	},
+})
 
 // ackAction returns the boxed ack of (r.next, r.mask), built only when
 // either differs from the memoized ack's. Its payload is a substring of
@@ -675,16 +658,16 @@ func (r *Receiver) ResumeTape(n int64) {
 }
 
 // Name returns "r".
-func (r *Receiver) Name() string { return r.m.Name() }
+func (r *Receiver) Name() string { return receiverTable.Name }
 
 // Classify places an action in the signature.
-func (r *Receiver) Classify(a ioa.Action) ioa.Class { return r.m.Classify(a) }
+func (r *Receiver) Classify(a ioa.Action) ioa.Class { return r.classify(a) }
 
 // NextLocal returns the unique enabled local action.
-func (r *Receiver) NextLocal() (ioa.Action, bool) { return r.m.NextLocal() }
+func (r *Receiver) NextLocal() (ioa.Action, bool) { return receiverTable.NextLocal(r) }
 
 // Apply performs a transition.
-func (r *Receiver) Apply(a ioa.Action) error { return r.m.Apply(a) }
+func (r *Receiver) Apply(a ioa.Action) error { return receiverTable.Apply(r, a) }
 
 // DeterministicIOA marks the automaton deterministic.
 func (r *Receiver) DeterministicIOA() bool { return true }

@@ -9,7 +9,7 @@ import (
 )
 
 // Pre-boxed local actions. The automata's payload-free actions are fixed
-// values, so each is boxed into an ioa.Action once: Machine calls a
+// values, so each is boxed into an ioa.Action once: a table calls a
 // command's Act in both NextLocal and Apply, and a fresh boxing there
 // would allocate twice per step. The values are the same structs as
 // before, so traces, Snapshot keys and Apply's equality check are
@@ -27,6 +27,18 @@ var (
 
 	actWrite = [2]ioa.Action{wire.Write{M: wire.Zero}, wire.Write{M: wire.One}}
 )
+
+// IdleRCmd returns the receivers' lowest-priority command, the idle step
+// idle_r, enabled in every state.
+func IdleRCmd[S any]() ioa.Cmd[S] {
+	return ioa.Cmd[S]{
+		Name:  "idle_r",
+		Class: ioa.ClassInternal,
+		Pre:   func(*S) bool { return true },
+		Act:   func(*S) ioa.Action { return IdleR },
+		Eff:   func(*S) {},
+	}
+}
 
 // WriteAction returns write(b), pre-boxed for the two messages of M.
 func WriteAction(b wire.Bit) ioa.Action {

@@ -21,8 +21,6 @@ var alphaSends = DataSends(2)
 
 // AlphaTransmitter is A^α's transmitter automaton At^α.
 type AlphaTransmitter struct {
-	m *ioa.Machine
-
 	x []wire.Bit
 	i int // index of the next message to send (the paper's i)
 	j int // steps taken in the current round (the paper's j)
@@ -41,33 +39,30 @@ func NewAlphaTransmitter(p Params, x []wire.Bit) (*AlphaTransmitter, error) {
 			return nil, fmt.Errorf("rstp: alpha transmitter: invalid bit at %d", idx)
 		}
 	}
-	t := &AlphaTransmitter{
+	return &AlphaTransmitter{
 		x: append([]wire.Bit(nil), x...),
 		s: p.CeilSteps1(),
-	}
-	if err := t.initMachine(); err != nil {
-		return nil, err
-	}
-	return t, nil
+	}, nil
 }
 
-// initMachine (re)binds the guarded commands to this instance; Fork calls
-// it on copies.
-func (t *AlphaTransmitter) initMachine() error {
-	m, err := ioa.NewMachine(TransmitterName, t.classify, nil, []ioa.Command{
+// alphaTransmitterTable is At^α's program (Figure 1).
+var alphaTransmitterTable = ioa.MustTable(ioa.Table[AlphaTransmitter]{
+	Name:     TransmitterName,
+	Classify: (*AlphaTransmitter).classify,
+	Cmds: []ioa.Cmd[AlphaTransmitter]{
 		{
 			Name:  "send",
 			Class: ioa.ClassOutput,
-			Pre:   func() bool { return t.j == 0 && t.i < len(t.x) },
-			Act:   func() ioa.Action { return alphaSends[t.x[t.i]] },
-			Eff:   func() { t.j = 1 },
+			Pre:   func(t *AlphaTransmitter) bool { return t.j == 0 && t.i < len(t.x) },
+			Act:   func(t *AlphaTransmitter) ioa.Action { return alphaSends[t.x[t.i]] },
+			Eff:   func(t *AlphaTransmitter) { t.j = 1 },
 		},
 		{
 			Name:  "wait_t",
 			Class: ioa.ClassInternal,
-			Pre:   func() bool { return t.j > 0 },
-			Act:   func() ioa.Action { return WaitT },
-			Eff: func() {
+			Pre:   func(t *AlphaTransmitter) bool { return t.j > 0 },
+			Act:   func(*AlphaTransmitter) ioa.Action { return WaitT },
+			Eff: func(t *AlphaTransmitter) {
 				t.j++
 				if t.j == t.s {
 					t.i++
@@ -75,22 +70,14 @@ func (t *AlphaTransmitter) initMachine() error {
 				}
 			},
 		},
-	})
-	if err != nil {
-		return err
-	}
-	t.m = m
-	return nil
-}
+	},
+})
 
-// Fork returns an independent deep copy in the same state, for
-// state-space exploration.
+// Fork returns an independent copy in the same state, for state-space
+// exploration. The input is never written, so the copy shares it.
 func (t *AlphaTransmitter) Fork() (*AlphaTransmitter, error) {
-	c := &AlphaTransmitter{x: t.x, i: t.i, j: t.j, s: t.s}
-	if err := c.initMachine(); err != nil {
-		return nil, err
-	}
-	return c, nil
+	c := *t
+	return &c, nil
 }
 
 // Snapshot returns a canonical key of the mutable state.
@@ -111,16 +98,16 @@ func (t *AlphaTransmitter) classify(a ioa.Action) ioa.Class {
 }
 
 // Name returns "t".
-func (t *AlphaTransmitter) Name() string { return t.m.Name() }
+func (t *AlphaTransmitter) Name() string { return alphaTransmitterTable.Name }
 
 // Classify places an action in the signature.
-func (t *AlphaTransmitter) Classify(a ioa.Action) ioa.Class { return t.m.Classify(a) }
+func (t *AlphaTransmitter) Classify(a ioa.Action) ioa.Class { return t.classify(a) }
 
 // NextLocal returns the unique enabled local action.
-func (t *AlphaTransmitter) NextLocal() (ioa.Action, bool) { return t.m.NextLocal() }
+func (t *AlphaTransmitter) NextLocal() (ioa.Action, bool) { return alphaTransmitterTable.NextLocal(t) }
 
 // Apply performs a transition.
-func (t *AlphaTransmitter) Apply(a ioa.Action) error { return t.m.Apply(a) }
+func (t *AlphaTransmitter) Apply(a ioa.Action) error { return alphaTransmitterTable.Apply(t, a) }
 
 // DeterministicIOA marks the automaton deterministic.
 func (t *AlphaTransmitter) DeterministicIOA() bool { return true }
@@ -132,8 +119,6 @@ func (t *AlphaTransmitter) Done() bool { return t.i >= len(t.x) && t.j == 0 }
 // AlphaReceiver is A^α's receiver automaton Ar^α: it stores received
 // messages (the paper's unbounded array y) and writes them in order.
 type AlphaReceiver struct {
-	m *ioa.Machine
-
 	y []wire.Bit // messages received, in arrival order
 	k int        // number of messages written (paper's k, 0-based here)
 }
@@ -145,47 +130,32 @@ func NewAlphaReceiver(p Params) (*AlphaReceiver, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	r := &AlphaReceiver{}
-	if err := r.initMachine(); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return &AlphaReceiver{}, nil
 }
 
-// initMachine (re)binds the guarded commands to this instance; Fork calls
-// it on copies.
-func (r *AlphaReceiver) initMachine() error {
-	m, err := ioa.NewMachine(ReceiverName, r.classify, r.onInput, []ioa.Command{
+// alphaReceiverTable is Ar^α's program (Figure 1).
+var alphaReceiverTable = ioa.MustTable(ioa.Table[AlphaReceiver]{
+	Name:     ReceiverName,
+	Classify: (*AlphaReceiver).classify,
+	OnInput:  (*AlphaReceiver).onInput,
+	Cmds: []ioa.Cmd[AlphaReceiver]{
 		{
 			Name:  "write",
 			Class: ioa.ClassOutput,
-			Pre:   func() bool { return r.k < len(r.y) },
-			Act:   func() ioa.Action { return WriteAction(r.y[r.k]) },
-			Eff:   func() { r.k++ },
+			Pre:   func(r *AlphaReceiver) bool { return r.k < len(r.y) },
+			Act:   func(r *AlphaReceiver) ioa.Action { return WriteAction(r.y[r.k]) },
+			Eff:   func(r *AlphaReceiver) { r.k++ },
 		},
-		{
-			Name:  "idle_r",
-			Class: ioa.ClassInternal,
-			Pre:   func() bool { return true },
-			Act:   func() ioa.Action { return IdleR },
-			Eff:   func() {},
-		},
-	})
-	if err != nil {
-		return err
-	}
-	r.m = m
-	return nil
-}
+		IdleRCmd[AlphaReceiver](),
+	},
+})
 
-// Fork returns an independent deep copy in the same state, for
-// state-space exploration.
+// Fork returns an independent copy in the same state, for state-space
+// exploration.
 func (r *AlphaReceiver) Fork() (*AlphaReceiver, error) {
-	c := &AlphaReceiver{y: append([]wire.Bit(nil), r.y...), k: r.k}
-	if err := c.initMachine(); err != nil {
-		return nil, err
-	}
-	return c, nil
+	c := *r
+	c.y = append([]wire.Bit(nil), r.y...)
+	return &c, nil
 }
 
 // Snapshot returns a canonical key of the mutable state.
@@ -226,16 +196,16 @@ func (r *AlphaReceiver) onInput(a ioa.Action) error {
 }
 
 // Name returns "r".
-func (r *AlphaReceiver) Name() string { return r.m.Name() }
+func (r *AlphaReceiver) Name() string { return alphaReceiverTable.Name }
 
 // Classify places an action in the signature.
-func (r *AlphaReceiver) Classify(a ioa.Action) ioa.Class { return r.m.Classify(a) }
+func (r *AlphaReceiver) Classify(a ioa.Action) ioa.Class { return r.classify(a) }
 
 // NextLocal returns the unique enabled local action.
-func (r *AlphaReceiver) NextLocal() (ioa.Action, bool) { return r.m.NextLocal() }
+func (r *AlphaReceiver) NextLocal() (ioa.Action, bool) { return alphaReceiverTable.NextLocal(r) }
 
 // Apply performs a transition.
-func (r *AlphaReceiver) Apply(a ioa.Action) error { return r.m.Apply(a) }
+func (r *AlphaReceiver) Apply(a ioa.Action) error { return alphaReceiverTable.Apply(r, a) }
 
 // DeterministicIOA marks the automaton deterministic.
 func (r *AlphaReceiver) DeterministicIOA() bool { return true }

@@ -22,8 +22,6 @@ import (
 
 // BetaTransmitter is A^β(k)'s transmitter At^β(k).
 type BetaTransmitter struct {
-	m *ioa.Machine
-
 	syms   []wire.Symbol // every round's burst of δ1 symbols, back to back
 	blocks int           // number of rounds
 	bi     int           // current block index
@@ -44,6 +42,12 @@ func NewBetaTransmitter(p Params, k int, x []wire.Bit) (*BetaTransmitter, error)
 	if err != nil {
 		return nil, err
 	}
+	return newBetaTransmitter(p, codec, x)
+}
+
+// newBetaTransmitter builds At^β(k) over an already validated codec for
+// (k, δ1).
+func newBetaTransmitter(p Params, codec *multiset.Codec, x []wire.Bit) (*BetaTransmitter, error) {
 	bits := codec.BlockBits()
 	if len(x)%bits != 0 {
 		return nil, fmt.Errorf("rstp: beta transmitter: |X| = %d is not a multiple of the block size %d", len(x), bits)
@@ -52,37 +56,34 @@ func NewBetaTransmitter(p Params, k int, x []wire.Bit) (*BetaTransmitter, error)
 	if err != nil {
 		return nil, fmt.Errorf("rstp: beta transmitter: %w", err)
 	}
-	t := &BetaTransmitter{
+	return &BetaTransmitter{
 		syms:   syms,
 		blocks: len(x) / bits,
 		burst:  p.Delta1(),
 		wait:   p.CeilSteps1(),
 		bits:   bits,
-		sends:  DataSends(k),
-	}
-	if err := t.initMachine(); err != nil {
-		return nil, err
-	}
-	return t, nil
+		sends:  DataSends(codec.K()),
+	}, nil
 }
 
-// initMachine (re)binds the guarded commands to this instance; Fork calls
-// it on copies.
-func (t *BetaTransmitter) initMachine() error {
-	m, err := ioa.NewMachine(TransmitterName, t.classify, nil, []ioa.Command{
+// betaTransmitterTable is At^β(k)'s program (Figure 3).
+var betaTransmitterTable = ioa.MustTable(ioa.Table[BetaTransmitter]{
+	Name:     TransmitterName,
+	Classify: (*BetaTransmitter).classify,
+	Cmds: []ioa.Cmd[BetaTransmitter]{
 		{
 			Name:  "send",
 			Class: ioa.ClassOutput,
-			Pre:   func() bool { return t.bi < t.blocks && t.c < t.burst },
-			Act:   func() ioa.Action { return t.sends[t.syms[t.bi*t.burst+t.c]] },
-			Eff:   func() { t.c++ },
+			Pre:   func(t *BetaTransmitter) bool { return t.bi < t.blocks && t.c < t.burst },
+			Act:   func(t *BetaTransmitter) ioa.Action { return t.sends[t.syms[t.bi*t.burst+t.c]] },
+			Eff:   func(t *BetaTransmitter) { t.c++ },
 		},
 		{
 			Name:  "wait_t",
 			Class: ioa.ClassInternal,
-			Pre:   func() bool { return t.bi < t.blocks && t.c >= t.burst },
-			Act:   func() ioa.Action { return WaitT },
-			Eff: func() {
+			Pre:   func(t *BetaTransmitter) bool { return t.bi < t.blocks && t.c >= t.burst },
+			Act:   func(*BetaTransmitter) ioa.Action { return WaitT },
+			Eff: func(t *BetaTransmitter) {
 				t.c++
 				if t.c == t.burst+t.wait {
 					t.c = 0
@@ -90,31 +91,14 @@ func (t *BetaTransmitter) initMachine() error {
 				}
 			},
 		},
-	})
-	if err != nil {
-		return err
-	}
-	t.m = m
-	return nil
-}
+	},
+})
 
-// Fork returns an independent deep copy in the same state, for
-// state-space exploration. The immutable encoded blocks are shared.
+// Fork returns an independent copy in the same state, for state-space
+// exploration. The immutable encoded blocks are shared.
 func (t *BetaTransmitter) Fork() (*BetaTransmitter, error) {
-	c := &BetaTransmitter{
-		syms:   t.syms,
-		blocks: t.blocks,
-		bi:     t.bi,
-		c:      t.c,
-		burst:  t.burst,
-		wait:   t.wait,
-		bits:   t.bits,
-		sends:  t.sends,
-	}
-	if err := c.initMachine(); err != nil {
-		return nil, err
-	}
-	return c, nil
+	c := *t
+	return &c, nil
 }
 
 // Snapshot returns a canonical key of the mutable state.
@@ -165,16 +149,16 @@ func (t *BetaTransmitter) classify(a ioa.Action) ioa.Class {
 }
 
 // Name returns "t".
-func (t *BetaTransmitter) Name() string { return t.m.Name() }
+func (t *BetaTransmitter) Name() string { return betaTransmitterTable.Name }
 
 // Classify places an action in the signature.
-func (t *BetaTransmitter) Classify(a ioa.Action) ioa.Class { return t.m.Classify(a) }
+func (t *BetaTransmitter) Classify(a ioa.Action) ioa.Class { return t.classify(a) }
 
 // NextLocal returns the unique enabled local action.
-func (t *BetaTransmitter) NextLocal() (ioa.Action, bool) { return t.m.NextLocal() }
+func (t *BetaTransmitter) NextLocal() (ioa.Action, bool) { return betaTransmitterTable.NextLocal(t) }
 
 // Apply performs a transition.
-func (t *BetaTransmitter) Apply(a ioa.Action) error { return t.m.Apply(a) }
+func (t *BetaTransmitter) Apply(a ioa.Action) error { return betaTransmitterTable.Apply(t, a) }
 
 // DeterministicIOA marks the automaton deterministic.
 func (t *BetaTransmitter) DeterministicIOA() bool { return true }
@@ -188,8 +172,6 @@ func (t *BetaTransmitter) Burst() int { return t.burst }
 // BetaReceiver is A^β(k)'s receiver Ar^β(k): it accumulates each burst
 // into the multiset A, decodes when |A| = δ1, and writes the bits.
 type BetaReceiver struct {
-	m *ioa.Machine
-
 	codec *multiset.Codec
 	burst int
 	a     multiset.Multiset // current burst's multiset (paper's A)
@@ -206,59 +188,44 @@ func NewBetaReceiver(p Params, k int) (*BetaReceiver, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &BetaReceiver{
-		codec: codec,
-		burst: p.Delta1(),
-		a:     multiset.New(k),
-		k:     k,
-	}
-	if err := r.initMachine(); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return newBetaReceiver(codec), nil
 }
 
-// initMachine (re)binds the guarded commands to this instance; Fork calls
-// it on copies.
-func (r *BetaReceiver) initMachine() error {
-	m, err := ioa.NewMachine(ReceiverName, r.classify, r.onInput, []ioa.Command{
+// newBetaReceiver builds Ar^β(k) over a codec for (k, δ1).
+func newBetaReceiver(codec *multiset.Codec) *BetaReceiver {
+	return &BetaReceiver{
+		codec: codec,
+		burst: codec.N(),
+		a:     multiset.New(codec.K()),
+		k:     codec.K(),
+	}
+}
+
+// betaReceiverTable is Ar^β(k)'s program (Figure 3).
+var betaReceiverTable = ioa.MustTable(ioa.Table[BetaReceiver]{
+	Name:     ReceiverName,
+	Classify: (*BetaReceiver).classify,
+	OnInput:  (*BetaReceiver).onInput,
+	Cmds: []ioa.Cmd[BetaReceiver]{
 		{
 			Name:  "write",
 			Class: ioa.ClassOutput,
-			Pre:   func() bool { return r.next < len(r.queue) },
-			Act:   func() ioa.Action { return WriteAction(r.queue[r.next]) },
-			Eff:   func() { r.next++ },
+			Pre:   func(r *BetaReceiver) bool { return r.next < len(r.queue) },
+			Act:   func(r *BetaReceiver) ioa.Action { return WriteAction(r.queue[r.next]) },
+			Eff:   func(r *BetaReceiver) { r.next++ },
 		},
-		{
-			Name:  "idle_r",
-			Class: ioa.ClassInternal,
-			Pre:   func() bool { return true },
-			Act:   func() ioa.Action { return IdleR },
-			Eff:   func() {},
-		},
-	})
-	if err != nil {
-		return err
-	}
-	r.m = m
-	return nil
-}
+		IdleRCmd[BetaReceiver](),
+	},
+})
 
-// Fork returns an independent deep copy in the same state, for
-// state-space exploration.
+// Fork returns an independent copy in the same state, for state-space
+// exploration: it copies the burst multiset and the decoded queue and
+// shares the immutable codec.
 func (r *BetaReceiver) Fork() (*BetaReceiver, error) {
-	c := &BetaReceiver{
-		codec: r.codec,
-		burst: r.burst,
-		a:     r.a.Clone(),
-		queue: append([]wire.Bit(nil), r.queue...),
-		next:  r.next,
-		k:     r.k,
-	}
-	if err := c.initMachine(); err != nil {
-		return nil, err
-	}
-	return c, nil
+	c := *r
+	c.a = r.a.Clone()
+	c.queue = append([]wire.Bit(nil), r.queue...)
+	return &c, nil
 }
 
 // Snapshot returns a canonical key of the mutable state.
@@ -310,16 +277,16 @@ func (r *BetaReceiver) onInput(act ioa.Action) error {
 }
 
 // Name returns "r".
-func (r *BetaReceiver) Name() string { return r.m.Name() }
+func (r *BetaReceiver) Name() string { return betaReceiverTable.Name }
 
 // Classify places an action in the signature.
-func (r *BetaReceiver) Classify(a ioa.Action) ioa.Class { return r.m.Classify(a) }
+func (r *BetaReceiver) Classify(a ioa.Action) ioa.Class { return r.classify(a) }
 
 // NextLocal returns the unique enabled local action.
-func (r *BetaReceiver) NextLocal() (ioa.Action, bool) { return r.m.NextLocal() }
+func (r *BetaReceiver) NextLocal() (ioa.Action, bool) { return betaReceiverTable.NextLocal(r) }
 
 // Apply performs a transition.
-func (r *BetaReceiver) Apply(a ioa.Action) error { return r.m.Apply(a) }
+func (r *BetaReceiver) Apply(a ioa.Action) error { return betaReceiverTable.Apply(r, a) }
 
 // DeterministicIOA marks the automaton deterministic.
 func (r *BetaReceiver) DeterministicIOA() bool { return true }

@@ -24,8 +24,6 @@ import (
 
 // GammaTransmitter is A^γ(k)'s transmitter At^γ(k).
 type GammaTransmitter struct {
-	m *ioa.Machine
-
 	syms   []wire.Symbol // every burst's δ2 symbols, back to back
 	blocks int           // number of bursts
 	bi     int           // current block
@@ -45,6 +43,12 @@ func NewGammaTransmitter(p Params, k int, x []wire.Bit) (*GammaTransmitter, erro
 	if err != nil {
 		return nil, err
 	}
+	return newGammaTransmitter(codec, x)
+}
+
+// newGammaTransmitter builds At^γ(k) over an already validated codec for
+// (k, δ2).
+func newGammaTransmitter(codec *multiset.Codec, x []wire.Bit) (*GammaTransmitter, error) {
 	bits := codec.BlockBits()
 	if len(x)%bits != 0 {
 		return nil, fmt.Errorf("rstp: gamma transmitter: |X| = %d is not a multiple of the block size %d", len(x), bits)
@@ -53,63 +57,44 @@ func NewGammaTransmitter(p Params, k int, x []wire.Bit) (*GammaTransmitter, erro
 	if err != nil {
 		return nil, fmt.Errorf("rstp: gamma transmitter: %w", err)
 	}
-	t := &GammaTransmitter{
+	return &GammaTransmitter{
 		syms:   syms,
 		blocks: len(x) / bits,
-		burst:  p.Delta2(),
+		burst:  codec.N(),
 		bits:   bits,
-		sends:  DataSends(k),
-	}
-	if err := t.initMachine(); err != nil {
-		return nil, err
-	}
-	return t, nil
+		sends:  DataSends(codec.K()),
+	}, nil
 }
 
-// initMachine (re)binds the guarded commands to this instance; Fork calls
-// it on copies.
-func (t *GammaTransmitter) initMachine() error {
-	m, err := ioa.NewMachine(TransmitterName, t.classify, t.onInput, []ioa.Command{
+// gammaTransmitterTable is At^γ(k)'s program (Figure 4).
+var gammaTransmitterTable = ioa.MustTable(ioa.Table[GammaTransmitter]{
+	Name:     TransmitterName,
+	Classify: (*GammaTransmitter).classify,
+	OnInput:  (*GammaTransmitter).onInput,
+	Cmds: []ioa.Cmd[GammaTransmitter]{
 		{
 			Name:  "send",
 			Class: ioa.ClassOutput,
-			Pre:   func() bool { return t.bi < t.blocks && t.c < t.burst },
-			Act:   func() ioa.Action { return t.sends[t.syms[t.bi*t.burst+t.c]] },
-			Eff:   func() { t.c++ },
+			Pre:   func(t *GammaTransmitter) bool { return t.bi < t.blocks && t.c < t.burst },
+			Act:   func(t *GammaTransmitter) ioa.Action { return t.sends[t.syms[t.bi*t.burst+t.c]] },
+			Eff:   func(t *GammaTransmitter) { t.c++ },
 		},
 		{
 			Name:  "idle_t",
 			Class: ioa.ClassInternal,
-			Pre:   func() bool { return t.bi < t.blocks && t.c == t.burst },
-			Act:   func() ioa.Action { return actIdleT },
-			Eff:   func() {},
+			Pre:   func(t *GammaTransmitter) bool { return t.bi < t.blocks && t.c == t.burst },
+			Act:   func(*GammaTransmitter) ioa.Action { return actIdleT },
+			Eff:   func(*GammaTransmitter) {},
 		},
-	})
-	if err != nil {
-		return err
-	}
-	t.m = m
-	return nil
-}
+	},
+})
 
-// Fork returns an independent deep copy in the same state, for exhaustive
+// Fork returns an independent copy in the same state, for exhaustive
 // state-space exploration (internal/mc). The immutable encoded blocks are
 // shared.
 func (t *GammaTransmitter) Fork() (*GammaTransmitter, error) {
-	c := &GammaTransmitter{
-		syms:   t.syms, // immutable after construction
-		blocks: t.blocks,
-		bi:     t.bi,
-		c:      t.c,
-		a:      t.a,
-		burst:  t.burst,
-		bits:   t.bits,
-		sends:  t.sends,
-	}
-	if err := c.initMachine(); err != nil {
-		return nil, err
-	}
-	return c, nil
+	c := *t
+	return &c, nil
 }
 
 // Snapshot returns a canonical key of the mutable state, for state-space
@@ -166,16 +151,16 @@ func (t *GammaTransmitter) onInput(act ioa.Action) error {
 }
 
 // Name returns "t".
-func (t *GammaTransmitter) Name() string { return t.m.Name() }
+func (t *GammaTransmitter) Name() string { return gammaTransmitterTable.Name }
 
 // Classify places an action in the signature.
-func (t *GammaTransmitter) Classify(a ioa.Action) ioa.Class { return t.m.Classify(a) }
+func (t *GammaTransmitter) Classify(a ioa.Action) ioa.Class { return t.classify(a) }
 
 // NextLocal returns the unique enabled local action.
-func (t *GammaTransmitter) NextLocal() (ioa.Action, bool) { return t.m.NextLocal() }
+func (t *GammaTransmitter) NextLocal() (ioa.Action, bool) { return gammaTransmitterTable.NextLocal(t) }
 
 // Apply performs a transition.
-func (t *GammaTransmitter) Apply(a ioa.Action) error { return t.m.Apply(a) }
+func (t *GammaTransmitter) Apply(a ioa.Action) error { return gammaTransmitterTable.Apply(t, a) }
 
 // DeterministicIOA marks the automaton deterministic.
 func (t *GammaTransmitter) DeterministicIOA() bool { return true }
@@ -191,8 +176,6 @@ func (t *GammaTransmitter) Burst() int { return t.burst }
 // deterministic priority send(ack) > write > idle (acknowledging first
 // keeps the transmitter's pipeline moving).
 type GammaReceiver struct {
-	m *ioa.Machine
-
 	codec *multiset.Codec
 	burst int
 	k     int
@@ -210,67 +193,52 @@ func NewGammaReceiver(p Params, k int) (*GammaReceiver, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &GammaReceiver{
-		codec: codec,
-		burst: p.Delta2(),
-		k:     k,
-		a:     multiset.New(k),
-	}
-	if err := r.initMachine(); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return newGammaReceiver(codec), nil
 }
 
-// initMachine (re)binds the guarded commands to this instance; Fork calls
-// it on copies.
-func (r *GammaReceiver) initMachine() error {
-	m, err := ioa.NewMachine(ReceiverName, r.classify, r.onInput, []ioa.Command{
+// newGammaReceiver builds Ar^γ(k) over a codec for (k, δ2).
+func newGammaReceiver(codec *multiset.Codec) *GammaReceiver {
+	return &GammaReceiver{
+		codec: codec,
+		burst: codec.N(),
+		k:     codec.K(),
+		a:     multiset.New(codec.K()),
+	}
+}
+
+// gammaReceiverTable is Ar^γ(k)'s program (Figure 4), with the priority
+// send(ack) > write > idle.
+var gammaReceiverTable = ioa.MustTable(ioa.Table[GammaReceiver]{
+	Name:     ReceiverName,
+	Classify: (*GammaReceiver).classify,
+	OnInput:  (*GammaReceiver).onInput,
+	Cmds: []ioa.Cmd[GammaReceiver]{
 		{
 			Name:  "send_ack",
 			Class: ioa.ClassOutput,
-			Pre:   func() bool { return r.j > 0 },
-			Act:   func() ioa.Action { return actAckRT },
-			Eff:   func() { r.j-- },
+			Pre:   func(r *GammaReceiver) bool { return r.j > 0 },
+			Act:   func(*GammaReceiver) ioa.Action { return actAckRT },
+			Eff:   func(r *GammaReceiver) { r.j-- },
 		},
 		{
 			Name:  "write",
 			Class: ioa.ClassOutput,
-			Pre:   func() bool { return r.next < len(r.queue) },
-			Act:   func() ioa.Action { return WriteAction(r.queue[r.next]) },
-			Eff:   func() { r.next++ },
+			Pre:   func(r *GammaReceiver) bool { return r.next < len(r.queue) },
+			Act:   func(r *GammaReceiver) ioa.Action { return WriteAction(r.queue[r.next]) },
+			Eff:   func(r *GammaReceiver) { r.next++ },
 		},
-		{
-			Name:  "idle_r",
-			Class: ioa.ClassInternal,
-			Pre:   func() bool { return true },
-			Act:   func() ioa.Action { return IdleR },
-			Eff:   func() {},
-		},
-	})
-	if err != nil {
-		return err
-	}
-	r.m = m
-	return nil
-}
+		IdleRCmd[GammaReceiver](),
+	},
+})
 
-// Fork returns an independent deep copy in the same state, for exhaustive
-// state-space exploration (internal/mc).
+// Fork returns an independent copy in the same state, for exhaustive
+// state-space exploration (internal/mc): it copies the burst multiset and
+// the decoded queue and shares the immutable codec.
 func (r *GammaReceiver) Fork() (*GammaReceiver, error) {
-	c := &GammaReceiver{
-		codec: r.codec, // immutable
-		burst: r.burst,
-		k:     r.k,
-		a:     r.a.Clone(),
-		j:     r.j,
-		queue: append([]wire.Bit(nil), r.queue...),
-		next:  r.next,
-	}
-	if err := c.initMachine(); err != nil {
-		return nil, err
-	}
-	return c, nil
+	c := *r
+	c.a = r.a.Clone()
+	c.queue = append([]wire.Bit(nil), r.queue...)
+	return &c, nil
 }
 
 // Snapshot returns a canonical key of the mutable state, for state-space
@@ -327,16 +295,16 @@ func (r *GammaReceiver) onInput(act ioa.Action) error {
 }
 
 // Name returns "r".
-func (r *GammaReceiver) Name() string { return r.m.Name() }
+func (r *GammaReceiver) Name() string { return gammaReceiverTable.Name }
 
 // Classify places an action in the signature.
-func (r *GammaReceiver) Classify(a ioa.Action) ioa.Class { return r.m.Classify(a) }
+func (r *GammaReceiver) Classify(a ioa.Action) ioa.Class { return r.classify(a) }
 
 // NextLocal returns the unique enabled local action.
-func (r *GammaReceiver) NextLocal() (ioa.Action, bool) { return r.m.NextLocal() }
+func (r *GammaReceiver) NextLocal() (ioa.Action, bool) { return gammaReceiverTable.NextLocal(r) }
 
 // Apply performs a transition.
-func (r *GammaReceiver) Apply(a ioa.Action) error { return r.m.Apply(a) }
+func (r *GammaReceiver) Apply(a ioa.Action) error { return gammaReceiverTable.Apply(r, a) }
 
 // DeterministicIOA marks the automaton deterministic.
 func (r *GammaReceiver) DeterministicIOA() bool { return true }

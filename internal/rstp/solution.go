@@ -23,7 +23,8 @@ const (
 )
 
 // Solution bundles a protocol pair with its parameters: the composition
-// At ∘ Ar the paper calls A^α, A^β(k) or A^γ(k).
+// At ∘ Ar the paper calls A^α, A^β(k) or A^γ(k). The β and γ solutions
+// build their codec once, and every pair they build shares it.
 type Solution struct {
 	// Kind identifies the protocol family.
 	Kind Kind
@@ -80,15 +81,11 @@ func Beta(p Params, k int) (Solution, error) {
 		Passive:   true,
 		BlockBits: codec.BlockBits(),
 		newPair: func(x []wire.Bit) (ioa.Automaton, ioa.Automaton, error) {
-			t, err := NewBetaTransmitter(p, k, x)
+			t, err := newBetaTransmitter(p, codec, x)
 			if err != nil {
 				return nil, nil, err
 			}
-			r, err := NewBetaReceiver(p, k)
-			if err != nil {
-				return nil, nil, err
-			}
-			return t, r, nil
+			return t, newBetaReceiver(codec), nil
 		},
 	}, nil
 }
@@ -106,15 +103,11 @@ func Gamma(p Params, k int) (Solution, error) {
 		Passive:   false,
 		BlockBits: codec.BlockBits(),
 		newPair: func(x []wire.Bit) (ioa.Automaton, ioa.Automaton, error) {
-			t, err := NewGammaTransmitter(p, k, x)
+			t, err := newGammaTransmitter(codec, x)
 			if err != nil {
 				return nil, nil, err
 			}
-			r, err := NewGammaReceiver(p, k)
-			if err != nil {
-				return nil, nil, err
-			}
-			return t, r, nil
+			return t, newGammaReceiver(codec), nil
 		},
 	}, nil
 }

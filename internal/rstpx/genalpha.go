@@ -38,8 +38,6 @@ func GenAlphaEffort(p GenParams) float64 {
 
 // GenAlphaTransmitter sends one message then waits WaitSteps steps.
 type GenAlphaTransmitter struct {
-	m *ioa.Machine
-
 	x []wire.Bit
 	i int
 	j int
@@ -58,26 +56,25 @@ func NewGenAlphaTransmitter(p GenParams, x []wire.Bit) (*GenAlphaTransmitter, er
 			return nil, fmt.Errorf("rstpx: genalpha transmitter: invalid bit at %d", idx)
 		}
 	}
-	t := &GenAlphaTransmitter{
+	return &GenAlphaTransmitter{
 		x: append([]wire.Bit(nil), x...),
 		s: GenAlphaRoundSteps(p),
-	}
-	if err := t.initMachine(); err != nil {
-		return nil, err
-	}
-	return t, nil
+	}, nil
 }
 
-func (t *GenAlphaTransmitter) initMachine() error {
-	m, err := ioa.NewMachine("t", t.classify, nil, []ioa.Command{
+// genAlphaTransmitterTable is the generalised simple transmitter's program.
+var genAlphaTransmitterTable = ioa.MustTable(ioa.Table[GenAlphaTransmitter]{
+	Name:     "t",
+	Classify: (*GenAlphaTransmitter).classify,
+	Cmds: []ioa.Cmd[GenAlphaTransmitter]{
 		{
 			Name:  "send",
 			Class: ioa.ClassOutput,
-			Pre:   func() bool { return t.j == 0 && t.i < len(t.x) },
-			Act: func() ioa.Action {
+			Pre:   func(t *GenAlphaTransmitter) bool { return t.j == 0 && t.i < len(t.x) },
+			Act: func(t *GenAlphaTransmitter) ioa.Action {
 				return wire.Send{Dir: wire.TtoR, P: wire.DataPacket(wire.Symbol(t.x[t.i]))}
 			},
-			Eff: func() {
+			Eff: func(t *GenAlphaTransmitter) {
 				if t.s == 1 {
 					t.i++ // streaming: no wait at all
 					return
@@ -88,9 +85,9 @@ func (t *GenAlphaTransmitter) initMachine() error {
 		{
 			Name:  "wait_t",
 			Class: ioa.ClassInternal,
-			Pre:   func() bool { return t.j > 0 },
-			Act:   func() ioa.Action { return wire.Internal{Name: "wait_t"} },
-			Eff: func() {
+			Pre:   func(t *GenAlphaTransmitter) bool { return t.j > 0 },
+			Act:   func(*GenAlphaTransmitter) ioa.Action { return wire.Internal{Name: "wait_t"} },
+			Eff: func(t *GenAlphaTransmitter) {
 				t.j++
 				if t.j == t.s {
 					t.i++
@@ -98,13 +95,8 @@ func (t *GenAlphaTransmitter) initMachine() error {
 				}
 			},
 		},
-	})
-	if err != nil {
-		return err
-	}
-	t.m = m
-	return nil
-}
+	},
+})
 
 func (t *GenAlphaTransmitter) classify(a ioa.Action) ioa.Class {
 	switch act := a.(type) {
@@ -121,16 +113,18 @@ func (t *GenAlphaTransmitter) classify(a ioa.Action) ioa.Class {
 }
 
 // Name returns "t".
-func (t *GenAlphaTransmitter) Name() string { return t.m.Name() }
+func (t *GenAlphaTransmitter) Name() string { return genAlphaTransmitterTable.Name }
 
 // Classify places an action in the signature.
-func (t *GenAlphaTransmitter) Classify(a ioa.Action) ioa.Class { return t.m.Classify(a) }
+func (t *GenAlphaTransmitter) Classify(a ioa.Action) ioa.Class { return t.classify(a) }
 
 // NextLocal returns the unique enabled local action.
-func (t *GenAlphaTransmitter) NextLocal() (ioa.Action, bool) { return t.m.NextLocal() }
+func (t *GenAlphaTransmitter) NextLocal() (ioa.Action, bool) {
+	return genAlphaTransmitterTable.NextLocal(t)
+}
 
 // Apply performs a transition.
-func (t *GenAlphaTransmitter) Apply(a ioa.Action) error { return t.m.Apply(a) }
+func (t *GenAlphaTransmitter) Apply(a ioa.Action) error { return genAlphaTransmitterTable.Apply(t, a) }
 
 // DeterministicIOA marks the automaton deterministic.
 func (t *GenAlphaTransmitter) DeterministicIOA() bool { return true }
@@ -138,13 +132,11 @@ func (t *GenAlphaTransmitter) DeterministicIOA() bool { return true }
 // Done reports whether every message was sent and waited out.
 func (t *GenAlphaTransmitter) Done() bool { return t.i >= len(t.x) && t.j == 0 }
 
-// Fork returns an independent deep copy, for state-space exploration.
+// Fork returns an independent copy, for state-space exploration. The
+// input is never written, so the copy shares it.
 func (t *GenAlphaTransmitter) Fork() (*GenAlphaTransmitter, error) {
-	c := &GenAlphaTransmitter{x: t.x, i: t.i, j: t.j, s: t.s}
-	if err := c.initMachine(); err != nil {
-		return nil, err
-	}
-	return c, nil
+	c := *t
+	return &c, nil
 }
 
 // Snapshot returns a canonical key of the mutable state.

@@ -47,8 +47,6 @@ func GenBetaBlockBits(k, burst int) int { return multiset.BlockBits(k, burst) }
 
 // GenBetaTransmitter is the generalised burst transmitter.
 type GenBetaTransmitter struct {
-	m *ioa.Machine
-
 	syms   []wire.Symbol // every block's burst, back to back
 	blocks int
 	bi     int
@@ -77,29 +75,26 @@ func NewGenBetaTransmitter(p GenParams, k, burst int, x []wire.Bit) (*GenBetaTra
 			return nil, fmt.Errorf("rstpx: block at bit %d: %w", off, err)
 		}
 	}
-	t := &GenBetaTransmitter{
+	return &GenBetaTransmitter{
 		syms:   syms,
 		blocks: len(x) / bits,
 		burst:  burst,
 		wait:   p.WaitSteps(),
 		sends:  rstp.DataSends(k),
-	}
-	if err := t.initMachine(); err != nil {
-		return nil, err
-	}
-	return t, nil
+	}, nil
 }
 
-// initMachine (re)binds the guarded commands to this instance; Fork calls
-// it on copies.
-func (t *GenBetaTransmitter) initMachine() error {
-	m, err := ioa.NewMachine("t", t.classify, nil, []ioa.Command{
+// genBetaTransmitterTable is the generalised burst transmitter's program.
+var genBetaTransmitterTable = ioa.MustTable(ioa.Table[GenBetaTransmitter]{
+	Name:     "t",
+	Classify: (*GenBetaTransmitter).classify,
+	Cmds: []ioa.Cmd[GenBetaTransmitter]{
 		{
 			Name:  "send",
 			Class: ioa.ClassOutput,
-			Pre:   func() bool { return t.bi < t.blocks && t.c < t.burst },
-			Act:   func() ioa.Action { return t.sends[t.syms[t.bi*t.burst+t.c]] },
-			Eff: func() {
+			Pre:   func(t *GenBetaTransmitter) bool { return t.bi < t.blocks && t.c < t.burst },
+			Act:   func(t *GenBetaTransmitter) ioa.Action { return t.sends[t.syms[t.bi*t.burst+t.c]] },
+			Eff: func(t *GenBetaTransmitter) {
 				t.c++
 				// No wait configured: roll straight into the next block.
 				if t.c == t.burst && t.wait == 0 {
@@ -111,9 +106,9 @@ func (t *GenBetaTransmitter) initMachine() error {
 		{
 			Name:  "wait_t",
 			Class: ioa.ClassInternal,
-			Pre:   func() bool { return t.bi < t.blocks && t.c >= t.burst },
-			Act:   func() ioa.Action { return rstp.WaitT },
-			Eff: func() {
+			Pre:   func(t *GenBetaTransmitter) bool { return t.bi < t.blocks && t.c >= t.burst },
+			Act:   func(*GenBetaTransmitter) ioa.Action { return rstp.WaitT },
+			Eff: func(t *GenBetaTransmitter) {
 				t.c++
 				if t.c == t.burst+t.wait {
 					t.c = 0
@@ -121,30 +116,14 @@ func (t *GenBetaTransmitter) initMachine() error {
 				}
 			},
 		},
-	})
-	if err != nil {
-		return err
-	}
-	t.m = m
-	return nil
-}
+	},
+})
 
-// Fork returns an independent deep copy in the same state, for
-// state-space exploration. The immutable encoded blocks are shared.
+// Fork returns an independent copy in the same state, for state-space
+// exploration. The immutable encoded blocks are shared.
 func (t *GenBetaTransmitter) Fork() (*GenBetaTransmitter, error) {
-	c := &GenBetaTransmitter{
-		syms:   t.syms,
-		blocks: t.blocks,
-		sends:  t.sends,
-		bi:     t.bi,
-		c:      t.c,
-		burst:  t.burst,
-		wait:   t.wait,
-	}
-	if err := c.initMachine(); err != nil {
-		return nil, err
-	}
-	return c, nil
+	c := *t
+	return &c, nil
 }
 
 // Snapshot returns a canonical key of the mutable state.
@@ -178,16 +157,18 @@ func (t *GenBetaTransmitter) classify(a ioa.Action) ioa.Class {
 }
 
 // Name returns "t".
-func (t *GenBetaTransmitter) Name() string { return t.m.Name() }
+func (t *GenBetaTransmitter) Name() string { return genBetaTransmitterTable.Name }
 
 // Classify places an action in the signature.
-func (t *GenBetaTransmitter) Classify(a ioa.Action) ioa.Class { return t.m.Classify(a) }
+func (t *GenBetaTransmitter) Classify(a ioa.Action) ioa.Class { return t.classify(a) }
 
 // NextLocal returns the unique enabled local action.
-func (t *GenBetaTransmitter) NextLocal() (ioa.Action, bool) { return t.m.NextLocal() }
+func (t *GenBetaTransmitter) NextLocal() (ioa.Action, bool) {
+	return genBetaTransmitterTable.NextLocal(t)
+}
 
 // Apply performs a transition.
-func (t *GenBetaTransmitter) Apply(a ioa.Action) error { return t.m.Apply(a) }
+func (t *GenBetaTransmitter) Apply(a ioa.Action) error { return genBetaTransmitterTable.Apply(t, a) }
 
 // DeterministicIOA marks the automaton deterministic.
 func (t *GenBetaTransmitter) DeterministicIOA() bool { return true }
@@ -198,8 +179,6 @@ func (t *GenBetaTransmitter) Done() bool { return t.bi >= t.blocks }
 // GenBetaReceiver is the generalised burst receiver; identical decoding
 // logic, parameterised burst.
 type GenBetaReceiver struct {
-	m *ioa.Machine
-
 	codec *multiset.Codec
 	burst int
 	k     int
@@ -216,59 +195,39 @@ func NewGenBetaReceiver(p GenParams, k, burst int) (*GenBetaReceiver, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &GenBetaReceiver{
+	return &GenBetaReceiver{
 		codec: codec,
 		burst: burst,
 		k:     k,
 		a:     multiset.New(k),
-	}
-	if err := r.initMachine(); err != nil {
-		return nil, err
-	}
-	return r, nil
+	}, nil
 }
 
-// initMachine (re)binds the guarded commands to this instance; Fork calls
-// it on copies.
-func (r *GenBetaReceiver) initMachine() error {
-	m, err := ioa.NewMachine("r", r.classify, r.onInput, []ioa.Command{
+// genBetaReceiverTable is the generalised burst receiver's program.
+var genBetaReceiverTable = ioa.MustTable(ioa.Table[GenBetaReceiver]{
+	Name:     "r",
+	Classify: (*GenBetaReceiver).classify,
+	OnInput:  (*GenBetaReceiver).onInput,
+	Cmds: []ioa.Cmd[GenBetaReceiver]{
 		{
 			Name:  "write",
 			Class: ioa.ClassOutput,
-			Pre:   func() bool { return r.next < len(r.queue) },
-			Act:   func() ioa.Action { return rstp.WriteAction(r.queue[r.next]) },
-			Eff:   func() { r.next++ },
+			Pre:   func(r *GenBetaReceiver) bool { return r.next < len(r.queue) },
+			Act:   func(r *GenBetaReceiver) ioa.Action { return rstp.WriteAction(r.queue[r.next]) },
+			Eff:   func(r *GenBetaReceiver) { r.next++ },
 		},
-		{
-			Name:  "idle_r",
-			Class: ioa.ClassInternal,
-			Pre:   func() bool { return true },
-			Act:   func() ioa.Action { return rstp.IdleR },
-			Eff:   func() {},
-		},
-	})
-	if err != nil {
-		return err
-	}
-	r.m = m
-	return nil
-}
+		rstp.IdleRCmd[GenBetaReceiver](),
+	},
+})
 
-// Fork returns an independent deep copy in the same state, for
-// state-space exploration.
+// Fork returns an independent copy in the same state, for state-space
+// exploration: it copies the burst multiset and the decoded queue and
+// shares the immutable codec.
 func (r *GenBetaReceiver) Fork() (*GenBetaReceiver, error) {
-	c := &GenBetaReceiver{
-		codec: r.codec,
-		burst: r.burst,
-		k:     r.k,
-		a:     r.a.Clone(),
-		queue: append([]wire.Bit(nil), r.queue...),
-		next:  r.next,
-	}
-	if err := c.initMachine(); err != nil {
-		return nil, err
-	}
-	return c, nil
+	c := *r
+	c.a = r.a.Clone()
+	c.queue = append([]wire.Bit(nil), r.queue...)
+	return &c, nil
 }
 
 // Snapshot returns a canonical key of the mutable state.
@@ -318,16 +277,16 @@ func (r *GenBetaReceiver) onInput(act ioa.Action) error {
 }
 
 // Name returns "r".
-func (r *GenBetaReceiver) Name() string { return r.m.Name() }
+func (r *GenBetaReceiver) Name() string { return genBetaReceiverTable.Name }
 
 // Classify places an action in the signature.
-func (r *GenBetaReceiver) Classify(a ioa.Action) ioa.Class { return r.m.Classify(a) }
+func (r *GenBetaReceiver) Classify(a ioa.Action) ioa.Class { return r.classify(a) }
 
 // NextLocal returns the unique enabled local action.
-func (r *GenBetaReceiver) NextLocal() (ioa.Action, bool) { return r.m.NextLocal() }
+func (r *GenBetaReceiver) NextLocal() (ioa.Action, bool) { return genBetaReceiverTable.NextLocal(r) }
 
 // Apply performs a transition.
-func (r *GenBetaReceiver) Apply(a ioa.Action) error { return r.m.Apply(a) }
+func (r *GenBetaReceiver) Apply(a ioa.Action) error { return genBetaReceiverTable.Apply(r, a) }
 
 // DeterministicIOA marks the automaton deterministic.
 func (r *GenBetaReceiver) DeterministicIOA() bool { return true }

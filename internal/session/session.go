@@ -59,6 +59,13 @@ import (
 
 // PairBuilder constructs fresh protocol pairs: rstp.Solution,
 // rstp.HardenedSolution and rstp.StabilizedSolution all satisfy it.
+//
+// Each side of a session builds a whole pair and keeps one half: the
+// Dialer keeps the transmitter of NewPair(x), and the Server keeps the
+// receiver of NewPair(nil). So a builder must keep the half it hands
+// back unused cheap. The rstp and rateless builders do: an automaton is
+// a state value over a package-level command table and shared immutable
+// parts, so a β(4) pair costs 4 allocations and NewPair(nil) 3.
 type PairBuilder interface {
 	// NewPair builds a transmitter/receiver pair for input x.
 	NewPair(x []wire.Bit) (t, r ioa.Automaton, err error)

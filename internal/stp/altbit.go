@@ -20,8 +20,6 @@ import (
 // current message, tagged with the one-bit sequence number i mod 2, on
 // every step until the matching acknowledgement arrives.
 type ABTransmitter struct {
-	m *ioa.Machine
-
 	x []wire.Bit
 	i int
 }
@@ -35,46 +33,36 @@ func NewABTransmitter(x []wire.Bit) (*ABTransmitter, error) {
 			return nil, fmt.Errorf("stp: ab transmitter: invalid bit at %d", idx)
 		}
 	}
-	t := &ABTransmitter{x: append([]wire.Bit(nil), x...)}
-	if err := t.initMachine(); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return &ABTransmitter{x: append([]wire.Bit(nil), x...)}, nil
 }
 
-// initMachine (re)binds the guarded commands to this instance; Fork calls
-// it on copies.
-func (t *ABTransmitter) initMachine() error {
-	m, err := ioa.NewMachine("t", t.classify, t.onInput, []ioa.Command{
+// abTransmitterTable is the alternating-bit transmitter's program.
+var abTransmitterTable = ioa.MustTable(ioa.Table[ABTransmitter]{
+	Name:     "t",
+	Classify: (*ABTransmitter).classify,
+	OnInput:  (*ABTransmitter).onInput,
+	Cmds: []ioa.Cmd[ABTransmitter]{
 		{
 			Name:  "send",
 			Class: ioa.ClassOutput,
-			Pre:   func() bool { return t.i < len(t.x) },
-			Act: func() ioa.Action {
+			Pre:   func(t *ABTransmitter) bool { return t.i < len(t.x) },
+			Act: func(t *ABTransmitter) ioa.Action {
 				return wire.Send{Dir: wire.TtoR, P: wire.Packet{
 					Kind:   wire.Data,
 					Symbol: wire.Symbol(t.x[t.i]),
 					Tag:    t.i % 2,
 				}}
 			},
-			Eff: func() {}, // keep retransmitting until acked
+			Eff: func(*ABTransmitter) {}, // keep retransmitting until acked
 		},
-	})
-	if err != nil {
-		return err
-	}
-	t.m = m
-	return nil
-}
+	},
+})
 
-// Fork returns an independent deep copy in the same state, for
-// state-space exploration.
+// Fork returns an independent copy in the same state, for state-space
+// exploration. The input is never written, so the copy shares it.
 func (t *ABTransmitter) Fork() (*ABTransmitter, error) {
-	c := &ABTransmitter{x: t.x, i: t.i}
-	if err := c.initMachine(); err != nil {
-		return nil, err
-	}
-	return c, nil
+	c := *t
+	return &c, nil
 }
 
 // Snapshot returns a canonical key of the mutable state.
@@ -107,16 +95,16 @@ func (t *ABTransmitter) onInput(a ioa.Action) error {
 }
 
 // Name returns "t".
-func (t *ABTransmitter) Name() string { return t.m.Name() }
+func (t *ABTransmitter) Name() string { return abTransmitterTable.Name }
 
 // Classify places an action in the signature.
-func (t *ABTransmitter) Classify(a ioa.Action) ioa.Class { return t.m.Classify(a) }
+func (t *ABTransmitter) Classify(a ioa.Action) ioa.Class { return t.classify(a) }
 
 // NextLocal returns the unique enabled local action.
-func (t *ABTransmitter) NextLocal() (ioa.Action, bool) { return t.m.NextLocal() }
+func (t *ABTransmitter) NextLocal() (ioa.Action, bool) { return abTransmitterTable.NextLocal(t) }
 
 // Apply performs a transition.
-func (t *ABTransmitter) Apply(a ioa.Action) error { return t.m.Apply(a) }
+func (t *ABTransmitter) Apply(a ioa.Action) error { return abTransmitterTable.Apply(t, a) }
 
 // DeterministicIOA marks the automaton deterministic.
 func (t *ABTransmitter) DeterministicIOA() bool { return true }
@@ -132,8 +120,6 @@ func (t *ABTransmitter) Sent() int { return t.i }
 // duplicates, and acknowledges every received packet with the packet's
 // own tag.
 type ABReceiver struct {
-	m *ioa.Machine
-
 	expected int // tag the next new message will carry
 	ackTag   int // tag of the most recently received packet
 	ackDue   int // outstanding acknowledgements
@@ -145,62 +131,47 @@ var _ ioa.Deterministic = (*ABReceiver)(nil)
 
 // NewABReceiver builds the receiver.
 func NewABReceiver() (*ABReceiver, error) {
-	r := &ABReceiver{}
-	if err := r.initMachine(); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return &ABReceiver{}, nil
 }
 
-// initMachine (re)binds the guarded commands to this instance; Fork calls
-// it on copies.
-func (r *ABReceiver) initMachine() error {
-	m, err := ioa.NewMachine("r", r.classify, r.onInput, []ioa.Command{
+// abReceiverTable is the alternating-bit receiver's program.
+var abReceiverTable = ioa.MustTable(ioa.Table[ABReceiver]{
+	Name:     "r",
+	Classify: (*ABReceiver).classify,
+	OnInput:  (*ABReceiver).onInput,
+	Cmds: []ioa.Cmd[ABReceiver]{
 		{
 			Name:  "send_ack",
 			Class: ioa.ClassOutput,
-			Pre:   func() bool { return r.ackDue > 0 },
-			Act: func() ioa.Action {
+			Pre:   func(r *ABReceiver) bool { return r.ackDue > 0 },
+			Act: func(r *ABReceiver) ioa.Action {
 				return wire.Send{Dir: wire.RtoT, P: wire.Packet{Kind: wire.Ack, Tag: r.ackTag}}
 			},
-			Eff: func() { r.ackDue-- },
+			Eff: func(r *ABReceiver) { r.ackDue-- },
 		},
 		{
 			Name:  "write",
 			Class: ioa.ClassOutput,
-			Pre:   func() bool { return r.next < len(r.queue) },
-			Act:   func() ioa.Action { return wire.Write{M: r.queue[r.next]} },
-			Eff:   func() { r.next++ },
+			Pre:   func(r *ABReceiver) bool { return r.next < len(r.queue) },
+			Act:   func(r *ABReceiver) ioa.Action { return wire.Write{M: r.queue[r.next]} },
+			Eff:   func(r *ABReceiver) { r.next++ },
 		},
 		{
 			Name:  "idle_r",
 			Class: ioa.ClassInternal,
-			Pre:   func() bool { return true },
-			Act:   func() ioa.Action { return wire.Internal{Name: "idle_r"} },
-			Eff:   func() {},
+			Pre:   func(*ABReceiver) bool { return true },
+			Act:   func(*ABReceiver) ioa.Action { return wire.Internal{Name: "idle_r"} },
+			Eff:   func(*ABReceiver) {},
 		},
-	})
-	if err != nil {
-		return err
-	}
-	r.m = m
-	return nil
-}
+	},
+})
 
-// Fork returns an independent deep copy in the same state, for
-// state-space exploration.
+// Fork returns an independent copy in the same state, for state-space
+// exploration: it copies the received queue.
 func (r *ABReceiver) Fork() (*ABReceiver, error) {
-	c := &ABReceiver{
-		expected: r.expected,
-		ackTag:   r.ackTag,
-		ackDue:   r.ackDue,
-		queue:    append([]wire.Bit(nil), r.queue...),
-		next:     r.next,
-	}
-	if err := c.initMachine(); err != nil {
-		return nil, err
-	}
-	return c, nil
+	c := *r
+	c.queue = append([]wire.Bit(nil), r.queue...)
+	return &c, nil
 }
 
 // Snapshot returns a canonical key of the mutable state.
@@ -251,16 +222,16 @@ func (r *ABReceiver) onInput(a ioa.Action) error {
 }
 
 // Name returns "r".
-func (r *ABReceiver) Name() string { return r.m.Name() }
+func (r *ABReceiver) Name() string { return abReceiverTable.Name }
 
 // Classify places an action in the signature.
-func (r *ABReceiver) Classify(a ioa.Action) ioa.Class { return r.m.Classify(a) }
+func (r *ABReceiver) Classify(a ioa.Action) ioa.Class { return r.classify(a) }
 
 // NextLocal returns the unique enabled local action.
-func (r *ABReceiver) NextLocal() (ioa.Action, bool) { return r.m.NextLocal() }
+func (r *ABReceiver) NextLocal() (ioa.Action, bool) { return abReceiverTable.NextLocal(r) }
 
 // Apply performs a transition.
-func (r *ABReceiver) Apply(a ioa.Action) error { return r.m.Apply(a) }
+func (r *ABReceiver) Apply(a ioa.Action) error { return abReceiverTable.Apply(r, a) }
 
 // DeterministicIOA marks the automaton deterministic.
 func (r *ABReceiver) DeterministicIOA() bool { return true }

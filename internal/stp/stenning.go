@@ -22,8 +22,6 @@ import (
 
 // StenningTransmitter retransmits message i tagged i until ack(i) arrives.
 type StenningTransmitter struct {
-	m *ioa.Machine
-
 	x []wire.Bit
 	i int
 }
@@ -37,28 +35,30 @@ func NewStenningTransmitter(x []wire.Bit) (*StenningTransmitter, error) {
 			return nil, fmt.Errorf("stp: stenning transmitter: invalid bit at %d", idx)
 		}
 	}
-	t := &StenningTransmitter{x: append([]wire.Bit(nil), x...)}
-	m, err := ioa.NewMachine("t", t.classify, t.onInput, []ioa.Command{
+	return &StenningTransmitter{x: append([]wire.Bit(nil), x...)}, nil
+}
+
+// stenningTransmitterTable is the Stenning transmitter's program.
+var stenningTransmitterTable = ioa.MustTable(ioa.Table[StenningTransmitter]{
+	Name:     "t",
+	Classify: (*StenningTransmitter).classify,
+	OnInput:  (*StenningTransmitter).onInput,
+	Cmds: []ioa.Cmd[StenningTransmitter]{
 		{
 			Name:  "send",
 			Class: ioa.ClassOutput,
-			Pre:   func() bool { return t.i < len(t.x) },
-			Act: func() ioa.Action {
+			Pre:   func(t *StenningTransmitter) bool { return t.i < len(t.x) },
+			Act: func(t *StenningTransmitter) ioa.Action {
 				return wire.Send{Dir: wire.TtoR, P: wire.Packet{
 					Kind:   wire.Data,
 					Symbol: wire.Symbol(t.x[t.i]),
 					Tag:    t.i + 1, // 1-based so the zero Tag never aliases
 				}}
 			},
-			Eff: func() {},
+			Eff: func(*StenningTransmitter) {},
 		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.m = m
-	return t, nil
-}
+	},
+})
 
 func (t *StenningTransmitter) classify(a ioa.Action) ioa.Class {
 	switch act := a.(type) {
@@ -88,16 +88,18 @@ func (t *StenningTransmitter) onInput(a ioa.Action) error {
 }
 
 // Name returns "t".
-func (t *StenningTransmitter) Name() string { return t.m.Name() }
+func (t *StenningTransmitter) Name() string { return stenningTransmitterTable.Name }
 
 // Classify places an action in the signature.
-func (t *StenningTransmitter) Classify(a ioa.Action) ioa.Class { return t.m.Classify(a) }
+func (t *StenningTransmitter) Classify(a ioa.Action) ioa.Class { return t.classify(a) }
 
 // NextLocal returns the unique enabled local action.
-func (t *StenningTransmitter) NextLocal() (ioa.Action, bool) { return t.m.NextLocal() }
+func (t *StenningTransmitter) NextLocal() (ioa.Action, bool) {
+	return stenningTransmitterTable.NextLocal(t)
+}
 
 // Apply performs a transition.
-func (t *StenningTransmitter) Apply(a ioa.Action) error { return t.m.Apply(a) }
+func (t *StenningTransmitter) Apply(a ioa.Action) error { return stenningTransmitterTable.Apply(t, a) }
 
 // DeterministicIOA marks the automaton deterministic.
 func (t *StenningTransmitter) DeterministicIOA() bool { return true }
@@ -108,8 +110,6 @@ func (t *StenningTransmitter) Done() bool { return t.i >= len(t.x) }
 // StenningReceiver accepts exactly the next expected index; every
 // received packet is (re-)acknowledged with the highest accepted index.
 type StenningReceiver struct {
-	m *ioa.Machine
-
 	expected int // next index to accept (1-based)
 	ackDue   int
 	queue    []wire.Bit
@@ -120,38 +120,40 @@ var _ ioa.Deterministic = (*StenningReceiver)(nil)
 
 // NewStenningReceiver builds the receiver.
 func NewStenningReceiver() (*StenningReceiver, error) {
-	r := &StenningReceiver{expected: 1}
-	m, err := ioa.NewMachine("r", r.classify, r.onInput, []ioa.Command{
+	return &StenningReceiver{expected: 1}, nil
+}
+
+// stenningReceiverTable is the Stenning receiver's program.
+var stenningReceiverTable = ioa.MustTable(ioa.Table[StenningReceiver]{
+	Name:     "r",
+	Classify: (*StenningReceiver).classify,
+	OnInput:  (*StenningReceiver).onInput,
+	Cmds: []ioa.Cmd[StenningReceiver]{
 		{
 			Name:  "send_ack",
 			Class: ioa.ClassOutput,
-			Pre:   func() bool { return r.ackDue > 0 },
-			Act: func() ioa.Action {
+			Pre:   func(r *StenningReceiver) bool { return r.ackDue > 0 },
+			Act: func(r *StenningReceiver) ioa.Action {
 				return wire.Send{Dir: wire.RtoT, P: wire.Packet{Kind: wire.Ack, Tag: r.expected - 1}}
 			},
-			Eff: func() { r.ackDue-- },
+			Eff: func(r *StenningReceiver) { r.ackDue-- },
 		},
 		{
 			Name:  "write",
 			Class: ioa.ClassOutput,
-			Pre:   func() bool { return r.next < len(r.queue) },
-			Act:   func() ioa.Action { return wire.Write{M: r.queue[r.next]} },
-			Eff:   func() { r.next++ },
+			Pre:   func(r *StenningReceiver) bool { return r.next < len(r.queue) },
+			Act:   func(r *StenningReceiver) ioa.Action { return wire.Write{M: r.queue[r.next]} },
+			Eff:   func(r *StenningReceiver) { r.next++ },
 		},
 		{
 			Name:  "idle_r",
 			Class: ioa.ClassInternal,
-			Pre:   func() bool { return true },
-			Act:   func() ioa.Action { return wire.Internal{Name: "idle_r"} },
-			Eff:   func() {},
+			Pre:   func(*StenningReceiver) bool { return true },
+			Act:   func(*StenningReceiver) ioa.Action { return wire.Internal{Name: "idle_r"} },
+			Eff:   func(*StenningReceiver) {},
 		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	r.m = m
-	return r, nil
-}
+	},
+})
 
 func (r *StenningReceiver) classify(a ioa.Action) ioa.Class {
 	switch act := a.(type) {
@@ -190,16 +192,16 @@ func (r *StenningReceiver) onInput(a ioa.Action) error {
 }
 
 // Name returns "r".
-func (r *StenningReceiver) Name() string { return r.m.Name() }
+func (r *StenningReceiver) Name() string { return stenningReceiverTable.Name }
 
 // Classify places an action in the signature.
-func (r *StenningReceiver) Classify(a ioa.Action) ioa.Class { return r.m.Classify(a) }
+func (r *StenningReceiver) Classify(a ioa.Action) ioa.Class { return r.classify(a) }
 
 // NextLocal returns the unique enabled local action.
-func (r *StenningReceiver) NextLocal() (ioa.Action, bool) { return r.m.NextLocal() }
+func (r *StenningReceiver) NextLocal() (ioa.Action, bool) { return stenningReceiverTable.NextLocal(r) }
 
 // Apply performs a transition.
-func (r *StenningReceiver) Apply(a ioa.Action) error { return r.m.Apply(a) }
+func (r *StenningReceiver) Apply(a ioa.Action) error { return stenningReceiverTable.Apply(r, a) }
 
 // DeterministicIOA marks the automaton deterministic.
 func (r *StenningReceiver) DeterministicIOA() bool { return true }
