@@ -1,10 +1,18 @@
 package main
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
 
+// TestRunSweepDeterministic runs E17 twice and pins it byte for byte to
+// testdata/e17_quick_seed3.txt: the sweep is the one experiment that runs
+// the hardened wrapper, so a change to it must leave this output
+// untouched. Regenerate the golden only when a change is meant to alter
+// the output, from the repository root:
+//
+//	go run ./cmd/rstpchaos -sweep -quick -seed 3 > cmd/rstpchaos/testdata/e17_quick_seed3.txt
 func TestRunSweepDeterministic(t *testing.T) {
 	var a, b strings.Builder
 	if err := run([]string{"-sweep", "-quick", "-seed", "3"}, &a); err != nil {
@@ -16,6 +24,7 @@ func TestRunSweepDeterministic(t *testing.T) {
 	if a.String() != b.String() {
 		t.Fatal("sweep output not deterministic for a fixed seed")
 	}
+	checkGolden(t, "testdata/e17_quick_seed3.txt", a.String())
 	for _, want := range []string{"E17", "hardened(beta(k=4))", "blackout", "outcome"} {
 		if !strings.Contains(a.String(), want) {
 			t.Errorf("sweep output missing %q", want)
@@ -82,6 +91,12 @@ func TestRunBadFlags(t *testing.T) {
 	}
 }
 
+// TestRunCrashSweepDeterministic runs E18 twice and pins it byte for byte
+// to testdata/e18_quick_seed3.txt, as TestRunSweepDeterministic does for
+// E17; E18 is the experiment that runs the stabilized wrapper. Regenerate
+// the golden only when a change is meant to alter the output:
+//
+//	go run ./cmd/rstpchaos -crashsweep -quick -seed 3 > cmd/rstpchaos/testdata/e18_quick_seed3.txt
 func TestRunCrashSweepDeterministic(t *testing.T) {
 	var a, b strings.Builder
 	if err := run([]string{"-crashsweep", "-quick", "-seed", "3"}, &a); err != nil {
@@ -93,6 +108,7 @@ func TestRunCrashSweepDeterministic(t *testing.T) {
 	if a.String() != b.String() {
 		t.Fatal("crash-sweep output not deterministic for a fixed seed")
 	}
+	checkGolden(t, "testdata/e18_quick_seed3.txt", a.String())
 	for _, want := range []string{"E18", "stabilized(beta(k=4))", "crash", "outcome"} {
 		if !strings.Contains(a.String(), want) {
 			t.Errorf("crash-sweep output missing %q", want)
@@ -165,5 +181,27 @@ func TestParseProcFaultsErrors(t *testing.T) {
 	}
 	if len(got) != 3 || !got[0].Crash || got[1].RateFactor != 3 || got[2].To != 0 {
 		t.Fatalf("parsed %+v", got)
+	}
+}
+
+// checkGolden fails t at the first line where got differs from the file.
+func checkGolden(t *testing.T, file, got string) {
+	t.Helper()
+	want, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, w := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			t.Fatalf("output differs from %s at line %d:\n got: %s\nwant: %s", file, i+1, gl, wl)
+		}
 	}
 }

@@ -91,25 +91,9 @@ func hardDecode(p wire.Packet, dir wire.Dir) (val int64, ctrl bool, ok bool) {
 	return val, ctrl, val >= 0 && hardChecksum(val, base, dir, ctrl) == ck
 }
 
-// HardenOptions tune the reliability layer. Zero values get defaults
-// derived from the solution's Params.
+// HardenOptions configure the reliability layer's hooks. Its timing
+// comes from the solution's Params (see newHardEnd).
 type HardenOptions struct {
-	// Window caps outstanding unacknowledged payload packets per
-	// direction; the wrapper stalls its inner automaton's sends (with
-	// internal idle steps, keeping the step clock legal) while full.
-	// Default 4·δ1 + 4 — four bursts of headroom.
-	Window int
-	// RTOSteps is the base retransmission timeout in local steps of the
-	// sending endpoint. Default ⌈(δ1·c2 + d)/c1⌉ + 2: a full burst at the
-	// slowest legal schedule plus one maximum channel delay, converted to
-	// steps at the fastest schedule, so a healthy channel never triggers a
-	// spurious retransmit.
-	RTOSteps int64
-	// BackoffCap bounds the exponential backoff: the timeout for attempt
-	// n is RTOSteps·2^min(n, BackoffCap). Default 4 (≤ 16× base), so the
-	// layer probes a healed channel within a bounded delay instead of
-	// backing off forever.
-	BackoffCap int
 	// Observer receives the layer's protocol events (retransmits,
 	// checksum rejects, stale drops). Shared across every endpoint built
 	// from these options, so implementations must be concurrency-safe.
@@ -117,19 +101,19 @@ type HardenOptions struct {
 	Observer LayerObserver
 }
 
-func (o HardenOptions) withDefaults(p Params) HardenOptions {
-	d1 := int64(p.Delta1())
-	if o.Window <= 0 {
-		o.Window = int(4*d1 + 4)
-	}
-	if o.RTOSteps <= 0 {
-		rtt := d1*p.C2 + p.D
-		o.RTOSteps = (rtt+p.C1-1)/p.C1 + 2
-	}
-	if o.BackoffCap <= 0 {
-		o.BackoffCap = 4
-	}
-	return o
+// hardBackoffCap bounds the exponential backoff: the timeout for attempt
+// n is roundTripSteps·2^min(n, 4) (≤ 16× base), so the layer probes a
+// healed channel within a bounded delay instead of backing off forever.
+const hardBackoffCap = 4
+
+// roundTripSteps is both robustness layers' base retransmission timeout
+// in local steps, ⌈(δ1·c2 + d)/c1⌉ + 2: a full burst at the slowest legal
+// schedule plus one maximum channel delay, converted to steps at the
+// fastest schedule, so a healthy channel never triggers a spurious
+// retransmit.
+func roundTripSteps(p Params) int64 {
+	rtt := int64(p.Delta1())*p.C2 + p.D
+	return (rtt+p.C1-1)/p.C1 + 2
 }
 
 // hardOut is one unacknowledged payload send awaiting its cumulative ack.
@@ -148,7 +132,6 @@ type hardEnd struct {
 	outDir, inDir wire.Dir
 	window        int
 	rtoBase       int64
-	backoffCap    int
 
 	// Sender role: sequence numbers and the retransmission queue for the
 	// inner automaton's outgoing packets.
@@ -174,23 +157,26 @@ type hardEnd struct {
 
 var _ ioa.Automaton = (*hardEnd)(nil)
 
-func newHardEnd(inner ioa.Automaton, outDir, inDir wire.Dir, o HardenOptions) *hardEnd {
+// newHardEnd wraps inner with timing derived from p. The window caps
+// outstanding unacknowledged payload packets per direction at 4·δ1 + 4,
+// four bursts of headroom; the wrapper stalls its inner automaton's sends
+// (with internal idle steps, keeping the step clock legal) while full.
+func newHardEnd(inner ioa.Automaton, outDir, inDir wire.Dir, p Params, obs LayerObserver) *hardEnd {
 	return &hardEnd{
-		inner:      inner,
-		outDir:     outDir,
-		inDir:      inDir,
-		window:     o.Window,
-		rtoBase:    o.RTOSteps,
-		backoffCap: o.BackoffCap,
-		obs:        o.Observer,
+		inner:   inner,
+		outDir:  outDir,
+		inDir:   inDir,
+		window:  4*p.Delta1() + 4,
+		rtoBase: roundTripSteps(p),
+		obs:     obs,
 	}
 }
 
 // rto returns the timeout for the given attempt with capped exponential
 // backoff.
 func (h *hardEnd) rto(attempt int) int64 {
-	if attempt > h.backoffCap {
-		attempt = h.backoffCap
+	if attempt > hardBackoffCap {
+		attempt = hardBackoffCap
 	}
 	return h.rtoBase << attempt
 }
@@ -385,13 +371,13 @@ func (h *hardEnd) onRecv(p wire.Packet) error {
 type HardenedSolution struct {
 	// Inner is the protocol being protected.
 	Inner Solution
-	// Opts are the layer's tuning knobs (zero values take defaults).
+	// Opts are the layer's hooks.
 	Opts HardenOptions
 }
 
 // Harden wraps a solution in the reliability layer.
 func Harden(s Solution, opts HardenOptions) HardenedSolution {
-	return HardenedSolution{Inner: s, Opts: opts.withDefaults(s.Params)}
+	return HardenedSolution{Inner: s, Opts: opts}
 }
 
 // String renders e.g. "hardened(beta(k=4))".
@@ -403,38 +389,15 @@ func (hs HardenedSolution) NewPair(x []wire.Bit) (t, r ioa.Automaton, err error)
 	if err != nil {
 		return nil, nil, err
 	}
-	o := hs.Opts.withDefaults(hs.Inner.Params)
-	return newHardEnd(it, wire.TtoR, wire.RtoT, o), newHardEnd(ir, wire.RtoT, wire.TtoR, o), nil
+	p, obs := hs.Inner.Params, hs.Opts.Observer
+	return newHardEnd(it, wire.TtoR, wire.RtoT, p, obs), newHardEnd(ir, wire.RtoT, wire.TtoR, p, obs), nil
 }
 
 // Run executes the hardened solution on input x until all |x| messages
 // are written (or the run's caps fire — under a fault plan that never
 // heals, liveness is forfeit and the caller inspects the partial run).
 func (hs HardenedSolution) Run(x []wire.Bit, opt RunOptions) (*sim.Run, error) {
-	opt = opt.withDefaults(hs.Inner.Params)
-	t, r, err := hs.NewPair(x)
-	if err != nil {
-		return nil, err
-	}
-	run, err := sim.Simulate(sim.Config{
-		C1:          hs.Inner.Params.C1,
-		C2:          hs.Inner.Params.C2,
-		D:           hs.Inner.Params.D,
-		Transmitter: sim.Process{Auto: t, Policy: opt.TPolicy},
-		Receiver:    sim.Process{Auto: r, Policy: opt.RPolicy},
-		Delay:       opt.Delay,
-		ProcFaults:  opt.ProcFaults,
-		Stop:        sim.StopAfterWrites(len(x)),
-		MaxTicks:    opt.MaxTicks,
-		MaxEvents:   opt.MaxEvents,
-	})
-	if run != nil {
-		run.MeasureStabilization(x)
-	}
-	if err != nil {
-		return run, fmt.Errorf("rstp: %s run: %w", hs, err)
-	}
-	return run, nil
+	return simulate(hs, hs.Inner.Params, x, opt)
 }
 
 // VerifySafety checks the fault-tolerant guarantee: Y is a prefix of X at
@@ -455,13 +418,5 @@ func (hs HardenedSolution) VerifyComplete(run *sim.Run, x []wire.Bit) []timed.Vi
 // channel honours the model, so a hardened run on a healthy channel is
 // held to the same standard as an unhardened one.
 func (hs HardenedSolution) Verify(run *sim.Run, x []wire.Bit) []timed.Violation {
-	return timed.Good(run.Trace, timed.GoodConfig{
-		C1:              hs.Inner.Params.C1,
-		C2:              hs.Inner.Params.C2,
-		D:               hs.Inner.Params.D,
-		Transmitter:     TransmitterName,
-		Receiver:        ReceiverName,
-		X:               x,
-		RequireComplete: true,
-	})
+	return verifyGood(hs.Inner.Params, run, x)
 }

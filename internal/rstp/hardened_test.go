@@ -220,8 +220,7 @@ func TestHardenedRecoversThroughput(t *testing.T) {
 	}
 	// Recovery bound: base RTO ≤ 16× backoff, plus drain of the whole
 	// input at the slowest schedule. Generous but finite.
-	o := hs.Opts
-	budget := plan.End() + o.RTOSteps*(1<<o.BackoffCap)*p.C2 + 40*int64(len(x))*p.C2
+	budget := plan.End() + roundTripSteps(p)*(1<<hardBackoffCap)*p.C2 + 40*int64(len(x))*p.C2
 	if last > budget {
 		t.Fatalf("recovery too slow: last write %d, budget %d", last, budget)
 	}
@@ -234,7 +233,13 @@ func TestHardenedString(t *testing.T) {
 	if got := hs.String(); !strings.Contains(got, "hardened(") || !strings.Contains(got, "beta") {
 		t.Fatalf("String() = %q", got)
 	}
-	if hs.Opts.Window <= 0 || hs.Opts.RTOSteps <= 0 || hs.Opts.BackoffCap <= 0 {
-		t.Fatalf("defaults not resolved: %+v", hs.Opts)
+	// At c1=2, c2=3, d=12 (δ1 = 6): window 4δ1+4 = 28, RTO
+	// ⌈(6·3+12)/2⌉+2 = 17 steps, backoff cap 4.
+	tx, _, err := hs.NewPair(chaosInput(s, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := tx.(*hardEnd); h.window != 28 || h.rtoBase != 17 || hardBackoffCap != 4 {
+		t.Fatalf("window %d, RTO %d steps, backoff cap %d; want 28, 17, 4", h.window, h.rtoBase, hardBackoffCap)
 	}
 }

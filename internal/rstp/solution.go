@@ -176,15 +176,37 @@ func (o RunOptions) withDefaults(p Params) RunOptions {
 // returning the timed run. The input length must be a multiple of
 // BlockBits (see PadToBlock).
 func (s Solution) Run(x []wire.Bit, opt RunOptions) (*sim.Run, error) {
-	opt = opt.withDefaults(s.Params)
-	t, r, err := s.NewPair(x)
+	return simulate(s, s.Params, x, opt)
+}
+
+// Verify checks good(A) and the RSTP correctness condition Y = X over a
+// completed run.
+func (s Solution) Verify(run *sim.Run, x []wire.Bit) []timed.Violation {
+	return verifyGood(s.Params, run, x)
+}
+
+// pairBuilder is one protocol stack: a bare Solution, or either
+// robustness layer over one. Every stack runs through simulate, and the
+// stabilizing layer wraps any of them, which is what makes the two layers
+// composable in either thickness (stabilized bare, or stabilized+hardened).
+type pairBuilder interface {
+	NewPair(x []wire.Bit) (t, r ioa.Automaton, err error)
+	String() string
+}
+
+// simulate is every stack's Run: it executes b's pair on input x under p
+// until all |x| messages are written or the caps fire, and measures the
+// run's Stabilization report.
+func simulate(b pairBuilder, p Params, x []wire.Bit, opt RunOptions) (*sim.Run, error) {
+	opt = opt.withDefaults(p)
+	t, r, err := b.NewPair(x)
 	if err != nil {
 		return nil, err
 	}
 	run, err := sim.Simulate(sim.Config{
-		C1:          s.Params.C1,
-		C2:          s.Params.C2,
-		D:           s.Params.D,
+		C1:          p.C1,
+		C2:          p.C2,
+		D:           p.D,
 		Transmitter: sim.Process{Auto: t, Policy: opt.TPolicy},
 		Receiver:    sim.Process{Auto: r, Policy: opt.RPolicy},
 		Delay:       opt.Delay,
@@ -197,18 +219,18 @@ func (s Solution) Run(x []wire.Bit, opt RunOptions) (*sim.Run, error) {
 		run.MeasureStabilization(x)
 	}
 	if err != nil {
-		return run, fmt.Errorf("rstp: %s run: %w", s, err)
+		return run, fmt.Errorf("rstp: %s run: %w", b, err)
 	}
 	return run, nil
 }
 
-// Verify checks good(A) and the RSTP correctness condition Y = X over a
-// completed run.
-func (s Solution) Verify(run *sim.Run, x []wire.Bit) []timed.Violation {
+// verifyGood is every stack's Verify: the full good(A) conditions under
+// p plus Y = X.
+func verifyGood(p Params, run *sim.Run, x []wire.Bit) []timed.Violation {
 	return timed.Good(run.Trace, timed.GoodConfig{
-		C1:              s.Params.C1,
-		C2:              s.Params.C2,
-		D:               s.Params.D,
+		C1:              p.C1,
+		C2:              p.C2,
+		D:               p.D,
 		Transmitter:     TransmitterName,
 		Receiver:        ReceiverName,
 		X:               x,

@@ -232,21 +232,20 @@ func stDecode(p wire.Packet, dir wire.Dir) (ctrl bool, kind int, epoch, count in
 	return false, 0, epoch, 0, inner, true
 }
 
-// StabilizeOptions tune the stabilizing layer. Zero values get defaults
-// derived from the solution's Params.
+// stMismatchLimit is the run of consecutive epoch-mismatched payloads
+// after which the receiver assumes a wedged session (the live-epoch-
+// corruption symptom) and volunteers a REPORT: 64, larger than any
+// in-flight backlog a healing handshake leaves behind, so a working
+// session never trips it.
+const stMismatchLimit = 64
+
+// StabilizeOptions configure the stabilizing layer's storage and hooks.
+// Its handshake retransmission timeout is roundTripSteps of the
+// solution's Params, the hardened layer's round-trip bound.
 type StabilizeOptions struct {
 	// Store persists checkpoints across crashes. Default: a fresh MemStore
 	// shared by the two endpoints of each NewPair.
 	Store StateStore
-	// RTOSteps is the handshake retransmission timeout in local steps.
-	// Default ⌈(δ1·c2 + d)/c1⌉ + 2, the hardened layer's round-trip bound.
-	RTOSteps int64
-	// MismatchLimit is the run of consecutive epoch-mismatched payloads
-	// after which the receiver assumes a wedged session (the live-epoch-
-	// corruption symptom) and volunteers a REPORT. Default 64 — larger
-	// than any in-flight backlog a healing handshake leaves behind, so a
-	// working session never trips it.
-	MismatchLimit int
 	// Observer receives the layer's protocol events (epoch rewinds,
 	// rewind adoptions, control rejects, dead-epoch drops). Shared across
 	// every endpoint built from these options, so implementations must be
@@ -267,26 +266,6 @@ type StabilizeOptions struct {
 	Recover bool
 }
 
-func (o StabilizeOptions) withDefaults(p Params) StabilizeOptions {
-	if o.RTOSteps <= 0 {
-		d1 := int64(p.Delta1())
-		rtt := d1*p.C2 + p.D
-		o.RTOSteps = (rtt+p.C1-1)/p.C1 + 2
-	}
-	if o.MismatchLimit <= 0 {
-		o.MismatchLimit = 64
-	}
-	return o
-}
-
-// pairBuilder is the protocol stack Stabilize wraps: both Solution and
-// HardenedSolution satisfy it, which is what makes the two layers
-// composable in either thickness (stabilized bare, or stabilized+hardened).
-type pairBuilder interface {
-	NewPair(x []wire.Bit) (t, r ioa.Automaton, err error)
-	String() string
-}
-
 const (
 	roleT = 0
 	roleR = 1
@@ -303,7 +282,6 @@ type stableEnd struct {
 	store         StateStore
 	key           string
 	rto           int64
-	mismatchLimit int
 	blockBits     int64
 	x             []wire.Bit // transmitter input (nil on the receiver)
 	build         func(x []wire.Bit) (ioa.Automaton, error)
@@ -704,7 +682,7 @@ func (e *stableEnd) onRecv(p wire.Packet) error {
 		emit(e.obs, LayerEpochDrop)
 		if e.role == roleR {
 			e.mismatches++
-			if e.mismatches >= e.mismatchLimit {
+			if e.mismatches >= stMismatchLimit {
 				// A long run of dead-epoch payloads means the session is
 				// wedged (live epoch corruption on either side): ask for
 				// a resynchronization.
@@ -729,7 +707,7 @@ type StabilizedSolution struct {
 	// BlockBits is the inner solution's input block size; resynchron-
 	// ization rewinds the cursor to block boundaries.
 	BlockBits int
-	// Opts are the layer's tuning knobs (zero values take defaults).
+	// Opts are the layer's storage and hooks.
 	Opts StabilizeOptions
 
 	inner pairBuilder
@@ -743,7 +721,7 @@ func Stabilize(s Solution, opts StabilizeOptions) StabilizedSolution {
 	return StabilizedSolution{
 		Params:    s.Params,
 		BlockBits: s.BlockBits,
-		Opts:      opts.withDefaults(s.Params),
+		Opts:      opts,
 		inner:     s,
 	}
 }
@@ -755,7 +733,7 @@ func StabilizeHardened(hs HardenedSolution, opts StabilizeOptions) StabilizedSol
 	return StabilizedSolution{
 		Params:    hs.Inner.Params,
 		BlockBits: hs.Inner.BlockBits,
-		Opts:      opts.withDefaults(hs.Inner.Params),
+		Opts:      opts,
 		inner:     hs,
 	}
 }
@@ -787,7 +765,7 @@ func (ss StabilizedSolution) NewPair(x []wire.Bit) (t, r ioa.Automaton, err erro
 	if store == nil {
 		store = NewMemStore()
 	}
-	opts := ss.Opts.withDefaults(ss.Params)
+	rto := roundTripSteps(ss.Params)
 	it, ir, err := ss.inner.NewPair(x)
 	if err != nil {
 		return nil, nil, err
@@ -798,27 +776,27 @@ func (ss StabilizedSolution) NewPair(x []wire.Bit) (t, r ioa.Automaton, err erro
 	}
 	te := &stableEnd{
 		role: roleT, name: it.Name(), outDir: wire.TtoR, inDir: wire.RtoT,
-		store: store, key: opts.KeyPrefix + "t", rto: opts.RTOSteps, mismatchLimit: opts.MismatchLimit,
+		store: store, key: ss.Opts.KeyPrefix + "t", rto: rto,
 		blockBits: blockBits, x: x,
 		build: func(suffix []wire.Bit) (ioa.Automaton, error) {
 			nt, _, err := ss.inner.NewPair(suffix)
 			return nt, err
 		},
-		inner: it, epoch: 1, synced: true, lastCtrl: -opts.RTOSteps,
-		obs: opts.Observer,
+		inner: it, epoch: 1, synced: true, lastCtrl: -rto,
+		obs: ss.Opts.Observer,
 	}
 	re := &stableEnd{
 		role: roleR, name: ir.Name(), outDir: wire.RtoT, inDir: wire.TtoR,
-		store: store, key: opts.KeyPrefix + "r", rto: opts.RTOSteps, mismatchLimit: opts.MismatchLimit,
+		store: store, key: ss.Opts.KeyPrefix + "r", rto: rto,
 		blockBits: blockBits,
 		build: func([]wire.Bit) (ioa.Automaton, error) {
 			_, nr, err := ss.inner.NewPair(nil)
 			return nr, err
 		},
-		inner: ir, epoch: 1, lastCtrl: -opts.RTOSteps,
-		obs: opts.Observer,
+		inner: ir, epoch: 1, lastCtrl: -rto,
+		obs: ss.Opts.Observer,
 	}
-	if opts.Recover {
+	if ss.Opts.Recover {
 		// Restart semantics, not fresh-session semantics: reload whatever
 		// the store holds (an empty store reads as "know nothing") and run
 		// the handshake. The initial checkpoints are NOT written here —
@@ -836,30 +814,7 @@ func (ss StabilizedSolution) NewPair(x []wire.Bit) (t, r ioa.Automaton, err erro
 // written or the caps fire, measuring the Stabilization report when a
 // process-fault plan was scheduled.
 func (ss StabilizedSolution) Run(x []wire.Bit, opt RunOptions) (*sim.Run, error) {
-	opt = opt.withDefaults(ss.Params)
-	t, r, err := ss.NewPair(x)
-	if err != nil {
-		return nil, err
-	}
-	run, err := sim.Simulate(sim.Config{
-		C1:          ss.Params.C1,
-		C2:          ss.Params.C2,
-		D:           ss.Params.D,
-		Transmitter: sim.Process{Auto: t, Policy: opt.TPolicy},
-		Receiver:    sim.Process{Auto: r, Policy: opt.RPolicy},
-		Delay:       opt.Delay,
-		ProcFaults:  opt.ProcFaults,
-		Stop:        sim.StopAfterWrites(len(x)),
-		MaxTicks:    opt.MaxTicks,
-		MaxEvents:   opt.MaxEvents,
-	})
-	if run != nil {
-		run.MeasureStabilization(x)
-	}
-	if err != nil {
-		return run, fmt.Errorf("rstp: %s run: %w", ss, err)
-	}
-	return run, nil
+	return simulate(ss, ss.Params, x, opt)
 }
 
 // VerifySafety checks the fault-tolerant guarantee: Y is a prefix of X at
@@ -878,13 +833,5 @@ func (ss StabilizedSolution) VerifyComplete(run *sim.Run, x []wire.Bit) []timed.
 // standard: on a healthy channel with immortal processes the layer is a
 // pass-through and earns no slack.
 func (ss StabilizedSolution) Verify(run *sim.Run, x []wire.Bit) []timed.Violation {
-	return timed.Good(run.Trace, timed.GoodConfig{
-		C1:              ss.Params.C1,
-		C2:              ss.Params.C2,
-		D:               ss.Params.D,
-		Transmitter:     TransmitterName,
-		Receiver:        ReceiverName,
-		X:               x,
-		RequireComplete: true,
-	})
+	return verifyGood(ss.Params, run, x)
 }

@@ -347,8 +347,14 @@ func TestStabilizedString(t *testing.T) {
 	if got := ss.String(); !strings.Contains(got, "stabilized(hardened(") || !strings.Contains(got, "beta") {
 		t.Fatalf("String() = %q", got)
 	}
-	if ss.Opts.RTOSteps <= 0 || ss.Opts.MismatchLimit <= 0 {
-		t.Fatalf("defaults not resolved: %+v", ss.Opts)
+	// At c1=2, c2=3, d=12 (δ1 = 6): RTO ⌈(6·3+12)/2⌉+2 = 17 steps,
+	// mismatch limit 64.
+	tx, _, err := ss.NewPair(chaosInput(s, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := tx.(*stableEnd); e.rto != 17 || stMismatchLimit != 64 {
+		t.Fatalf("RTO %d steps, mismatch limit %d; want 17, 64", e.rto, stMismatchLimit)
 	}
 	bad := chaosInput(s, 1)[:1] // not a block multiple
 	if _, _, err := ss.NewPair(bad); err == nil && ss.BlockBits > 1 {

@@ -111,8 +111,7 @@ func (s *Server) wakeSpawnWaitsLocked(id uint32) {
 	}
 }
 
-// ActiveCount returns the number of currently live receiver sessions —
-// the control plane's occupancy gate reads it.
+// ActiveCount returns the number of currently live receiver sessions.
 func (s *Server) ActiveCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

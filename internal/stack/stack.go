@@ -5,8 +5,7 @@
 // pair, which is always bare because loss tolerance is native to its
 // code. A stack has one name, its Builder.String() (e.g.
 // "stabilized(hardened(beta(k=4)))"), which Parse reads back. The
-// serving commands and the controller's candidate list assemble their
-// stacks here.
+// serving and chaos commands assemble their stacks here.
 package stack
 
 import (

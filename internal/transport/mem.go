@@ -16,12 +16,10 @@ type MemOptions struct {
 	// frame within it.
 	D int64
 	// Delay computes each frame's arrival times (default: uniform random
-	// in [0, D], seeded with Seed). Substituting a *faults.Plan injects
+	// in [0, D], seeded with 1). Substituting a *faults.Plan injects
 	// loss, duplication, corruption and excess delay — the same plans the
 	// simulator uses.
 	Delay chanmodel.DelayPolicy
-	// Seed seeds the default delay policy (default 1).
-	Seed int64
 	// Buffer is the per-direction delivery channel capacity (default 1024).
 	Buffer int
 }
@@ -30,11 +28,8 @@ func (o MemOptions) withDefaults() MemOptions {
 	if o.D <= 0 {
 		o.D = 1
 	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
 	if o.Delay == nil {
-		o.Delay = &chanmodel.UniformRandom{D: o.D, Rand: rand.New(rand.NewSource(o.Seed))}
+		o.Delay = &chanmodel.UniformRandom{D: o.D, Rand: rand.New(rand.NewSource(1))}
 	}
 	if o.Buffer <= 0 {
 		o.Buffer = 1024

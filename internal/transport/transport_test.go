@@ -104,7 +104,7 @@ func TestMemDeliveryOrderMatchesPolicy(t *testing.T) {
 func TestMemDelayWithinBound(t *testing.T) {
 	clock := NewClock(200 * time.Microsecond)
 	const d = 10
-	m := NewMem(clock, MemOptions{D: d, Seed: 7})
+	m := NewMem(clock, MemOptions{D: d})
 	defer m.Close()
 	const n = 50
 	sendTick := clock.Now()
