@@ -105,25 +105,28 @@ func matrixRows(full bool) []matrixRow {
 // matrixParent holds each fault-free mem row's allocs per write and mean
 // effort in ticks per message: the median of three
 // `go test -count=1 -run TestServeMatrix -v` runs on a 2-vCPU x86-64
-// Linux host (Intel Xeon, Go 1.24, GOMAXPROCS 2). Efforts date from
-// commit f6965ed; the allocs were re-measured once the core step stopped
-// allocating (a shared multiset codec table per (k, n), uint64 rank/unrank,
-// pre-boxed local actions), and the rateless rows' once the coded path
-// did too (memoized sends and acks, recycled decoders, string frame
-// payloads) and again once selective acks cut its repair symbols and a
-// record arena its payloads. The udp rows have no ceiling: their effort is the kernel
+// Linux host (Intel Xeon, Go 1.24, GOMAXPROCS 2). Efforts were
+// re-measured once the clock's pacer woke each step round at its tick
+// rather than up to 1 ms late (the old values read 1.3-5.2x these), so
+// the 2.5x ceiling now guards the pacer's timing. The allocs were
+// re-measured once the core step stopped allocating (a shared multiset
+// codec table per (k, n), uint64 rank/unrank, pre-boxed local actions),
+// and the rateless rows' once the coded path did too (memoized sends and
+// acks, recycled decoders, string frame payloads) and again once
+// selective acks cut its repair symbols and a record arena its
+// payloads. The udp rows have no ceiling: their effort is the kernel
 // socket path's scheduling, and under a parallel
 // `go test ./...` on that host it read 3.2x the quiet value with no code
 // change.
 var matrixParent = map[string]struct{ allocs, effort float64 }{
-	"alpha/mem/none/s1":      {allocs: 5.0, effort: 91.53},
-	"alpha/mem/none/s64":     {allocs: 4.4, effort: 52.56},
-	"beta4/mem/none/s1":      {allocs: 2.9, effort: 28.61},
-	"beta4/mem/none/s64":     {allocs: 2.8, effort: 8.35},
-	"gamma4/mem/none/s1":     {allocs: 4.4, effort: 20.96},
-	"gamma4/mem/none/s64":    {allocs: 4.3, effort: 9.14},
-	"rateless4/mem/none/s1":  {allocs: 2.9, effort: 15.50},
-	"rateless4/mem/none/s64": {allocs: 2.8, effort: 6.25},
+	"alpha/mem/none/s1":      {allocs: 5.0, effort: 17.59},
+	"alpha/mem/none/s64":     {allocs: 4.4, effort: 18.14},
+	"beta4/mem/none/s1":      {allocs: 2.9, effort: 5.80},
+	"beta4/mem/none/s64":     {allocs: 2.8, effort: 6.41},
+	"gamma4/mem/none/s1":     {allocs: 4.4, effort: 5.59},
+	"gamma4/mem/none/s64":    {allocs: 4.3, effort: 5.96},
+	"rateless4/mem/none/s1":  {allocs: 2.9, effort: 3.14},
+	"rateless4/mem/none/s64": {allocs: 2.8, effort: 4.05},
 }
 
 // TestServeMatrix is the served-stack benchmark grid: every row runs

@@ -38,6 +38,9 @@ type sessionMetrics struct {
 	interwrite *obs.Histogram
 	margin     *obs.Histogram
 	effortGap  *obs.Histogram
+	// stepLag is how many ticks after its due tick each step round ran:
+	// 0 when the round kept the c2 schedule.
+	stepLag *obs.Histogram
 
 	deadline int64   // δ1·c2 in ticks
 	bound    float64 // effort lower bound in ticks; 0 disables effortGap
@@ -69,6 +72,7 @@ func newSessionMetrics(reg *obs.Registry, p rstp.Params, bound float64) *session
 		// above the bound, not proximity to a deadline), so it needs the
 		// wide ±2048 layout or its p99 drowns in the +Inf bucket.
 		effortGap: reg.Histogram("rstp_effort_gap_ticks", "interwrite gap minus the paper's effort lower bound", obs.MarginBuckets(12)),
+		stepLag:   reg.Histogram("rstp_session_step_lag_ticks", "ticks a step round ran after its due tick", obs.TickBuckets(0)),
 
 		deadline: int64(p.Delta1()) * p.C2,
 		bound:    bound,
@@ -76,6 +80,13 @@ func newSessionMetrics(reg *obs.Registry, p rstp.Params, bound float64) *session
 	reg.Gauge("rstp_deadline_ticks", "per-message deadline δ1·c2 in ticks").Set(m.deadline)
 	reg.Float("rstp_effort_bound_ticks", "configured per-message effort lower bound in ticks").Set(bound)
 	return m
+}
+
+func (m *sessionMetrics) onRound(lag int64) {
+	if m == nil {
+		return
+	}
+	m.stepLag.Observe(lag)
 }
 
 func (m *sessionMetrics) onSend(tick int64, id uint32, pktSeq int64) {

@@ -2,8 +2,8 @@ package session
 
 import (
 	"sync"
-	"time"
 
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -11,9 +11,10 @@ import (
 // tombstones and running counters of its retired sessions, and the one
 // loop goroutine that drives them. The loop
 // applies every delivered frame as it arrives and, once per c2 ticks,
-// steps every active endpoint in spawn order. All endpoint state is
-// guarded by mu, so the loop, retirement and readers never need a second
-// lock.
+// steps every active endpoint in spawn order, woken by the clock's pacer.
+// A side with no active endpoint leaves the pacer and takes no wake-ups.
+// All endpoint state is guarded by mu, so the loop, retirement and
+// readers never need a second lock.
 type mux struct {
 	cfg    Config
 	role   string   // "transmitter" or "receiver": every endpoint of the side
@@ -36,9 +37,16 @@ type mux struct {
 	seq    int64
 	active map[uint32]*endpoint
 	order  []*endpoint // active endpoints in spawn order, retired ones compacted out each tick
-	// lastNow is the loop's previous clock reading and stalled the sum
-	// of its stalls (see now), which idle eviction does not charge.
+	// lastNow is the tick of the loop's latest step round, which every
+	// step of the round is stamped with, and stalled the sum of the
+	// loop's stalls (see book), which idle eviction does not charge.
 	lastNow, stalled int64
+	// pace wakes the loop for its step rounds; pacing reports it is
+	// subscribed (the side has an active endpoint), and due is the tick
+	// the next round is due at.
+	pace   *transport.Waiter
+	pacing bool
+	due    int64
 	// finished is the tombstone set: the ID of every retired session, and
 	// on the server of every session evicted before it spawned. A
 	// finished ID is never reused (StartID) nor respawned (admitLocked).
@@ -65,6 +73,7 @@ func (m *mux) init(cfg Config, role string) {
 		m.watchdog = int64(cfg.WatchdogK) * int64(cfg.Params.Delta1()) * cfg.Params.C2
 	}
 	m.done = make(chan struct{})
+	m.pace = cfg.Clock.NewWaiter()
 	m.landed.L = &m.mu
 	m.active = make(map[uint32]*endpoint)
 }
@@ -79,8 +88,6 @@ func (m *mux) start() {
 // then retire on their first failed send, as the protocol contract says.
 func (m *mux) loop() {
 	defer m.wg.Done()
-	ticker := time.NewTicker(m.cfg.Clock.Ticks(m.cfg.Params.C2))
-	defer ticker.Stop()
 	del := m.cfg.Transport.Deliveries(m.dir)
 	for {
 		select {
@@ -92,15 +99,42 @@ func (m *mux) loop() {
 				continue
 			}
 			m.route(f)
-		case <-ticker.C:
+		case <-m.pace.C:
 			m.mu.Lock()
 			for n := len(del); n > 0; n-- {
 				m.deliverLocked(<-del)
 			}
-			m.tickLocked()
+			m.roundLocked()
 			m.mu.Unlock()
 		}
 	}
+}
+
+// roundLocked runs one step round at the tick it reads, after the
+// frames already delivered have been applied, and schedules the next.
+//
+// The schedule holds the paper's step bounds as far as the host allows.
+// Rounds are due every c2 ticks on a fixed grid; a round woken late runs
+// once at its lag, which the step-lag histogram books, and is not made up
+// by extra rounds. No round runs less than c1 ticks after the previous
+// one, and every endpoint's step is stamped with the round's tick, so no
+// endpoint steps sooner than c1 after its previous step. A side left
+// with no active endpoint leaves the pacer until addLocked resumes it.
+func (m *mux) roundLocked() {
+	now := m.cfg.Clock.Now()
+	if now < m.due { // the c1 floor rests on this reading, not the pacer's
+		m.pace.Wake(m.due)
+		return
+	}
+	m.cfg.metrics.onRound(now - m.due)
+	m.tickLocked(now)
+	if len(m.order) == 0 {
+		m.pace.Stop()
+		m.pacing = false
+		return
+	}
+	m.due = max(m.due+m.cfg.Params.C2, now+m.cfg.Params.C1)
+	m.pace.Wake(m.due)
 }
 
 // route applies one delivered frame to its session.
@@ -120,11 +154,11 @@ func (m *mux) deliverLocked(f wire.Frame) {
 	ep.apply(f)
 }
 
-// tickLocked steps every active endpoint once, in spawn order. An
-// endpoint whose tape save is still in flight is skipped whole: it is
-// neither stepped nor judged idle or wedged until the save lands.
-func (m *mux) tickLocked() {
-	m.now()
+// tickLocked steps every active endpoint once at tick now, in spawn
+// order. An endpoint whose tape save is still in flight is skipped whole:
+// it is neither stepped nor judged idle or wedged until the save lands.
+func (m *mux) tickLocked(now int64) {
+	m.book(now)
 	live := m.order[:0]
 	for _, ep := range m.order {
 		if ep.retired {
@@ -140,18 +174,18 @@ func (m *mux) tickLocked() {
 	m.order = live
 }
 
-// advance takes one step of ep and, on the receiver side, runs idle
-// eviction and the watchdog. It returns false when ep must retire. A step
-// that started a tape save defers both checks until the save lands, so
-// no retirement reports a write before it is durable.
+// advance takes one step of ep at the round's tick and, on the receiver
+// side, runs idle eviction and the watchdog. It returns false when ep
+// must retire. A step that started a tape save defers both checks until
+// the save lands, so no retirement reports a write before it is durable.
 func (m *mux) advance(ep *endpoint) bool {
-	if !ep.step() {
+	now := m.lastNow
+	if !ep.step(now) {
 		return false
 	}
 	if m.role == "transmitter" || ep.saving {
 		return true
 	}
-	now := m.now()
 	if m.cfg.IdleTicks > 0 && ep.idle(now) > m.cfg.IdleTicks {
 		ep.evicted = true
 		m.cfg.metrics.onEvict(now, ep.id)
@@ -160,25 +194,29 @@ func (m *mux) advance(ep *endpoint) bool {
 	return m.watchdog <= 0 || ep.checkProgress(now, m.watchdog)
 }
 
-// now reads the clock for the loop, under mu, and books a stall: a gap
-// since the loop's previous reading longer than a step plus the channel
-// bound d means the loop itself did not run, as under a host stall, and
-// the frames due in that gap may not be released yet. The excess is
-// added to stalled, so the stall is not charged to any endpoint as idle
-// time.
-func (m *mux) now() int64 {
-	now := m.cfg.Clock.Now()
+// book records the round's clock reading, under mu, and books a stall:
+// a gap since the loop's previous reading longer than a step plus the
+// channel bound d means the loop itself did not run, as under a host
+// stall, and the frames due in that gap may not be released yet. The
+// excess is added to stalled, so the stall is not charged to any
+// endpoint as idle time.
+func (m *mux) book(now int64) {
 	if gap := now - m.lastNow - m.cfg.Params.C2 - m.cfg.Params.D; m.lastNow > 0 && gap > 0 {
 		m.stalled += gap
 	}
 	m.lastNow = now
-	return now
 }
 
-// addLocked makes ep active and schedules it for stepping.
+// addLocked makes ep active and schedules it for stepping. A side that
+// had left the pacer resumes with a round at once; its idle time was no
+// stall of the loop, so the stall clock restarts.
 func (m *mux) addLocked(ep *endpoint) {
 	m.active[ep.id] = ep
 	m.order = append(m.order, ep)
+	if !m.pacing {
+		m.pacing, m.lastNow, m.due = true, 0, ep.start
+		m.pace.Wake(m.due)
+	}
 }
 
 // retireLocked moves ep from the active set to the tombstones, folds its
@@ -258,6 +296,9 @@ func (m *mux) Close() error {
 		close(m.done)
 		m.wg.Wait()
 		m.mu.Lock()
+		// A Start that checked closed() before done closed may have
+		// resumed pacing after the loop exited.
+		m.pace.Stop()
 		for _, ep := range m.order {
 			m.parkLocked(ep)
 		}

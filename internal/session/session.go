@@ -8,9 +8,11 @@
 // with the session ID (wire.Frame). Both ends are driven off one shared
 // real-time Clock: every endpoint takes one local protocol step each c2
 // ticks (the slowest legal schedule, the one the effort bounds quantify
-// over), so the paper's step-bound assumption Σ(At, Ar) is honored by
-// construction (up to OS scheduler jitter, which can only stretch gaps —
-// see DESIGN.md).
+// over), woken by the clock's pacer at the tick. No endpoint steps less
+// than c1 ticks after its previous step, by construction; a late wake-up
+// (the pacer's lag, OS scheduling) can only stretch a gap past c2, and
+// is booked in the rstp_session_step_lag_ticks histogram — see
+// DESIGN.md.
 //
 // Concurrency layout, kept deliberately simple so it is race-clean under
 // `go test -race`:
@@ -18,6 +20,7 @@
 //   - one loop goroutine per Server/Dialer, owning every automaton of its
 //     side: a delivered frame is applied to its session on arrival, and
 //     every c2 ticks the loop steps each active endpoint in spawn order.
+//     A side with no active endpoint takes no step wake-ups at all.
 //     There is no per-session goroutine, timer or inbox, so the mux never
 //     drops a frame the transport delivered;
 //   - one mutex per side guarding every endpoint's counters and trace,
@@ -433,8 +436,9 @@ func (e *endpoint) apply(f wire.Frame) {
 
 // step applies one local protocol action and performs its side effects
 // (transport sends, output-tape writes). It returns false when the
-// endpoint cannot make progress anymore (transport closed).
-func (e *endpoint) step() bool {
+// endpoint cannot make progress anymore (transport closed). now is the
+// tick of the mux round taking the step.
+func (e *endpoint) step(now int64) bool {
 	act, ok := e.auto.NextLocal()
 	if !ok {
 		return true // terminated protocol: keep serving recvs until retired
@@ -447,7 +451,6 @@ func (e *endpoint) step() bool {
 		return true
 	}
 	m := e.m
-	now := m.cfg.Clock.Now()
 	switch a := act.(type) {
 	case wire.Send:
 		m.seq++

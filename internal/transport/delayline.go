@@ -2,7 +2,6 @@ package transport
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/chanmodel"
 	"repro/internal/faults"
@@ -186,22 +185,25 @@ func (l *delayLine) close(then func() error) (err error) {
 
 // run is the scheduler goroutine: it pops pending frames in (arrival
 // tick, insertion order) and releases each, sleeping until the next
-// arrival is due. It owns one timer, re-armed for every wait. A frame
-// is popped only under mu and only once clock.Until says its tick has
-// begun, so a stale timer fire can cost a loop but never release a
-// frame early.
+// arrival is due on the clock's pacer. Its waiter subscribes at the
+// first wait and stays until the line closes, so a line that empties and
+// refills does not restart the pacer; an empty line arms nothing and
+// costs no wake-ups. A frame is popped only under mu and only once
+// clock.Until says its tick has begun, so a stale wake can cost a loop
+// but never release a frame early.
 func (l *delayLine) run() {
 	defer close(l.dead)
-	timer := time.NewTimer(time.Hour)
-	timer.Stop()
-	defer timer.Stop()
+	pace := l.clock.NewWaiter()
+	defer pace.Stop()
 	for {
 		l.mu.Lock()
 		have := len(l.heap) > 0
-		var wait time.Duration
+		var due bool
+		var at int64
 		var next pending
 		if have {
-			if wait = l.clock.Until(l.heap[0].at); wait <= 0 {
+			at = l.heap[0].at
+			if due = l.clock.Until(at) <= 0; due {
 				next = l.heap.pop()
 			}
 		}
@@ -214,32 +216,19 @@ func (l *delayLine) run() {
 				return
 			case <-l.wake:
 			}
-		case wait > 0:
-			timer.Reset(wait)
+		case !due:
+			pace.Wake(at)
 			select {
 			case <-l.done:
 				return
 			case <-l.wake:
 				// An earlier arrival may have been queued; re-evaluate.
-				disarm(timer)
-			case <-timer.C:
+			case <-pace.C:
 			}
 		default:
 			if !l.release(next) {
 				return
 			}
-		}
-	}
-}
-
-// disarm stops t and drains a fire that raced the Stop, so the next
-// Reset starts from an empty channel. go.mod's go 1.22 keeps the
-// pre-1.23 timer channel, which Stop does not drain.
-func disarm(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
 		}
 	}
 }

@@ -103,9 +103,13 @@ func Open(kind string, clock *Clock, d, seed int64, clauses []faults.Fault) (Tra
 // half-open interval [start + n·Tick, start + (n+1)·Tick). One Clock is
 // shared by a transport and every session driven over it, so step bounds
 // (c1, c2) and the delay bound d are measured against the same time base.
+// Every wait on those ticks goes through the clock's one pacer (see
+// NewWaiter), so each is woken at its tick, not at the runtime's timer
+// granularity.
 type Clock struct {
 	start time.Time
 	tick  time.Duration
+	pace  pacer
 }
 
 // DefaultTick is the default physical length of one model tick.
@@ -124,7 +128,7 @@ func NewClock(tick time.Duration) *Clock {
 func (c *Clock) Tick() time.Duration { return c.tick }
 
 // Now returns the current tick count since the clock started.
-func (c *Clock) Now() int64 { return int64(time.Since(c.start) / c.tick) }
+func (c *Clock) Now() int64 { return c.since() / int64(c.tick) }
 
 // Until returns the wall-time duration from now until the start of the
 // given tick (non-positive if that tick has begun).
