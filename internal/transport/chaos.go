@@ -66,11 +66,10 @@ func (c *Chaos) Send(f wire.Frame) error {
 }
 
 // release sends a delayed frame on to the inner transport.
-func (c *Chaos) release(e pending) bool {
+func (c *Chaos) release(e pending) {
 	if err := c.inner.Send(e.f); err != nil {
 		c.sendErrs.Add(1)
 	}
-	return true
 }
 
 // Deliveries passes the inner transport's delivery channels through:

@@ -83,9 +83,13 @@ func (h *pendingHeap) pop() pending {
 type delayLine struct {
 	clock  *Clock
 	policy chanmodel.DelayPolicy
-	// release hands a due frame on; false means the line was closed
-	// while it waited.
-	release func(pending) bool
+	// release hands a due frame on. It must not wait on a consumer: Mem
+	// feeds its consumers through out, whose backlog the scheduler
+	// drains from the select it waits in.
+	release func(pending)
+	// out is Mem's per-direction delivery storage; Chaos leaves it zero,
+	// so its send cases never fire.
+	out handoff
 
 	mu      sync.Mutex
 	heap    pendingHeap
@@ -101,7 +105,7 @@ type delayLine struct {
 }
 
 // start wires the line and launches its scheduler goroutine.
-func (l *delayLine) start(clock *Clock, policy chanmodel.DelayPolicy, release func(pending) bool) {
+func (l *delayLine) start(clock *Clock, policy chanmodel.DelayPolicy, release func(pending)) {
 	l.clock, l.policy, l.release = clock, policy, release
 	l.wake = make(chan struct{}, 1)
 	l.done = make(chan struct{})
@@ -125,10 +129,7 @@ func (l *delayLine) push(f wire.Frame, bypass bool) (due []wire.Frame, err error
 		return nil, ErrClosed
 	}
 	now := l.clock.Now()
-	di := 0
-	if f.Dir == wire.RtoT {
-		di = 1
-	}
+	di := dirIndex(f.Dir)
 	seq := l.dirSeq[di]
 	l.dirSeq[di]++
 	queued := len(l.heap)
@@ -191,44 +192,49 @@ func (l *delayLine) close(then func() error) (err error) {
 // costs no wake-ups. A frame is popped only under mu and only once
 // clock.Until says its tick has begun, so a stale wake can cost a loop
 // but never release a frame early.
+//
+// The same select moves out's backlog into its channels, one send case
+// per direction with frames waiting (a nil channel otherwise). While a
+// direction's backlog is over its bound the line releases nothing and
+// waits only on those sends.
 func (l *delayLine) run() {
 	defer close(l.dead)
 	pace := l.clock.NewWaiter()
 	defer pace.Stop()
+	out := &l.out
 	for {
-		l.mu.Lock()
-		have := len(l.heap) > 0
-		var due bool
+		var have, due bool
 		var at int64
 		var next pending
-		if have {
-			at = l.heap[0].at
-			if due = l.clock.Until(at) <= 0; due {
-				next = l.heap.pop()
+		if !out.full() {
+			l.mu.Lock()
+			if have = len(l.heap) > 0; have {
+				at = l.heap[0].at
+				if due = l.clock.Until(at) <= 0; due {
+					next = l.heap.pop()
+				}
 			}
+			l.mu.Unlock()
 		}
-		l.mu.Unlock()
-
-		switch {
-		case !have:
-			select {
-			case <-l.done:
-				return
-			case <-l.wake:
-			}
-		case !due:
+		if due {
+			l.release(next)
+			continue
+		}
+		var tick <-chan struct{}
+		if have {
 			pace.Wake(at)
-			select {
-			case <-l.done:
-				return
-			case <-l.wake:
-				// An earlier arrival may have been queued; re-evaluate.
-			case <-pace.C:
-			}
-		default:
-			if !l.release(next) {
-				return
-			}
+			tick = pace.C
+		}
+		select {
+		case <-l.done:
+			return
+		case <-l.wake:
+			// An earlier arrival may have been queued; re-evaluate.
+		case <-tick:
+		case out.feed(0) <- out.ring[0].front():
+			out.ring[0].pop()
+		case out.feed(1) <- out.ring[1].front():
+			out.ring[1].pop()
 		}
 	}
 }

@@ -3,6 +3,7 @@ package transport
 import (
 	"container/heap"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -190,16 +191,17 @@ func memSendDeliver(tb testing.TB, m *Mem, f wire.Frame) {
 
 // TestMemFramePathNoAlloc checks that Mem's own share of a frame's
 // journey — the delay line's heap, the reused release timer, the
-// scheduler and the delivery channel — allocates nothing once warm.
-// The scripted policy returns a reused slice; the library's policies
-// allocate their one-element Arrivals result, which is chanmodel's cost.
+// scheduler, the delivery channel and the backlog ring behind it —
+// allocates nothing once warm. The scripted policy returns a reused
+// slice; the library's policies allocate their one-element Arrivals
+// result, which is chanmodel's cost.
 func TestMemFramePathNoAlloc(t *testing.T) {
 	delays := make([]int64, 4096)
 	for i := range delays {
 		delays[i] = int64(i % 2) // every other frame waits on the timer
 	}
 	policy := &scripted{delays: delays, at: make([]int64, len(delays))}
-	m := NewMem(NewClock(20*time.Microsecond), MemOptions{D: 1, Delay: policy})
+	m := NewMem(NewClock(20*time.Microsecond), MemOptions{D: 1, Delay: policy, Buffer: 1 << 15})
 	defer m.Close()
 	f := testFrame(1)
 	for i := 0; i < 100; i++ {
@@ -207,6 +209,172 @@ func TestMemFramePathNoAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(1000, func() { memSendDeliver(t, m, f) }); allocs != 0 {
 		t.Fatalf("Mem send→deliver allocates %.1f per frame, want 0", allocs)
+	}
+
+	// Leave a backlog of 200 frames past the channel's capacity. Each
+	// frame sent below is released with that backlog still waiting
+	// (one is read per one sent), so it waits on the ring behind it and
+	// reaches the channel from the scheduler's select or a later
+	// release; the ring grew while the backlog built up and is reused.
+	const backlog = defaultBuffer + 200
+	for i := 0; i < backlog; i++ {
+		if err := m.Send(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		memSendDeliver(t, m, f)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { memSendDeliver(t, m, f) }); allocs != 0 {
+		t.Fatalf("Mem send→deliver across the backlog ring allocates %.1f per frame, want 0", allocs)
+	}
+	collect(t, m.Deliveries(wire.TtoR), backlog, 5*time.Second)
+}
+
+// TestNewMemReservesNoBacklog checks that a Mem bounded at 1<<15 frames
+// a direction does not reserve them: its storage grows with the backlog.
+func TestNewMemReservesNoBacklog(t *testing.T) {
+	clock := NewClock(0)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m := NewMem(clock, MemOptions{Buffer: 1 << 15})
+	runtime.ReadMemStats(&after)
+	defer m.Close()
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 256<<10 {
+		t.Fatalf("NewMem allocated %d KiB, want under 256 KiB", got>>10)
+	}
+}
+
+// dirScripted scripts each direction's delays on its own, so both
+// directions' arrival ticks can be recorded.
+type dirScripted [2]scripted
+
+func (s *dirScripted) Name() string { return "dir-scripted" }
+func (s *dirScripted) Arrivals(dirSeq, sendTime int64, d wire.Dir, p wire.Packet) []int64 {
+	return s[dirIndex(d)].Arrivals(dirSeq, sendTime, d, p)
+}
+
+// waitFor polls cond until it holds or the timeout passes.
+func waitFor(t *testing.T, what string, timeout time.Duration, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(timeout); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestMemStalledConsumerLosesNothing stops reading TtoR while more than
+// four channels' worth of frames fall due, then resumes and sends more
+// while the backlog drains: every frame arrives exactly once, in the
+// policy's (arrival tick, send order), and RtoT frames sent during the
+// stall are delivered while it lasts.
+func TestMemStalledConsumerLosesNothing(t *testing.T) {
+	const stalled, more, back = 4*defaultBuffer + 500, 2000, 16
+	const n = stalled + more
+	rng := rand.New(rand.NewSource(3))
+	policy := &dirScripted{
+		{delays: make([]int64, n), at: make([]int64, n)},
+		{delays: make([]int64, back), at: make([]int64, back)},
+	}
+	for i := range policy[0].delays {
+		policy[0].delays[i] = rng.Int63n(8)
+	}
+	m := NewMem(NewClock(20*time.Microsecond), MemOptions{D: 8, Delay: policy, Buffer: 8 * defaultBuffer})
+	defer m.Close()
+	send := func(from, to int) {
+		for i := from; i < to; i++ {
+			if err := m.Send(testFrame(int64(i + 1))); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}
+	send(0, stalled)
+	waitFor(t, "every TtoR frame to fall due", 5*time.Second, func() bool { return m.delivered.Load() == stalled })
+
+	for i := 0; i < back; i++ {
+		if err := m.Send(wire.Frame{Session: 1, Dir: wire.RtoT, Seq: int64(i + 1), P: wire.AckPacket()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	collect(t, m.Deliveries(wire.RtoT), back, 5*time.Second)
+
+	go send(stalled, n) // arrives behind the backlog while it drains
+	seen := make([]bool, n)
+	got := collect(t, m.Deliveries(wire.TtoR), n, 5*time.Second)
+	at := policy[0].at
+	for k, f := range got {
+		i := f.Seq - 1
+		if seen[i] {
+			t.Fatalf("frame %d delivered twice", f.Seq)
+		}
+		seen[i] = true
+		if k > 0 {
+			if p := got[k-1].Seq - 1; at[p] > at[i] || at[p] == at[i] && p > i {
+				t.Fatalf("delivery %d: frame %d (tick %d) after frame %d (tick %d): not (arrival tick, send order)",
+					k, i+1, at[i], p+1, at[p])
+			}
+		}
+	}
+}
+
+// TestMemBacklogBoundHoldsRelease fills one direction past Buffer
+// waiting frames: the release stops at Buffer frames plus the one it
+// holds, and once the consumer reads again every frame arrives, in
+// order.
+func TestMemBacklogBoundHoldsRelease(t *testing.T) {
+	const buffer = 2 * defaultBuffer
+	const n = 3 * buffer
+	m := NewMem(NewClock(20*time.Microsecond), MemOptions{D: 1, Delay: chanmodel.Zero{}, Buffer: buffer})
+	defer m.Close()
+	for i := 0; i < n; i++ {
+		if err := m.Send(testFrame(int64(i + 1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "the backlog to reach its bound", 5*time.Second, func() bool { return m.delivered.Load() >= buffer })
+	time.Sleep(20 * time.Millisecond) // 1000 ticks for a release past the bound to show
+	if got := m.delivered.Load(); got != buffer+1 {
+		t.Fatalf("released %d frames with the consumer stalled, want Buffer+1 = %d", got, buffer+1)
+	}
+	for k, f := range collect(t, m.Deliveries(wire.TtoR), n, 5*time.Second) {
+		if f.Seq != int64(k+1) {
+			t.Fatalf("delivery %d is frame %d, want %d", k, f.Seq, k+1)
+		}
+	}
+}
+
+// TestFrameRingMatchesSlice drives the backlog ring with seeded
+// interleaved pushes and pops, wrapping and growing it, against a plain
+// slice queue, and checks popped slots are zeroed.
+func TestFrameRingMatchesSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var r frameRing
+	var want []wire.Frame
+	seq := int64(0)
+	for op := 0; op < 20000; op++ {
+		if r.n < 1000 && (r.n == 0 || rng.Intn(5) < 3) {
+			seq++
+			f := testFrame(seq)
+			f.Payload = "p"
+			r.push(f, 1000)
+			want = append(want, f)
+			continue
+		}
+		if got := r.front(); got != want[0] {
+			t.Fatalf("op %d: ring front is frame %d, want %d", op, got.Seq, want[0].Seq)
+		}
+		head := r.head
+		r.pop()
+		want = want[1:]
+		if r.buf[head] != (wire.Frame{}) {
+			t.Fatalf("op %d: popped slot still holds frame %d", op, r.buf[head].Seq)
+		}
+	}
+	if len(r.buf) > 1000 {
+		t.Fatalf("ring grew to %d slots past its limit of 1000", len(r.buf))
 	}
 }
 

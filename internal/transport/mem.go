@@ -20,9 +20,19 @@ type MemOptions struct {
 	// loss, duplication, corruption and excess delay — the same plans the
 	// simulator uses.
 	Delay chanmodel.DelayPolicy
-	// Buffer is the per-direction delivery channel capacity (default 1024).
+	// Buffer bounds each direction's backlog: the due frames its
+	// consumer has not yet read (default 1024). Storage grows with the
+	// backlog and is kept for reuse; nothing is reserved up front beyond
+	// a channel of at most 1024 frames. Once Buffer frames wait in one
+	// direction, releases in both stop until its consumer reads, as a
+	// blocking send on a Buffer-frame channel would stop them. No frame
+	// is dropped.
 	Buffer int
 }
+
+// defaultBuffer is MemOptions.Buffer's default and the capacity cap of
+// each direction's delivery channel.
+const defaultBuffer = 1024
 
 func (o MemOptions) withDefaults() MemOptions {
 	if o.D <= 0 {
@@ -32,7 +42,7 @@ func (o MemOptions) withDefaults() MemOptions {
 		o.Delay = &chanmodel.UniformRandom{D: o.D, Rand: rand.New(rand.NewSource(1))}
 	}
 	if o.Buffer <= 0 {
-		o.Buffer = 1024
+		o.Buffer = defaultBuffer
 	}
 	return o
 }
@@ -46,7 +56,6 @@ func (o MemOptions) withDefaults() MemOptions {
 type Mem struct {
 	opt  MemOptions
 	line delayLine
-	del  map[wire.Dir]chan wire.Frame
 
 	sends     atomic.Int64
 	delivered atomic.Int64
@@ -60,10 +69,7 @@ var _ Transport = (*Mem)(nil)
 // NewMem starts an in-memory transport against the shared clock.
 func NewMem(clock *Clock, opt MemOptions) *Mem {
 	m := &Mem{opt: opt.withDefaults()}
-	m.del = map[wire.Dir]chan wire.Frame{
-		wire.TtoR: make(chan wire.Frame, m.opt.Buffer),
-		wire.RtoT: make(chan wire.Frame, m.opt.Buffer),
-	}
+	m.line.out = newHandoff(m.opt.Buffer)
 	m.line.start(clock, m.opt.Delay, m.deliver)
 	return m
 }
@@ -81,29 +87,24 @@ func (m *Mem) Send(f wire.Frame) error {
 	return nil
 }
 
-// deliver pushes a due frame to its direction's channel.
-func (m *Mem) deliver(e pending) bool {
-	select {
-	case m.del[e.f.Dir] <- e.f:
-		m.delivered.Add(1)
-		if h := m.latency.Load(); h != nil {
-			h.Observe(m.line.clock.Now() - e.sent)
-		}
-		return true
-	case <-m.line.done:
-		return false
+// deliver hands a due frame to its direction's consumer.
+func (m *Mem) deliver(e pending) {
+	m.line.out.put(e.f)
+	m.delivered.Add(1)
+	if h := m.latency.Load(); h != nil {
+		h.Observe(m.line.clock.Now() - e.sent)
 	}
 }
 
 // Deliveries returns the delivery channel for frames traveling in dir.
-func (m *Mem) Deliveries(dir wire.Dir) <-chan wire.Frame { return m.del[dir] }
+func (m *Mem) Deliveries(dir wire.Dir) <-chan wire.Frame { return m.line.out.ch[dirIndex(dir)] }
 
 // Close stops the scheduler and closes the delivery channels. Frames
-// still in flight are discarded.
+// still in flight or in a backlog ring are discarded.
 func (m *Mem) Close() error {
 	return m.line.close(func() error {
-		close(m.del[wire.TtoR])
-		close(m.del[wire.RtoT])
+		close(m.line.out.ch[0])
+		close(m.line.out.ch[1])
 		return nil
 	})
 }
@@ -120,4 +121,102 @@ func (m *Mem) Instrument(reg *obs.Registry) {
 	m.latency.Store(reg.Histogram("rstp_transport_delivery_ticks",
 		"send-to-delivery latency in ticks", obs.TickBuckets(0)))
 	m.line.instrumentPlan(reg)
+}
+
+// dirIndex maps a direction to its slot in per-direction arrays.
+func dirIndex(d wire.Dir) int {
+	if d == wire.RtoT {
+		return 1
+	}
+	return 0
+}
+
+// handoff is Mem's delivery storage. Per direction, a due frame joins
+// a FIFO ring and moves from there into a channel of at most
+// defaultBuffer frames, which the consumer reads: at once while the
+// channel has room, else from the scheduler's select as room frees.
+// Only the scheduler goroutine touches the rings, so storage grows with
+// the backlog instead of being reserved at construction.
+type handoff struct {
+	ch   [2]chan wire.Frame
+	ring [2]frameRing
+	// spill is Buffer less the channel's capacity. A ring holding more
+	// (spill+1 frames: the one a blocking send on a Buffer-frame channel
+	// would hold) stops the line's releases until it drains. A zero
+	// handoff, Chaos's, never stops them.
+	spill int
+}
+
+func newHandoff(buffer int) handoff {
+	c := min(buffer, defaultBuffer)
+	h := handoff{spill: buffer - c}
+	for d := range h.ch {
+		h.ch[d] = make(chan wire.Frame, c)
+	}
+	return h
+}
+
+// put queues f behind the frames waiting in its direction and moves
+// what fits into the channel.
+func (h *handoff) put(f wire.Frame) {
+	d := dirIndex(f.Dir)
+	r := &h.ring[d]
+	r.push(f, h.spill+1)
+	for r.n > 0 {
+		select {
+		case h.ch[d] <- r.front():
+			r.pop()
+		default:
+			return
+		}
+	}
+}
+
+// full reports whether a direction's ring is past spill, which holds
+// further releases.
+func (h *handoff) full() bool { return h.ring[0].n > h.spill || h.ring[1].n > h.spill }
+
+// feed is the channel ring d's front goes into: nil, a select case that
+// never fires, while the ring is empty.
+func (h *handoff) feed(d int) chan<- wire.Frame {
+	if h.ring[d].n == 0 {
+		return nil
+	}
+	return h.ch[d]
+}
+
+// frameRing is a FIFO of frames, grown by doubling and then reused. A
+// popped slot is zeroed so the ring does not pin the frame's payload.
+type frameRing struct {
+	buf     []wire.Frame
+	head, n int
+}
+
+// push appends f, growing the ring to at most limit slots; the ring must
+// hold fewer than limit frames.
+func (r *frameRing) push(f wire.Frame, limit int) {
+	if r.n == len(r.buf) {
+		grown := make([]wire.Frame, min(max(2*len(r.buf), 64), limit))
+		k := copy(grown, r.buf[r.head:])
+		copy(grown[k:], r.buf[:r.head])
+		r.buf, r.head = grown, 0
+	}
+	r.buf[(r.head+r.n)%len(r.buf)] = f
+	r.n++
+}
+
+// front returns the oldest frame, or the zero frame when the ring is
+// empty (a select evaluates it even when its case cannot fire).
+func (r *frameRing) front() wire.Frame {
+	if r.n == 0 {
+		return wire.Frame{}
+	}
+	return r.buf[r.head]
+}
+
+// pop drops the oldest frame; the ring must not be empty.
+func (r *frameRing) pop() {
+	r.buf[r.head] = wire.Frame{}
+	r.head = (r.head + 1) % len(r.buf)
+	r.n--
 }
