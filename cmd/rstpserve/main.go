@@ -142,12 +142,11 @@ func run(args []string, out io.Writer) error {
 		transName   = fs.String("transport", "mem", "transport: mem or udp")
 		seed        = fs.Int64("seed", 1, "seed for inputs, delays and fault plans")
 		storeDir    = fs.String("store-dir", "", "persist session checkpoints and output tapes into a journal in this directory (needs a stabilized -stack; restarting against the same directory with the same -seed resumes interrupted sessions)")
-		idle        = fs.Int64("idle", -1, "server idle-eviction threshold in ticks (-1 = off; the load generator evicts each session explicitly)")
 		loss        = fs.Float64("loss", 0, "drop probability inside -fwindow")
 		dup         = fs.Float64("dup", 0, "duplication probability inside -fwindow")
 		corrupt     = fs.Float64("corrupt", 0, "corruption probability inside -fwindow")
-		fwindow     = fs.String("fwindow", "0:2000", "send-time window from:to for -loss/-dup/-corrupt")
-		blackout    = fs.String("blackout", "", "blackout window from:to (empty = none)")
+		fwindow     = fs.String("fwindow", "0:2000", "window from:to for -loss/-dup/-corrupt, in send ticks counted from the transport's first frame")
+		blackout    = fs.String("blackout", "", "blackout window from:to, in send ticks counted from the transport's first frame (empty = none)")
 		excess      = fs.Int64("excess", 0, "extra delay beyond d inside -fwindow")
 		watchdog    = fs.Int("watchdog", 0, "progress watchdog multiplier k: wedge a session after k*delta1*c2 ticks without output growth (0 = off)")
 		verbose     = fs.Bool("v", false, "print one line per session")
@@ -224,7 +223,7 @@ func run(args []string, out io.Writer) error {
 		Transport:        trans,
 		Clock:            clock,
 		MaxSessions:      maxConc,
-		IdleTicks:        *idle,
+		IdleTicks:        -1, // off: the load generator evicts each session explicitly
 		WatchdogK:        *watchdog,
 		Obs:              reg,
 		EffortLowerBound: st.Lower,

@@ -47,7 +47,7 @@ func scrape(t *testing.T, addr, path string) string {
 }
 
 // TestServeChaosOverUDP composes loss, duplication and symbol corruption
-// in the chaos middleware over real sockets; the grid's udp rows only
+// in UDP's own fault plan over real sockets; the grid's udp rows only
 // lose frames, so this is the one run where corrupted symbols cross the
 // kernel path and must stay parseable.
 func TestServeChaosOverUDP(t *testing.T) {
@@ -65,8 +65,8 @@ func TestServeChaosOverUDP(t *testing.T) {
 	if sum.Completed != 8 || sum.Violations != 0 {
 		t.Fatalf("expected 8 completed, 0 violations: %+v", sum)
 	}
-	if !strings.HasPrefix(sum.Faults, "chaos:") {
-		t.Errorf("faults key should name the chaos middleware plan: %q", sum.Faults)
+	if !strings.HasPrefix(sum.Faults, "faults(") || !strings.HasPrefix(sum.Transport, "udp(") || !strings.HasSuffix(sum.Transport, ")/"+sum.Faults) {
+		t.Errorf("faults key should name the plan that udp's name ends in: faults %q, transport %q", sum.Faults, sum.Transport)
 	}
 	if sum.ChaosDropped == 0 {
 		t.Errorf("chaos injected no drops at 15%% over the whole run: %+v", sum)
@@ -264,6 +264,7 @@ func TestServeRejectsBadFlags(t *testing.T) {
 		{"-benchout", "x.json"},
 		{"-adaptive"},
 		{"-shed", "refuse"},
+		{"-idle", "-1"},
 	}
 	for _, args := range cases {
 		var out strings.Builder

@@ -27,9 +27,9 @@ type matrixRow struct {
 // has no k). n is the input length in blocks: at least 24 bits, and
 // enough that a session running on schedule, at the family's upper
 // effort bound, still sends for 600 ticks. The burst and crash windows
-// open at tick 300, so every session meets its fault plan even on a
-// fast host; 24-bit beta4 sessions at 64-way concurrency finish by
-// tick 300 and never see the burst.
+// open 300 ticks after the transport's first frame, so every session
+// meets its fault plan even on a fast host; 24-bit beta4 sessions at
+// 64-way concurrency finish by then and never see the burst.
 var matrixFamilies = []struct {
 	name, stack string
 	n           int
@@ -41,9 +41,9 @@ var matrixFamilies = []struct {
 }
 
 // matrixPlans renders each fault plan as rstpserve's fault flags, in
-// ticks from the start of the run: sustained 15% loss for the whole run,
-// a dense loss and duplication burst, and a total blackout (the channel
-// view of a crashed hop that later restarts).
+// ticks from the transport's first frame: sustained 15% loss for the
+// whole run, a dense loss and duplication burst, and a total blackout
+// (the channel view of a crashed hop that later restarts).
 var matrixPlans = []struct {
 	name  string
 	flags []string
@@ -171,8 +171,8 @@ func TestServeMatrix(t *testing.T) {
 	}
 
 	// Two runs of one seeded chaos row must agree on every key the seed
-	// determines. The row is chaos over udp, so every PR also drives the
-	// fault middleware over real sockets.
+	// determines. The row is chaos over udp, so every PR also drives
+	// UDP's fault plan over real sockets.
 	t.Run("determinism/beta4/udp/loss/s64", func(t *testing.T) {
 		var row matrixRow
 		for _, r := range matrixRows(true) {
@@ -246,8 +246,8 @@ func runRow(t *testing.T, row matrixRow) summary {
 	if row.chaos == "burst" && sum.ChaosDuplicated == 0 {
 		t.Errorf("burst plan injected no duplicates: %+v", sum)
 	}
-	if row.transport == "udp" && !strings.HasPrefix(sum.Faults, "chaos:") {
-		t.Errorf("faults key should name the chaos middleware plan: %q", sum.Faults)
+	if row.transport == "udp" && (!strings.HasPrefix(sum.Faults, "faults(") || !strings.HasPrefix(sum.Transport, "udp(") || !strings.HasSuffix(sum.Transport, ")/"+sum.Faults)) {
+		t.Errorf("faults key should name the plan that udp's name ends in: faults %q, transport %q", sum.Faults, sum.Transport)
 	}
 	return sum
 }

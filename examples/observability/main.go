@@ -41,23 +41,25 @@ func run(sessions int) error {
 
 	// One registry instruments every layer: the session endpoints (via
 	// ServeConfig.Obs), the hardened wrapper (via the layer observer) and
-	// the transport stack (via InstrumentTransport). Tracing is bounded:
-	// 256 events per session, 64 sessions.
+	// the transport with its fault plan (via InstrumentTransport).
+	// Tracing is bounded: 256 events per session, 64 sessions.
 	reg := repro.NewMetrics()
 	reg.Tracer().Enable(256, 64)
 	sol := repro.Harden(base, repro.HardenOptions{Observer: repro.NewLayerObserver(reg)})
 
 	rnd := rand.New(rand.NewSource(3))
 	clock := repro.NewClock(100 * time.Microsecond)
-	mem := repro.NewMemTransport(clock, repro.MemOptions{D: p.D, Delay: repro.RandomDelay(p.D, rnd), Buffer: 1 << 15})
-	chaos := repro.NewChaosTransport(mem, clock, 3,
+	// The channel drops 15% of packets over its first 3000 ticks: the
+	// plan is Mem's delay policy, so the delivery histogram sees it too.
+	plan := repro.NewFaultPlan(3, repro.RandomDelay(p.D, rnd),
 		repro.Fault{From: 0, To: 3000, Drop: 0.15})
-	repro.InstrumentTransport(reg, chaos)
+	mem := repro.NewMemTransport(clock, repro.MemOptions{D: p.D, Delay: plan, Buffer: 1 << 15})
+	repro.InstrumentTransport(reg, mem)
 
 	pipe, err := repro.NewPipe(repro.ServeConfig{
 		Solution:         sol,
 		Params:           p,
-		Transport:        chaos,
+		Transport:        mem,
 		Clock:            clock,
 		MaxSessions:      64,
 		IdleTicks:        -1,

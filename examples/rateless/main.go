@@ -3,8 +3,8 @@
 // per-block LT-coded symbols — the transmitter streams deterministic
 // seeded combinations of a block's packet multiset until the receiver's
 // decode ack cuts the stream — so a dropped packet costs one extra coded
-// symbol, not a retransmission round trip. The chaos middleware drops
-// 15% of everything for the first part of the run; every output tape
+// symbol, not a retransmission round trip. The channel's fault plan
+// drops 15% of everything for the first part of the run; every output tape
 // must still come back equal to its input, and the symbols-per-block
 // histogram shows the coding overhead loss actually cost.
 //
@@ -36,19 +36,20 @@ func run(sessions int) error {
 		return err
 	}
 
-	// Channel: the axiom-enforcing in-memory transport with the chaos
-	// middleware stacked on top, dropping 15% of packets — coded symbols
-	// and decode acks alike — over the first 6000 ticks. No hardened
-	// wrapper anywhere: loss tolerance is the code's own property.
+	// Channel: the axiom-enforcing in-memory transport with a fault plan
+	// as its delay policy, dropping 15% of packets — coded symbols and
+	// decode acks alike — over its first 6000 ticks. No hardened wrapper
+	// anywhere: loss tolerance is the code's own property.
 	rnd := rand.New(rand.NewSource(11))
 	clock := repro.NewClock(100 * time.Microsecond)
-	mem := repro.NewMemTransport(clock, repro.MemOptions{D: p.D, Delay: repro.RandomDelay(p.D, rnd), Buffer: 1 << 15})
-	chaos := repro.NewChaosTransport(mem, clock, 11,
+	plan := repro.NewFaultPlan(11, repro.RandomDelay(p.D, rnd),
 		repro.Fault{From: 0, To: 6000, Drop: 0.15})
+	mem := repro.NewMemTransport(clock, repro.MemOptions{D: p.D, Delay: plan, Buffer: 1 << 15})
+	repro.InstrumentTransport(reg, mem)
 	pipe, err := repro.NewPipe(repro.ServeConfig{
 		Solution:         sol,
 		Params:           p,
-		Transport:        chaos,
+		Transport:        mem,
 		Clock:            clock,
 		MaxSessions:      128,
 		IdleTicks:        -1,
@@ -99,8 +100,8 @@ func run(sessions int) error {
 	wg.Wait()
 	wall := time.Since(start)
 
-	affected, dropped, _, _, _ := chaos.Stats()
 	snap := reg.Snapshot()
+	affected, dropped := snap.Counters["rstp_chaos_affected_total"], snap.Counters["rstp_chaos_dropped_total"]
 	sent := snap.Counters["rstp_rateless_symbols_sent_total"]
 	decoded := snap.Counters["rstp_rateless_blocks_decoded_total"]
 	fmt.Printf("rateless: %d sessions of %d bits over %s (bound %.2f vs beta's %.2f ticks/msg)\n",

@@ -535,8 +535,8 @@ func (r *Receiver) onInput(act ioa.Action) error {
 		return nil
 	}
 	// The frame header duplicates the record's value and block; a
-	// mismatch means the header was corrupted after encoding (the chaos
-	// middleware flips header symbols) even though the checksummed
+	// mismatch means the header was corrupted after encoding (a fault
+	// plan flips header symbols) even though the checksummed
 	// payload survived. Either copy being untrustworthy, drop the symbol
 	// — the code is rateless, another one is always coming.
 	if cs.Value != recv.P.Symbol || int(cs.Block) != recv.P.Tag {

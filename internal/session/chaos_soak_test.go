@@ -5,38 +5,39 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/chanmodel"
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/rstp"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
 // TestSoakChaosOverUDP is the bad-network soak: hardened sessions
-// over Chaos(UDP) with ≥10% injected loss plus duplication and
+// over a UDP whose fault plan injects ≥10% loss plus duplication and
 // corruption must all complete with zero prefix violations — the chaos
-// matrix running over a real kernel socket path for the first time.
-// Short mode (PR CI) runs a smaller fleet; the nightly race job runs the
-// full 256 sessions.
+// matrix running over a real kernel socket path. Short mode (PR CI)
+// runs a smaller fleet; the nightly race job runs the full 256 sessions.
 func TestSoakChaosOverUDP(t *testing.T) {
 	sessions := 256
 	if testing.Short() {
 		sessions = 48
 	}
-	udp, err := transport.NewUDPLoopback(1 << 15)
+	clock := transport.NewClock(50 * time.Microsecond)
+	// ≥10% loss plus duplication and corruption over the first 4000
+	// ticks from the transport's first frame (200ms of wall time at the
+	// test tick): the whole opening burst of every session runs through
+	// the adversary, and the hardened layer retransmits its way out after
+	// the window closes.
+	tr, _, err := transport.Open("udp", clock, testParams().D, 17,
+		[]faults.Fault{{From: 0, To: 4000, Drop: 0.12, Dup: 0.05, Corrupt: 0.05}})
 	if err != nil {
 		t.Skipf("udp loopback unavailable: %v", err)
 	}
-	clock := transport.NewClock(50 * time.Microsecond)
-	// ≥10% loss plus duplication and corruption over the first 4000 send
-	// ticks (200ms of wall time at the test tick): the whole opening
-	// burst of every session runs through the adversary, and the
-	// hardened layer retransmits its way out after the window closes.
-	plan := faults.NewPlan(17, chanmodel.Zero{},
-		faults.Fault{From: 0, To: 4000, Drop: 0.12, Dup: 0.05, Corrupt: 0.05})
-	chaos := transport.NewChaos(udp, clock, plan)
+	udp := tr.(*transport.UDP)
+	reg := obs.NewRegistry()
+	transport.Instrument(reg, udp)
 	hs := rstp.Harden(mustBeta(t, 4), rstp.HardenOptions{})
-	cfg := testConfig(t, hs, chaos, clock)
+	cfg := testConfig(t, hs, udp, clock)
 	// The pipe evicts each session explicitly (the rstpserve setting).
 	// Idle eviction must stay off: the hardened layer's capped backoff
 	// can legally go quiet for 16·RTO ≈ 816 ticks, longer than the
@@ -85,7 +86,9 @@ func TestSoakChaosOverUDP(t *testing.T) {
 	if incomplete != 0 {
 		t.Fatalf("%d of %d hardened sessions did not complete", incomplete, sessions)
 	}
-	affected, dropped, duplicated, corrupted, _ := plan.Stats()
+	injected := reg.Snapshot().Counters
+	affected, dropped := injected["rstp_chaos_affected_total"], injected["rstp_chaos_dropped_total"]
+	duplicated, corrupted := injected["rstp_chaos_duplicated_total"], injected["rstp_chaos_corrupted_total"]
 	if affected == 0 || dropped == 0 {
 		t.Fatalf("chaos plan injected nothing: affected=%d dropped=%d", affected, dropped)
 	}

@@ -71,11 +71,19 @@ func (h *pendingHeap) pop() pending {
 	return top
 }
 
-// delayLine is the one release scheduler behind Mem and Chaos. A delay
-// policy computes each frame's arrival ticks at send time, a heap holds
-// them in (arrival tick, send order), and a single goroutine hands each
-// to release once its tick has begun. Late wall-clock release can
-// stretch time but never reorders beyond what the policy decided.
+// delayLine is the one release scheduler behind Mem and a UDP with a
+// fault plan. A delay policy computes each frame's arrival ticks at
+// send time, a heap holds them in (arrival tick, send order), and a
+// single goroutine hands each to release once its tick has begun. Late
+// wall-clock release can stretch time but never reorders beyond what
+// the policy decided.
+//
+// The policy's clock starts at the line's first frame: it sees send
+// ticks counted from that frame's tick, and its arrivals are shifted
+// back onto the shared clock. So a fault window [from, to) covers the
+// transport's own traffic from its first frame on, however long the
+// process took between starting the clock and sending, as the
+// simulator's windows cover a run from its first step.
 //
 // Policies and fault plans keep internal rand/stats state, so every
 // policy call is serialised under mu: a seeded plan is exactly as
@@ -87,13 +95,14 @@ type delayLine struct {
 	// feeds its consumers through out, whose backlog the scheduler
 	// drains from the select it waits in.
 	release func(pending)
-	// out is Mem's per-direction delivery storage; Chaos leaves it zero,
+	// out is Mem's per-direction delivery storage; UDP leaves it zero,
 	// so its send cases never fire.
 	out handoff
 
 	mu      sync.Mutex
 	heap    pendingHeap
 	nextTie int64
+	anchor  int64    // tick of the first frame; -1 before it
 	dirSeq  [2]int64 // per-direction policy sequence numbers
 	closed  bool
 
@@ -107,6 +116,7 @@ type delayLine struct {
 // start wires the line and launches its scheduler goroutine.
 func (l *delayLine) start(clock *Clock, policy chanmodel.DelayPolicy, release func(pending)) {
 	l.clock, l.policy, l.release = clock, policy, release
+	l.anchor = -1
 	l.wake = make(chan struct{}, 1)
 	l.done = make(chan struct{})
 	l.dead = make(chan struct{})
@@ -129,22 +139,27 @@ func (l *delayLine) push(f wire.Frame, bypass bool) (due []wire.Frame, err error
 		return nil, ErrClosed
 	}
 	now := l.clock.Now()
+	if l.anchor < 0 {
+		l.anchor = now
+	}
 	di := dirIndex(f.Dir)
 	seq := l.dirSeq[di]
 	l.dirSeq[di]++
 	queued := len(l.heap)
 	if mut, ok := l.policy.(chanmodel.Mutator); ok {
-		for _, a := range mut.ArrivalsMut(seq, now, f.Dir, f.P) {
+		for _, a := range mut.ArrivalsMut(seq, now-l.anchor, f.Dir, f.P) {
 			df := f
 			df.P = a.P
-			if bypass && a.At <= now {
+			at := a.At + l.anchor
+			if bypass && at <= now {
 				due = append(due, df)
 				continue
 			}
-			l.add(a.At, now, df)
+			l.add(at, now, df)
 		}
 	} else {
-		for _, at := range l.policy.Arrivals(seq, now, f.Dir, f.P) {
+		for _, at := range l.policy.Arrivals(seq, now-l.anchor, f.Dir, f.P) {
+			at += l.anchor
 			if bypass && at <= now {
 				due = append(due, f)
 				continue
@@ -251,8 +266,8 @@ func (l *delayLine) planStats() (affected, dropped, duplicated, corrupted, delay
 }
 
 // instrumentPlan registers the injection counters of a *faults.Plan
-// policy, which read the same whether the plan sits in Mem's delay
-// policy or in the Chaos middleware. Other policies register nothing.
+// policy, which read the same whether the line is Mem's or UDP's.
+// Other policies register nothing.
 func (l *delayLine) instrumentPlan(reg *obs.Registry) {
 	if _, ok := l.policy.(*faults.Plan); !ok {
 		return

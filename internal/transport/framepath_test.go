@@ -149,8 +149,10 @@ func TestMemNeverReleasesEarly(t *testing.T) {
 	go func() {
 		var order []int64
 		for f := range m.Deliveries(wire.TtoR) {
-			if now := clock.Now(); now < policy.at[f.Seq-1] {
-				t.Errorf("frame %d released at tick %d, before its arrival tick %d", f.Seq, now, policy.at[f.Seq-1])
+			// The policy counts ticks from the line's first frame;
+			// the frame has been released, so that anchor is set.
+			if at, now := policy.at[f.Seq-1]+m.line.anchor, clock.Now(); now < at {
+				t.Errorf("frame %d released at tick %d, before its arrival tick %d", f.Seq, now, at)
 			}
 			if order = append(order, f.Seq-1); len(order) == n {
 				break
@@ -457,9 +459,10 @@ func TestUDPSendNoAlloc(t *testing.T) {
 }
 
 // TestUDPConcurrentSendsIntact sends from several goroutines per
-// direction at once, as Chaos does from its scheduler and its callers:
-// the per-direction encode buffer must never mix two frames, so every
-// datagram parses and every delivered payload matches its frame.
+// direction at once, as callers do while a fault plan's delay line
+// writes delayed frames: the per-direction encode buffer must never mix
+// two frames, so every datagram parses and every delivered payload
+// matches its frame.
 func TestUDPConcurrentSendsIntact(t *testing.T) {
 	u, err := NewUDPLoopback(1 << 14)
 	if err != nil {

@@ -87,13 +87,15 @@ func (m *Mem) Send(f wire.Frame) error {
 	return nil
 }
 
-// deliver hands a due frame to its direction's consumer.
+// deliver hands a due frame to its direction's consumer. It counts and
+// observes the delivery first, so a consumer that takes the frame and
+// reads the registry at once never sees one delivery too few.
 func (m *Mem) deliver(e pending) {
-	m.line.out.put(e.f)
 	m.delivered.Add(1)
 	if h := m.latency.Load(); h != nil {
 		h.Observe(m.line.clock.Now() - e.sent)
 	}
+	m.line.out.put(e.f)
 }
 
 // Deliveries returns the delivery channel for frames traveling in dir.
@@ -143,7 +145,7 @@ type handoff struct {
 	// spill is Buffer less the channel's capacity. A ring holding more
 	// (spill+1 frames: the one a blocking send on a Buffer-frame channel
 	// would hold) stops the line's releases until it drains. A zero
-	// handoff, Chaos's, never stops them.
+	// handoff, UDP's, never stops them.
 	spill int
 }
 

@@ -21,11 +21,13 @@
 //     are possible and no delay bound is enforced; on loopback it behaves
 //     like a near-zero-delay channel in practice.
 //
-// Faults enter at one place per transport, and Open picks it: over Mem
-// the plan is the delay policy itself, so the delivery-latency histogram
-// (the empirical Δ(C)) sees injected excess delay; over UDP the Chaos
-// middleware applies it in front of the socket. Mem and Chaos release
-// held frames through the same delay line.
+// Faults enter a transport at one place, its delay line: a faults.Plan
+// is the line's policy. Mem's line is its channel, so the
+// delivery-latency histogram (the empirical Δ(C)) sees injected excess
+// delay; a UDP that Open builds with fault clauses gets a line in front
+// of its socket, whose plan adds faults on top of the kernel's own
+// latency. A plan's time windows count ticks from the transport's first
+// frame.
 //
 // See DESIGN.md ("Serving subsystem") for the full axiom-by-axiom map.
 package transport
@@ -71,10 +73,10 @@ var ErrClosed = errors.New("transport: closed")
 // when empty). seed seeds Mem's uniform [0, d] delay and the fault plan.
 //
 // Over mem the plan wraps that delay as Mem's own policy, so injected
-// excess delay shows in the delivery histogram. Over udp the plan goes
-// into the Chaos middleware over the zero policy: its delays ride on top
-// of the kernel's own latency. The second result names the plan ("" with
-// no clauses), prefixed "chaos:" over udp.
+// excess delay shows in the delivery histogram. Over udp the plan wraps
+// the zero policy in UDP's own delay line: its delays ride on top of the
+// kernel's own latency. The second result names the plan ("" with no
+// clauses); the transport's name ends in it.
 func Open(kind string, clock *Clock, d, seed int64, clauses []faults.Fault) (Transport, string, error) {
 	switch kind {
 	case "mem":
@@ -94,7 +96,9 @@ func Open(kind string, clock *Clock, d, seed int64, clauses []faults.Fault) (Tra
 			return u, "", nil
 		}
 		plan := faults.NewPlan(seed, chanmodel.Zero{}, clauses...)
-		return NewChaos(u, clock, plan), "chaos:" + plan.Name(), nil
+		u.line = new(delayLine)
+		u.line.start(clock, plan, u.release)
+		return u, plan.Name(), nil
 	}
 	return nil, "", fmt.Errorf("unknown transport %q (mem, udp)", kind)
 }

@@ -18,6 +18,12 @@ import (
 // delivery is near-instant in practice, and drops surface in the
 // Dropped counter when the reader cannot keep up). Use it for load
 // tests of the serving machinery, not for axiom-dependent experiments.
+//
+// A UDP that Open builds with fault clauses sends through its own delay
+// line, the type Mem delivers through, with the fault plan as its
+// policy: frames the plan drops never reach the socket, and frames it
+// delays wait in the line. Frames due at once go straight to the
+// socket, so the plan costs the fault-free path no scheduler latency.
 type UDP struct {
 	tConn, rConn *net.UDPConn
 	tAddr, rAddr *net.UDPAddr
@@ -26,10 +32,13 @@ type UDP struct {
 	done    chan struct{}
 	readers sync.WaitGroup
 
-	// send holds one encode buffer per direction, reused by every Send
-	// in that direction. Its mutex guards the buffer: Send may run
-	// concurrently with itself (Chaos calls it from its scheduler and
-	// from its callers).
+	// line holds the frames a fault plan delays; nil without a plan.
+	line *delayLine
+
+	// send holds one encode buffer per direction, reused by every write
+	// in that direction. Its mutex guards the buffer: callers write
+	// concurrently with each other and, under a fault plan, with the
+	// line's scheduler writing delayed frames.
 	send [2]struct {
 		mu  sync.Mutex
 		buf []byte
@@ -37,6 +46,7 @@ type UDP struct {
 
 	dropped   atomic.Int64
 	malformed atomic.Int64
+	sendErrs  atomic.Int64
 
 	closeOnce sync.Once
 	closeErr  error
@@ -90,16 +100,48 @@ func NewUDPLoopback(buffer int) (*UDP, error) {
 	return u, nil
 }
 
-// Name renders the transport and its two endpoints.
+// Name renders the transport and its two endpoints, followed by the
+// fault plan's name when it has one.
 func (u *UDP) Name() string {
-	return fmt.Sprintf("udp(t=%v r=%v)", u.tAddr, u.rAddr)
+	name := fmt.Sprintf("udp(t=%v r=%v)", u.tAddr, u.rAddr)
+	if u.line != nil {
+		name += "/" + u.line.policy.Name()
+	}
+	return name
 }
 
-// Send encodes the frame into its direction's reused buffer and writes
+// Send writes the frame as one datagram, first running it through the
+// fault plan when there is one: a dropped frame is never written, a
+// duplicated one is written twice, a corrupted one with a damaged
+// symbol, and a delayed one by the line's scheduler once its extra
+// delay elapses.
+func (u *UDP) Send(f wire.Frame) error {
+	if u.line == nil {
+		return u.write(f)
+	}
+	due, err := u.line.push(f, true)
+	for _, df := range due {
+		if e := u.write(df); e != nil && err == nil {
+			err = e
+		}
+	}
+	return err
+}
+
+// release writes a frame the fault plan delayed. A failed write has no
+// caller left to return to, so it is counted: loss on the far side of a
+// latency spike.
+func (u *UDP) release(e pending) {
+	if err := u.write(e.f); err != nil {
+		u.sendErrs.Add(1)
+	}
+}
+
+// write encodes the frame into its direction's reused buffer and writes
 // it as one datagram from its source side's socket to the destination
 // side's socket. Frames whose payload exceeds MaxUDPPayload are
 // rejected — they could never fit one IPv4 datagram.
-func (u *UDP) Send(f wire.Frame) error {
+func (u *UDP) write(f wire.Frame) error {
 	select {
 	case <-u.done:
 		return ErrClosed
@@ -141,9 +183,18 @@ func (u *UDP) Dropped() int64 { return u.dropped.Load() }
 // discarded.
 func (u *UDP) Malformed() int64 { return u.malformed.Load() }
 
-// Close shuts both sockets down, stops the readers and closes the
-// delivery channels.
+// Close stops the fault plan's delay line, if any (frames it still
+// holds are discarded, like a partition that never heals), shuts both
+// sockets down, stops the readers and closes the delivery channels.
 func (u *UDP) Close() error {
+	if u.line != nil {
+		return u.line.close(u.shutdown)
+	}
+	return u.shutdown()
+}
+
+// shutdown is Close without the delay line.
+func (u *UDP) shutdown() error {
 	u.closeOnce.Do(func() {
 		close(u.done)
 		e1 := u.tConn.Close()

@@ -10,7 +10,7 @@ import (
 //
 // A Coded frame carries one fountain-coded symbol of one block. The
 // authoritative fields ride in the frame payload, checksummed, because
-// the frame header's Packet fields are what the chaos middleware (and a
+// the frame header's Packet fields are what a fault plan (and a
 // hostile channel) corrupts: the receiver cross-checks Packet.Symbol
 // against the payload's Value and drops mismatches as loss. A DecodeAck
 // frame carries the receiver's cut-the-stream signal: the index of the

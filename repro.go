@@ -386,24 +386,14 @@ type (
 	ServeAggregate = session.Aggregate
 )
 
-// Surviving a bad network: fault-injecting chaos middleware and the
-// server-side progress watchdog (ServeConfig.WatchdogK). Loss recovery
-// itself belongs to the protocol stack (the hardened layer's
-// retransmission, the rateless code). See DESIGN.md ("Surviving a bad
-// network").
-type (
-	// ChaosTransport applies a seeded fault plan to any inner Transport —
-	// the chaos matrix over a real network path.
-	ChaosTransport = transport.Chaos
-)
-
-// NewChaosTransport wraps inner with a seeded fault plan applied at the
-// transport layer: drop, duplication, corruption, excess delay and
-// blackouts hit every frame before inner sees it. The plan's delays are
-// *extra* — they ride on top of the inner transport's own latency.
-func NewChaosTransport(inner Transport, clock *Clock, seed int64, fs ...Fault) *ChaosTransport {
-	return transport.NewChaos(inner, clock, faults.NewPlan(seed, chanmodel.Zero{}, fs...))
-}
+// Surviving a bad network: a fault plan (NewFaultPlan) as
+// MemOptions.Delay makes the in-memory channel itself lossy, so every
+// fault enters at one place, the transport's delay line, and the plan's
+// time windows count ticks from the transport's first frame; the
+// server-side progress watchdog (ServeConfig.WatchdogK) retires sessions
+// that stop making progress. Loss recovery itself belongs to the
+// protocol stack (the hardened layer's retransmission, the rateless
+// code). See DESIGN.md ("Surviving a bad network").
 
 // NewClock starts a real-time clock with the given tick length (use
 // transport.DefaultTick via NewClock(0)).
