@@ -95,8 +95,9 @@ type delayLine struct {
 	// feeds its consumers through out, whose backlog the scheduler
 	// drains from the select it waits in.
 	release func(pending)
-	// out is Mem's per-direction delivery storage; UDP leaves it zero,
-	// so its send cases never fire.
+	// out is Mem's per-direction delivery storage. A UDP's line writes
+	// to the socket and leaves it zero, so its send cases never fire;
+	// UDP's own handoff sits behind its socket readers.
 	out handoff
 
 	mu      sync.Mutex

@@ -2,15 +2,18 @@ package transport
 
 import (
 	"container/heap"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
 
 	"repro/internal/chanmodel"
+	"repro/internal/faults"
 	"repro/internal/wire"
 )
 
@@ -248,6 +251,31 @@ func TestNewMemReservesNoBacklog(t *testing.T) {
 	}
 }
 
+// TestNewUDPReservesNoBacklog checks that a UDP bounded at 1<<14 frames
+// a direction does not reserve them: its storage grows with the backlog.
+// One frame crosses each direction first, so whatever the two readers
+// allocate for their 64 KiB datagram buffers, on their own goroutines,
+// is in the count; the bound leaves room for both.
+func TestNewUDPReservesNoBacklog(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	u := newUDP(t, 1<<14)
+	defer u.Close()
+	for _, dir := range []wire.Dir{wire.TtoR, wire.RtoT} {
+		f := testFrame(1)
+		f.Dir = dir
+		if err := u.Send(f); err != nil {
+			t.Fatal(err)
+		}
+		collect(t, u.Deliveries(dir), 1, 5*time.Second)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 384<<10 {
+		t.Fatalf("NewUDPLoopback allocated %d KiB, want under 384 KiB", got>>10)
+	}
+}
+
 // dirScripted scripts each direction's delays on its own, so both
 // directions' arrival ticks can be recorded.
 type dirScripted [2]scripted
@@ -422,6 +450,195 @@ func BenchmarkMemSendDeliver(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		memSendDeliver(b, m, f)
+	}
+}
+
+// newUDP opens a loopback UDP with the given backlog bound, skipping
+// the test when loopback sockets are unavailable.
+func newUDP(t *testing.T, buffer int) *UDP {
+	t.Helper()
+	u, err := NewUDPLoopback(buffer)
+	if err != nil {
+		t.Skipf("udp loopback unavailable: %v", err)
+	}
+	return u
+}
+
+// udpTaken counts the frames u's reader has taken off dir's socket:
+// those waiting in its channel or on its ring, and those it dropped.
+func udpTaken(u *UDP, dir wire.Dir) int64 {
+	d := dirIndex(dir)
+	b := &u.backlog[d]
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return int64(u.out.ring[d].n+len(u.out.ch[d])) + u.dropped.Load()
+}
+
+// udpDraining reports whether a drainer runs for dir.
+func udpDraining(u *UDP, dir wire.Dir) bool {
+	b := &u.backlog[dirIndex(dir)]
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.draining
+}
+
+// sendPaced sends frames from+1..to in dir over u, 64 at a time, and
+// after each batch waits until u's reader has taken every frame sent.
+// The kernel's socket buffer then never holds more than one batch, so
+// it loses nothing: a lost datagram would stall the wait and fail the
+// test instead of passing for a transport drop or hiding one. read
+// counts the frames a consumer has already read off dir's channel (nil
+// while nothing reads it).
+func sendPaced(t *testing.T, u *UDP, dir wire.Dir, from, to int, read *atomic.Int64) {
+	t.Helper()
+	for i := from; i < to; {
+		for end := min(i+64, to); i < end; i++ {
+			f := testFrame(int64(i + 1))
+			f.Dir = dir
+			if err := u.Send(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sent := int64(i)
+		waitFor(t, fmt.Sprintf("the reader to take frame %d (lost in the kernel?)", sent), 5*time.Second, func() bool {
+			taken := udpTaken(u, dir)
+			if read != nil {
+				taken += read.Load()
+			}
+			return taken >= sent
+		})
+	}
+}
+
+// inOrder fails the test unless got holds frames 1..len(got) in order.
+func inOrder(t *testing.T, got []wire.Frame) {
+	t.Helper()
+	for k, f := range got {
+		if f.Seq != int64(k+1) {
+			t.Fatalf("delivery %d is frame %d, want %d", k, f.Seq, k+1)
+		}
+	}
+}
+
+// TestUDPBacklogLosesNothing leaves more than four channels' worth of
+// frames waiting in one direction with no consumer reading: a drainer
+// runs while the ring holds frames, none is dropped and the other
+// direction flows meanwhile. Then the consumer reads while more frames
+// arrive behind the backlog: every frame arrives once, in send order,
+// and the drainer exits once the ring is empty.
+func TestUDPBacklogLosesNothing(t *testing.T) {
+	const stalled, more, back = 4*defaultBuffer + 500, 2000, 16
+	const n = stalled + more
+	u := newUDP(t, 1<<14)
+	defer u.Close()
+	sendPaced(t, u, wire.TtoR, 0, stalled, nil)
+	if d := u.Dropped(); d != 0 {
+		t.Fatalf("dropped %d of %d frames with the backlog under its bound", d, stalled)
+	}
+	if !udpDraining(u, wire.TtoR) {
+		t.Fatal("no drainer runs with a backlog past the channel")
+	}
+	sendPaced(t, u, wire.RtoT, 0, back, nil)
+	inOrder(t, collect(t, u.Deliveries(wire.RtoT), back, 5*time.Second))
+
+	var read atomic.Int64
+	got := make(chan []wire.Frame, 1)
+	go func() {
+		var fs []wire.Frame
+		for f := range u.Deliveries(wire.TtoR) {
+			fs = append(fs, f)
+			if read.Add(1) == n {
+				break
+			}
+		}
+		got <- fs
+	}()
+	sendPaced(t, u, wire.TtoR, stalled, n, &read)
+	select {
+	case fs := <-got:
+		if len(fs) != n {
+			t.Fatalf("deliveries closed after %d of %d frames", len(fs), n)
+		}
+		inOrder(t, fs)
+	case <-time.After(10 * time.Second):
+		t.Fatalf("timed out with %d of %d frames read", read.Load(), n)
+	}
+	waitFor(t, "the drainer to exit", 5*time.Second, func() bool { return !udpDraining(u, wire.TtoR) })
+	if d, m := u.Dropped(), u.Malformed(); d != 0 || m != 0 {
+		t.Fatalf("dropped %d, malformed %d, want 0", d, m)
+	}
+}
+
+// TestUDPDropsPastBacklogBound fills one direction past buffer waiting
+// frames with no consumer reading, at a bound the channel holds alone
+// and at one that needs the ring: exactly the frames past buffer are
+// dropped and counted, and the first buffer frames arrive in order.
+func TestUDPDropsPastBacklogBound(t *testing.T) {
+	const extra = 300
+	for _, buffer := range []int{256, 2 * defaultBuffer} {
+		t.Run(fmt.Sprint(buffer), func(t *testing.T) {
+			u := newUDP(t, buffer)
+			defer u.Close()
+			sendPaced(t, u, wire.TtoR, 0, buffer+extra, nil)
+			if d := u.Dropped(); d != extra {
+				t.Fatalf("dropped %d frames past a backlog of %d, want %d", d, buffer, extra)
+			}
+			inOrder(t, collect(t, u.Deliveries(wire.TtoR), buffer, 5*time.Second))
+			if left := udpTaken(u, wire.TtoR) - extra; left != 0 {
+				t.Fatalf("%d frames still wait after the first %d were read", left, buffer)
+			}
+		})
+	}
+}
+
+// TestUDPCloseWithDrainerBlocked closes a UDP while its drainer waits
+// on a full channel, bare and as Open builds it with a fault plan
+// (whose delay line closes first): Close returns, both delivery
+// channels are closed and every goroutine the transport started exits.
+func TestUDPCloseWithDrainerBlocked(t *testing.T) {
+	for _, kind := range []string{"bare", "faults"} {
+		t.Run(kind, func(t *testing.T) {
+			clock := testClock()
+			before := runtime.NumGoroutine()
+			var u *UDP
+			if kind == "bare" {
+				u = newUDP(t, 1<<14)
+			} else {
+				// A window that never opens: the line runs, the plan
+				// touches nothing.
+				u = openFaulty(t, "udp", clock, 2, 1, faults.Fault{From: 1 << 40, To: 1 << 50, Drop: 1}).(*UDP)
+			}
+			sendPaced(t, u, wire.TtoR, 0, defaultBuffer+100, nil)
+			if !udpDraining(u, wire.TtoR) {
+				t.Fatal("no drainer runs with a backlog past the channel")
+			}
+			closed := make(chan error, 1)
+			go func() { closed <- u.Close() }()
+			select {
+			case err := <-closed:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Close blocked with a drainer waiting on a full channel")
+			}
+			for _, dir := range []wire.Dir{wire.TtoR, wire.RtoT} {
+				timeout := time.After(5 * time.Second)
+			drain:
+				for {
+					select {
+					case _, ok := <-u.Deliveries(dir):
+						if !ok {
+							break drain
+						}
+					case <-timeout:
+						t.Fatalf("%v deliveries still open after Close", dir)
+					}
+				}
+			}
+			waitFor(t, "the transport's goroutines to exit", 5*time.Second,
+				func() bool { return runtime.NumGoroutine() <= before })
+		})
 	}
 }
 

@@ -133,19 +133,21 @@ func dirIndex(d wire.Dir) int {
 	return 0
 }
 
-// handoff is Mem's delivery storage. Per direction, a due frame joins
-// a FIFO ring and moves from there into a channel of at most
-// defaultBuffer frames, which the consumer reads: at once while the
-// channel has room, else from the scheduler's select as room frees.
-// Only the scheduler goroutine touches the rings, so storage grows with
-// the backlog instead of being reserved at construction.
+// handoff is the delivery storage of both transports. Per direction, a
+// frame joins a FIFO ring and moves from there into a channel of at
+// most defaultBuffer frames, which the consumer reads, so storage grows
+// with the backlog instead of being reserved at construction. In Mem
+// only the scheduler goroutine touches the rings (put, feed): a due
+// frame moves at once while the channel has room, else from the
+// scheduler's select as room frees. UDP locks each ring and moves it
+// with a drainer goroutine (UDP.deliver).
 type handoff struct {
 	ch   [2]chan wire.Frame
 	ring [2]frameRing
 	// spill is Buffer less the channel's capacity. A ring holding more
 	// (spill+1 frames: the one a blocking send on a Buffer-frame channel
-	// would hold) stops the line's releases until it drains. A zero
-	// handoff, UDP's, never stops them.
+	// would hold) stops the line's releases until it drains. The zero
+	// handoff of a UDP's delay line never stops them.
 	spill int
 }
 

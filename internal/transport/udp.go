@@ -16,8 +16,16 @@ import (
 // Unlike Mem, UDP enforces none of the channel axioms: the kernel may
 // reorder or drop datagrams and no delay bound is checked (on loopback,
 // delivery is near-instant in practice, and drops surface in the
-// Dropped counter when the reader cannot keep up). Use it for load
-// tests of the serving machinery, not for axiom-dependent experiments.
+// Dropped counter when a consumer falls a whole backlog behind). Use it
+// for load tests of the serving machinery, not for axiom-dependent
+// experiments.
+//
+// Its delivery storage has Mem's shape: per direction, a channel of at
+// most 1024 frames with a FIFO ring behind it that grows with the
+// backlog. The direction's socket reader sends straight into the
+// channel while the ring is empty; once the channel is full it pushes
+// onto the ring, and a drainer goroutine, which exists only while the
+// ring holds frames, moves them on into the channel in order.
 //
 // A UDP that Open builds with fault clauses sends through its own delay
 // line, the type Mem delivers through, with the fault plan as its
@@ -28,9 +36,18 @@ type UDP struct {
 	tConn, rConn *net.UDPConn
 	tAddr, rAddr *net.UDPAddr
 
-	del     map[wire.Dir]chan wire.Frame
+	// out holds each direction's delivery channel and backlog ring.
+	out handoff
+	// backlog guards a direction's ring; draining is set while a
+	// drainer moves it.
+	backlog [2]struct {
+		mu       sync.Mutex
+		draining bool
+	}
+	// buffer bounds each direction's waiting frames (NewUDPLoopback).
+	buffer  int
 	done    chan struct{}
-	readers sync.WaitGroup
+	readers sync.WaitGroup // socket readers and running drainers
 
 	// line holds the frames a fault plan delays; nil without a plan.
 	line *delayLine
@@ -67,11 +84,15 @@ const maxDatagram = 65507
 const MaxUDPPayload = maxDatagram - wire.FrameHeaderLen
 
 // NewUDPLoopback binds two UDP sockets on 127.0.0.1 — one per side — and
-// starts their reader goroutines. buffer is the per-direction delivery
-// channel capacity (default 1024).
+// starts their reader goroutines. buffer bounds each direction's
+// backlog: the frames read off its socket that its consumer has not yet
+// taken (default 1024). Storage grows with the backlog and is kept for
+// reuse; nothing is reserved up front beyond a channel of at most 1024
+// frames. A frame that arrives while buffer frames wait in its
+// direction is dropped and counted in Dropped.
 func NewUDPLoopback(buffer int) (*UDP, error) {
 	if buffer <= 0 {
-		buffer = 1024
+		buffer = defaultBuffer
 	}
 	loop := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 0}
 	tConn, err := net.ListenUDP("udp4", loop)
@@ -84,15 +105,13 @@ func NewUDPLoopback(buffer int) (*UDP, error) {
 		return nil, fmt.Errorf("transport: udp receiver socket: %w", err)
 	}
 	u := &UDP{
-		tConn: tConn,
-		rConn: rConn,
-		tAddr: tConn.LocalAddr().(*net.UDPAddr),
-		rAddr: rConn.LocalAddr().(*net.UDPAddr),
-		del: map[wire.Dir]chan wire.Frame{
-			wire.TtoR: make(chan wire.Frame, buffer),
-			wire.RtoT: make(chan wire.Frame, buffer),
-		},
-		done: make(chan struct{}),
+		tConn:  tConn,
+		rConn:  rConn,
+		tAddr:  tConn.LocalAddr().(*net.UDPAddr),
+		rAddr:  rConn.LocalAddr().(*net.UDPAddr),
+		out:    newHandoff(buffer),
+		buffer: buffer,
+		done:   make(chan struct{}),
 	}
 	u.readers.Add(2)
 	go u.read(rConn, wire.TtoR) // frames t->r arrive on the receiver socket
@@ -173,10 +192,10 @@ func (u *UDP) write(f wire.Frame) error {
 }
 
 // Deliveries returns the delivery channel for frames traveling in dir.
-func (u *UDP) Deliveries(dir wire.Dir) <-chan wire.Frame { return u.del[dir] }
+func (u *UDP) Deliveries(dir wire.Dir) <-chan wire.Frame { return u.out.ch[dirIndex(dir)] }
 
-// Dropped counts frames discarded because a delivery buffer was full —
-// the UDP analogue of a kernel socket-buffer drop.
+// Dropped counts frames discarded because buffer frames already waited
+// in their direction — the UDP analogue of a kernel socket-buffer drop.
 func (u *UDP) Dropped() int64 { return u.dropped.Load() }
 
 // Malformed counts datagrams that failed frame validation and were
@@ -185,7 +204,8 @@ func (u *UDP) Malformed() int64 { return u.malformed.Load() }
 
 // Close stops the fault plan's delay line, if any (frames it still
 // holds are discarded, like a partition that never heals), shuts both
-// sockets down, stops the readers and closes the delivery channels.
+// sockets down, stops the readers and drainers and closes the delivery
+// channels. Frames still on a backlog ring are discarded.
 func (u *UDP) Close() error {
 	if u.line != nil {
 		return u.line.close(u.shutdown)
@@ -200,8 +220,8 @@ func (u *UDP) shutdown() error {
 		e1 := u.tConn.Close()
 		e2 := u.rConn.Close()
 		u.readers.Wait()
-		close(u.del[wire.TtoR])
-		close(u.del[wire.RtoT])
+		close(u.out.ch[0])
+		close(u.out.ch[1])
 		if e1 != nil {
 			u.closeErr = e1
 		} else {
@@ -211,11 +231,12 @@ func (u *UDP) shutdown() error {
 	return u.closeErr
 }
 
-// read pumps one socket into one delivery channel until the socket closes.
-// Malformed datagrams (including frames whose declared payload length
-// exceeds the datagram — see wire.ParseFrame) are counted and dropped,
-// never fatal: untrusted bytes cannot take the transport down. Frames
-// whose direction does not match the socket's are discarded likewise.
+// read pumps one socket into one direction's delivery storage until the
+// socket closes. Malformed datagrams (including frames whose declared
+// payload length exceeds the datagram — see wire.ParseFrame) are
+// counted and dropped, never fatal: untrusted bytes cannot take the
+// transport down. Frames whose direction does not match the socket's
+// are discarded likewise.
 func (u *UDP) read(conn *net.UDPConn, dir wire.Dir) {
 	defer u.readers.Done()
 	buf := make([]byte, maxDatagram)
@@ -229,10 +250,60 @@ func (u *UDP) read(conn *net.UDPConn, dir wire.Dir) {
 			u.malformed.Add(1)
 			continue
 		}
+		u.deliver(dirIndex(dir), f)
+	}
+}
+
+// deliver hands a frame read off direction d's socket to its consumer:
+// straight into the channel while the ring is empty and the channel has
+// room, else onto the ring, starting a drainer if none runs. The reader
+// is the ring's only pusher and never bypasses a ring that holds
+// frames, so frames reach the consumer in the order they were read. A
+// frame that finds buffer frames waiting (in the channel or on the
+// ring) is dropped and counted.
+func (u *UDP) deliver(d int, f wire.Frame) {
+	b, r, ch := &u.backlog[d], &u.out.ring[d], u.out.ch[d]
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if r.n == 0 {
 		select {
-		case u.del[dir] <- f:
+		case ch <- f:
+			return
 		default:
-			u.dropped.Add(1)
 		}
 	}
+	if r.n+len(ch) >= u.buffer {
+		u.dropped.Add(1)
+		return
+	}
+	r.push(f, u.buffer)
+	if !b.draining {
+		b.draining = true
+		u.readers.Add(1)
+		go u.drain(d)
+	}
+}
+
+// drain moves direction d's ring into its channel, oldest first, and
+// exits once the ring is empty or the transport closes. A frame leaves
+// the ring only after the channel has taken it, so the backlog bound
+// counts it while the send waits (and, for the instant between the two,
+// twice).
+func (u *UDP) drain(d int) {
+	defer u.readers.Done()
+	b, r := &u.backlog[d], &u.out.ring[d]
+	b.mu.Lock()
+	for r.n > 0 {
+		f := r.front()
+		b.mu.Unlock()
+		select {
+		case u.out.ch[d] <- f:
+		case <-u.done:
+			return
+		}
+		b.mu.Lock()
+		r.pop()
+	}
+	b.draining = false
+	b.mu.Unlock()
 }

@@ -407,6 +407,10 @@ func NewMemTransport(clock *Clock, opts MemOptions) Transport {
 }
 
 // NewUDPLoopback returns a UDP loopback transport pair on 127.0.0.1.
+// buffer bounds each direction's backlog, the frames its consumer has
+// not yet read (default 1024), as MemOptions.Buffer does: storage grows
+// with the backlog, and a frame arriving while buffer frames wait is
+// dropped and counted.
 func NewUDPLoopback(buffer int) (Transport, error) { return transport.NewUDPLoopback(buffer) }
 
 // Observability (PR 5): a dependency-free metrics registry, bounded
@@ -484,27 +488,10 @@ type (
 	// RatelessBuilder constructs rateless transmitter/receiver pairs; it
 	// is a PairBuilder.
 	RatelessBuilder = rateless.Builder
-	// RatelessTransmitter is the coded-symbol streaming automaton.
-	RatelessTransmitter = rateless.Transmitter
-	// RatelessReceiver is the peeling-decoder automaton; it implements
-	// the session layer's tape-resume hook, so a durable restart skips
-	// the bits already written.
-	RatelessReceiver = rateless.Receiver
 )
 
 // NewRatelessBuilder validates the options and returns the pair builder.
 func NewRatelessBuilder(o RatelessOptions) (*RatelessBuilder, error) { return rateless.NewBuilder(o) }
-
-// NewRatelessTransmitter builds a standalone rateless transmitter for
-// input x, whose length must be a multiple of the builder's BlockBits.
-func NewRatelessTransmitter(o RatelessOptions, x []Bit) (*RatelessTransmitter, error) {
-	return rateless.NewTransmitter(o, x)
-}
-
-// NewRatelessReceiver builds a standalone rateless receiver.
-func NewRatelessReceiver(o RatelessOptions) (*RatelessReceiver, error) {
-	return rateless.NewReceiver(o)
-}
 
 // RatelessUpperBound returns the subsystem's loss-free effort ceiling:
 // δ1·c2/⌊log₂ μ_k(δ1)⌋ ticks per message — below BetaUpperBound, whose
