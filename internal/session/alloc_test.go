@@ -1,7 +1,9 @@
 package session
 
 import (
+	"context"
 	"testing"
+	"time"
 
 	"repro/internal/ioa"
 	"repro/internal/rstp"
@@ -103,6 +105,39 @@ func TestEndpointApplyAllocs(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("endpoint.apply allocates %.1f per hardened frame, want 0", allocs)
+	}
+}
+
+// TestTransferConstructAllocs pins what one whole served session
+// allocates: a warm 48-bit β(4) Pipe.Transfer over Mem, with both
+// endpoints, their automata, the output tape, both traces and both final
+// reports. Each side sizes a new trace from its last session's, so it is
+// allocated once, and hands a retired endpoint's tape and trace over
+// without a copy. Growing each trace by doubling and copying it into its
+// report cost 40.
+func TestTransferConstructAllocs(t *testing.T) {
+	sol := mustBeta(t, 4)
+	cfg, _ := memConfig(t, sol, nil)
+	cfg.IdleTicks = -1 // the benchmark's setting: Transfer evicts each session
+	pipe, err := NewPipe(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pipe.Close()
+	x := inputFor(t, sol, 8, 7) // 48 bits, the size of the benchmark's churn sessions
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	transfer := func() {
+		res, err := pipe.Transfer(ctx, x)
+		if err != nil || !res.Completed {
+			t.Fatalf("transfer: err=%v completed=%v", err, res.Completed)
+		}
+	}
+	transfer() // the first session of each side has no trace length to size from
+	allocs := testing.AllocsPerRun(20, transfer)
+	t.Logf("%.1f allocs per transfer", allocs)
+	if allocs > 26 {
+		t.Fatalf("a warm Pipe.Transfer allocates %.1f, want <= 26", allocs)
 	}
 }
 

@@ -69,7 +69,7 @@ func (c *Conn) Report() Report {
 func (c *Conn) Close() {
 	c.d.mu.Lock()
 	defer c.d.mu.Unlock()
-	c.d.retireLocked(c.ep)
+	c.d.releaseLocked(c.ep)
 }
 
 // Start opens a new session for input x. It blocks while MaxSessions

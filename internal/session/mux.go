@@ -36,7 +36,13 @@ type mux struct {
 	landed sync.Cond // broadcast when a tape save lands
 	seq    int64
 	active map[uint32]*endpoint
-	order  []*endpoint // active endpoints in spawn order, retired ones compacted out each tick
+	// order holds the active endpoints in spawn order. Retired ones are
+	// compacted out each round, or dropped at once when releaseLocked
+	// leaves the side empty.
+	order []*endpoint
+	// traceHint is the trace length of the side's last retired endpoint,
+	// which sizes the next one's trace at spawn (newEndpoint).
+	traceHint int
 	// lastNow is the tick of the loop's latest step round, which every
 	// step of the round is stamped with, and stalled the sum of the
 	// loop's stalls (see book), which idle eviction does not charge.
@@ -220,7 +226,8 @@ func (m *mux) addLocked(ep *endpoint) {
 }
 
 // retireLocked moves ep from the active set to the tombstones, folds its
-// counters into the side's running sums and releases its slot. It
+// counters into the side's running sums, keeps its trace length as the
+// next endpoint's trace size and releases its slot. It
 // returns false if ep had already retired. The full final report is not
 // kept here: whoever retires ep reads it from ep (Evict, Conn.Report),
 // and retirements nobody asked for go through parkLocked.
@@ -229,12 +236,29 @@ func (m *mux) retireLocked(ep *endpoint) bool {
 		return false
 	}
 	ep.retired = true
+	m.traceHint = len(ep.trace)
 	delete(m.active, ep.id)
 	m.finished.add(ep.id)
 	m.retired.add(ep.counters())
 	ep.wake()
 	if m.sem != nil {
 		<-m.sem
+	}
+	return true
+}
+
+// releaseLocked retires ep at a caller's request (Evict, Conn.Close).
+// A side it leaves with no live endpoint drops its retired ones from
+// order at once rather than at the next round, so an idle side holds no
+// endpoint, trace or tape. tickLocked ranges over order, so it retires
+// through parkLocked, never through here.
+func (m *mux) releaseLocked(ep *endpoint) bool {
+	if !m.retireLocked(ep) {
+		return false
+	}
+	if len(m.active) == 0 {
+		clear(m.order)
+		m.order = m.order[:0]
 	}
 	return true
 }

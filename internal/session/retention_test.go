@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/timed"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -202,4 +204,212 @@ func liveHeap() uint64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return ms.HeapAlloc
+}
+
+// heldEndpoints counts the endpoints m's order still references, in its
+// whole backing array, retired ones included.
+func heldEndpoints(m *mux) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	n := 0
+	for _, ep := range m.order[:cap(m.order)] {
+		if ep != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestIdleSideHoldsNoEndpoint: a side that a Transfer leaves with no
+// live session drops its retired endpoints, traces and tapes at once,
+// not at its next step round, so a collection right after the transfer
+// finds none of them live.
+func TestIdleSideHoldsNoEndpoint(t *testing.T) {
+	sol := mustBeta(t, 4)
+	cfg, _ := memConfig(t, sol, nil)
+	pipe, err := NewPipe(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pipe.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for i := 0; i < 3; i++ {
+		x := inputFor(t, sol, 2, int64(i+1))
+		if res, err := pipe.Transfer(ctx, x); err != nil || !res.Completed {
+			t.Fatalf("transfer %d: err=%v completed=%v", i, err, res.Completed)
+		}
+		for _, m := range []*mux{&pipe.Server.mux, &pipe.Dialer.mux} {
+			if n := heldEndpoints(m); n != 0 {
+				t.Fatalf("transfer %d: the idle %s side still holds %d endpoints", i, m.role, n)
+			}
+		}
+	}
+}
+
+// TestWatchdogEmptiesSideMidRound: the watchdog retires a side's last
+// live endpoint inside a step round, while the round ranges over the
+// side's order, and an endpoint its caller retired since the last round
+// still sits behind it there. The round parks the wedged one's full
+// report and leaves the side holding no endpoint.
+func TestWatchdogEmptiesSideMidRound(t *testing.T) {
+	sol := mustBeta(t, 4)
+	cfg, mem := memConfig(t, sol, nil)
+	cfg.IdleTicks = -1
+	cfg.WatchdogK = 1
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	defer mem.Close()
+	// One lock hold, so the side's own loop runs no round in between.
+	func() {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		for _, id := range []uint32{7, 8} {
+			srv.deliverLocked(wire.Frame{Session: id, Dir: wire.TtoR, Seq: 1, P: wire.DataPacket(1)})
+		}
+		wedged, evicted := srv.active[7], srv.active[8]
+		srv.releaseLocked(evicted)
+		now := cfg.Clock.Now()
+		wedged.lastProgress = now - 2*srv.watchdog
+		srv.tickLocked(now)
+	}()
+
+	if n := heldEndpoints(&srv.mux); n != 0 {
+		t.Fatalf("the wedged-out side still holds %d endpoints", n)
+	}
+	rep, ok := srv.Evict(7)
+	if !ok || !rep.Wedged || len(rep.Trace) == 0 {
+		t.Fatalf("wedged session's parked report %+v (ok=%v), want it wedged with its trace", rep, ok)
+	}
+}
+
+// copiedReport is a report with its own copy of ep's tape and trace, as
+// every final report was before retired endpoints handed theirs over.
+// Callers hold the side's mutex.
+func copiedReport(ep *endpoint) Report {
+	r := ep.counters()
+	r.Y = append([]wire.Bit(nil), ep.y...)
+	r.Trace = append([]timed.Event(nil), ep.trace...)
+	return r
+}
+
+// TestFinalReportsShareRetiredState: the final reports of a retired
+// endpoint (Evict's, and Conn.Report after Close, however often) hold
+// what a copy would, share the endpoint's tape and trace, and are
+// clipped, so appending to one leaves the others and the endpoint as
+// they were. A live endpoint's snapshot is still a copy.
+func TestFinalReportsShareRetiredState(t *testing.T) {
+	sol := mustBeta(t, 4)
+	cfg, _ := memConfig(t, sol, nil)
+	pipe, err := NewPipe(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pipe.Close()
+	x := inputFor(t, sol, 2, 5)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	conn, err := pipe.Dialer.Start(ctx, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pipe.Server.WaitWrites(ctx, conn.ID(), len(x)); err != nil {
+		t.Fatal(err)
+	}
+	srv := pipe.Server
+	srv.mu.Lock()
+	rxEp := srv.active[conn.ID()]
+	srv.mu.Unlock()
+	live, _ := srv.Snapshot(conn.ID())
+	srv.mu.Lock()
+	if &live.Trace[0] == &rxEp.trace[0] || &live.Y[0] == &rxEp.y[0] {
+		t.Error("a live endpoint's snapshot shares its trace or tape")
+	}
+	srv.mu.Unlock()
+
+	rx, ok := srv.Evict(conn.ID())
+	if !ok {
+		t.Fatal("Evict handed no report over")
+	}
+	conn.Close()
+	tx1, tx2 := conn.Report(), conn.Report()
+
+	check := func(name string, m *mux, ep *endpoint, got ...Report) {
+		t.Helper()
+		m.mu.Lock()
+		want := copiedReport(ep)
+		m.mu.Unlock()
+		for i, r := range got {
+			if !reflect.DeepEqual(r, want) {
+				t.Fatalf("%s report %d = %+v, want the copy %+v", name, i, r, want)
+			}
+			if len(r.Trace) == 0 || cap(r.Trace) != len(r.Trace) || cap(r.Y) != len(r.Y) {
+				t.Fatalf("%s report %d: trace %d/%d, tape %d/%d, want non-empty and clipped", name, i, len(r.Trace), cap(r.Trace), len(r.Y), cap(r.Y))
+			}
+			if &r.Trace[0] != &ep.trace[0] {
+				t.Fatalf("%s report %d copied the retired endpoint's trace", name, i)
+			}
+		}
+	}
+	check("receiver", &srv.mux, rxEp, rx)
+	check("transmitter", &pipe.Dialer.mux, conn.ep, tx1, tx2)
+	if len(rx.Y) == 0 || &rx.Y[0] != &rxEp.y[0] {
+		t.Fatal("Evict's report copied the retired receiver's tape")
+	}
+
+	// Appends by one holder go to a copy of their own.
+	grown := tx1
+	grown.Trace = append(grown.Trace, timed.Event{Time: -1})
+	rxGrown := rx
+	rxGrown.Y = append(rxGrown.Y, 1-rxGrown.Y[len(rxGrown.Y)-1])
+	rxGrown.Trace = append(rxGrown.Trace, timed.Event{Time: -1})
+	check("receiver after an append", &srv.mux, rxEp, rx)
+	check("transmitter after an append", &pipe.Dialer.mux, conn.ep, tx1, tx2, conn.Report())
+}
+
+// TestTraceHintStopsAtLimit: a trace sized from a side's last session
+// never gets more room than TraceLimit, still stops recording there and
+// counts the rest in TraceDropped; with tracing off a hint allocates
+// nothing.
+func TestTraceHintStopsAtLimit(t *testing.T) {
+	sol := mustBeta(t, 4)
+	cfg, _ := memConfig(t, sol, nil)
+	const limit = 16
+	cfg.TraceLimit = limit
+	pipe, err := NewPipe(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pipe.Close()
+	sides := []*mux{&pipe.Server.mux, &pipe.Dialer.mux}
+	for _, m := range sides {
+		m.mu.Lock()
+		m.traceHint = 10 * limit
+		if c := cap(newEndpoint(m, 1000, nil).trace); c != limit {
+			t.Errorf("%s side: a trace sized from a hint of %d has room for %d, want %d", m.role, m.traceHint, c, limit)
+		}
+		m.mu.Unlock()
+	}
+	x := inputFor(t, sol, 2, 9)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res, err := pipe.Transfer(ctx, x)
+	if err != nil || !res.Completed {
+		t.Fatalf("transfer: err=%v completed=%v", err, res.Completed)
+	}
+	for _, r := range []Report{res.TX, res.RX} {
+		if len(r.Trace) != limit || r.TraceDropped == 0 {
+			t.Errorf("%s: %d events recorded, %d dropped, want %d and the rest dropped", r.Role, len(r.Trace), r.TraceDropped, limit)
+		}
+	}
+
+	off := &mux{}
+	off.init(Config{Params: applyParams, Clock: transport.NewClock(0), TraceLimit: -1}, "receiver")
+	off.traceHint = limit
+	if ep := newEndpoint(off, 1, nil); ep.trace != nil {
+		t.Errorf("tracing off: a hinted endpoint has a trace of room %d", cap(ep.trace))
+	}
 }

@@ -255,7 +255,7 @@ func (s *Server) Evict(id uint32) (Report, bool) {
 		for ep.saving {
 			s.landed.Wait()
 		}
-		if s.retireLocked(ep) {
+		if s.releaseLocked(ep) {
 			return ep.report(true), true
 		}
 	}

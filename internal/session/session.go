@@ -30,10 +30,13 @@
 //     ID is in the side's tombstone set and its counters are folded into
 //     the side's running sums. A retired session keeps nothing else,
 //     except that a receiver the side retired on its own parks its full
-//     report until Evict claims it (at most MaxSessions are parked);
+//     report until Evict claims it (at most MaxSessions are parked). A
+//     side that Conn.Close or Evict leaves with no live session drops its
+//     retired endpoints at once; otherwise its next step round does;
 //   - each full final report (trace and output tape) goes to exactly one
 //     caller: Conn.Report reads the Conn's own endpoint, Evict hands over
-//     the receiver's;
+//     the receiver's. A retired endpoint's tape and trace never change
+//     again, so its final reports share them instead of copying;
 //   - a receiver's durable tape save is the one thing run off the loop
 //     (see Config.Store); its goroutine is counted in the side's
 //     WaitGroup, so Close waits for it.
@@ -134,7 +137,10 @@ type Config struct {
 	IdleTicks int64
 	// TraceLimit caps the per-session recorded event trace used for
 	// per-session statistics (default 8192 events; <0 disables tracing).
-	// Events past the cap are counted, not recorded.
+	// Events past the cap are counted, not recorded. A session's trace is
+	// sized at spawn from its side's last finished session (its length
+	// plus an eighth, never past TraceLimit), so sessions of one size
+	// allocate it once.
 	TraceLimit int
 	// WatchdogK enables the Server's per-session progress watchdog: a
 	// receiver session whose output tape grows by nothing for
@@ -241,7 +247,11 @@ func decodeTape(data []byte) []wire.Bit {
 // send).
 var eventSeq atomic.Int64
 
-// Report is an immutable snapshot of one session endpoint.
+// Report is an immutable snapshot of one session endpoint. A live
+// endpoint's report holds copies of its output tape and trace; a
+// finished one's shares them with the endpoint and with its other final
+// reports, clipped to their length, so appending to Y or Trace copies
+// and never changes another holder's view. Do not write their elements.
 type Report struct {
 	// ID is the session ID.
 	ID uint32
@@ -280,7 +290,9 @@ type Report struct {
 	// and its report is final.
 	Finished bool
 	// Trace is the recorded event trace (nil for light snapshots or when
-	// tracing is disabled); TraceDropped counts events past TraceLimit.
+	// tracing is disabled), allocated once per session when the side's
+	// sessions are of one size (see Config.TraceLimit); TraceDropped
+	// counts events past TraceLimit.
 	Trace        []timed.Event
 	TraceDropped int
 }
@@ -345,9 +357,19 @@ type endpoint struct {
 	waitFor int
 }
 
+// newEndpoint builds an endpoint of m's side. Its trace gets room for
+// the events the side's last retired endpoint recorded plus an eighth,
+// up to TraceLimit, so a side serving sessions of one size allocates
+// each trace once: a receiver's event count varies with the frames'
+// delays (churn's 48-bit sessions record 137–151), and one event past
+// the room would double the trace. Callers hold m.mu.
 func newEndpoint(m *mux, id uint32, auto ioa.Automaton) *endpoint {
 	now := m.cfg.Clock.Now()
-	return &endpoint{id: id, auto: auto, m: m, start: now, lastActivity: now, stallMark: m.stalled, lastProgress: now}
+	e := &endpoint{id: id, auto: auto, m: m, start: now, lastActivity: now, stallMark: m.stalled, lastProgress: now}
+	if m.traceHint > 0 && m.cfg.TraceLimit > 0 {
+		e.trace = make([]timed.Event, 0, min(m.cfg.TraceLimit, m.traceHint+m.traceHint/8))
+	}
+	return e
 }
 
 // idle is the ticks since the endpoint's last arrival, less the loop
@@ -544,13 +566,31 @@ func (e *endpoint) counters() Report {
 	return r
 }
 
-// report captures the endpoint's counters and a copy of its output
-// tape; withTrace also copies the recorded trace.
+// report captures the endpoint's counters and its output tape; withTrace
+// adds the recorded trace. A live endpoint's are copied. A retired one's
+// never change again, so its final reports share them, clipped to their
+// length so that an append by any holder copies.
 func (e *endpoint) report(withTrace bool) Report {
 	r := e.counters()
+	if e.retired {
+		r.Y = clip(e.y)
+		if withTrace {
+			r.Trace = clip(e.trace)
+		}
+		return r
+	}
 	r.Y = append([]wire.Bit(nil), e.y...)
 	if withTrace {
 		r.Trace = append([]timed.Event(nil), e.trace...)
 	}
 	return r
+}
+
+// clip returns s with its capacity cut to its length, or nil when s is
+// empty, as a copy of it would be.
+func clip[S ~[]E, E any](s S) S {
+	if len(s) == 0 {
+		return nil
+	}
+	return s[:len(s):len(s)]
 }
