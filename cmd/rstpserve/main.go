@@ -148,7 +148,7 @@ func run(args []string, out io.Writer) error {
 		fwindow     = fs.String("fwindow", "0:2000", "window from:to for -loss/-dup/-corrupt, in send ticks counted from the transport's first frame")
 		blackout    = fs.String("blackout", "", "blackout window from:to, in send ticks counted from the transport's first frame (empty = none)")
 		excess      = fs.Int64("excess", 0, "extra delay beyond d inside -fwindow")
-		watchdog    = fs.Int("watchdog", 0, "progress watchdog multiplier k: wedge a session after k*delta1*c2 ticks without output growth (0 = off)")
+		watchdog    = fs.Int("watchdog", 0, "progress watchdog multiplier k: retire a receiver session as wedged after k*delta1*c2 ticks without output growth, not counting the serving loop's own stalls (0 = off)")
 		verbose     = fs.Bool("v", false, "print one line per session")
 		timeout     = fs.Duration("timeout", 2*time.Minute, "overall run deadline")
 		metricsAddr = fs.String("metrics-addr", "", "serve /metrics (Prometheus text), /metrics.json (snapshot with live session table) and /debug/pprof on this address (empty = off)")
@@ -202,6 +202,13 @@ func run(args []string, out io.Writer) error {
 	if *watchdog < 0 {
 		return fmt.Errorf("-watchdog %d: the multiplier must be >= 0 (0 disables the watchdog)", *watchdog)
 	}
+	// The watchdog is off unless asked for: the load generator evicts each
+	// session explicitly, and the hardened layer's capped backoff can go
+	// longer than the default window without a write.
+	window := int64(-1)
+	if *watchdog > 0 {
+		window = int64(*watchdog) * int64(p.Delta1()) * p.C2
+	}
 
 	clock := transport.NewClock(*tick)
 	trans, faultsDesc, err := transport.Open(*transName, clock, p.D, *seed, clauses)
@@ -223,8 +230,7 @@ func run(args []string, out io.Writer) error {
 		Transport:        trans,
 		Clock:            clock,
 		MaxSessions:      maxConc,
-		IdleTicks:        -1, // off: the load generator evicts each session explicitly
-		WatchdogK:        *watchdog,
+		IdleTicks:        window,
 		Obs:              reg,
 		EffortLowerBound: st.Lower,
 		Store:            storeOrNil(store),

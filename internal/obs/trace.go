@@ -23,8 +23,6 @@ const (
 	EvRetransmit
 	// EvResync is a stabilizing-layer resynchronization (arg: epoch if known).
 	EvResync
-	// EvEvict is an idle eviction of a session.
-	EvEvict
 	// EvWedge is a watchdog force-retire (no output growth in the window).
 	EvWedge
 	// EvRefuse is a new session refused at the MaxSessions cap.
@@ -40,7 +38,6 @@ var eventKindNames = [...]string{
 	EvWrite:      "write",
 	EvRetransmit: "retransmit",
 	EvResync:     "resync",
-	EvEvict:      "evict",
 	EvWedge:      "wedge",
 	EvRefuse:     "refuse",
 	EvLate:       "late",

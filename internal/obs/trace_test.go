@@ -51,8 +51,8 @@ func TestTracerSessionCap(t *testing.T) {
 
 func TestEventKindNames(t *testing.T) {
 	kinds := []EventKind{
-		EvSend, EvRecv, EvWrite, EvRetransmit, EvResync, EvEvict,
-		EvWedge, EvRefuse, EvLate,
+		EvSend, EvRecv, EvWrite, EvRetransmit, EvResync, EvWedge,
+		EvRefuse, EvLate,
 	}
 	seen := map[string]bool{}
 	for _, k := range kinds {

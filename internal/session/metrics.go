@@ -22,7 +22,6 @@ type sessionMetrics struct {
 	writes     *obs.Counter
 	rejected   *obs.Counter
 	sendErrs   *obs.Counter
-	evicted    *obs.Counter
 	wedged     *obs.Counter
 	resyncs    *obs.Counter
 	refused    *obs.Counter
@@ -59,7 +58,6 @@ func newSessionMetrics(reg *obs.Registry, p rstp.Params, bound float64) *session
 		writes:     reg.Counter("rstp_session_writes_total", "messages written to receiver output tapes"),
 		rejected:   reg.Counter("rstp_session_rejected_total", "delivered frames refused by an automaton's signature"),
 		sendErrs:   reg.Counter("rstp_session_send_errors_total", "transport send failures (counted as channel loss)"),
-		evicted:    reg.Counter("rstp_sessions_evicted_total", "sessions torn down by the idle monitor"),
 		wedged:     reg.Counter("rstp_sessions_wedged_total", "sessions force-retired by the progress watchdog"),
 		resyncs:    reg.Counter("rstp_session_resyncs_total", "watchdog-forced protocol resynchronizations"),
 		refused:    reg.Counter("rstp_server_frames_refused_total", "new-session frames dropped at the MaxSessions cap"),
@@ -140,14 +138,6 @@ func (m *sessionMetrics) onWrite(tick int64, id uint32, prev, start int64) {
 	m.tracer.Record(tick, id, obs.EvWrite, gap)
 }
 
-func (m *sessionMetrics) onEvict(tick int64, id uint32) {
-	if m == nil {
-		return
-	}
-	m.evicted.Inc()
-	m.tracer.Record(tick, id, obs.EvEvict, 0)
-}
-
 func (m *sessionMetrics) onWedge(tick int64, id uint32, silentTicks int64) {
 	if m == nil {
 		return
@@ -200,8 +190,11 @@ type LiveSession struct {
 	// configured lower bound (omitted when no bound is configured).
 	EffortTicks    float64 `json:"effort_ticks"`
 	EffortGapTicks float64 `json:"effort_gap_ticks,omitempty"`
-	IdleTicks      int64   `json:"idle_ticks"`
-	Resyncs        int     `json:"resyncs,omitempty"`
+	// IdleTicks is the clock the progress watchdog reads against
+	// Config.IdleTicks: the ticks since the session's last write (or its
+	// spawn, or its resync), less the loop's own stalls since.
+	IdleTicks int64 `json:"idle_ticks"`
+	Resyncs   int   `json:"resyncs,omitempty"`
 }
 
 // instrument registers the Server's scrape-time views: the active-session
@@ -272,7 +265,7 @@ func (s *Server) LiveSessions() []LiveSession {
 			ID: ep.id, Role: s.role,
 			Sends: ep.sends, Writes: ep.writes,
 			EffortTicks: Report{Start: ep.start, LastSend: ep.lastSend, Writes: ep.writes}.Effort(),
-			IdleTicks:   ep.idle(now),
+			IdleTicks:   ep.silence(now),
 			Resyncs:     ep.resyncs,
 		}
 		if b := s.cfg.EffortLowerBound; b > 0 && ls.EffortTicks > 0 {

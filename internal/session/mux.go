@@ -20,10 +20,8 @@ type mux struct {
 	role   string   // "transmitter" or "receiver": every endpoint of the side
 	parity int64    // packet-seq parity: 1 = transmitter side (odd), 0 = receiver (even)
 	dir    wire.Dir // direction of the frames this side receives
-	// watchdog is the receiver side's wedge window in ticks (0 = off).
-	watchdog int64
-	done     chan struct{}
-	wg       sync.WaitGroup // the loop plus every tape save in flight
+	done   chan struct{}
+	wg     sync.WaitGroup // the loop plus every tape save in flight
 
 	// unknown handles a frame for no active session, under mu: the server
 	// spawns a receiver (or counts a refusal), the dialer counts a stray.
@@ -45,7 +43,7 @@ type mux struct {
 	traceHint int
 	// lastNow is the tick of the loop's latest step round, which every
 	// step of the round is stamped with, and stalled the sum of the
-	// loop's stalls (see book), which idle eviction does not charge.
+	// loop's stalls (see book), which the watchdog does not charge.
 	lastNow, stalled int64
 	// pace wakes the loop for its step rounds; pacing reports it is
 	// subscribed (the side has an active endpoint), and due is the tick
@@ -76,7 +74,6 @@ func (m *mux) init(cfg Config, role string) {
 		m.parity = 1
 	} else {
 		m.dir = wire.TtoR
-		m.watchdog = int64(cfg.WatchdogK) * int64(cfg.Params.Delta1()) * cfg.Params.C2
 	}
 	m.done = make(chan struct{})
 	m.pace = cfg.Clock.NewWaiter()
@@ -162,7 +159,7 @@ func (m *mux) deliverLocked(f wire.Frame) {
 
 // tickLocked steps every active endpoint once at tick now, in spawn
 // order. An endpoint whose tape save is still in flight is skipped whole:
-// it is neither stepped nor judged idle or wedged until the save lands.
+// it is neither stepped nor judged wedged until the save lands.
 func (m *mux) tickLocked(now int64) {
 	m.book(now)
 	live := m.order[:0]
@@ -181,23 +178,18 @@ func (m *mux) tickLocked(now int64) {
 }
 
 // advance takes one step of ep at the round's tick and, on the receiver
-// side, runs idle eviction and the watchdog. It returns false when ep
-// must retire. A step that started a tape save defers both checks until
+// side, runs the progress watchdog over IdleTicks. It returns false when
+// ep must retire. A step that started a tape save defers the check until
 // the save lands, so no retirement reports a write before it is durable.
 func (m *mux) advance(ep *endpoint) bool {
 	now := m.lastNow
 	if !ep.step(now) {
 		return false
 	}
-	if m.role == "transmitter" || ep.saving {
+	if m.role == "transmitter" || ep.saving || m.cfg.IdleTicks < 0 {
 		return true
 	}
-	if m.cfg.IdleTicks > 0 && ep.idle(now) > m.cfg.IdleTicks {
-		ep.evicted = true
-		m.cfg.metrics.onEvict(now, ep.id)
-		return false
-	}
-	return m.watchdog <= 0 || ep.checkProgress(now, m.watchdog)
+	return ep.checkProgress(now, m.cfg.IdleTicks)
 }
 
 // book records the round's clock reading, under mu, and books a stall:
@@ -205,7 +197,7 @@ func (m *mux) advance(ep *endpoint) bool {
 // channel bound d means the loop itself did not run, as under a host
 // stall, and the frames due in that gap may not be released yet. The
 // excess is added to stalled, so the stall is not charged to any
-// endpoint as idle time.
+// endpoint as silence (endpoint.silence).
 func (m *mux) book(now int64) {
 	if gap := now - m.lastNow - m.cfg.Params.C2 - m.cfg.Params.D; m.lastNow > 0 && gap > 0 {
 		m.stalled += gap
@@ -263,8 +255,8 @@ func (m *mux) releaseLocked(ep *endpoint) bool {
 	return true
 }
 
-// parkLocked retires ep on the side's own initiative (idle eviction, the
-// watchdog, Close). On the receiver side the full report waits
+// parkLocked retires ep on the side's own initiative (the watchdog, a
+// closed transport, Close). On the receiver side the full report waits
 // in parked until Evict claims it. Past MaxSessions parked reports the
 // oldest degrades to its tombstone, so a side nobody evicts from holds
 // O(MaxSessions) traces, not one per session it ever ran.

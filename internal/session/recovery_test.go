@@ -454,9 +454,10 @@ func (writeOnceBuilder) NewPair([]wire.Bit) (t, r ioa.Automaton, err error) {
 func (writeOnceBuilder) String() string { return "write-once" }
 
 // TestIdleEvictionWaitsForTapeSave pins that a step which starts a tape
-// save defers idle eviction until the save lands: a receiver long idle
-// at the moment of its write stays live while the save is in flight,
-// and is evicted afterwards with the write durable.
+// save defers the progress watchdog until the save lands: a receiver
+// long silent at the moment of its write, and silent past IdleTicks
+// again while the save is in flight, stays live until the save lands and
+// is retired as wedged afterwards with the write durable.
 func TestIdleEvictionWaitsForTapeSave(t *testing.T) {
 	store := newGateStore()
 	cfg, mem := memConfig(t, writeOnceBuilder{}, nil)
@@ -471,25 +472,29 @@ func TestIdleEvictionWaitsForTapeSave(t *testing.T) {
 	defer store.open()
 	srv.route(wire.Frame{Session: 1, Dir: wire.TtoR, Seq: 1, P: wire.DataPacket(1)})
 	// Step the receiver by hand, under the side lock, with its last
-	// arrival backdated past IdleTicks: the step writes, and the idle
-	// check that follows it must wait for the save.
+	// write backdated past IdleTicks: the step writes, and the check
+	// that follows it must wait for the save. A round that finds the
+	// save still in flight past another window of silence must too.
 	srv.mu.Lock()
 	ep := srv.active[1]
 	ep.auto.(*writeOnce).armed = true
-	ep.lastActivity -= 2 * cfg.IdleTicks
+	ep.lastProgress -= 2 * cfg.IdleTicks
 	live := srv.advance(ep)
-	evicted := ep.evicted
+	ep.lastProgress -= 2 * cfg.IdleTicks
+	srv.tickLocked(cfg.Clock.Now())
+	live = live && !ep.retired
+	wedged := ep.wedged
 	srv.mu.Unlock()
-	if !live || evicted {
-		t.Fatal("receiver evicted idle while its tape save was in flight")
+	if !live || wedged {
+		t.Fatal("receiver retired silent while its tape save was in flight")
 	}
 	store.open()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		rep, _ := srv.Snapshot(1)
 		if rep.Finished {
-			if !rep.Evicted || rep.Writes != 1 {
-				t.Fatalf("final report: evicted=%v writes=%d, want an idle eviction after 1 write", rep.Evicted, rep.Writes)
+			if !rep.Wedged || rep.Writes != 1 {
+				t.Fatalf("final report: wedged=%v writes=%d, want a watchdog retirement after 1 write", rep.Wedged, rep.Writes)
 			}
 			tape, _ := store.Load(tapeKey(1))
 			if got, want := wire.BitsToString(decodeTape(tape)), wire.BitsToString(rep.Y); got != want {
@@ -498,7 +503,7 @@ func TestIdleEvictionWaitsForTapeSave(t *testing.T) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("receiver never evicted after its save landed")
+			t.Fatal("receiver never retired after its save landed")
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -54,15 +54,15 @@ func TestFinishedSessionHoldsNoTrace(t *testing.T) {
 }
 
 // TestParkedReportClaimedOnce pins the claim-once handover of a receiver
-// the server retired on its own: an idle-evicted session's full report,
-// tape included, comes back from Evict exactly once, and the server
-// never parks more than MaxSessions reports — older ones degrade to
-// tombstones.
+// the server retired on its own: the full report of a session the
+// watchdog retired after its last write, tape included, comes back from
+// Evict exactly once, and the server never parks more than MaxSessions
+// reports — older ones degrade to tombstones.
 func TestParkedReportClaimedOnce(t *testing.T) {
 	sol := mustBeta(t, 4)
 	cfg, _ := memConfig(t, sol, nil)
 	cfg.MaxSessions = 2
-	cfg.IdleTicks = 2000 // 100ms at the 50µs test tick: a shorter host stall must not evict a session mid-transfer
+	cfg.IdleTicks = 2000 // 100ms at the 50µs test tick: a shorter host stall must not retire a session mid-transfer
 	pipe, err := NewPipe(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -71,8 +71,8 @@ func TestParkedReportClaimedOnce(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	// Run three sessions to completion and let the server idle-evict each
-	// one; nobody evicts them, so their reports park.
+	// Run three sessions to completion and let the server's watchdog
+	// retire each one; nobody evicts them, so their reports park.
 	var ids []uint32
 	inputs := map[uint32][]wire.Bit{}
 	for i := 0; i < 3; i++ {
@@ -91,7 +91,7 @@ func TestParkedReportClaimedOnce(t *testing.T) {
 				break
 			}
 			if ctx.Err() != nil {
-				t.Fatalf("session %d never idle-evicted", conn.ID())
+				t.Fatalf("session %d never retired by the watchdog", conn.ID())
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -114,9 +114,9 @@ func TestParkedReportClaimedOnce(t *testing.T) {
 	}
 	for _, id := range ids[1:] {
 		rep, ok := pipe.Server.Evict(id)
-		if !ok || !rep.Evicted || !rep.Finished || len(rep.Trace) == 0 {
-			t.Fatalf("first Evict of parked session %d: ok=%v evicted=%v finished=%v trace=%d",
-				id, ok, rep.Evicted, rep.Finished, len(rep.Trace))
+		if !ok || !rep.Wedged || !rep.Finished || len(rep.Trace) == 0 {
+			t.Fatalf("first Evict of parked session %d: ok=%v wedged=%v finished=%v trace=%d",
+				id, ok, rep.Wedged, rep.Finished, len(rep.Trace))
 		}
 		if got, want := wire.BitsToString(rep.Y), wire.BitsToString(inputs[id]); got != want {
 			t.Fatalf("parked session %d: Y %s, want %s", id, got, want)
@@ -125,8 +125,8 @@ func TestParkedReportClaimedOnce(t *testing.T) {
 			t.Fatalf("second Evict of session %d returned %+v", id, again)
 		}
 	}
-	if agg := pipe.Server.Aggregate(); agg.Sessions != 3 || agg.Evicted != 3 {
-		t.Fatalf("aggregate: sessions=%d evicted=%d, want 3 and 3", agg.Sessions, agg.Evicted)
+	if agg := pipe.Server.Aggregate(); agg.Sessions != 3 || agg.Wedged != 3 {
+		t.Fatalf("aggregate: sessions=%d wedged=%d, want 3 and 3", agg.Sessions, agg.Wedged)
 	}
 }
 
@@ -255,8 +255,7 @@ func TestIdleSideHoldsNoEndpoint(t *testing.T) {
 func TestWatchdogEmptiesSideMidRound(t *testing.T) {
 	sol := mustBeta(t, 4)
 	cfg, mem := memConfig(t, sol, nil)
-	cfg.IdleTicks = -1
-	cfg.WatchdogK = 1
+	cfg.IdleTicks = watchdogWindow(1)
 	srv, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +272,7 @@ func TestWatchdogEmptiesSideMidRound(t *testing.T) {
 		wedged, evicted := srv.active[7], srv.active[8]
 		srv.releaseLocked(evicted)
 		now := cfg.Clock.Now()
-		wedged.lastProgress = now - 2*srv.watchdog
+		wedged.lastProgress = now - 2*cfg.IdleTicks
 		srv.tickLocked(now)
 	}()
 

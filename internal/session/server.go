@@ -50,8 +50,8 @@ func (s *Server) admitLocked(f wire.Frame) *endpoint {
 	// Frames of a retired session can still be in flight
 	// (retransmissions up to D ticks behind the eviction) and must not
 	// re-spawn a ghost receiver under the same ID: a ghost would pin a
-	// MaxSessions slot until idle eviction (forever with IdleTicks
-	// disabled) and count as a second session. They drop at the
+	// MaxSessions slot until the watchdog retires it (forever with
+	// IdleTicks < 0) and count as a second session. They drop at the
 	// tombstone.
 	if s.finished.has(f.Session) {
 		s.late++
@@ -284,9 +284,9 @@ type Aggregate struct {
 	// Proto and Transport label the stack.
 	Proto, Transport string
 	// Sessions counts sessions ever seen; Active those still live;
-	// Evicted those torn down idle; Wedged those force-retired by the
-	// progress watchdog; Resyncs sums watchdog-forced resynchronizations.
-	Sessions, Active, Evicted, Wedged, Resyncs int
+	// Wedged those force-retired by the progress watchdog; Resyncs sums
+	// watchdog-forced resynchronizations.
+	Sessions, Active, Wedged, Resyncs int
 	// Refused counts new-session frames dropped at the MaxSessions cap;
 	// Late counts in-flight frames of already-finished sessions dropped
 	// at the tombstone (server side only).
@@ -302,9 +302,6 @@ func (a *Aggregate) add(r Report) {
 	if !r.Finished {
 		a.Active++
 	}
-	if r.Evicted {
-		a.Evicted++
-	}
 	if r.Wedged {
 		a.Wedged++
 	}
@@ -318,7 +315,7 @@ func (a *Aggregate) add(r Report) {
 
 // String renders the aggregate as one report line.
 func (a Aggregate) String() string {
-	return fmt.Sprintf("%s over %s: %d sessions (%d active, %d evicted, %d wedged, %d refused, %d late), %d sends (%d errored), %d deliveries, %d writes, %d rejected",
-		a.Proto, a.Transport, a.Sessions, a.Active, a.Evicted, a.Wedged, a.Refused, a.Late,
+	return fmt.Sprintf("%s over %s: %d sessions (%d active, %d wedged, %d refused, %d late), %d sends (%d errored), %d deliveries, %d writes, %d rejected",
+		a.Proto, a.Transport, a.Sessions, a.Active, a.Wedged, a.Refused, a.Late,
 		a.Sends, a.SendErrors, a.Deliveries, a.Writes, a.Rejected)
 }

@@ -25,7 +25,7 @@
 //     drops a frame the transport delivered;
 //   - one mutex per side guarding every endpoint's counters and trace,
 //     snapshotted into immutable Reports for readers;
-//   - retirement (Conn.Close, Evict, idle eviction, the watchdog, Close) is
+//   - retirement (Conn.Close, Evict, the progress watchdog, Close) is
 //     synchronous under that mutex: before the call returns, the session
 //     ID is in the side's tombstone set and its counters are folded into
 //     the side's running sums. A retired session keeps nothing else,
@@ -45,8 +45,9 @@
 // MaxSessions slots (Start blocks until a slot frees or the context is
 // done, and a freed slot goes to the longest-blocked Start); the Server
 // additionally refuses to spawn receiver state beyond its own
-// MaxSessions, dropping frames of over-limit sessions. Idle receiver
-// sessions are evicted after IdleTicks without traffic.
+// MaxSessions, dropping frames of over-limit sessions. A receiver
+// session whose output tape grows by nothing for IdleTicks, less the
+// loop's own stalls, is retired as wedged (the progress watchdog).
 package session
 
 import (
@@ -103,10 +104,11 @@ type TapeResumer interface {
 }
 
 // Resyncer is the optional resynchronization hook a session automaton
-// may expose (the stabilized layer's endpoints do): the watchdog pulls
-// it once before force-retiring a wedged session, giving the protocol a
-// chance to heal in place. The call happens on the side's loop, which
-// owns the automaton, so implementations need no locking of their own.
+// may expose (the stabilized layer's endpoints do): the progress
+// watchdog pulls it once before force-retiring a wedged session, giving
+// the protocol a chance to heal in place. The call happens on the side's
+// loop, which owns the automaton, so implementations need no locking of
+// their own.
 type Resyncer interface {
 	ForceResync()
 }
@@ -118,7 +120,7 @@ type Config struct {
 	// Solution builds each session's protocol pair.
 	Solution PairBuilder
 	// Params are the timing constants: endpoints step every C2 ticks, and
-	// the delay and watchdog bounds are interpreted against them.
+	// the delay bound is interpreted against them.
 	Params rstp.Params
 	// Transport carries the frames.
 	Transport transport.Transport
@@ -132,8 +134,16 @@ type Config struct {
 	// excess load queued before it sends a frame. The Server refuses
 	// receiver state past it.
 	MaxSessions int
-	// IdleTicks evicts a receiver session after this many ticks without
-	// traffic (default 64·D; <0 disables eviction).
+	// IdleTicks is the progress watchdog's window: a receiver session
+	// whose output tape grows by nothing for this many ticks, counted
+	// from its last write (or its spawn) less the side loop's own stalls,
+	// is declared wedged and force-retired through the tombstone path
+	// (default 64·D; <0 disables the watchdog). The paper's per-message
+	// effort bound δ1·c2 is the longest a healthy session may go between
+	// writes, so k·δ1·c2 gives it k worst-case message times. An
+	// automaton that implements Resyncer (the stabilized layer's
+	// endpoints do) is resynchronized once before it is force-retired,
+	// which re-arms the window: one more chance to heal in place.
 	IdleTicks int64
 	// TraceLimit caps the per-session recorded event trace used for
 	// per-session statistics (default 8192 events; <0 disables tracing).
@@ -142,17 +152,6 @@ type Config struct {
 	// plus an eighth, never past TraceLimit), so sessions of one size
 	// allocate it once.
 	TraceLimit int
-	// WatchdogK enables the Server's per-session progress watchdog: a
-	// receiver session whose output tape grows by nothing for
-	// WatchdogK·δ1·c2 ticks is declared wedged and force-retired through
-	// the tombstone path. δ1·c2 is the paper's per-message effort bound —
-	// the longest a healthy session can legally take between consecutive
-	// writes — so k is "how many worst-case message times of silence
-	// before giving up". 0 disables the watchdog. An automaton that
-	// implements Resyncer (the stabilized layer's endpoints do) is
-	// resynchronized once before it is force-retired, giving the
-	// protocol one wedge-window-long chance to heal in place.
-	WatchdogK int
 	// Obs wires the mux into an observability registry: endpoint counters,
 	// the interwrite/deadline-margin/effort-gap histograms, protocol trace
 	// events, and the Server's live per-session introspection table. nil
@@ -278,8 +277,6 @@ type Report struct {
 	// this endpoint; Writes includes them.
 	Y       []wire.Bit
 	Resumed int
-	// Evicted reports the endpoint was torn down by the idle monitor.
-	Evicted bool
 	// Wedged reports the endpoint was force-retired by the progress
 	// watchdog: no output growth within the wedge window.
 	Wedged bool
@@ -338,14 +335,12 @@ type endpoint struct {
 	lastErr      error
 	lastSend     int64
 	lastWrite    int64
-	lastActivity int64
-	stallMark    int64 // m.stalled at lastActivity
-	lastProgress int64 // tick of the last output write (watchdog clock)
+	lastProgress int64 // tick of the last write, spawn or resync (watchdog clock)
+	stallMark    int64 // m.stalled at lastProgress
 	y            []wire.Bit
 	resumed      int // messages preloaded from a persisted tape at spawn
 	trace        []timed.Event
 	traceDropped int
-	evicted      bool
 	wedged       bool
 	resyncs      int
 	retired      bool
@@ -365,17 +360,18 @@ type endpoint struct {
 // the room would double the trace. Callers hold m.mu.
 func newEndpoint(m *mux, id uint32, auto ioa.Automaton) *endpoint {
 	now := m.cfg.Clock.Now()
-	e := &endpoint{id: id, auto: auto, m: m, start: now, lastActivity: now, stallMark: m.stalled, lastProgress: now}
+	e := &endpoint{id: id, auto: auto, m: m, start: now, lastProgress: now, stallMark: m.stalled}
 	if m.traceHint > 0 && m.cfg.TraceLimit > 0 {
 		e.trace = make([]timed.Event, 0, min(m.cfg.TraceLimit, m.traceHint+m.traceHint/8))
 	}
 	return e
 }
 
-// idle is the ticks since the endpoint's last arrival, less the loop
-// stalls booked since (mux.now).
-func (e *endpoint) idle(now int64) int64 {
-	return now - e.lastActivity - (e.m.stalled - e.stallMark)
+// silence is the watchdog's clock: the ticks since the endpoint's last
+// write (or spawn, or resync), less the loop stalls booked since
+// (mux.book).
+func (e *endpoint) silence(now int64) int64 {
+	return now - e.lastProgress - (e.m.stalled - e.stallMark)
 }
 
 // resumeTape seeds a freshly spawned receiver endpoint with the output
@@ -415,26 +411,27 @@ func (e *endpoint) record(t int64, actor string, act ioa.Action, pktSeq int64) {
 
 // checkProgress is the per-session progress watchdog, run each step for
 // server-side endpoints: a session whose output tape grew by nothing for
-// window ticks is wedged. For an automaton that implements Resyncer,
-// the first trip instead forces a protocol resynchronization and re-arms
-// the window, so a session the stabilized layer can still heal gets
-// exactly one wedge-window-long chance before the force-retire. Returns
-// false when the endpoint must retire.
+// more than window ticks of silence is wedged. For an automaton that
+// implements Resyncer, the first trip instead forces a protocol
+// resynchronization and re-arms the window, so a session the stabilized
+// layer can still heal gets exactly one wedge-window-long chance before
+// the force-retire. Returns false when the endpoint must retire.
 func (e *endpoint) checkProgress(now, window int64) bool {
-	if now-e.lastProgress <= window {
+	silent := e.silence(now)
+	if silent <= window {
 		return true
 	}
 	if e.resyncs == 0 {
 		if rs, ok := e.auto.(Resyncer); ok {
 			e.resyncs++
-			e.lastProgress = now // re-arm: one full window to heal
+			e.lastProgress, e.stallMark = now, e.m.stalled // re-arm: one full window to heal
 			e.m.cfg.metrics.onResync(now, e.id)
 			rs.ForceResync()
 			return true
 		}
 	}
 	e.wedged = true
-	e.m.cfg.metrics.onWedge(now, e.id, now-e.lastProgress)
+	e.m.cfg.metrics.onWedge(now, e.id, silent)
 	return false
 }
 
@@ -445,7 +442,6 @@ func (e *endpoint) apply(f wire.Frame) {
 	// Classify, Apply and record all take the same value, pre-boxed for
 	// a bare frame of the k-ary alphabet.
 	act := rstp.RecvAction(f.Dir, f.P, f.Payload)
-	e.lastActivity, e.stallMark = now, e.m.stalled
 	if e.auto.Classify(act) != ioa.ClassInput || e.auto.Apply(act) != nil {
 		e.rejected++
 		e.m.cfg.metrics.onReject()
@@ -499,7 +495,7 @@ func (e *endpoint) step(now int64) bool {
 		e.y = append(e.y, a.M)
 		e.writes++
 		e.lastWrite = now
-		e.lastProgress = now
+		e.lastProgress, e.stallMark = now, m.stalled
 		e.record(now, e.auto.Name(), act, 0)
 		if e.tapeKey == "" {
 			e.announce(now, prev)
@@ -556,7 +552,7 @@ func (e *endpoint) counters() Report {
 		SendErrors: e.sendErrs,
 		LastSend:   e.lastSend, LastWrite: e.lastWrite,
 		Resumed: e.resumed,
-		Evicted: e.evicted, Wedged: e.wedged, Resyncs: e.resyncs,
+		Wedged:  e.wedged, Resyncs: e.resyncs,
 		Finished:     e.retired,
 		TraceDropped: e.traceDropped,
 	}

@@ -349,6 +349,8 @@ func TestFailedStartReleasesSlot(t *testing.T) {
 	}
 }
 
+// TestServerIdleEviction: a receiver that never writes is retired as
+// wedged once IdleTicks pass without output growth.
 func TestServerIdleEviction(t *testing.T) {
 	sol := mustBeta(t, 4)
 	cfg, mem := memConfig(t, sol, nil)
@@ -366,20 +368,20 @@ func TestServerIdleEviction(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		rep, ok := srv.Snapshot(42)
-		if ok && rep.Evicted && rep.Finished {
+		if ok && rep.Wedged && rep.Finished {
 			if rep.Deliveries != 1 {
-				t.Fatalf("evicted session saw %d deliveries", rep.Deliveries)
+				t.Fatalf("wedged session saw %d deliveries", rep.Deliveries)
 			}
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("session 42 not evicted; snapshot ok=%v rep=%+v", ok, rep)
+			t.Fatalf("session 42 not retired; snapshot ok=%v rep=%+v", ok, rep)
 		}
 		time.Sleep(time.Millisecond)
 	}
 	agg := srv.Aggregate()
-	if agg.Evicted != 1 {
-		t.Fatalf("aggregate evicted %d, want 1", agg.Evicted)
+	if agg.Wedged != 1 {
+		t.Fatalf("aggregate wedged %d, want 1", agg.Wedged)
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 	"repro/internal/wire"
 )
 
-// watchdogWindow is the wedge window testConfig's parameters derive for
-// a given k: k·δ1·c2 ticks (δ1 = ⌊12/2⌋ = 6, c2 = 3).
+// watchdogWindow is the IdleTicks window of k worst-case message times
+// under testConfig's parameters: k·δ1·c2 ticks (δ1 = ⌊12/2⌋ = 6, c2 = 3).
 func watchdogWindow(k int) int64 {
 	p := testParams()
 	return int64(k) * int64(p.Delta1()) * p.C2
@@ -23,16 +23,14 @@ func (m *mux) lookup(id uint32) *endpoint {
 	return m.active[id]
 }
 
-// TestWatchdogRetiresWedgedSession pins the tentpole guarantee: a
+// TestWatchdogRetiresWedgedSession pins the watchdog's guarantee: a
 // session with no output growth for k·δ1·c2 ticks is force-retired
 // through the tombstone path, reported Wedged, and its MaxSessions slot
-// freed — even with idle eviction off (the rstpserve setting, where a
-// wedged session would otherwise pin its slot forever).
+// freed (rstpserve -watchdog k sets this window).
 func TestWatchdogRetiresWedgedSession(t *testing.T) {
 	sol := mustBeta(t, 4)
 	cfg, mem := memConfig(t, sol, nil)
-	cfg.IdleTicks = -1 // only the watchdog can reclaim the slot
-	cfg.WatchdogK = 4
+	cfg.IdleTicks = watchdogWindow(4)
 	srv, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -61,9 +59,6 @@ func TestWatchdogRetiresWedgedSession(t *testing.T) {
 	wedgeTick := cfg.Clock.Now()
 	if !rep.Wedged {
 		t.Fatalf("retired session not marked wedged: %+v", rep)
-	}
-	if rep.Evicted {
-		t.Fatalf("wedged session double-labeled as idle-evicted: %+v", rep)
 	}
 	// The force-retire must land within the derived window plus generous
 	// slack for spawn latency and polling (the window itself is 72 ticks).
@@ -94,8 +89,7 @@ func TestWatchdogRetiresWedgedSession(t *testing.T) {
 func TestWatchdogResyncBeforeRetire(t *testing.T) {
 	sol := rstp.Stabilize(mustBeta(t, 4), rstp.StabilizeOptions{})
 	cfg, mem := memConfig(t, sol, nil)
-	cfg.IdleTicks = -1
-	cfg.WatchdogK = 4
+	cfg.IdleTicks = watchdogWindow(4)
 	srv, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -135,8 +129,7 @@ func TestWatchdogResyncBeforeRetire(t *testing.T) {
 func TestCloseDuringWatchdogRetire(t *testing.T) {
 	sol := mustBeta(t, 4)
 	cfg, mem := memConfig(t, sol, nil)
-	cfg.IdleTicks = -1
-	cfg.WatchdogK = 1 // every stray session wedges within δ1·c2 = 18 ticks
+	cfg.IdleTicks = watchdogWindow(1) // every stray session wedges within δ1·c2 = 18 ticks
 	srv, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -185,5 +178,84 @@ func TestCloseDuringWatchdogRetire(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWatchdogDiscountsLoopStalls: a stall of the side's own loop longer
+// than the window is not charged to a receiver. The last write is
+// backdated by twice the window and the same gap is booked as a loop
+// stall: the receiver stays live. The same silence with no stall
+// retires it.
+func TestWatchdogDiscountsLoopStalls(t *testing.T) {
+	sol := mustBeta(t, 4)
+	cfg, mem := memConfig(t, sol, nil)
+	cfg.IdleTicks = watchdogWindow(4)
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	defer mem.Close()
+	gap := 2 * cfg.IdleTicks
+	for cfg.Clock.Now() <= gap { // book ignores a reading at tick 0
+		time.Sleep(time.Millisecond)
+	}
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	srv.deliverLocked(wire.Frame{Session: 1, Dir: wire.TtoR, Seq: 1, P: wire.DataPacket(1)})
+	ep := srv.active[1]
+	now := cfg.Clock.Now()
+	ep.lastProgress = now - gap
+	srv.lastNow = now - gap // the loop's previous reading: it has not run since
+	srv.book(now)
+	if !srv.advance(ep) || ep.wedged {
+		t.Fatalf("a %d-tick loop stall retired the receiver (window %d, stall booked %d)", gap, cfg.IdleTicks, srv.stalled)
+	}
+	// The control: the same silence, with the loop running on time.
+	ep.lastProgress, ep.stallMark = now-gap, srv.stalled
+	srv.tickLocked(now + 1)
+	if !ep.retired || !ep.wedged {
+		t.Fatalf("%d ticks of silence without a stall left the receiver retired=%v wedged=%v", gap, ep.retired, ep.wedged)
+	}
+}
+
+// TestWatchdogRetiresChattyStuckReceiver: under the default window
+// (64·D), a receiver that keeps getting frames but never writes is
+// retired as wedged. Traffic alone does not keep a session alive.
+func TestWatchdogRetiresChattyStuckReceiver(t *testing.T) {
+	cfg, mem := memConfig(t, writeOnceBuilder{}, nil)
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	defer mem.Close()
+	window := 64 * cfg.Params.D
+	t0 := cfg.Clock.Now()
+	deadline := time.Now().Add(10 * time.Second)
+	for seq := int64(1); ; seq++ {
+		// One frame every ~20 ticks: the receiver is never without
+		// traffic for long, and its writeOnce automaton is never armed.
+		if err := mem.Send(wire.Frame{Session: 1, Dir: wire.TtoR, Seq: seq, P: wire.DataPacket(1)}); err != nil {
+			t.Fatal(err)
+		}
+		rep, ok := srv.Snapshot(1)
+		if ok && rep.Finished {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("a receiver with %d deliveries and %d writes was never retired", rep.Deliveries, rep.Writes)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	rep, ok := srv.Evict(1)
+	if !ok || !rep.Wedged || rep.Writes != 0 {
+		t.Fatalf("final report %+v (ok=%v), want a wedged receiver with no writes", rep, ok)
+	}
+	if elapsed := cfg.Clock.Now() - t0; elapsed < window {
+		t.Fatalf("retired after %d ticks, before the %d-tick default window", elapsed, window)
+	}
+	if rep.Deliveries < 2 {
+		t.Fatalf("receiver saw %d deliveries, want a stream of them", rep.Deliveries)
 	}
 }

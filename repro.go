@@ -390,8 +390,9 @@ type (
 // MemOptions.Delay makes the in-memory channel itself lossy, so every
 // fault enters at one place, the transport's delay line, and the plan's
 // time windows count ticks from the transport's first frame; the
-// server-side progress watchdog (ServeConfig.WatchdogK) retires sessions
-// that stop making progress. Loss recovery itself belongs to the
+// server-side progress watchdog retires a receiver whose output tape
+// does not grow for ServeConfig.IdleTicks ticks, less the serving
+// loop's own stalls. Loss recovery itself belongs to the
 // protocol stack (the hardened layer's retransmission, the rateless
 // code). See DESIGN.md ("Surviving a bad network").
 
